@@ -1,21 +1,22 @@
 //! The prover side of the availability-certificate split.
 //!
-//! `Ladder::certified()` runs the adversary ladder exactly as the
-//! uncertified builder does — the traced local-search variants *are*
-//! the untraced implementations, so the two cannot drift — while
-//! recording what the `wcp-verify` crate needs to
-//! re-check the verdict in `O(witness)`: each rung's witness with a
-//! replayable decision-trace hash, and, when the exact rung completed,
-//! a per-root-child **bound ledger** for the branch-and-bound tree.
+//! Both budget models run one driver whether or not a certificate is
+//! requested: the driver returns its verdict together with the rungs
+//! that led to it — each rung's witness with a replayable
+//! decision-trace hash — so `Ladder::certified()` only adds what the
+//! `wcp-verify` crate needs beyond them to re-check the verdict in
+//! `O(witness)`: when the exact rung completed, a per-root-child
+//! **bound ledger** for the branch-and-bound tree, and the seal binding
+//! the claim to the placement.
 //!
-//! The ledger is computed *post hoc* on the packed kernel. Both the
-//! serial DFS root frame (depth 0 is below its re-sort depth) and the
-//! parallel frontier split order root children by the same total key —
-//! `(gain, load, node)` descending at the empty set — and expand
-//! exactly the first `n − k + 1` of them, so re-deriving that order
-//! after the search reproduces the true root frontier. For each root
-//! child `x` the recorded bound is the same admissible bound the DFS
-//! prunes with one level down:
+//! The ledger is computed *post hoc* on the packed kernel the exact rung
+//! just searched. Both the serial DFS root frame (depth 0 is below its
+//! re-sort depth) and the parallel frontier split order root children
+//! by the same total key — `(gain, load, node)` descending at the empty
+//! set — and expand exactly the first `n − k + 1` of them, so
+//! re-deriving that order after the search reproduces the true root
+//! frontier. For each root child `x` the recorded bound is the same
+//! admissible bound the DFS prunes with one level down:
 //!
 //! ```text
 //! bound(x) = failed({x}) + failable_within(k − 1)   (evaluated at {x})
@@ -33,9 +34,7 @@
 //! without expanding (the root short-circuit), the ledger still proves
 //! optimality outright.
 
-use crate::exact;
-use crate::search::{self, LadderTrace};
-use crate::{parallel, AdversaryConfig, AdversaryScratch, WorstCase};
+use crate::AdversaryScratch;
 use wcp_core::{
     placement_digest, Certificate, CertificateKind, Fnv, LedgerEntry, Placement, Rung, RungKind,
 };
@@ -55,7 +54,31 @@ pub(crate) fn trace_hash(entries: &[(u64, Vec<u16>)]) -> u64 {
     h.finish()
 }
 
-fn base_certificate(placement: &Placement, kind: CertificateKind, s: u16, k: u16) -> Certificate {
+/// One rung of a run's record (`units` is empty for node budgets).
+pub(crate) fn rung(
+    kind: RungKind,
+    failed: u64,
+    witness: &[u16],
+    units: &[u32],
+    trace: u64,
+) -> Rung {
+    Rung {
+        kind,
+        failed,
+        witness: witness.to_vec(),
+        units: units.to_vec(),
+        trace,
+    }
+}
+
+/// A certificate bound to `placement` with no evidence or claim yet;
+/// callers fill in the rungs, ledger and claim of their run.
+pub(crate) fn base_certificate(
+    placement: &Placement,
+    kind: CertificateKind,
+    s: u16,
+    k: u16,
+) -> Certificate {
     Certificate {
         kind,
         n: placement.num_nodes(),
@@ -71,175 +94,22 @@ fn base_certificate(placement: &Placement, kind: CertificateKind, s: u16, k: u16
     }
 }
 
-/// Seals the shared tail of every certificate: a degenerate-budget
-/// claim needs no search evidence beyond its single exact rung.
-fn seal_degenerate(
-    mut cert: Certificate,
-    failed: u64,
-    witness: Vec<u16>,
-    units: Vec<u32>,
-) -> Certificate {
-    cert.rungs.push(Rung {
-        kind: RungKind::Exact,
-        failed,
-        witness,
-        units,
-        trace: 0,
-    });
-    cert.claimed_failed = failed;
-    cert.exact = true;
-    cert
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).certified().run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).certified().run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_certified(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> (WorstCase, Certificate) {
-    certified_ladder(placement, s, k, config, &mut AdversaryScratch::new())
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).scratch(scratch).certified().run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).scratch(scratch).certified().run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_certified_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> (WorstCase, Certificate) {
-    certified_ladder(placement, s, k, config, scratch)
-}
-
-/// The certified auto ladder behind `Ladder::certified().run(…)`.
-///
-/// The returned [`WorstCase`] is identical to the uncertified entry
-/// point's for the same inputs (the ladder is shared, not mirrored).
-///
-/// # Panics
-///
-/// Panics if `k > n` or `s > r` (placement shape mismatch).
-pub(crate) fn certified_ladder(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> (WorstCase, Certificate) {
-    assert!(k <= placement.num_nodes(), "k must be ≤ n");
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    let n = placement.num_nodes();
-    let mut cert = base_certificate(placement, CertificateKind::Node, s, k);
-    if k == 0 || k >= n {
-        // Degenerate budgets need no search: k = 0 fails nothing, k = n
-        // fails everything reachable. One exact rung, no ledger.
-        let wc = if k == 0 {
-            WorstCase {
-                failed: 0,
-                nodes: Vec::new(),
-                exact: true,
-            }
-        } else {
-            exact::degenerate_all_nodes(placement, s, k)
-        };
-        let cert = seal_degenerate(cert, wc.failed, wc.nodes.clone(), Vec::new());
-        return (wc, cert);
-    }
-    let mut trace = LadderTrace::default();
-    let (heuristic, exact_result) = match config.parallelism {
-        Some(par) => {
-            let h = parallel::local_search_worst_parallel_traced(
-                placement, s, k, config, par, &mut trace,
-            );
-            let e =
-                parallel::exact_worst_parallel(placement, s, k, config.exact_budget, h.failed, par);
-            (h, e)
-        }
-        None => {
-            let h = search::local_search_worst_traced(placement, s, k, config, scratch, &mut trace);
-            // The histogram rungs never bind the packed kernel, so the
-            // exact rung binds it itself above the threshold.
-            let e = if config.uses_histogram(placement.num_objects()) {
-                exact::exact_worst_with(placement, s, k, config.exact_budget, h.failed, scratch)
-            } else {
-                exact::exact_worst_rebound(placement, s, k, config.exact_budget, h.failed, scratch)
-            };
-            (h, e)
-        }
-    };
-    if let Some(greedy) = trace.greedy.take() {
-        let entry = [greedy];
-        cert.rungs.push(Rung {
-            kind: RungKind::Greedy,
-            failed: entry[0].0,
-            witness: entry[0].1.clone(),
-            units: Vec::new(),
-            trace: trace_hash(&entry),
-        });
-    }
-    cert.rungs.push(Rung {
-        kind: RungKind::LocalSearch,
-        failed: heuristic.failed,
-        witness: heuristic.nodes.clone(),
-        units: Vec::new(),
-        trace: trace_hash(&trace.restarts),
-    });
-    let result = match exact_result {
-        Some(ex) => {
-            // The DFS only returns node sets when it beats the seed;
-            // reuse the heuristic's witness when the incumbent stood.
-            let wc = if ex.failed > heuristic.failed {
-                ex
-            } else {
-                WorstCase {
-                    exact: true,
-                    ..heuristic
-                }
-            };
-            cert.rungs.push(Rung {
-                kind: RungKind::Exact,
-                failed: wc.failed,
-                witness: wc.nodes.clone(),
-                units: Vec::new(),
-                trace: 0,
-            });
-            cert.ledger = node_ledger(placement, s, k, scratch);
-            wc
-        }
-        None => heuristic,
-    };
-    cert.claimed_failed = result.failed;
-    cert.exact = result.exact;
-    (result, cert)
-}
-
 /// The exact rung's post-hoc bound ledger: one admissible bound per
 /// root child of the branch-and-bound tree, in the canonical
 /// `(gain, load, node)` descending root order, covering exactly the
-/// `n − k + 1` children the root frame expands.
-fn node_ledger(
+/// `n − k + 1` children the root frame expands. Reuses the kernel
+/// binding the exact rung searched on; degenerate budgets (`k = 0` or
+/// `k = n`) need no search and get no ledger.
+pub(crate) fn node_ledger(
     placement: &Placement,
-    s: u16,
     k: u16,
     scratch: &mut AdversaryScratch,
 ) -> Vec<LedgerEntry> {
-    debug_assert!(k >= 1 && k < placement.num_nodes());
     let n = placement.num_nodes();
-    let (pc, _, _) = scratch.bind_packed(placement, s);
-    pc.clear();
+    if k == 0 || k >= n {
+        return Vec::new();
+    }
+    let (pc, _, _) = scratch.cleared_packed();
     let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
     keys.sort_unstable_by(|a, b| b.cmp(a));
     let roots = usize::from(n - k) + 1;
@@ -259,8 +129,8 @@ fn node_ledger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ladder;
-    use wcp_core::{Parallelism, RandomStrategy, RandomVariant, SystemParams};
+    use crate::{AdversaryConfig, Ladder};
+    use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
         let params = SystemParams::new(n, b, r, 1, 1).unwrap();
@@ -274,18 +144,13 @@ mod tests {
         for seed in 0..3u64 {
             let p = random_placement(16, 70, 3, seed);
             for (s, k) in [(1u16, 0u16), (1, 3), (2, 4), (3, 5), (2, 16)] {
-                for parallelism in [None, Some(Parallelism::new(4))] {
-                    let config = AdversaryConfig {
-                        parallelism,
-                        ..AdversaryConfig::default()
-                    };
-                    let plain = Ladder::new(&config).run(&p, s, k).worst;
-                    let out = Ladder::new(&config).certified().run(&p, s, k);
-                    let (wc, cert) = (out.worst, out.certificate.expect("certified"));
-                    assert_eq!(wc, plain, "seed={seed} s={s} k={k} par={parallelism:?}");
-                    assert_eq!(cert.claimed_failed, wc.failed);
-                    assert_eq!(cert.exact, wc.exact);
-                }
+                let config = AdversaryConfig::default();
+                let plain = Ladder::new(&config).run(&p, s, k).worst;
+                let out = Ladder::new(&config).certified().run(&p, s, k);
+                let (wc, cert) = (out.worst, out.certificate.expect("certified"));
+                assert_eq!(wc, plain, "seed={seed} s={s} k={k}");
+                assert_eq!(cert.claimed_failed, wc.failed);
+                assert_eq!(cert.exact, wc.exact);
             }
         }
     }

@@ -9,11 +9,12 @@
 //! choices (a leaf plus the rack above it) count each leaf once.
 //!
 //! The search ladder mirrors the per-node ladder decision for decision
-//! — same greedy tie-breaks, same local-search scan orders and RNG
-//! stream, same branch-and-bound shape (incumbent seeding, histogram
-//! bound, shallow-depth supply bound and live child re-sorting, closed
-//! form last level) — so on the **flat** topology it reproduces
-//! [`crate::worst_case_failures`]'s [`crate::WorstCase`] bit for bit. It runs
+//! — same greedy tie-breaks, same local-search scan orders and restart
+//! schedule (per-restart RNG streams, ties to the smallest witness),
+//! same branch-and-bound shape (incumbent seeding, histogram bound,
+//! shallow-depth supply bound and live child re-sorting, closed form
+//! last level) — so on the **flat** topology it reproduces the node
+//! ladder's [`crate::WorstCase`] bit for bit. It runs
 //! on the word-parallel [`PackedCounts`] kernel by folding each unit's
 //! per-node coverage into ripple-carry `add_node`/`remove_node` updates
 //! (a node is added on its 0 → 1 coverage transition only, removed on
@@ -27,12 +28,11 @@
 //! hits; for flat topologies `c_max = 1` recovers the node bounds
 //! exactly.
 
-use crate::certify::trace_hash;
+use crate::certify::{self, rung, trace_hash};
 use crate::counts::{FailureCounts, PackedCounts};
-use crate::AdversaryConfig;
-use rand::rngs::StdRng;
+use crate::parallel::{rank, restart_rng};
+use crate::{AdversaryConfig, DomainLadderOutcome};
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, Rung, RungKind, Topology};
 
 /// Depths at which the DFS re-sorts children by live gain and applies
@@ -530,17 +530,17 @@ fn climb_units<B: DomainBackend>(be: &mut B, max_steps: u32, all: u64) {
 }
 
 /// Per-rung decision record of the unit ladder, consumed by the
-/// certificate prover ([`domain_certified_ladder`]).
+/// certificate prover.
 #[derive(Debug, Default)]
 struct UnitTrace {
     /// The greedy seed's outcome before any climbing.
     greedy: Option<DomainWorstCase>,
-    /// Each climb pass's outcome, in restart order.
-    restarts: Vec<DomainWorstCase>,
+    /// Each climb pass's `(failed, leaf witness)`, in restart order.
+    restarts: Vec<(u64, Vec<u16>)>,
 }
 
 /// Greedy seed plus steepest-ascent restarts (the unit analogue of the
-/// node local search, same RNG stream). Expects an empty backend.
+/// node local search, same restart schedule). Expects an empty backend.
 fn local_search_units<B: DomainBackend>(
     be: &mut B,
     k: u16,
@@ -553,6 +553,9 @@ fn local_search_units<B: DomainBackend>(
 /// [`local_search_units`] recording the per-rung decision trace. This
 /// *is* the implementation — the untraced entry point passes a
 /// discarded trace — so certified and uncertified ladders cannot drift.
+/// Restart 0 climbs from the greedy set, restart `t > 0` from a random
+/// unit set drawn from its own stream; every restart runs, and the best
+/// keeps the most failed objects, ties to the smallest unit set.
 fn local_search_units_traced<B: DomainBackend>(
     be: &mut B,
     k: u16,
@@ -567,30 +570,29 @@ fn local_search_units_traced<B: DomainBackend>(
         }
         return snapshot(be, false);
     }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    greedy_units(be, k);
-    let mut overall = snapshot(be, false);
-    trace.greedy = Some(overall.clone());
-    for restart in 0..config.restarts {
-        if restart > 0 {
+    let mut best = snapshot(be, false);
+    for t in 0..config.restarts.max(1) as usize {
+        if t == 0 {
+            greedy_units(be, k);
+            trace.greedy = Some(snapshot(be, false));
+        } else {
             be.clear();
             let mut perm: Vec<u32> = (0..u_count as u32).collect();
-            perm.shuffle(&mut rng);
+            perm.shuffle(&mut restart_rng(config.seed, t));
             for &u in perm.iter().take(usize::from(k)) {
                 be.fail_unit(u as usize);
             }
         }
-        climb_units(be, config.max_steps, all);
-        let snap = snapshot(be, false);
-        if snap.failed > overall.failed {
-            overall = snap.clone();
+        if config.restarts > 0 {
+            climb_units(be, config.max_steps, all);
         }
-        trace.restarts.push(snap);
-        if overall.failed == all {
-            break;
+        let snap = snapshot(be, false);
+        trace.restarts.push((snap.failed, snap.nodes.clone()));
+        if t == 0 || rank(snap.failed, &snap.units) > rank(best.failed, &best.units) {
+            best = snap;
         }
     }
-    overall
+    best
 }
 
 /// Branch-and-bound DFS over unit subsets (the unit analogue of the
@@ -757,17 +759,54 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
     }
 }
 
-/// Runs the full auto ladder (local search seeding exact
-/// branch-and-bound) on one backend.
-fn ladder<B: DomainBackend>(
+/// The unit-budget driver behind `Ladder::run_domain` (certified or
+/// not) and the scalar oracle: local search seeds the exact rung, whose
+/// verdict stands when it completes within budget. Returns the verdict
+/// and the rungs that led to it. Expects an empty backend.
+fn domain_ladder<B: DomainBackend>(
     be: &mut B,
     k: u16,
     config: &AdversaryConfig,
     all: u64,
-) -> DomainWorstCase {
-    let heuristic = local_search_units(be, k, config, all);
+) -> (DomainWorstCase, Vec<Rung>) {
+    let u_count = be.index().len();
+    if k == 0 || usize::from(k) >= u_count {
+        // Degenerate budgets need no search: k = 0 fails nothing,
+        // k ≥ units fails every unit. One exact rung.
+        if k > 0 {
+            for u in 0..u_count {
+                be.fail_unit(u);
+            }
+        }
+        let worst = snapshot(be, true);
+        let rungs = vec![rung(
+            RungKind::Exact,
+            worst.failed,
+            &worst.nodes,
+            &worst.units,
+            0,
+        )];
+        return (worst, rungs);
+    }
+    let mut trace = UnitTrace::default();
+    let heuristic = local_search_units_traced(be, k, config, all, &mut trace);
     be.clear();
-    match exact_units(be, k, config.exact_budget, heuristic.failed, all) {
+    let exact = exact_units(be, k, config.exact_budget, heuristic.failed, all);
+    let mut rungs = Vec::with_capacity(3);
+    if let Some(g) = trace.greedy {
+        let hash = trace_hash(&[(g.failed, g.nodes.clone())]);
+        rungs.push(rung(RungKind::Greedy, g.failed, &g.nodes, &g.units, hash));
+    }
+    let hash = trace_hash(&trace.restarts);
+    let h = &heuristic;
+    rungs.push(rung(
+        RungKind::LocalSearch,
+        h.failed,
+        &h.nodes,
+        &h.units,
+        hash,
+    ));
+    let worst = match exact {
         Some((failed, units)) if failed > heuristic.failed => {
             let nodes = be.index().nodes_of(&units);
             DomainWorstCase {
@@ -782,17 +821,21 @@ fn ladder<B: DomainBackend>(
             ..heuristic
         },
         None => heuristic,
+    };
+    if worst.exact {
+        let w = &worst;
+        rungs.push(rung(RungKind::Exact, w.failed, &w.nodes, &w.units, 0));
     }
+    (worst, rungs)
 }
 
-fn check_shape(placement: &Placement, topology: &Topology, s: u16, k: u16) -> usize {
+fn check_shape(placement: &Placement, topology: &Topology, s: u16, k: u16) {
     let units = topology.failure_units().len();
     assert!(
         usize::from(k) <= units,
         "k must be ≤ the number of failure units ({units})"
     );
     assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    units
 }
 
 /// Greedy domain adversary: repeatedly fails the unit killing the most
@@ -864,44 +907,6 @@ pub fn domain_exact_worst(
     })
 }
 
-/// Legacy spelling of
-/// `Ladder::new(config).run_domain(placement, topology, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).run_domain(placement, topology, s, k)`"
-)]
-#[must_use]
-pub fn domain_worst_case_failures(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> DomainWorstCase {
-    domain_auto_ladder(placement, topology, s, k, config)
-}
-
-/// Auto domain adversary behind `Ladder::run_domain`: exact
-/// branch-and-bound seeded by local search when it completes within
-/// budget, the heuristic otherwise — the domain analogue of the node
-/// auto ladder. On a flat topology the result is bit-for-bit the node
-/// adversary's.
-///
-/// # Panics
-///
-/// As for [`domain_greedy_worst`].
-pub(crate) fn domain_auto_ladder(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    ladder(&mut be, k, config, placement.num_objects() as u64)
-}
-
 /// The exact rung's post-hoc bound ledger over failure units: one
 /// admissible bound per root child of the branch-and-bound tree, in the
 /// canonical `(gain, weight, unit)` descending root order (the order
@@ -909,10 +914,12 @@ pub(crate) fn domain_auto_ladder(
 /// covering the `units − k + 1` children the root frame expands. The
 /// bound generalizes the node ledger's: after failing the root unit,
 /// the remaining `k − 1` units add at most `c_max` hits each per
-/// object.
+/// object. Degenerate budgets need no search and get no ledger.
 fn unit_ledger<B: DomainBackend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
     let u_count = be.index().len();
-    debug_assert!(k >= 1 && usize::from(k) < u_count);
+    if k == 0 || usize::from(k) >= u_count {
+        return Vec::new();
+    }
     be.clear();
     let c_max = be.index().max_unit_hits;
     let hits = hits_budget(k - 1, c_max);
@@ -933,140 +940,37 @@ fn unit_ledger<B: DomainBackend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
     ledger
 }
 
-/// Legacy spelling of
-/// `Ladder::new(config).certified().run_domain(placement, topology, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).certified().run_domain(placement, topology, s, k)`"
-)]
-#[must_use]
-pub fn domain_worst_case_certified(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> (DomainWorstCase, Certificate) {
-    domain_certified_ladder(placement, topology, s, k, config)
-}
-
-/// [`domain_auto_ladder`] plus its availability certificate — the
-/// domain analogue of the certified node ladder, behind
-/// `Ladder::certified().run_domain(…)`. The returned
-/// [`DomainWorstCase`] is identical to the uncertified entry point's for
-/// the same inputs (the ladder is shared, not mirrored). The
-/// certificate's rung witnesses carry both the chosen unit ids and
-/// their leaf union; the verifier needs the same [`Topology`] to
-/// re-check them.
+/// Runs the packed unit ladder behind `Ladder::run_domain`, sealing
+/// its certificate when `certified`. The certificate's rung witnesses
+/// carry both the chosen unit ids and their leaf union; the verifier
+/// needs the same [`Topology`] to re-check them.
 ///
 /// # Panics
 ///
 /// As for [`domain_greedy_worst`].
-pub(crate) fn domain_certified_ladder(
+pub(crate) fn run_ladder(
     placement: &Placement,
     topology: &Topology,
     s: u16,
     k: u16,
     config: &AdversaryConfig,
-) -> (DomainWorstCase, Certificate) {
-    let units = check_shape(placement, topology, s, k);
-    let all = placement.num_objects() as u64;
+    certified: bool,
+) -> DomainLadderOutcome {
+    check_shape(placement, topology, s, k);
     let mut be = PackedDomainBackend::new(placement, topology, s);
-    let mut cert = Certificate {
-        kind: CertificateKind::Domain,
-        n: placement.num_nodes(),
-        b: all,
-        r: placement.replicas_per_object(),
-        s,
-        k,
-        placement: wcp_core::placement_digest(placement),
-        rungs: Vec::new(),
-        ledger: Vec::new(),
-        claimed_failed: 0,
-        exact: false,
-    };
-    if k == 0 || usize::from(k) >= units {
-        // Degenerate budgets need no search: k = 0 fails nothing,
-        // k ≥ units fails every unit. One exact rung, no ledger.
-        let wc = if k == 0 {
-            DomainWorstCase {
-                failed: 0,
-                units: Vec::new(),
-                nodes: Vec::new(),
-                exact: true,
-            }
+    let (worst, rungs) = domain_ladder(&mut be, k, config, placement.num_objects() as u64);
+    let certificate = certified.then(|| Certificate {
+        ledger: if worst.exact {
+            unit_ledger(&mut be, k)
         } else {
-            for u in 0..units {
-                be.fail_unit(u);
-            }
-            snapshot(&be, true)
-        };
-        cert.rungs.push(Rung {
-            kind: RungKind::Exact,
-            failed: wc.failed,
-            witness: wc.nodes.clone(),
-            units: wc.units.clone(),
-            trace: 0,
-        });
-        cert.claimed_failed = wc.failed;
-        cert.exact = true;
-        return (wc, cert);
-    }
-    let mut trace = UnitTrace::default();
-    let heuristic = local_search_units_traced(&mut be, k, config, all, &mut trace);
-    be.clear();
-    let exact_result = exact_units(&mut be, k, config.exact_budget, heuristic.failed, all);
-    if let Some(greedy) = trace.greedy.take() {
-        let entry = [(greedy.failed, greedy.nodes.clone())];
-        cert.rungs.push(Rung {
-            kind: RungKind::Greedy,
-            failed: greedy.failed,
-            witness: greedy.nodes,
-            units: greedy.units,
-            trace: trace_hash(&entry),
-        });
-    }
-    let restart_entries: Vec<(u64, Vec<u16>)> = trace
-        .restarts
-        .iter()
-        .map(|snap| (snap.failed, snap.nodes.clone()))
-        .collect();
-    cert.rungs.push(Rung {
-        kind: RungKind::LocalSearch,
-        failed: heuristic.failed,
-        witness: heuristic.nodes.clone(),
-        units: heuristic.units.clone(),
-        trace: trace_hash(&restart_entries),
-    });
-    let result = match exact_result {
-        Some((failed, units)) if failed > heuristic.failed => {
-            let nodes = be.index().nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
-        }
-        Some(_) => DomainWorstCase {
-            exact: true,
-            ..heuristic
+            Vec::new()
         },
-        None => heuristic,
-    };
-    if result.exact {
-        cert.rungs.push(Rung {
-            kind: RungKind::Exact,
-            failed: result.failed,
-            witness: result.nodes.clone(),
-            units: result.units.clone(),
-            trace: 0,
-        });
-        cert.ledger = unit_ledger(&mut be, k);
-    }
-    cert.claimed_failed = result.failed;
-    cert.exact = result.exact;
-    (result, cert)
+        rungs,
+        claimed_failed: worst.failed,
+        exact: worst.exact,
+        ..certify::base_certificate(placement, CertificateKind::Domain, s, k)
+    });
+    DomainLadderOutcome { worst, certificate }
 }
 
 /// The scalar reference ladder over failure units: identical decisions
@@ -1074,7 +978,7 @@ pub(crate) fn domain_certified_ladder(
 /// oracle side of `tests/domain_differential.rs`.
 pub mod scalar {
     use super::{
-        check_shape, exact_units, greedy_units, ladder, local_search_units, snapshot,
+        check_shape, domain_ladder, exact_units, greedy_units, local_search_units, snapshot,
         DomainWorstCase, ScalarDomainBackend,
     };
     use crate::AdversaryConfig;
@@ -1144,7 +1048,7 @@ pub mod scalar {
     ) -> DomainWorstCase {
         check_shape(placement, topology, s, k);
         let mut be = ScalarDomainBackend::new(placement, topology, s);
-        ladder(&mut be, k, config, placement.num_objects() as u64)
+        domain_ladder(&mut be, k, config, placement.num_objects() as u64).0
     }
 }
 
@@ -1226,6 +1130,16 @@ mod tests {
         RandomStrategy::new(seed, RandomVariant::LoadBalanced)
             .place(&params)
             .unwrap()
+    }
+
+    fn domain_auto_ladder(
+        p: &Placement,
+        topo: &Topology,
+        s: u16,
+        k: u16,
+        config: &AdversaryConfig,
+    ) -> DomainWorstCase {
+        crate::Ladder::new(config).run_domain(p, topo, s, k).worst
     }
 
     /// Failed objects for an explicit unit choice, straight from the

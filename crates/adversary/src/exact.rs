@@ -136,34 +136,6 @@ pub fn exact_worst_with(
     run_dfs(pc, ds, k, budget, incumbent, b)
 }
 
-/// [`exact_worst_with`] for a scratch whose kernel is *already bound*
-/// to `(placement, s)` by a preceding stage (the auto ladder's local
-/// search): skips the index rebuild and just clears the failed set —
-/// half the per-evaluation binding cost on re-attack-heavy paths like
-/// churn.
-#[must_use]
-pub(crate) fn exact_worst_rebound(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    budget: u64,
-    incumbent: u64,
-    scratch: &mut AdversaryScratch,
-) -> Option<WorstCase> {
-    let n = placement.num_nodes();
-    if k >= n {
-        return Some(degenerate_all_nodes(placement, s, k));
-    }
-    let b = placement.num_objects() as u64;
-    let (pc, _, ds) = scratch.parts_packed();
-    debug_assert!(
-        pc.num_nodes() == n && pc.num_objects() == placement.num_objects() && pc.threshold() == s,
-        "scratch not bound to this placement/threshold"
-    );
-    pc.clear();
-    run_dfs(pc, ds, k, budget, incumbent, b)
-}
-
 /// The `k ≥ n` degenerate case: every node fails. The returned set
 /// holds all `n` distinct nodes and `failed` is computed over that same
 /// set.
@@ -180,7 +152,7 @@ pub(crate) fn degenerate_all_nodes(placement: &Placement, s: u16, k: u16) -> Wor
 }
 
 /// Runs the branch-and-bound DFS over an empty, bound kernel.
-fn run_dfs(
+pub(crate) fn run_dfs(
     pc: &mut PackedCounts,
     ds: &mut DfsScratch,
     k: u16,

@@ -12,7 +12,7 @@
 //! per class, weighted by class size.
 //!
 //! Decision-making is *identical* to the packed ladder (same scan
-//! orders, same strict-improvement tie-breaks, same RNG stream): a
+//! orders, same strict-improvement tie-breaks, same restart schedule): a
 //! node's gain is the weighted sum of its classes at `hits = s − 1`,
 //! which equals the packed popcount over objects bit for bit, so the
 //! greedy and local-search rungs return the same [`WorstCase`] — and
@@ -20,16 +20,15 @@
 //! differential suite pins this against both [`crate::PackedCounts`]
 //! and the scalar [`crate::FailureCounts`] oracle.
 //!
-//! The auto ladder routes its heuristic rungs here when `b` exceeds
-//! [`crate::AdversaryConfig::hist_threshold`]; the exact rung always
-//! falls back to the packed planes (its branch-and-bound needs the
-//! per-object masks for admissible bounds and witnesses).
+//! The restart schedule in [`crate::parallel`] runs its heuristic rungs
+//! here when `b` reaches [`crate::AdversaryConfig::hist_threshold`];
+//! the exact rung always falls back to the packed planes (its
+//! branch-and-bound needs the per-object masks for admissible bounds
+//! and witnesses).
 
-use crate::search::LadderTrace;
-use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
+use crate::WorstCase;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use wcp_core::Placement;
 
 /// Weighted-class failure accounting: the histogram backend's analogue
@@ -534,48 +533,11 @@ pub(crate) fn climb_hist(
     }
 }
 
-/// The histogram ladder: greedy seed plus multi-restart swap search,
-/// decision-identical to the packed `local_search_worst_traced` (the
-/// dispatch there routes here above the threshold). The `k ≥ n`
-/// degenerate path is the caller's job, as it is for the packed rungs.
-pub(crate) fn local_search_hist_traced(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-    trace: &mut LadderTrace,
-) -> WorstCase {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let b = placement.num_objects() as u64;
-    let (hc, hs) = scratch.bind_hist(placement, s);
-    let mut overall = greedy_hist_into(hc, k);
-    trace.greedy = Some((overall.failed, overall.nodes.clone()));
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            hc.clear();
-            seed_random_hist(hc, hs, k, &mut rng);
-        }
-        climb_hist(hc, hs, config.max_steps, b);
-        trace.restarts.push((hc.failed(), hc.nodes()));
-        if hc.failed() > overall.failed {
-            overall = WorstCase {
-                failed: hc.failed(),
-                nodes: hc.nodes(),
-                exact: false,
-            };
-        }
-        if overall.failed == b {
-            break;
-        }
-    }
-    overall
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailureCounts;
+    use crate::search::LadderTrace;
+    use crate::{AdversaryConfig, AdversaryScratch, FailureCounts};
     use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
@@ -672,7 +634,7 @@ mod tests {
             for (s, k) in [(1u16, 3u16), (2, 4), (3, 5)] {
                 let mut tr_h = LadderTrace::default();
                 let mut tr_p = LadderTrace::default();
-                let h = crate::search::local_search_worst_traced(
+                let h = crate::parallel::local_search(
                     &p,
                     s,
                     k,
@@ -680,7 +642,7 @@ mod tests {
                     &mut AdversaryScratch::new(),
                     &mut tr_h,
                 );
-                let pk = crate::search::local_search_worst_traced(
+                let pk = crate::parallel::local_search(
                     &p,
                     s,
                     k,

@@ -13,18 +13,18 @@
 //!     .run_domain(&placement, &topo, s, k) // unit budget -> DomainLadderOutcome
 //! ```
 //!
-//! The legacy free functions (`worst_case_failures`,
-//! `worst_case_certified`, their `_with` twins and the domain pair)
-//! survive one more PR as thin deprecated shims over this builder; all
-//! in-tree callers are already migrated.
-//!
-//! The builder adds no policy of its own: `run` dispatches to the same
-//! shared auto ladder (greedy → multi-restart local search → exact
-//! branch-and-bound) whether or not a certificate is requested, so the
-//! certified and uncertified answers cannot drift.
+//! The builder adds no policy of its own: each budget model has one
+//! driver (greedy → multi-restart local search → exact branch-and-bound)
+//! that runs whether or not a certificate is requested, and certifying
+//! only adds the ledger and the seal afterwards — so the certified and
+//! uncertified answers cannot drift.
 
-use crate::{certify, domain, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase};
-use wcp_core::{Certificate, Placement, Topology};
+use crate::certify::{self, rung, trace_hash};
+use crate::search::LadderTrace;
+use crate::{
+    domain, exact, parallel, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase,
+};
+use wcp_core::{Certificate, CertificateKind, Placement, Rung, RungKind, Topology};
 
 /// One configured adversary-ladder run. See the module docs for the
 /// builder grammar; terminal calls are [`Ladder::run`] (node budget)
@@ -117,22 +117,20 @@ impl<'a> Ladder<'a> {
     #[must_use]
     pub fn run(self, placement: &Placement, s: u16, k: u16) -> LadderOutcome {
         let mut local = AdversaryScratch::new();
-        let scratch = match self.scratch {
-            Some(s) => s,
-            None => &mut local,
-        };
-        if self.certified {
-            let (worst, cert) = certify::certified_ladder(placement, s, k, self.config, scratch);
-            LadderOutcome {
-                worst,
-                certificate: Some(cert),
-            }
-        } else {
-            LadderOutcome {
-                worst: crate::auto_ladder(placement, s, k, self.config, scratch),
-                certificate: None,
-            }
-        }
+        let scratch = self.scratch.unwrap_or(&mut local);
+        let (worst, rungs) = node_ladder(placement, s, k, self.config, scratch);
+        let certificate = self.certified.then(|| Certificate {
+            ledger: if worst.exact {
+                certify::node_ledger(placement, k, scratch)
+            } else {
+                Vec::new()
+            },
+            rungs,
+            claimed_failed: worst.failed,
+            exact: worst.exact,
+            ..certify::base_certificate(placement, CertificateKind::Node, s, k)
+        });
+        LadderOutcome { worst, certificate }
     }
 
     /// Runs the ladder against correlated failures: the budget is spent
@@ -151,20 +149,70 @@ impl<'a> Ladder<'a> {
         s: u16,
         k: u16,
     ) -> DomainLadderOutcome {
-        if self.certified {
-            let (worst, cert) =
-                domain::domain_certified_ladder(placement, topology, s, k, self.config);
-            DomainLadderOutcome {
-                worst,
-                certificate: Some(cert),
+        domain::run_ladder(placement, topology, s, k, self.config, self.certified)
+    }
+}
+
+/// The node-budget driver behind [`Ladder::run`], certified or not:
+/// local search seeds the exact rung, whose verdict stands when it
+/// completes within budget. Returns the verdict and the rungs that led
+/// to it.
+fn node_ladder(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    scratch: &mut AdversaryScratch,
+) -> (WorstCase, Vec<Rung>) {
+    let n = placement.num_nodes();
+    assert!(k <= n, "k must be ≤ n");
+    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
+    if k == 0 || k == n {
+        // Degenerate budgets need no search: k = 0 fails nothing, k = n
+        // fails everything reachable. One exact rung.
+        let worst = if k == 0 {
+            WorstCase {
+                failed: 0,
+                nodes: Vec::new(),
+                exact: true,
             }
         } else {
-            DomainLadderOutcome {
-                worst: domain::domain_auto_ladder(placement, topology, s, k, self.config),
-                certificate: None,
-            }
-        }
+            exact::degenerate_all_nodes(placement, s, k)
+        };
+        let rungs = vec![rung(RungKind::Exact, worst.failed, &worst.nodes, &[], 0)];
+        return (worst, rungs);
     }
+    // Seed the exact search with the local-search incumbent: a strong
+    // lower bound tightens pruning dramatically.
+    let mut trace = LadderTrace::default();
+    let (heuristic, exact) = parallel::search_rungs(placement, s, k, config, scratch, &mut trace);
+    let mut rungs = Vec::with_capacity(3);
+    if let Some(greedy) = trace.greedy {
+        let hash = trace_hash(std::slice::from_ref(&greedy));
+        rungs.push(rung(RungKind::Greedy, greedy.0, &greedy.1, &[], hash));
+    }
+    let hash = trace_hash(&trace.restarts);
+    rungs.push(rung(
+        RungKind::LocalSearch,
+        heuristic.failed,
+        &heuristic.nodes,
+        &[],
+        hash,
+    ));
+    let worst = match exact {
+        // The DFS only returns node sets when it beats the seed; reuse
+        // the heuristic's witness when the incumbent stood.
+        Some(ex) if ex.failed > heuristic.failed => ex,
+        Some(_) => WorstCase {
+            exact: true,
+            ..heuristic
+        },
+        None => heuristic,
+    };
+    if worst.exact {
+        rungs.push(rung(RungKind::Exact, worst.failed, &worst.nodes, &[], 0));
+    }
+    (worst, rungs)
 }
 
 impl LadderOutcome {
@@ -207,48 +255,6 @@ mod tests {
         RandomStrategy::new(seed, RandomVariant::LoadBalanced)
             .place(&params)
             .unwrap()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn builder_matches_every_legacy_shim() {
-        // The one-PR compatibility contract: each cell of the legacy
-        // 2×2 node matrix and the domain pair answers exactly like the
-        // builder spelling that replaces it.
-        let p = random_placement(14, 60, 3, 11);
-        let config = AdversaryConfig::default();
-        let (s, k) = (2u16, 3u16);
-
-        let plain = Ladder::new(&config).run(&p, s, k);
-        assert_eq!(plain.certificate, None);
-        assert_eq!(crate::worst_case_failures(&p, s, k, &config), plain.worst);
-        let mut scratch = AdversaryScratch::new();
-        assert_eq!(
-            crate::worst_case_failures_with(&p, s, k, &config, &mut scratch),
-            plain.worst
-        );
-
-        let certified = Ladder::new(&config).certified().run(&p, s, k);
-        let (wc, cert) = crate::worst_case_certified(&p, s, k, &config);
-        assert_eq!(
-            (wc, Some(cert)),
-            (certified.worst.clone(), certified.certificate.clone())
-        );
-        let (wc, cert) = crate::worst_case_certified_with(&p, s, k, &config, &mut scratch);
-        assert_eq!((Some(cert), wc), (certified.certificate, certified.worst));
-
-        let topo = Topology::split(14, &[7]).unwrap();
-        let dom = Ladder::new(&config).certified().run_domain(&p, &topo, s, 1);
-        let (wc, cert) = crate::domain_worst_case_certified(&p, &topo, s, 1, &config);
-        assert_eq!((wc, Some(cert)), (dom.worst.clone(), dom.certificate));
-        assert_eq!(
-            crate::domain_worst_case_failures(&p, &topo, s, 1, &config),
-            Ladder::new(&config).run_domain(&p, &topo, s, 1).worst
-        );
-        assert_eq!(
-            dom.worst,
-            Ladder::new(&config).run_domain(&p, &topo, s, 1).worst
-        );
     }
 
     #[test]

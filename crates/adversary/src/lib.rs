@@ -16,6 +16,12 @@
 //!   search (still labelled `exact: false`), optionally certified,
 //!   optionally reusing caller scratch.
 //!
+//! Every rung runs one schedule (see the `parallel` module's source):
+//! per-restart RNG streams and a deterministic combination, run inline
+//! at one thread and fanned across [`AdversaryConfig::parallelism`]
+//! workers otherwise, so every entry point returns the same answer and
+//! certificate at any thread count.
+//!
 //! All adversaries *maximize failed objects*; availability is
 //! `b − failed`. A heuristic adversary can only under-estimate the damage,
 //! i.e. over-estimate availability — experiment reports carry the `exact`
@@ -54,17 +60,14 @@ mod pool;
 pub mod reference;
 mod search;
 
-#[allow(deprecated)]
-pub use certify::{worst_case_certified, worst_case_certified_with};
 pub use counts::{BuildStats, FailureCounts, PackedCounts};
-#[allow(deprecated)]
 pub use domain::{
-    domain_exact_worst, domain_greedy_worst, domain_local_search_worst,
-    domain_worst_case_certified, domain_worst_case_failures, DomainAttacker, DomainWorstCase,
+    domain_exact_worst, domain_greedy_worst, domain_local_search_worst, DomainAttacker,
+    DomainWorstCase,
 };
 pub use exact::{exact_worst, exact_worst_with};
 pub use ladder::{DomainLadderOutcome, Ladder, LadderOutcome};
-pub use parallel::{exact_worst_parallel, local_search_worst_parallel};
+pub use parallel::exact_worst_parallel;
 pub use search::{greedy_worst, greedy_worst_with, local_search_worst, local_search_worst_with};
 
 use wcp_core::sweep::{AdversarySpec, CellAttacker, SweepCell};
@@ -145,42 +148,41 @@ impl AdversaryScratch {
         (hc, &mut self.hist_climb)
     }
 
-    /// The already-bound histogram backend and side buffers, without
-    /// rebinding. Callers must guarantee a preceding
-    /// [`AdversaryScratch::bind_hist`] for the same `(placement, s)`
-    /// (the parallel ladder's per-worker binding); an unbound scratch
-    /// yields an empty default backend rather than panicking.
-    pub(crate) fn parts_hist(
+    /// The already-bound histogram backend and side buffers with an
+    /// empty failed set, without rebinding. Callers must guarantee a
+    /// preceding [`AdversaryScratch::bind_hist`] for the same
+    /// `(placement, s)`; an unbound scratch yields an empty default
+    /// backend rather than panicking.
+    pub(crate) fn cleared_hist(
         &mut self,
     ) -> (&mut hist::HistogramCounts, &mut hist::HistClimbScratch) {
-        (
-            self.hist.get_or_insert_with(Default::default),
-            &mut self.hist_climb,
-        )
+        let hc = self.hist.get_or_insert_with(Default::default);
+        hc.clear();
+        (hc, &mut self.hist_climb)
     }
 
-    /// The already-bound kernel and side buffers, without rebinding.
-    /// Callers must guarantee a preceding [`AdversaryScratch::bind_packed`]
-    /// for the same `(placement, s)` (the auto ladder's exact stage
-    /// reuses the local-search stage's binding this way).
+    /// The already-bound kernel and side buffers with an empty failed
+    /// set, without rebinding. Callers must guarantee a preceding
+    /// [`AdversaryScratch::bind_packed`] for the same `(placement, s)`
+    /// (the exact rung and the ledger reuse the binding an earlier
+    /// stage made this way).
     ///
     /// # Panics
     ///
     /// Panics if the kernel has never been bound.
-    pub(crate) fn parts_packed(
+    pub(crate) fn cleared_packed(
         &mut self,
     ) -> (
         &mut PackedCounts,
         &mut search::ClimbScratch,
         &mut exact::DfsScratch,
     ) {
-        (
-            self.packed
-                .as_mut()
-                .expect("kernel bound by an earlier stage"),
-            &mut self.climb,
-            &mut self.dfs,
-        )
+        let pc = self
+            .packed
+            .as_mut()
+            .expect("kernel bound by an earlier stage");
+        pc.clear();
+        (pc, &mut self.climb, &mut self.dfs)
     }
 }
 
@@ -197,14 +199,14 @@ pub struct AdversaryConfig {
     pub max_steps: u32,
     /// RNG seed for restarts.
     pub seed: u64,
-    /// `Some(p)`: run the thread-parallel ladder on `p.threads()`
-    /// workers — restarts fan out with independent per-restart RNG
-    /// streams and the exact rung splits its root frontier, with
-    /// results bit-identical for every thread count (including 1).
-    /// `None` (the default) keeps the legacy serial schedule
-    /// byte-for-byte. See the `parallel` module's docs in the source
-    /// for the determinism argument.
-    pub parallelism: Option<Parallelism>,
+    /// Worker threads for the ladder (default: one). At one thread the
+    /// restarts and the exact DFS run inline on the caller's scratch; at
+    /// more, the restarts fan out and the exact rung splits its root
+    /// frontier. Every restart draws from its own RNG stream, so the
+    /// answer, witness and certificate are bit-identical for every
+    /// thread count. See the `parallel` module's docs in the source for
+    /// the determinism argument.
+    pub parallelism: Parallelism,
     /// Object-count threshold above which the greedy and local-search
     /// rungs run on the compressed histogram backend (per-class counts,
     /// `O(classes)` state) instead of the per-object packed planes; the
@@ -221,7 +223,7 @@ impl Default for AdversaryConfig {
             restarts: 4,
             max_steps: 200,
             seed: 0xadb7_7557,
-            parallelism: None,
+            parallelism: Parallelism::single(),
             hist_threshold: 65_536,
         }
     }
@@ -329,99 +331,6 @@ pub struct WorstCase {
     pub exact: bool,
 }
 
-/// Legacy spelling of `Ladder::new(config).run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_failures(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> WorstCase {
-    auto_ladder(placement, s, k, config, &mut AdversaryScratch::new())
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).scratch(scratch).run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).scratch(scratch).run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_failures_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    auto_ladder(placement, s, k, config, scratch)
-}
-
-/// The auto policy behind [`Ladder::run`]: exact branch-and-bound when
-/// it completes within budget, otherwise the better of greedy and
-/// multi-restart local search.
-///
-/// # Panics
-///
-/// Panics if `k > n` or `s > r` (placement shape mismatch).
-pub(crate) fn auto_ladder(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    assert!(k <= placement.num_nodes(), "k must be ≤ n");
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    if let Some(parallelism) = config.parallelism {
-        return parallel::worst_case_failures_parallel(placement, s, k, config, parallelism);
-    }
-    // Seed the exact search with the local-search incumbent: a strong lower
-    // bound tightens pruning dramatically. The exact stage reuses the
-    // local-search stage's kernel binding (one index build per
-    // evaluation, not two); at k = n both stages take their degenerate
-    // path and never bind.
-    let heuristic = local_search_worst_with(placement, s, k, config, scratch);
-    // Above the histogram threshold the heuristic rungs never bind the
-    // packed kernel, so the exact rung binds it itself instead of
-    // reusing the local-search stage's binding.
-    let exact_rung = if config.uses_histogram(placement.num_objects()) {
-        exact::exact_worst_with(
-            placement,
-            s,
-            k,
-            config.exact_budget,
-            heuristic.failed,
-            scratch,
-        )
-    } else {
-        exact::exact_worst_rebound(
-            placement,
-            s,
-            k,
-            config.exact_budget,
-            heuristic.failed,
-            scratch,
-        )
-    };
-    if let Some(exact) = exact_rung {
-        // The DFS only returns node sets when it beats the seed; reuse the
-        // heuristic's witness when the incumbent stood.
-        if exact.failed > heuristic.failed {
-            return exact;
-        }
-        return WorstCase {
-            exact: true,
-            ..heuristic
-        };
-    }
-    heuristic
-}
-
 /// Worst-case availability: `(survivors, witness)` under the auto
 /// adversary.
 ///
@@ -510,7 +419,7 @@ impl CellAttacker for SweepAdversary {
                 seed: cell.seed,
                 // Sweeps already parallelize across cells; nesting the
                 // parallel ladder inside each cell would oversubscribe.
-                parallelism: None,
+                parallelism: Parallelism::single(),
                 ..AdversaryConfig::default()
             },
         };

@@ -1,23 +1,26 @@
-//! Thread-parallel adversary ladder: multi-restart local search fanned
-//! across workers, and frontier-parallel branch-and-bound for the exact
-//! rung. Both are *thread-count-invariant*: for a fixed configuration
-//! the returned `(failed, witness, exact)` is bit-identical whether the
-//! ladder runs on 1 thread or 64.
+//! The ladder's one schedule: multi-restart local search and the exact
+//! rung, each run inline on the caller's scratch at one thread and
+//! fanned across workers at more. The schedule is *thread-count
+//! invariant*: for a fixed configuration the returned
+//! `(failed, witness, exact)` — and the decision trace a certificate
+//! records — is bit-identical whether the ladder runs on 1 thread or 64.
 //!
 //! ## Why the results are deterministic
 //!
-//! **Local search** gives every restart its own splitmix-derived RNG
-//! stream (instead of the serial ladder's single sequential stream), so
-//! a restart's climb trajectory depends only on its index. Every
-//! restart always runs (no cross-restart early exit), and the
-//! combination scans results in restart order keeping the best under
-//! the deterministic order "more failed wins, ties break to the
-//! lexicographically smallest witness".
+//! **Local search** gives every restart its own RNG stream, seeded by
+//! [`restart_seed`] from `(config.seed, restart index)`, so a restart's
+//! climb trajectory depends only on its index. Restart 0 climbs from
+//! the greedy set. Every restart always runs (no cross-restart early
+//! exit), and the combination scans results in restart order keeping
+//! the best under the deterministic order "more failed wins, ties break
+//! to the lexicographically smallest witness". One thread simply runs
+//! the restarts in index order on the caller's scratch.
 //!
-//! **Exact search** splits the root frontier: task `i` explores the
-//! subtree rooted at the `i`-th child of the deterministic root order —
-//! the same `(gain, load, node)` descending key the serial DFS sorts
-//! its root frame by. Workers share the incumbent through a monotone
+//! **Exact search** runs the serial DFS at one thread. At more it
+//! splits the root frontier: task `i` explores the subtree rooted at
+//! the `i`-th child of the deterministic root order — the same
+//! `(gain, load, node)` descending key the serial DFS sorts its root
+//! frame by. Workers share the incumbent through a monotone
 //! [`SharedBound`] and prune strictly *below* it, so a subtree whose
 //! bound equals the optimum (and may therefore contain the first
 //! optimum-achieving witness in root order) is never discarded; local
@@ -33,65 +36,23 @@
 //! live in [`crate::pool`]; this module contains no thread or ordering
 //! code of its own.
 
-use crate::counts::PackedCounts;
-use crate::exact::{self, DfsScratch};
-use crate::hist::{self, HistClimbScratch, HistogramCounts};
+use crate::exact;
+use crate::hist;
 use crate::pool::{fan_out, SharedBound};
-use crate::search::{self, ClimbScratch, LadderTrace};
+use crate::search::{self, LadderTrace};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use wcp_core::{Parallelism, Placement};
 
-/// Per-worker state: one scratch, bound lazily on the worker's first
-/// task and cleared between tasks — one CSR index build per *worker*,
-/// not per task.
+/// A fan-out worker's scratch, bound to the placement by its first task
+/// and only cleared between tasks — one index build per *worker*, not
+/// per task.
+#[derive(Default)]
 struct Worker {
     scratch: AdversaryScratch,
     bound: bool,
-    bound_hist: bool,
-}
-
-impl Worker {
-    fn fresh() -> Self {
-        Self {
-            scratch: AdversaryScratch::new(),
-            bound: false,
-            bound_hist: false,
-        }
-    }
-
-    fn parts(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (&mut PackedCounts, &mut ClimbScratch, &mut DfsScratch) {
-        if self.bound {
-            let (pc, cs, ds) = self.scratch.parts_packed();
-            pc.clear();
-            (pc, cs, ds)
-        } else {
-            self.bound = true;
-            self.scratch.bind_packed(placement, s)
-        }
-    }
-
-    /// The histogram-backend analogue of [`Worker::parts`]: one class
-    /// construction per worker, cleared between tasks.
-    fn parts_hist(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (&mut HistogramCounts, &mut HistClimbScratch) {
-        if self.bound_hist {
-            let (hc, hs) = self.scratch.parts_hist();
-            hc.clear();
-            (hc, hs)
-        } else {
-            self.bound_hist = true;
-            self.scratch.bind_hist(placement, s)
-        }
-    }
 }
 
 /// Splitmix64-style mix of `(seed, restart index)`: decorrelated,
@@ -104,134 +65,228 @@ fn restart_seed(seed: u64, restart: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Multi-restart local search with the restarts fanned across
-/// `parallelism.threads()` workers.
-///
-/// Restart 0 climbs from the greedy seed, restarts `1..restarts` from
-/// independent random `k`-sets. Unlike [`crate::local_search_worst`]'s
-/// single sequential RNG stream, each restart here has its own seeded
-/// stream, so the result depends only on `(config, placement, s, k)` —
-/// never on the thread count.
-///
-/// # Examples
-///
-/// ```
-/// use wcp_adversary::{local_search_worst_parallel, AdversaryConfig};
-/// use wcp_core::{Parallelism, Placement};
-///
-/// let p = Placement::new(6, 2, vec![vec![0, 1], vec![0, 1], vec![2, 3]])?;
-/// let one = local_search_worst_parallel(&p, 2, 2, &AdversaryConfig::default(), Parallelism::single());
-/// let four = local_search_worst_parallel(&p, 2, 2, &AdversaryConfig::default(), Parallelism::new(4));
-/// assert_eq!(one, four); // bit-identical at any thread count
-/// assert_eq!(one.failed, 2);
-/// # Ok::<(), wcp_core::PlacementError>(())
-/// ```
-#[must_use]
-pub fn local_search_worst_parallel(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    parallelism: Parallelism,
-) -> WorstCase {
-    local_search_worst_parallel_traced(
-        placement,
-        s,
-        k,
-        config,
-        parallelism,
-        &mut LadderTrace::default(),
-    )
+/// Restart `t`'s RNG stream.
+pub(crate) fn restart_rng(seed: u64, t: usize) -> StdRng {
+    StdRng::seed_from_u64(restart_seed(seed, t as u64))
 }
 
-/// [`local_search_worst_parallel`] recording the per-rung decision
-/// trace for the certificate prover (the untraced entry point passes a
-/// discarded trace). Trace entries are keyed by restart index, so the
-/// recorded trace — like the returned result — is thread-count
-/// invariant.
-pub(crate) fn local_search_worst_parallel_traced(
+/// The schedule's combination key: more failed wins, ties break to the
+/// lexicographically smallest witness. Every backend combines its
+/// restarts by it.
+pub(crate) fn rank<T: Ord>(failed: u64, witness: &[T]) -> (u64, Reverse<&[T]>) {
+    (failed, Reverse(witness))
+}
+
+/// One restart's outcome: the greedy seed (restart 0 only), then the
+/// climbed set's damage and witness.
+type Restart = (Option<(u64, Vec<u16>)>, u64, Vec<u16>);
+
+/// Runs restart `t` on `scratch`, binding it when `*bound` is unset.
+/// The `k ≥ n` degenerate case is the caller's.
+fn restart(
+    scratch: &mut AdversaryScratch,
+    bound: &mut bool,
     placement: &Placement,
     s: u16,
     k: u16,
     config: &AdversaryConfig,
-    parallelism: Parallelism,
+    t: usize,
+) -> Restart {
+    let rebind = !std::mem::replace(bound, true);
+    let b = placement.num_objects() as u64;
+    // restarts = 0 keeps the bare greedy set.
+    let climb = config.restarts > 0;
+    if config.uses_histogram(placement.num_objects()) {
+        // Million-object regime: same schedule on the compressed
+        // histogram backend (decision-identical to the packed one).
+        let (hc, hs) = if rebind {
+            scratch.bind_hist(placement, s)
+        } else {
+            scratch.cleared_hist()
+        };
+        let greedy = if t == 0 {
+            let g = hist::greedy_hist_into(hc, k);
+            Some((g.failed, g.nodes))
+        } else {
+            hist::seed_random_hist(hc, hs, k, &mut restart_rng(config.seed, t));
+            None
+        };
+        if climb {
+            hist::climb_hist(hc, hs, config.max_steps, b);
+        }
+        return (greedy, hc.failed(), hc.nodes());
+    }
+    let (pc, cs, _) = if rebind {
+        scratch.bind_packed(placement, s)
+    } else {
+        scratch.cleared_packed()
+    };
+    // Restart 0 climbs from the greedy set `greedy_into` leaves in `pc`
+    // (and the live gain table it leaves in `cs`).
+    let greedy = if t == 0 {
+        let g = search::greedy_into(pc, cs, k);
+        Some((g.failed, g.nodes))
+    } else {
+        search::seed_random_set(pc, cs, k, &mut restart_rng(config.seed, t));
+        None
+    };
+    if climb {
+        search::climb(pc, cs, config.max_steps, b);
+    }
+    (greedy, pc.failed(), pc.nodes())
+}
+
+/// Multi-restart local search: restart 0 climbs from the greedy seed,
+/// restarts `1..restarts` from random `k`-sets, run inline on `scratch`
+/// at one thread and fanned across `config.parallelism` workers
+/// otherwise. Records the per-rung decision trace for the certificate
+/// prover; trace entries are keyed by restart index, so the trace —
+/// like the result — is thread-count invariant.
+pub(crate) fn local_search(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    scratch: &mut AdversaryScratch,
     trace: &mut LadderTrace,
 ) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
+    if k >= placement.num_nodes() {
         return WorstCase {
             exact: false,
             ..exact::degenerate_all_nodes(placement, s, k)
         };
     }
-    let b = placement.num_objects() as u64;
-    // Mirror the serial restart schedule: `restarts` climb passes, the
-    // first greedy-seeded; restarts = 0 keeps the bare greedy set.
     let restarts = config.restarts.max(1) as usize;
-    let climb = config.restarts > 0;
-    let use_hist = config.uses_histogram(placement.num_objects());
-    let results = fan_out(restarts, parallelism.threads(), Worker::fresh, |w, t| {
-        if use_hist {
-            // Million-object regime: same schedule on the compressed
-            // histogram backend (decision-identical to the packed one).
-            let (hc, hs) = w.parts_hist(placement, s);
-            let greedy = if t == 0 {
-                let g = hist::greedy_hist_into(hc, k);
-                Some((g.failed, g.nodes))
-            } else {
-                let mut rng = StdRng::seed_from_u64(restart_seed(config.seed, t as u64));
-                hist::seed_random_hist(hc, hs, k, &mut rng);
-                None
-            };
-            if climb {
-                hist::climb_hist(hc, hs, config.max_steps, b);
-            }
-            return (greedy, hc.failed(), hc.nodes());
-        }
-        let (pc, cs, _) = w.parts(placement, s);
-        let greedy = if t == 0 {
-            let g = search::greedy_into(pc, cs, k);
-            Some((g.failed, g.nodes))
-        } else {
-            let mut rng = StdRng::seed_from_u64(restart_seed(config.seed, t as u64));
-            search::seed_random_set(pc, cs, k, &mut rng);
-            None
-        };
-        if climb {
-            search::climb(pc, cs, config.max_steps, b);
-        }
-        (greedy, pc.failed(), pc.nodes())
-    });
-    let mut best: Option<(u64, Vec<u16>)> = None;
-    for (greedy, f, w) in results {
+    let threads = config.parallelism.threads();
+    let results: Vec<Restart> = if threads == 1 {
+        let mut bound = false;
+        (0..restarts)
+            .map(|t| restart(scratch, &mut bound, placement, s, k, config, t))
+            .collect()
+    } else {
+        fan_out(restarts, threads, Worker::default, |w, t| {
+            restart(&mut w.scratch, &mut w.bound, placement, s, k, config, t)
+        })
+    };
+    let mut best = WorstCase {
+        failed: 0,
+        nodes: Vec::new(),
+        exact: false,
+    };
+    for (t, (greedy, failed, nodes)) in results.into_iter().enumerate() {
         if greedy.is_some() {
             trace.greedy = greedy;
         }
-        match &mut best {
-            Some((bf, bw)) => {
-                if f > *bf || (f == *bf && w < *bw) {
-                    *bf = f;
-                    bw.clone_from(&w);
-                }
-            }
-            None => best = Some((f, w.clone())),
+        if t == 0 || rank(failed, &nodes) > rank(best.failed, &best.nodes) {
+            best.failed = failed;
+            best.nodes.clone_from(&nodes);
         }
-        trace.restarts.push((f, w));
+        trace.restarts.push((failed, nodes));
     }
-    // The empty fallback is unreachable (restarts ≥ 1), but a harmless
-    // answer beats a panic.
-    let (failed, nodes) = best.unwrap_or((0, Vec::new()));
-    WorstCase {
-        failed,
-        nodes,
-        exact: false,
-    }
+    best
 }
 
-/// Frontier-parallel exact worst case: the root frame's children fan
-/// across `parallelism.threads()` workers, each searching its subtree
-/// with the full `budget` while sharing the incumbent through a
-/// monotone `SharedBound` (see the `pool` module's source).
+/// The node ladder's two searches: [`local_search`], then the exact
+/// rung seeded with its incumbent on the caller's kernel. Returns the
+/// heuristic and, when the exact rung completed within budget, its
+/// verdict. Requires `0 < k < n`.
+pub(crate) fn search_rungs(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    scratch: &mut AdversaryScratch,
+    trace: &mut LadderTrace,
+) -> (WorstCase, Option<WorstCase>) {
+    let heuristic = local_search(placement, s, k, config, scratch, trace);
+    // One-thread packed restarts leave the caller's kernel bound (one
+    // index build per evaluation, not two); fanned-out or histogram
+    // restarts never touch it.
+    if config.parallelism.threads() > 1 || config.uses_histogram(placement.num_objects()) {
+        scratch.bind_packed(placement, s);
+    }
+    let exact = exact_rung(
+        placement,
+        s,
+        k,
+        config.exact_budget,
+        heuristic.failed,
+        scratch,
+        config.parallelism,
+    );
+    (heuristic, exact)
+}
+
+/// The exact rung on `scratch`'s kernel, which an earlier stage bound
+/// to `(placement, s)`: the serial DFS at one thread, the frontier
+/// split across `parallelism` workers otherwise. The root order comes
+/// from the caller's binding, so the split builds one index per worker
+/// and none besides. Requires `k < n`.
+pub(crate) fn exact_rung(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+    scratch: &mut AdversaryScratch,
+    parallelism: Parallelism,
+) -> Option<WorstCase> {
+    let b = placement.num_objects() as u64;
+    let (pc, _, ds) = scratch.cleared_packed();
+    debug_assert!(
+        pc.num_nodes() == placement.num_nodes() && pc.num_objects() == placement.num_objects(),
+        "scratch not bound to this placement"
+    );
+    debug_assert_eq!(pc.threshold(), s, "scratch not bound to this threshold");
+    // k = 0 has no root frame to split.
+    if parallelism.threads() == 1 || k == 0 {
+        return exact::run_dfs(pc, ds, k, budget, incumbent, b);
+    }
+    let confirmed = WorstCase {
+        failed: incumbent,
+        nodes: Vec::new(),
+        exact: true,
+    };
+    if incumbent >= b || pc.failable_within(k) <= incumbent {
+        return Some(confirmed);
+    }
+    // The deterministic child order under the same `(gain, load, node)`
+    // descending key the serial DFS sorts its root frame by (the key is
+    // a total order — it ends in the node id — so the order is unique
+    // and schedule-free).
+    let n = placement.num_nodes();
+    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    let order: Vec<u16> = keys.into_iter().map(|(_, _, nd)| nd).collect();
+    // The serial root frame expands children 0 ..= n − k; one task per
+    // child, each exploring that child's whole subtree.
+    let tasks = usize::from(n - k) + 1;
+    let shared = SharedBound::new(incumbent);
+    let results = fan_out(tasks, parallelism.threads(), Worker::default, |w, t| {
+        let (pc, _, ds) = if std::mem::replace(&mut w.bound, true) {
+            w.scratch.cleared_packed()
+        } else {
+            w.scratch.bind_packed(placement, s)
+        };
+        exact::dfs_rooted(pc, ds, &order, t, k, budget, incumbent, b, &shared)
+    });
+    let mut best = confirmed;
+    for task in results {
+        // Any subtree aborting on budget makes the whole search inexact.
+        let (failed, nodes) = task?;
+        if failed > best.failed {
+            best.failed = failed;
+            best.nodes = nodes;
+        }
+    }
+    Some(best)
+}
+
+/// Exact worst case on `parallelism.threads()` workers: the serial DFS
+/// at one thread, otherwise the root frame's children fan across the
+/// workers, each searching its subtree with the full `budget` while
+/// sharing the incumbent through a monotone `SharedBound` (see the
+/// `pool` module's source).
 ///
 /// Returns the same `(failed, witness)` as [`crate::exact_worst`] for
 /// every thread count (see the module docs for the argument), or `None`
@@ -258,93 +313,26 @@ pub fn exact_worst_parallel(
     incumbent: u64,
     parallelism: Parallelism,
 ) -> Option<WorstCase> {
-    let n = placement.num_nodes();
-    if k >= n {
+    if k >= placement.num_nodes() {
         return Some(exact::degenerate_all_nodes(placement, s, k));
     }
-    let confirmed = WorstCase {
-        failed: incumbent,
-        nodes: Vec::new(),
-        exact: true,
-    };
-    if k == 0 {
-        return Some(confirmed);
-    }
-    let b = placement.num_objects() as u64;
-    // Root frame, computed once before the fan-out: the root-level
-    // histogram bound, then the deterministic child order under the
-    // same `(gain, load, node)` descending key the serial DFS sorts its
-    // root frame by (the key is a total order — it ends in the node id
-    // — so the order is unique and schedule-free).
     let mut scratch = AdversaryScratch::new();
-    let (pc, _, _) = scratch.bind_packed(placement, s);
-    if incumbent >= b || pc.failable_within(k) <= incumbent {
-        return Some(confirmed);
-    }
-    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let order: Vec<u16> = keys.into_iter().map(|(_, _, nd)| nd).collect();
-    // The serial root frame expands children 0 ..= n − k; one task per
-    // child, each exploring that child's whole subtree.
-    let tasks = usize::from(n - k) + 1;
-    let shared = SharedBound::new(incumbent);
-    let results = fan_out(tasks, parallelism.threads(), Worker::fresh, |w, t| {
-        let (pc, _, ds) = w.parts(placement, s);
-        exact::dfs_rooted(pc, ds, &order, t, k, budget, incumbent, b, &shared)
-    });
-    let mut failed = incumbent;
-    let mut nodes = Vec::new();
-    for task in results {
-        // Any subtree aborting on budget makes the whole search inexact.
-        let (task_failed, task_nodes) = task?;
-        if task_failed > failed {
-            failed = task_failed;
-            nodes = task_nodes;
-        }
-    }
-    Some(WorstCase {
-        failed,
-        nodes,
-        exact: true,
-    })
-}
-
-/// The full parallel ladder: parallel local search seeds the
-/// frontier-parallel exact rung, falling back to the heuristic on
-/// budget exhaustion — the parallel mirror of
-/// [`crate::worst_case_failures_with`]'s auto policy, reached by
-/// setting [`AdversaryConfig::parallelism`].
-pub(crate) fn worst_case_failures_parallel(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    parallelism: Parallelism,
-) -> WorstCase {
-    let heuristic = local_search_worst_parallel(placement, s, k, config, parallelism);
-    if let Some(exact) = exact_worst_parallel(
+    scratch.bind_packed(placement, s);
+    exact_rung(
         placement,
         s,
         k,
-        config.exact_budget,
-        heuristic.failed,
+        budget,
+        incumbent,
+        &mut scratch,
         parallelism,
-    ) {
-        if exact.failed > heuristic.failed {
-            return exact;
-        }
-        return WorstCase {
-            exact: true,
-            ..heuristic
-        };
-    }
-    heuristic
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_worst;
+    use crate::{exact_worst, local_search_worst, Ladder};
     use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
@@ -352,6 +340,13 @@ mod tests {
         RandomStrategy::new(seed, RandomVariant::LoadBalanced)
             .place(&params)
             .unwrap()
+    }
+
+    fn threads(t: usize) -> AdversaryConfig {
+        AdversaryConfig {
+            parallelism: Parallelism::new(t),
+            ..AdversaryConfig::default()
+        }
     }
 
     #[test]
@@ -380,16 +375,13 @@ mod tests {
 
     #[test]
     fn ladder_is_thread_count_invariant() {
-        let config = AdversaryConfig::default();
         for seed in 0..3u64 {
             let p = random_placement(16, 80, 3, seed);
             for (s, k) in [(1u16, 2u16), (2, 4), (3, 5)] {
-                let reference =
-                    worst_case_failures_parallel(&p, s, k, &config, Parallelism::single());
-                for threads in [2usize, 5, 8] {
-                    let got =
-                        worst_case_failures_parallel(&p, s, k, &config, Parallelism::new(threads));
-                    assert_eq!(got, reference, "seed={seed} s={s} k={k} threads={threads}");
+                let reference = Ladder::new(&threads(1)).run(&p, s, k).worst;
+                for t in [2usize, 5, 8] {
+                    let got = Ladder::new(&threads(t)).run(&p, s, k).worst;
+                    assert_eq!(got, reference, "seed={seed} s={s} k={k} threads={t}");
                 }
             }
         }
@@ -401,13 +393,7 @@ mod tests {
             let p = random_placement(13, 50, 3, seed);
             for (s, k) in [(1u16, 3u16), (2, 4)] {
                 let exact = exact_worst(&p, s, k, u64::MAX, 0).unwrap();
-                let ls = local_search_worst_parallel(
-                    &p,
-                    s,
-                    k,
-                    &AdversaryConfig::default(),
-                    Parallelism::new(4),
-                );
+                let ls = local_search_worst(&p, s, k, &threads(4));
                 assert!(ls.failed <= exact.failed);
                 assert_eq!(p.failed_objects(&ls.nodes, s), ls.failed, "witness");
             }
@@ -417,22 +403,17 @@ mod tests {
     #[test]
     fn degenerate_and_zero_k() {
         let p = random_placement(8, 20, 3, 1);
-        let all = worst_case_failures_parallel(
-            &p,
-            1,
-            8,
-            &AdversaryConfig::default(),
-            Parallelism::new(4),
-        );
+        let all = Ladder::new(&threads(4)).run(&p, 1, 8).worst;
         assert_eq!(all.failed, 20);
         assert!(all.exact);
-        let none = worst_case_failures_parallel(
-            &p,
-            1,
-            0,
-            &AdversaryConfig::default(),
-            Parallelism::new(4),
-        );
+        let none = Ladder::new(&threads(4)).run(&p, 1, 0).worst;
         assert_eq!((none.failed, none.exact), (0, true));
+    }
+
+    #[test]
+    fn ties_break_to_the_smallest_witness() {
+        assert!(rank(4, &[5u16, 6]) > rank(3, &[0, 1]));
+        assert!(rank(3, &[0u16, 2]) > rank(3, &[1, 2]));
+        assert!(rank(3, &[1u16, 2]) < rank(3, &[0, 2]));
     }
 }

@@ -6,11 +6,13 @@
 //! failure accounting, and `_with` variants threading an
 //! [`AdversaryScratch`] so callers evaluating many placements back to
 //! back (the sweep and churn subsystems) reuse the buffers instead of
-//! reallocating per evaluation.
+//! reallocating per evaluation. The restart schedule itself — per-restart
+//! RNG streams, run inline or fanned across threads — lives in
+//! [`crate::parallel`]; this module holds its kernel-level primitives.
 //!
 //! Decision-making is identical to the scalar ladder preserved in
 //! [`crate::reference`] — same scan orders, same strict-improvement
-//! tie-breaks, same RNG stream — so the two produce the same
+//! tie-breaks, same restart schedule — so the two produce the same
 //! [`WorstCase`], just at very different speeds: gains come from the
 //! maintained `hits = s − 1` bitmap (`O(b/64)` per query), and the swap
 //! search keeps an incremental gain table that is delta-updated from the
@@ -21,7 +23,6 @@ use crate::counts::PackedCounts;
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use wcp_core::Placement;
 
 /// Reusable buffers for the delta-maintained swap search.
@@ -46,9 +47,8 @@ pub(crate) struct ClimbScratch {
 
 /// Per-rung decision record the certificate prover consumes: the greedy
 /// seed's outcome plus each climb pass's outcome, in restart order.
-/// Recorded identically by the serial loop below and the parallel
-/// fan-out in [`crate::parallel`] (whose entries differ because the two
-/// schedules differ — each is replayable against its own mode).
+/// Recorded by the restart schedule in [`crate::parallel`], whose entries
+/// are keyed by restart index and so are the same at any thread count.
 #[derive(Debug, Default)]
 pub(crate) struct LadderTrace {
     /// `(failed, witness)` of the greedy seed before any climbing.
@@ -188,17 +188,21 @@ fn assert_gains_live(pc: &PackedCounts, cs: &ClimbScratch) {
 /// Steepest-ascent swap local search with restarts: from a seed `k`-set
 /// (greedy for the first restart, random thereafter), repeatedly applies
 /// the best single swap (one node out, one in) until no swap improves the
-/// failed-object count.
+/// failed-object count. Restart `t` draws from its own seeded RNG stream
+/// and the restarts run on `config.parallelism` threads, with the same
+/// result at any thread count.
 ///
 /// # Examples
 ///
 /// ```
 /// use wcp_adversary::{local_search_worst, AdversaryConfig};
-/// use wcp_core::Placement;
+/// use wcp_core::{Parallelism, Placement};
 ///
 /// let p = Placement::new(6, 3, vec![vec![0, 1, 2], vec![1, 2, 3]])?;
 /// let wc = local_search_worst(&p, 2, 2, &AdversaryConfig::default());
 /// assert_eq!(wc.failed, 2); // {1,2} kills both objects
+/// let four = AdversaryConfig { parallelism: Parallelism::new(4), ..AdversaryConfig::default() };
+/// assert_eq!(local_search_worst(&p, 2, 2, &four), wc); // bit-identical at any thread count
 /// # Ok::<(), wcp_core::PlacementError>(())
 /// ```
 #[must_use]
@@ -211,10 +215,10 @@ pub fn local_search_worst(
     local_search_worst_with(placement, s, k, config, &mut AdversaryScratch::new())
 }
 
-/// [`local_search_worst`] reusing the caller's scratch buffers: one
-/// [`PackedCounts`] serves the greedy seed and every restart (cleared
-/// in place between them, `O(b/64)` instead of a fresh index build),
-/// and one gain table rides along the whole way.
+/// [`local_search_worst`] reusing the caller's scratch buffers: at one
+/// thread a single kernel binding serves the greedy seed and every
+/// restart (cleared in place between them, `O(b/64)` instead of a fresh
+/// index build), and one gain table rides along the whole way.
 #[must_use]
 pub fn local_search_worst_with(
     placement: &Placement,
@@ -223,7 +227,7 @@ pub fn local_search_worst_with(
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    local_search_worst_traced(
+    crate::parallel::local_search(
         placement,
         s,
         k,
@@ -233,66 +237,9 @@ pub fn local_search_worst_with(
     )
 }
 
-/// [`local_search_worst_with`] recording the per-rung decision trace
-/// for the certificate prover. This *is* the implementation — the
-/// untraced entry point passes a discarded trace — so the certified and
-/// uncertified ladders cannot drift apart.
-pub(crate) fn local_search_worst_traced(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-    trace: &mut LadderTrace,
-) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
-        let nodes: Vec<u16> = (0..n).collect();
-        let failed = placement.failed_objects(&nodes, s);
-        return WorstCase {
-            failed,
-            nodes,
-            exact: false,
-        };
-    }
-    // Million-object regime: run the (decision-identical) compressed
-    // histogram backend instead of the per-object packed planes.
-    if config.uses_histogram(placement.num_objects()) {
-        return crate::hist::local_search_hist_traced(placement, s, k, config, scratch, trace);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let b = placement.num_objects() as u64;
-    let (pc, cs, _) = scratch.bind_packed(placement, s);
-    // Restart 0 climbs from the greedy set `greedy_into` leaves in `pc`
-    // (and the gain table it leaves in `cs`).
-    let mut overall = greedy_into(pc, cs, k);
-    trace.greedy = Some((overall.failed, overall.nodes.clone()));
-
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            pc.clear();
-            seed_random_set(pc, cs, k, &mut rng);
-        }
-        climb(pc, cs, config.max_steps, b);
-        trace.restarts.push((pc.failed(), pc.nodes()));
-        if pc.failed() > overall.failed {
-            overall = WorstCase {
-                failed: pc.failed(),
-                nodes: pc.nodes(),
-                exact: false,
-            };
-        }
-        if overall.failed == b {
-            break; // cannot do better
-        }
-    }
-    overall
-}
-
 /// Seeds a random `k`-set into an *empty* `pc` (a fresh gain table, a
 /// shuffled node permutation, the first `k` entries failed) — the
-/// restart primitive shared by the serial loop above and the parallel
-/// multi-restart fan-out in [`crate::parallel`].
+/// random-restart primitive of the schedule in [`crate::parallel`].
 pub(crate) fn seed_random_set(
     pc: &mut PackedCounts,
     cs: &mut ClimbScratch,

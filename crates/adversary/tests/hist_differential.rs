@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use wcp_adversary::{
     local_search_worst_with, reference, AdversaryConfig, AdversaryScratch, Ladder,
 };
-use wcp_core::{Parallelism, Placement, RandomStrategy, RandomVariant, SystemParams};
+use wcp_core::{Placement, RandomStrategy, RandomVariant, SystemParams};
 
 fn placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
     let params = SystemParams::new(n, b, r, 1, 1).expect("valid");
@@ -94,46 +94,6 @@ proptest! {
             prop_assert_eq!(
                 p.failed_objects(&hist.nodes, s), hist.failed,
                 "auto witness recount s={} k={}", s, k
-            );
-        }
-    }
-
-    /// At equal parallelism the backend is invisible: the parallel
-    /// fan-out with histogram workers returns the same records as with
-    /// packed workers, at one worker and at several. (Parallel and
-    /// serial ladders may legitimately break witness ties differently —
-    /// that split predates the histogram backend and holds for both
-    /// backends identically; the determinism CI pins parallel results
-    /// across thread counts.)
-    #[test]
-    fn hist_parallel_matches_packed_parallel(
-        n in 6u16..18,
-        b in 40u64..300,
-        r in 2u16..=3,
-        k in 1u16..=4,
-        stride in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        prop_assume!(r <= n);
-        let p = placement(n, b, r, seed).subsample(stride);
-        let s = 2u16;
-        for threads in [1usize, 3] {
-            let par_hist = AdversaryConfig {
-                parallelism: Some(Parallelism::new(threads)),
-                ..hist_cfg()
-            };
-            let par_packed = AdversaryConfig {
-                parallelism: Some(Parallelism::new(threads)),
-                ..packed_cfg()
-            };
-            let mut hist_scratch = AdversaryScratch::new();
-            let mut packed_scratch = AdversaryScratch::new();
-            let hist = Ladder::new(&par_hist).scratch(&mut hist_scratch).run(&p, s, k).worst;
-            let packed = Ladder::new(&par_packed).scratch(&mut packed_scratch).run(&p, s, k).worst;
-            prop_assert_eq!(&hist, &packed, "parallel hist vs parallel packed, threads={}", threads);
-            prop_assert_eq!(
-                p.failed_objects(&hist.nodes, s), hist.failed,
-                "parallel witness recount, threads={}", threads
             );
         }
     }

@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 use wcp_adversary::{
-    exact_worst, exact_worst_parallel, greedy_worst, local_search_worst,
-    local_search_worst_parallel, AdversaryConfig, AdversaryScratch, Ladder, SweepAdversary,
+    exact_worst, exact_worst_parallel, greedy_worst, local_search_worst, AdversaryConfig,
+    AdversaryScratch, Ladder, ScratchAdversary, SweepAdversary, WorstCase,
 };
 use wcp_combin::KSubsets;
+use wcp_core::engine::{AttackOutcome, Attacker};
 use wcp_core::sweep::{sweep_with, AdversarySpec, SweepOptions, SweepSpec};
 use wcp_core::{Parallelism, Placement, RandomStrategy, RandomVariant, StrategyKind, SystemParams};
 
@@ -179,35 +180,57 @@ proptest! {
         }
     }
 
-    /// The parallel multi-restart local search is bit-identical at any
-    /// thread count, and the configured parallel ladder agrees with the
-    /// serial auto policy on the optimum (witnesses may differ between
-    /// the two restart schedules, but both must be valid).
+    /// The one-schedule contract: on either backend, every node-ladder
+    /// entry point — the plain and certified `Ladder` at 1, 2, 3 and 8
+    /// threads, the engine-facing `AdversaryConfig` attacker, and
+    /// scratch-owning `ScratchAdversary`s (including the default one)
+    /// carried across a sequence of placements — returns the same
+    /// `WorstCase` and byte-identical certificate JSON, and the local
+    /// search rung alone is thread-count invariant too.
     #[test]
-    fn parallel_ladder_invariant_and_agrees_with_serial(
-        n in 8u16..14,
-        b in 10u64..50,
-        r in 2u16..=4,
-        k in 1u16..=4,
-        threads in 2usize..=8,
-        seed in any::<u64>(),
+    fn every_entry_point_is_thread_count_invariant(
+        first in (8u16..16, 10u64..80, 2u16..=4, 0u16..=5, any::<u64>()),
+        second in (8u16..16, 10u64..80, 2u16..=4, 0u16..=5, any::<u64>()),
+        third in (8u16..16, 10u64..80, 2u16..=4, 0u16..=5, any::<u64>()),
     ) {
-        prop_assume!(k < n && r <= n);
-        let s = r.min(2);
-        let p = placement(n, b, r, seed);
-        let cfg = AdversaryConfig::default();
-        let one = local_search_worst_parallel(&p, s, k, &cfg, Parallelism::single());
-        let many = local_search_worst_parallel(&p, s, k, &cfg, Parallelism::new(threads));
-        prop_assert_eq!(&one, &many, "local search must be thread-count-invariant");
-        let serial = Ladder::new(&cfg).run(&p, s, k).worst;
-        let par_cfg = AdversaryConfig {
-            parallelism: Some(Parallelism::new(threads)),
-            ..AdversaryConfig::default()
+        let reference_cfg = AdversaryConfig::default();
+        let configs: Vec<AdversaryConfig> = [0, u64::MAX]
+            .into_iter()
+            .flat_map(|hist_threshold| {
+                [1usize, 2, 3, 8].map(|threads| AdversaryConfig {
+                    hist_threshold,
+                    parallelism: Parallelism::new(threads),
+                    ..AdversaryConfig::default()
+                })
+            })
+            .collect();
+        let default_attacker = ScratchAdversary::default();
+        let attackers: Vec<ScratchAdversary> =
+            configs.iter().cloned().map(ScratchAdversary::new).collect();
+        let mut scratches: Vec<AdversaryScratch> =
+            configs.iter().map(|_| AdversaryScratch::new()).collect();
+        // Every entry point reduces to (verdict, certificate JSON).
+        let outcome = |out: AttackOutcome| {
+            let json = out.certificate.as_ref().map(|c| c.to_json());
+            (WorstCase { failed: out.failed, nodes: out.nodes, exact: out.exact }, json)
         };
-        let par = Ladder::new(&par_cfg).run(&p, s, k).worst;
-        prop_assert!(par.exact && serial.exact);
-        prop_assert_eq!(par.failed, serial.failed);
-        prop_assert_eq!(p.failed_objects(&par.nodes, s), par.failed, "witness mismatch");
+        for (n, b, r, k, seed) in [first, second, third] {
+            let s = r.min(2);
+            let p = placement(n, b, r, seed);
+            let expect = outcome(Ladder::new(&reference_cfg).certified().run(&p, s, k).into_attack());
+            prop_assert_eq!(outcome(default_attacker.attack(&p, s, k)), expect.clone());
+            let ls = local_search_worst(&p, s, k, &reference_cfg);
+            for ((cfg, attacker), scratch) in configs.iter().zip(&attackers).zip(&mut scratches) {
+                let ctx = format!("n={n} b={b} r={r} k={k} {cfg:?}");
+                let plain = Ladder::new(cfg).run(&p, s, k);
+                prop_assert_eq!(&plain.worst, &expect.0, "plain {}", ctx);
+                let certified = Ladder::new(cfg).scratch(scratch).certified().run(&p, s, k);
+                prop_assert_eq!(outcome(certified.into_attack()), expect.clone(), "certified {}", ctx);
+                prop_assert_eq!(outcome(attacker.attack(&p, s, k)), expect.clone(), "scratch {}", ctx);
+                prop_assert_eq!(outcome(cfg.attack(&p, s, k)), expect.clone(), "engine {}", ctx);
+                prop_assert_eq!(local_search_worst(&p, s, k, cfg), ls.clone(), "local search {}", ctx);
+            }
+        }
     }
 
     /// Monotonicity: more failures never kill fewer objects; higher

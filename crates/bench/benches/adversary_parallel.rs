@@ -26,10 +26,10 @@ fn acceptance_placement() -> Placement {
     fixture_placement(71, 1200, 3)
 }
 
-/// The default config with the parallel ladder pinned to `threads`.
+/// The default config with the ladder pinned to `threads`.
 fn ladder_cfg(threads: usize) -> AdversaryConfig {
     AdversaryConfig {
-        parallelism: Some(Parallelism::new(threads)),
+        parallelism: Parallelism::new(threads),
         ..AdversaryConfig::default()
     }
 }

@@ -41,7 +41,9 @@ impl Parallelism {
         }
     }
 
-    /// One worker: the serial schedule.
+    /// One worker: every task runs inline on the caller's thread, in
+    /// task order. Deterministic subsystems return the same results as
+    /// at any other count.
     #[must_use]
     pub fn single() -> Self {
         Self { threads: 1 }

@@ -314,12 +314,12 @@ fn main() -> ExitCode {
             let adversary_label = cli.adversary.label();
             let outcome = match &cli.adversary {
                 AdversaryChoice::Auto { exact_budget } => {
-                    // The parallel ladder is bit-identical at any
-                    // thread count, so honoring WCP_THREADS here keeps
-                    // the replay byte-for-byte reproducible (the CI
-                    // determinism matrix diffs exactly this output).
+                    // The ladder is bit-identical at any thread count,
+                    // so honoring WCP_THREADS here keeps the replay
+                    // byte-for-byte reproducible (the CI determinism
+                    // matrix diffs exactly this output).
                     let mut adv = AdversaryConfig {
-                        parallelism: Some(Parallelism::from_env()),
+                        parallelism: Parallelism::from_env(),
                         ..AdversaryConfig::default()
                     };
                     if let Some(budget) = exact_budget {

@@ -252,10 +252,11 @@ fn main() -> ExitCode {
             topology: Some(topo.clone()),
             ..PlannerContext::default()
         };
-        // Both ladders honor WCP_THREADS; results are bit-identical at
-        // any thread count (the CI determinism matrix diffs this CSV).
+        // The node ladder fans out on WCP_THREADS (the domain ladder
+        // runs on one); results are bit-identical at any thread count
+        // (the CI determinism matrix diffs this CSV).
         let adv = AdversaryConfig {
-            parallelism: Some(Parallelism::from_env()),
+            parallelism: Parallelism::from_env(),
             ..AdversaryConfig::default()
         };
         let params = cells[pi * spec.strategies.len()].params;
