@@ -73,7 +73,7 @@ impl FailureCounts {
             per_node.clear();
         }
         self.by_node.resize_with(n, Vec::new);
-        for (obj, set) in placement.replica_sets().iter().enumerate() {
+        for (obj, set) in placement.rows().enumerate() {
             for &nd in set {
                 if let Some(row) = self.by_node.get_mut(usize::from(nd)) {
                     row.push(obj as u32);
@@ -255,14 +255,14 @@ pub struct BuildStats {
     /// Cache-sized object chunks the streaming CSR pass ran.
     pub chunks: u32,
     /// Distinct heap buffers the build wrote (arena, CSR offsets, CSR
-    /// object ids, forward map, membership words) — a constant
-    /// independent of `n` and `b`.
+    /// object ids, membership words) — a constant independent of `n`
+    /// and `b`. The forward map is the bound placement's own table.
     pub buffers: u32,
 }
 
 /// The number of heap buffers behind a [`PackedCounts`] build; see
 /// [`BuildStats::buffers`].
-pub(crate) const REBIND_BUFFERS: u32 = 5;
+pub(crate) const REBIND_BUFFERS: u32 = 4;
 
 /// The word-parallel failure-accounting kernel.
 ///
@@ -271,12 +271,12 @@ pub(crate) const REBIND_BUFFERS: u32 = 5;
 /// word operations instead of per-object scalar updates:
 ///
 /// * the inverted index is stored in **CSR form** — one flat object-id
-///   array plus an `n + 1` offset array, the same layout
-///   [`Placement::objects_by_node_flat_into`] exposes publicly (rebind
-///   fuses that construction with the bitmap and forward-map fills so
-///   the nested replica sets are walked only once, in cache-sized
-///   object chunks) — so a node's row is one contiguous cache-friendly
+///   array plus an `n + 1` offset array, built fused with the bitmap
+///   fill in cache-sized object chunks straight off the placement's
+///   flat rows — so a node's row is one contiguous cache-friendly
 ///   slice, and per-node loads fall out of the offsets for free;
+/// * the forward map (object → hosts) is not copied: the kernel holds
+///   an O(1) clone of the bound [`Placement`] and reads its rows;
 /// * every node additionally carries a **dense object bitmap**
 ///   (`⌈b/64⌉` words), and per-object hit counters are **bit-sliced**
 ///   across `u64` planes (plane `j` holds bit `j` of every object's
@@ -347,9 +347,9 @@ pub struct PackedCounts {
     /// CSR inverted index: offsets (`n + 1`) and flat object ids.
     csr_off: Vec<u32>,
     csr_obj: Vec<u32>,
-    /// Flat object → hosting-nodes table (stride `r`): the forward map
-    /// without `Vec<Vec<u16>>` pointer chasing, for delta walks.
-    obj_nodes: Vec<u16>,
+    /// The bound placement (an O(1) clone sharing its rows): the
+    /// forward map the delta walks read.
+    placement: Option<Placement>,
     /// Failed-node membership.
     members: NodeSet,
     /// Valid-bit mask for the last word.
@@ -371,12 +371,11 @@ impl PackedCounts {
     /// (CSR arrays, the arena). The packed analogue of
     /// [`FailureCounts::rebind`].
     ///
-    /// The build streams: one walk of the nested replica sets fills the
-    /// flat forward map and per-node counts (pass 1), then pass 2 runs
-    /// over the forward map in `OBJ_CHUNK`-sized object chunks,
-    /// filling each chunk's CSR slots and row-bitmap windows before
-    /// moving on — no intermediate `Vec<Vec<u32>>` is ever
-    /// materialized, and every bitmap lands in the single arena.
+    /// The build streams over the placement's flat rows: pass 1 only
+    /// counts objects per node, then pass 2 runs in `OBJ_CHUNK`-sized
+    /// object chunks, filling each chunk's CSR slots and row-bitmap
+    /// windows before moving on — no intermediate `Vec<Vec<u32>>` is
+    /// ever materialized, and every bitmap lands in the single arena.
     pub fn rebind(&mut self, placement: &Placement, s: u16) {
         let n = usize::from(placement.num_nodes());
         let b = placement.num_objects();
@@ -390,19 +389,11 @@ impl PackedCounts {
         self.ge_off = self.p * self.words;
         self.eq_off = self.ge_off + self.words;
         self.rows_off = self.eq_off + self.words;
-        // Pass 1: the placement's nested replica sets are walked exactly
-        // once — flat forward map (object → hosts) + per-node counts.
-        // This is the CSR construction of
-        // `Placement::objects_by_node_flat_into` fused with the forward-
-        // map and bitmap fills — a fix to either copy of the
-        // offset/cursor dance belongs in both.
-        self.obj_nodes.clear();
-        self.obj_nodes.reserve(b * usize::from(r));
+        // Pass 1: objects per node.
         self.csr_off.clear();
         self.csr_off.resize(n + 1, 0);
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             for &nd in set {
-                self.obj_nodes.push(nd);
                 if let Some(count) = self.csr_off.get_mut(usize::from(nd) + 1) {
                     *count += 1;
                 }
@@ -420,7 +411,7 @@ impl PackedCounts {
         self.arena.clear();
         self.arena.resize(self.rows_off + n * self.words, 0);
         // Pass 2 (streaming): objects in cache-sized chunks straight off
-        // the flat forward map. Each chunk fills its CSR slots —
+        // the placement's rows. Each chunk fills its CSR slots —
         // csr_off[nd] doubling as the cursor (rows come out ascending
         // because objects are visited in order) — and ORs its bits into
         // a 4 KiB window of every row bitmap before the next chunk
@@ -435,12 +426,7 @@ impl PackedCounts {
             for obj in chunk_start..chunk_end {
                 let word = obj / WORD_BITS;
                 let mask = 1u64 << (obj % WORD_BITS);
-                let base = obj * usize::from(r);
-                let hosts = self
-                    .obj_nodes
-                    .get(base..base + usize::from(r))
-                    .unwrap_or(&[]);
-                for &nd in hosts {
+                for &nd in placement.row(obj).unwrap_or(&[]) {
                     let nd = usize::from(nd);
                     if let Some(cursor) = self.csr_off.get_mut(nd) {
                         let at = *cursor as usize;
@@ -464,6 +450,7 @@ impl PackedCounts {
             chunks,
             buffers: REBIND_BUFFERS,
         };
+        self.placement = Some(placement.clone());
         self.members.reset(n);
         self.failed = 0;
         self.reset_eq_sm1();
@@ -577,11 +564,11 @@ impl PackedCounts {
             .is_some_and(|&w| w >> (obj % WORD_BITS) & 1 == 1)
     }
 
-    /// The nodes hosting `obj` (flat forward map, stride `r`).
+    /// The nodes hosting `obj`: its row of the bound placement.
     pub(crate) fn hosts_of(&self, obj: usize) -> &[u16] {
-        let start = obj * usize::from(self.r);
-        self.obj_nodes
-            .get(start..start + usize::from(self.r))
+        self.placement
+            .as_ref()
+            .and_then(|p| p.row(obj))
             .unwrap_or(&[])
     }
 

@@ -28,8 +28,8 @@ use wcp_core::engine::ExhaustiveAttacker;
 use wcp_core::{
     ClusterEvent, DynamicConfig, DynamicEngine, RandomVariant, StrategyKind, SystemParams,
 };
-use wcp_service::runtime::{fan_out, serve, snapshot_of};
-use wcp_service::{ServiceConfig, ServiceEvent};
+use wcp_service::runtime::{fan_out, serve};
+use wcp_service::{ServiceConfig, ServiceEvent, Snapshot};
 use wcp_sim::workload::ZipfSpec;
 
 /// The acceptance shape: the n = 71 cluster at one million objects.
@@ -39,7 +39,7 @@ const R: u16 = 3;
 
 fn bench_service_lookup(c: &mut Criterion) {
     let placement = fixture_placement(N, 100_000, R);
-    let snapshot = snapshot_of(&placement);
+    let snapshot = Snapshot::from_placement(0, &placement, &[], None);
     let table = ZipfSpec::ycsb(100_000, 0xBE_EF).sampler(0).table(8192);
 
     let mut group = c.benchmark_group("service_n71");

@@ -432,7 +432,8 @@ mod tests {
         let placement = p.snapshot().unwrap();
         assert_eq!(placement.num_objects(), 900);
         let lam = p.lambdas()[1];
-        let design = BlockDesign::new(71, 3, placement.replica_sets().to_vec()).unwrap();
+        let design =
+            BlockDesign::new(71, 3, placement.rows().map(<[u16]>::to_vec).collect()).unwrap();
         assert!(verify::is_t_packing(&design, 2, lam));
     }
 

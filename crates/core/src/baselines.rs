@@ -27,7 +27,7 @@ use crate::{Placement, PlacementError, SystemParams};
 ///
 /// # Errors
 ///
-/// Propagates [`Placement::new`] validation (never fails for valid
+/// Propagates [`Placement::from_rows`] validation (never fails for valid
 /// [`SystemParams`]).
 ///
 /// # Examples
@@ -45,13 +45,11 @@ pub fn ring_placement(params: &SystemParams) -> Result<Placement, PlacementError
     let n = usize::from(params.n());
     let r = usize::from(params.r());
     let b = usize::try_from(params.b()).expect("b fits usize");
-    let mut sets = Vec::with_capacity(b);
-    for i in 0..b {
-        let mut set: Vec<u16> = (0..r).map(|j| ((i + j) % n) as u16).collect();
+    let mut rows: Vec<u16> = (0..b * r).map(|i| ((i / r + i % r) % n) as u16).collect();
+    for set in rows.chunks_exact_mut(r) {
         set.sort_unstable();
-        sets.push(set);
     }
-    Placement::new(params.n(), params.r(), sets)
+    Placement::from_rows(params.n(), params.r(), rows)
 }
 
 /// Disjoint-group placement: node groups `{0..r}, {r..2r}, …`; object `i`
@@ -59,19 +57,17 @@ pub fn ring_placement(params: &SystemParams) -> Result<Placement, PlacementError
 ///
 /// # Errors
 ///
-/// Propagates [`Placement::new`] validation.
+/// Propagates [`Placement::from_rows`] validation.
 pub fn group_placement(params: &SystemParams) -> Result<Placement, PlacementError> {
     let n = usize::from(params.n());
     let r = usize::from(params.r());
     let groups = n / r;
     let b = usize::try_from(params.b()).expect("b fits usize");
-    let mut sets = Vec::with_capacity(b);
-    for i in 0..b {
-        let g = i % groups;
-        let set: Vec<u16> = (g * r..(g + 1) * r).map(|p| p as u16).collect();
-        sets.push(set);
-    }
-    Placement::new(params.n(), params.r(), sets)
+    // Entry j of object i's row is node (i mod groups)·r + j.
+    let rows: Vec<u16> = (0..b * r)
+        .map(|i| (i / r % groups * r + i % r) as u16)
+        .collect();
+    Placement::from_rows(params.n(), params.r(), rows)
 }
 
 /// Single-arc worst-case failures for [`ring_placement`], with `b` a

@@ -85,7 +85,7 @@ pub fn placement_digest(placement: &Placement) -> u64 {
     h.write_u64(u64::from(placement.num_nodes()));
     h.write_u64(u64::from(placement.replicas_per_object()));
     h.write_u64(placement.num_objects() as u64);
-    for row in placement.replica_sets() {
+    for row in placement.rows() {
         h.write_u64(row.len() as u64);
         for &node in row {
             h.write_u64(u64::from(node));

@@ -145,7 +145,7 @@ pub fn project(placement: &Placement, domains: &FaultDomains) -> Result<Placemen
         )));
     }
     let mut projected = Vec::with_capacity(placement.num_objects());
-    for (obj, set) in placement.replica_sets().iter().enumerate() {
+    for (obj, set) in placement.rows().enumerate() {
         let mut dset: Vec<u16> = set.iter().map(|&nd| domains.domain_of(nd)).collect();
         dset.sort_unstable();
         if dset.windows(2).any(|w| w[0] == w[1]) {
@@ -217,7 +217,7 @@ impl DomainStrategy {
             .collect();
         let mut cursor = vec![0usize; usize::from(self.domains.num_domains())];
         let mut sets = Vec::with_capacity(domain_placement.num_objects());
-        for dset in domain_placement.replica_sets() {
+        for dset in domain_placement.rows() {
             let mut set: Vec<u16> = dset
                 .iter()
                 .map(|&d| {

@@ -73,6 +73,7 @@ use crate::engine::{Attacker, ExhaustiveAttacker};
 use crate::strategy::{PlacementStrategy, PlannerContext, StrategyKind};
 use crate::topology::Topology;
 use crate::{Placement, PlacementError, RandomVariant, SystemParams};
+use std::sync::Arc;
 
 /// A cluster-membership event (the dynamic half of the model; the
 /// static half — what the adversary does between events — is Definition
@@ -186,14 +187,6 @@ impl std::fmt::Display for DynamicError {
 }
 
 impl std::error::Error for DynamicError {}
-
-/// A repair-invariant breach surfaced as an error instead of a panic:
-/// the engine state is left unchanged and the caller decides.
-fn invariant(msg: &str) -> DynamicError {
-    DynamicError::Placement(PlacementError::InvalidPlacement(format!(
-        "dynamic repair invariant violated: {msg}"
-    )))
-}
 
 impl From<PlacementError> for DynamicError {
     fn from(e: PlacementError) -> Self {
@@ -519,47 +512,34 @@ impl<A: Attacker> DynamicEngine<A> {
         &self.movement
     }
 
-    /// Checks every live-placement invariant: exactly `b` objects, `r`
-    /// sorted distinct replicas each, all on up slots, and per-node load
-    /// accounting consistent with the replica sets.
+    /// Checks every live-placement invariant: exactly `b` objects of `r`
+    /// replicas each, all on up slots (every [`Placement`] row is
+    /// sorted, distinct and in range by construction).
     ///
     /// # Errors
     ///
     /// [`DynamicError::Placement`] naming the first violated invariant.
     pub fn validate(&self) -> Result<(), DynamicError> {
         let b = self.placement.num_objects() as u64;
-        if b != self.base.b() {
+        let r = self.placement.replicas_per_object();
+        if b != self.base.b() || r != self.base.r() {
             return Err(PlacementError::InvalidPlacement(format!(
-                "live placement holds {b} objects, expected {}",
-                self.base.b()
+                "live placement holds {b} objects of {r} replicas, expected {} of {}",
+                self.base.b(),
+                self.base.r()
             ))
             .into());
         }
-        // Placement::new revalidates sortedness/distinctness/range.
-        let revalidated = Placement::new(
-            self.capacity,
-            self.base.r(),
-            self.placement.replica_sets().to_vec(),
-        )?;
-        for (obj, set) in revalidated.replica_sets().iter().enumerate() {
+        for (obj, set) in self.placement.rows().enumerate() {
             if let Some(&down) = set
                 .iter()
-                .find(|&&v| self.slots[usize::from(v)] != Slot::Up)
+                .find(|&&v| self.slots.get(usize::from(v)) != Some(&Slot::Up))
             {
                 return Err(PlacementError::InvalidPlacement(format!(
                     "object {obj} has a replica on down slot {down}"
                 ))
                 .into());
             }
-        }
-        let loads = revalidated.loads();
-        let total: u64 = loads.iter().map(|&l| u64::from(l)).sum();
-        if total != self.base.b() * u64::from(self.base.r()) {
-            return Err(PlacementError::InvalidPlacement(format!(
-                "load accounting off: {total} replicas hosted, expected {}",
-                self.base.b() * u64::from(self.base.r())
-            ))
-            .into());
         }
         Ok(())
     }
@@ -702,11 +682,12 @@ impl<A: Attacker> DynamicEngine<A> {
     /// candidates, the one sharing the least tree depth with the
     /// object's surviving replicas wins, load and id breaking ties.
     fn repair_departure(&self, v: u16) -> Result<(Placement, u64), DynamicError> {
-        let mut sets = self.placement.replica_sets().to_vec();
+        let r = self.base.r();
+        let mut rows = self.placement.shared_rows();
         let mut loads = self.placement.loads();
         let active = self.active();
         let mut moved = 0u64;
-        for set in &mut sets {
+        for set in Arc::make_mut(&mut rows).chunks_exact_mut(usize::from(r)) {
             let Ok(i) = set.binary_search(&v) else {
                 continue;
             };
@@ -724,21 +705,18 @@ impl<A: Attacker> DynamicEngine<A> {
             let Some(w) = target else {
                 return Err(DynamicError::InsufficientNodes {
                     active: active.len() as u16,
-                    need: self.base.r(),
+                    need: r,
                 });
             };
-            set.remove(i);
-            let Err(pos) = set.binary_search(&w) else {
-                return Err(invariant(
-                    "departure re-home target already replicates the object",
-                ));
-            };
-            set.insert(pos, w);
+            if let Some(slot) = set.get_mut(i) {
+                *slot = w;
+            }
+            set.sort_unstable();
             loads[usize::from(v)] -= 1;
             loads[usize::from(w)] += 1;
             moved += 1;
         }
-        Ok((Placement::new(self.capacity, self.base.r(), sets)?, moved))
+        Ok((Placement::from_rows(self.capacity, r, rows)?, moved))
     }
 
     /// Pulls the newly arrived node `v` up to the floor of the mean load
@@ -747,10 +725,12 @@ impl<A: Attacker> DynamicEngine<A> {
     /// attached, each donor prefers handing over the object whose
     /// remaining replicas co-locate least with the newcomer.
     fn rebalance_arrival(&self, v: u16) -> Result<(Placement, u64), DynamicError> {
-        let mut sets = self.placement.replica_sets().to_vec();
+        let r = self.base.r();
+        let mut rows = self.placement.shared_rows();
+        let table = Arc::make_mut(&mut rows);
         let mut loads = self.placement.loads();
         let active = self.active();
-        let mean_floor = (u64::from(self.base.r()) * self.base.b()) / active.len().max(1) as u64;
+        let mean_floor = (u64::from(r) * self.base.b()) / active.len().max(1) as u64;
         let mut moved = 0u64;
         'fill: while u64::from(loads[usize::from(v)]) < mean_floor {
             // Donors, heaviest first, that still improve balance.
@@ -761,8 +741,8 @@ impl<A: Attacker> DynamicEngine<A> {
                 .collect();
             donors.sort_by_key(|&w| (std::cmp::Reverse(loads[usize::from(w)]), w));
             for w in donors {
-                let mut eligible = sets
-                    .iter_mut()
+                let mut eligible = table
+                    .chunks_exact_mut(usize::from(r))
                     .filter(|set| set.binary_search(&w).is_ok() && set.binary_search(&v).is_err());
                 // Without a topology every candidate keys to 0, so the
                 // early-exit first match IS the minimum — keep the
@@ -773,14 +753,10 @@ impl<A: Attacker> DynamicEngine<A> {
                     eligible.min_by_key(|set| self.collision_excluding(v, set, w))
                 };
                 if let Some(set) = donated {
-                    let Ok(i) = set.binary_search(&w) else {
-                        return Err(invariant("arrival donor no longer replicates the object"));
-                    };
-                    set.remove(i);
-                    let Err(pos) = set.binary_search(&v) else {
-                        return Err(invariant("arrival target already replicates the object"));
-                    };
-                    set.insert(pos, v);
+                    if let Some(slot) = set.iter_mut().find(|nd| **nd == w) {
+                        *slot = v;
+                    }
+                    set.sort_unstable();
                     loads[usize::from(w)] -= 1;
                     loads[usize::from(v)] += 1;
                     moved += 1;
@@ -789,7 +765,7 @@ impl<A: Attacker> DynamicEngine<A> {
             }
             break; // No donor can improve balance further.
         }
-        Ok((Placement::new(self.capacity, self.base.r(), sets)?, moved))
+        Ok((Placement::from_rows(self.capacity, r, rows)?, moved))
     }
 
     /// Plans the configured kind at a compact membership of `m` nodes,
@@ -841,12 +817,12 @@ impl<A: Attacker> DynamicEngine<A> {
     /// full slot space (monotone, so sortedness is preserved).
     fn widen(&self, compact: &Placement) -> Result<Placement, DynamicError> {
         let active = self.active();
-        let sets = compact
-            .replica_sets()
-            .iter()
-            .map(|set| set.iter().map(|&i| active[usize::from(i)]).collect())
+        let rows: Vec<u16> = compact
+            .rows()
+            .flatten()
+            .map(|&i| active[usize::from(i)])
             .collect();
-        Ok(Placement::new(self.capacity, self.base.r(), sets)?)
+        Ok(Placement::from_rows(self.capacity, self.base.r(), rows)?)
     }
 }
 
@@ -856,9 +832,8 @@ impl<A: Attacker> DynamicEngine<A> {
 /// [`DynamicEngine`] history).
 #[must_use]
 pub fn movement_between(old: &Placement, new: &Placement) -> u64 {
-    old.replica_sets()
-        .iter()
-        .zip(new.replica_sets())
+    old.rows()
+        .zip(new.rows())
         .map(|(a, b)| b.iter().filter(|w| a.binary_search(w).is_err()).count() as u64)
         .sum()
 }
@@ -1008,8 +983,7 @@ mod tests {
     /// Replica pairs sharing any failure domain, summed over objects.
     fn collisions(placement: &Placement, topo: &Topology) -> u64 {
         placement
-            .replica_sets()
-            .iter()
+            .rows()
             .map(|set| {
                 let mut c = 0u64;
                 for (i, &a) in set.iter().enumerate() {

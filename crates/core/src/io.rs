@@ -32,7 +32,7 @@ pub fn to_tsv(placement: &Placement) -> String {
         placement.num_nodes(),
         placement.replicas_per_object()
     ));
-    for set in placement.replica_sets() {
+    for set in placement.rows() {
         let line: Vec<String> = set.iter().map(u16::to_string).collect();
         out.push_str(&line.join("\t"));
         out.push('\n');
@@ -45,7 +45,7 @@ pub fn to_tsv(placement: &Placement) -> String {
 /// # Errors
 ///
 /// [`PlacementError::InvalidPlacement`] on malformed headers, fields, or
-/// replica sets (the [`Placement::new`] invariants are re-validated).
+/// replica sets (the [`Placement::from_rows`] invariants are re-validated).
 pub fn from_tsv(text: &str) -> Result<Placement, PlacementError> {
     let mut lines = text.lines();
     let header = lines
@@ -60,7 +60,7 @@ pub fn from_tsv(text: &str) -> Result<Placement, PlacementError> {
     };
     let n = parse_field("n")?;
     let r = parse_field("r")?;
-    let mut sets = Vec::new();
+    let mut rows = Vec::new();
     for (lineno, line) in lines.enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -69,9 +69,16 @@ pub fn from_tsv(text: &str) -> Result<Placement, PlacementError> {
         let set: Result<Vec<u16>, _> = line.split('\t').map(str::parse).collect();
         let set =
             set.map_err(|e| PlacementError::InvalidPlacement(format!("line {}: {e}", lineno + 2)))?;
-        sets.push(set);
+        if set.len() != usize::from(r) {
+            return Err(PlacementError::InvalidPlacement(format!(
+                "line {}: {} replicas, expected {r}",
+                lineno + 2,
+                set.len()
+            )));
+        }
+        rows.extend(set);
     }
-    Placement::new(n, r, sets)
+    Placement::from_rows(n, r, rows)
 }
 
 #[cfg(test)]
@@ -103,6 +110,7 @@ mod tests {
         assert!(from_tsv("# no fields here\n0\t1\n").is_err());
         assert!(from_tsv("# v1\tn=5\tr=2\n0\tx\n").is_err());
         assert!(from_tsv("# v1\tn=5\tr=2\n0\t1\t2\n").is_err()); // wrong arity
+        assert!(from_tsv("# v1\tn=5\tr=2\n0\t1\t2\n3\n").is_err()); // ragged, whole rows
         assert!(from_tsv("# v1\tn=5\tr=2\n1\t0\n").is_err()); // unsorted
         assert!(from_tsv("# v1\tn=5\tr=2\n0\t9\n").is_err()); // out of range
     }

@@ -1,10 +1,16 @@
 //! The placement mapping `π : O → 2^N`.
 
 use crate::PlacementError;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A replica placement: for each object, the sorted set of `r` distinct
 /// nodes hosting its replicas.
+///
+/// The forward map is one flat row-major table of `b · r` node ids
+/// (object `o`'s replicas are entries `o·r .. (o+1)·r`) behind an
+/// [`Arc`]. A clone shares that table instead of copying it, so the
+/// dynamic engine, the adversary kernel and the served snapshot all
+/// read the same rows.
 ///
 /// # Examples
 ///
@@ -15,13 +21,15 @@ use std::sync::OnceLock;
 /// assert_eq!(p.num_objects(), 3);
 /// assert_eq!(p.max_load(), 2); // node 1 hosts two replicas
 /// assert_eq!(p.replicas(1), &[2, 4]);
+/// assert_eq!(p, Placement::from_rows(5, 2, vec![0, 1, 2, 4, 1, 3])?);
 /// # Ok::<(), wcp_core::PlacementError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Placement {
     n: u16,
     r: u16,
-    replica_sets: Vec<Vec<u16>>,
+    /// Row-major replica table: stride `r`, each row sorted.
+    rows: Arc<[u16]>,
     /// Lazily computed per-node loads, shared by every
     /// [`Placement::cached_loads`] caller; reset on mutation.
     loads_cache: OnceLock<Vec<u32>>,
@@ -30,28 +38,52 @@ pub struct Placement {
 impl PartialEq for Placement {
     fn eq(&self, other: &Self) -> bool {
         // The load cache is derived state and must not affect equality.
-        self.n == other.n && self.r == other.r && self.replica_sets == other.replica_sets
+        self.n == other.n && self.r == other.r && self.rows == other.rows
     }
 }
 
 impl Eq for Placement {}
 
 impl Placement {
-    /// Validates and wraps replica sets: each must be sorted, duplicate
-    /// free, of size `r`, with nodes `< n`.
+    /// Flattens nested replica sets, each of size `r`, and validates
+    /// them through [`Placement::from_rows`].
     ///
     /// # Errors
     ///
-    /// [`PlacementError::InvalidPlacement`] on the first malformed set.
+    /// [`PlacementError::InvalidPlacement`] on the first set of the
+    /// wrong size, or as for [`Placement::from_rows`].
     pub fn new(n: u16, r: u16, replica_sets: Vec<Vec<u16>>) -> Result<Self, PlacementError> {
-        for (i, set) in replica_sets.iter().enumerate() {
-            if set.len() != r as usize {
-                return Err(PlacementError::InvalidPlacement(format!(
-                    "object {i} has {} replicas, expected {r}",
-                    set.len()
-                )));
-            }
-            if !set.windows(2).all(|w| w[0] < w[1]) || set.last().is_some_and(|&x| x >= n) {
+        let ragged = replica_sets
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.len() != usize::from(r));
+        if let Some((i, set)) = ragged {
+            return Err(PlacementError::InvalidPlacement(format!(
+                "object {i} has {} replicas, expected {r}",
+                set.len()
+            )));
+        }
+        Self::from_rows(n, r, replica_sets.concat())
+    }
+
+    /// Validates and wraps a flat row-major table: a whole number of
+    /// rows of `r ≥ 1` node ids (empty rows could not be counted), each
+    /// sorted, duplicate free, with nodes `< n`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::InvalidPlacement`] on a bad shape or the first
+    /// malformed row.
+    pub fn from_rows(n: u16, r: u16, rows: impl Into<Arc<[u16]>>) -> Result<Self, PlacementError> {
+        let rows = rows.into();
+        if r == 0 || rows.len() % usize::from(r) != 0 {
+            return Err(PlacementError::InvalidPlacement(format!(
+                "{} node ids do not split into rows of {r}",
+                rows.len()
+            )));
+        }
+        for (i, set) in rows.chunks_exact(usize::from(r)).enumerate() {
+            if !set.is_sorted_by(|a, b| a < b) || set.last().is_some_and(|&x| x >= n) {
                 return Err(PlacementError::InvalidPlacement(format!(
                     "object {i} replica set is unsorted, duplicated or out of range"
                 )));
@@ -60,7 +92,7 @@ impl Placement {
         Ok(Self {
             n,
             r,
-            replica_sets,
+            rows,
             loads_cache: OnceLock::new(),
         })
     }
@@ -80,7 +112,7 @@ impl Placement {
     /// Number of objects `b`.
     #[must_use]
     pub fn num_objects(&self) -> usize {
-        self.replica_sets.len()
+        self.rows.len() / usize::from(self.r)
     }
 
     /// The replica set of one object.
@@ -90,13 +122,39 @@ impl Placement {
     /// Panics if `obj` is out of range.
     #[must_use]
     pub fn replicas(&self, obj: usize) -> &[u16] {
-        &self.replica_sets[obj]
+        let r = usize::from(self.r);
+        &self.rows[obj * r..(obj + 1) * r]
     }
 
-    /// All replica sets.
+    /// The replica set of one object, or `None` when `obj` is out of
+    /// range.
+    #[inline]
     #[must_use]
-    pub fn replica_sets(&self) -> &[Vec<u16>] {
-        &self.replica_sets
+    pub fn row(&self, obj: usize) -> Option<&[u16]> {
+        let r = usize::from(self.r);
+        self.rows.get(obj.checked_mul(r)?..)?.get(..r)
+    }
+
+    /// The first (lowest) node of one object's row, or `None` when
+    /// `obj` is out of range: a single bounds check (the table holds
+    /// whole rows), for per-request readers.
+    #[inline]
+    #[must_use]
+    pub fn first_replica(&self, obj: usize) -> Option<u16> {
+        self.rows
+            .get(obj.checked_mul(usize::from(self.r))?)
+            .copied()
+    }
+
+    /// Every replica set in object order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u16> {
+        self.rows.chunks_exact(usize::from(self.r))
+    }
+
+    /// The shared table, for in-crate builders that copy it on write
+    /// and hand the edit back to [`Placement::from_rows`].
+    pub(crate) fn shared_rows(&self) -> Arc<[u16]> {
+        Arc::clone(&self.rows)
     }
 
     /// Per-node load (number of replicas hosted), as a fresh vector the
@@ -114,10 +172,8 @@ impl Placement {
     pub fn cached_loads(&self) -> &[u32] {
         self.loads_cache.get_or_init(|| {
             let mut loads = vec![0u32; self.n as usize];
-            for set in &self.replica_sets {
-                for &nd in set {
-                    loads[nd as usize] += 1;
-                }
+            for &nd in self.rows.iter() {
+                loads[nd as usize] += 1;
             }
             loads
         })
@@ -134,70 +190,12 @@ impl Placement {
     #[must_use]
     pub fn objects_by_node(&self) -> Vec<Vec<u32>> {
         let mut idx = vec![Vec::new(); self.n as usize];
-        for (obj, set) in self.replica_sets.iter().enumerate() {
+        for (obj, set) in self.rows().enumerate() {
             for &nd in set {
                 idx[nd as usize].push(obj as u32);
             }
         }
         idx
-    }
-
-    /// The inverted index in CSR form: `offsets` has `n + 1` entries and
-    /// node `nd`'s objects are `objects[offsets[nd]..offsets[nd + 1]]`,
-    /// sorted ascending. One flat allocation instead of `n` inner
-    /// vectors — the cache-friendly shape the word-parallel adversary
-    /// kernel consumes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wcp_core::Placement;
-    ///
-    /// let p = Placement::new(4, 2, vec![vec![0, 1], vec![1, 3]])?;
-    /// let (offsets, objects) = p.objects_by_node_flat();
-    /// assert_eq!(offsets, vec![0, 1, 3, 3, 4]);
-    /// assert_eq!(objects, vec![0, 0, 1, 1]);
-    /// # Ok::<(), wcp_core::PlacementError>(())
-    /// ```
-    #[must_use]
-    pub fn objects_by_node_flat(&self) -> (Vec<u32>, Vec<u32>) {
-        let mut offsets = Vec::new();
-        let mut objects = Vec::new();
-        self.objects_by_node_flat_into(&mut offsets, &mut objects);
-        (offsets, objects)
-    }
-
-    /// [`Placement::objects_by_node_flat`] writing into caller-owned
-    /// buffers, so batch evaluators rebuild the index without
-    /// reallocating.
-    pub fn objects_by_node_flat_into(&self, offsets: &mut Vec<u32>, objects: &mut Vec<u32>) {
-        let n = self.n as usize;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for set in &self.replica_sets {
-            for &nd in set {
-                offsets[nd as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        objects.clear();
-        objects.resize(offsets[n] as usize, 0);
-        // Fill using offsets[nd] as a running cursor (rows come out
-        // ascending because objects are visited in order), then shift the
-        // offsets back into place.
-        for (obj, set) in self.replica_sets.iter().enumerate() {
-            for &nd in set {
-                let cursor = &mut offsets[nd as usize];
-                objects[*cursor as usize] = obj as u32;
-                *cursor += 1;
-            }
-        }
-        for i in (1..=n).rev() {
-            offsets[i] = offsets[i - 1];
-        }
-        offsets[0] = 0;
     }
 
     /// Counts objects failed by the failure of node set `failed` (sorted or
@@ -212,7 +210,7 @@ impl Placement {
             is_failed[nd as usize] = true;
         }
         let mut count = 0u64;
-        for set in &self.replica_sets {
+        for set in self.rows() {
             let hits = set.iter().filter(|&&nd| is_failed[nd as usize]).count();
             if hits >= s as usize {
                 count += 1;
@@ -235,11 +233,11 @@ impl Placement {
         Self {
             n: self.n,
             r: self.r,
-            replica_sets: self
-                .replica_sets
-                .iter()
+            rows: self
+                .rows()
                 .step_by(stride.max(1))
-                .cloned()
+                .flatten()
+                .copied()
                 .collect(),
             loads_cache: OnceLock::new(),
         }
@@ -257,7 +255,7 @@ impl Placement {
                 self.n, self.r, other.n, other.r
             )));
         }
-        self.replica_sets.extend(other.replica_sets);
+        self.rows = self.rows.iter().chain(other.rows.iter()).copied().collect();
         self.loads_cache = OnceLock::new();
         Ok(())
     }
@@ -282,6 +280,30 @@ mod tests {
         assert!(Placement::new(5, 2, vec![vec![1, 0]]).is_err());
         assert!(Placement::new(5, 2, vec![vec![0, 5]]).is_err());
         assert!(Placement::new(5, 2, vec![vec![0, 1, 2]]).is_err());
+        // Ragged sets are refused even when they would flatten into a
+        // whole number of valid rows.
+        assert!(Placement::new(5, 2, vec![vec![0, 1, 2], vec![3]]).is_err());
+        // With r = 0 the flat table cannot count its objects.
+        assert!(Placement::new(5, 0, vec![vec![]; 5]).is_err());
+        assert!(Placement::from_rows(5, 2, vec![0, 1, 2]).is_err());
+        assert!(Placement::from_rows(5, 2, vec![0, 1, 3, 2]).is_err());
+    }
+
+    #[test]
+    fn flat_rows_match_the_nested_sets() {
+        let p = sample();
+        let q = Placement::from_rows(6, 3, vec![0, 1, 2, 0, 1, 3, 3, 4, 5, 0, 4, 5]).unwrap();
+        assert_eq!(p, q);
+        assert_eq!(p.rows().len(), 4);
+        assert_eq!(p.rows().nth(2), Some(&[3, 4, 5][..]));
+        assert_eq!(p.row(3), Some(p.replicas(3)));
+        assert_eq!(p.row(4), None);
+        assert_eq!(p.row(usize::MAX), None);
+        assert_eq!(p.first_replica(2), Some(3));
+        assert_eq!(p.first_replica(4), None);
+        assert_eq!(p.first_replica(usize::MAX), None);
+        // A clone shares the table.
+        assert!(Arc::ptr_eq(&p.shared_rows(), &p.clone().shared_rows()));
     }
 
     #[test]
@@ -297,30 +319,6 @@ mod tests {
         let idx = p.objects_by_node();
         assert_eq!(idx[0], vec![0, 1, 3]);
         assert_eq!(idx[2], vec![0]);
-    }
-
-    #[test]
-    fn csr_index_matches_nested_index() {
-        let p = sample();
-        let nested = p.objects_by_node();
-        let (offsets, objects) = p.objects_by_node_flat();
-        assert_eq!(offsets.len(), usize::from(p.num_nodes()) + 1);
-        assert_eq!(
-            objects.len(),
-            p.num_objects() * usize::from(p.replicas_per_object())
-        );
-        for nd in 0..usize::from(p.num_nodes()) {
-            let row = &objects[offsets[nd] as usize..offsets[nd + 1] as usize];
-            assert_eq!(row, nested[nd].as_slice(), "node {nd}");
-            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {nd} sorted");
-        }
-        // The `_into` variant reuses buffers across differently shaped
-        // placements.
-        let q = Placement::new(3, 2, vec![vec![0, 2], vec![1, 2]]).unwrap();
-        let (mut offsets, mut objects) = (offsets, objects);
-        q.objects_by_node_flat_into(&mut offsets, &mut objects);
-        assert_eq!(offsets, vec![0, 1, 2, 4]);
-        assert_eq!(objects, vec![0, 1, 0, 1]);
     }
 
     #[test]
@@ -366,6 +364,7 @@ mod tests {
         let q = Placement::new(6, 3, vec![vec![1, 2, 3]]).unwrap();
         p.extend(q).unwrap();
         assert_eq!(p.num_objects(), 5);
+        assert_eq!(p.replicas(4), &[1, 2, 3]);
         let bad = Placement::new(7, 3, vec![vec![1, 2, 3]]).unwrap();
         let mut p2 = sample();
         assert!(p2.extend(bad).is_err());

@@ -104,13 +104,11 @@ impl RandomStrategy {
                 let b = usize::try_from(params.b()).expect("b fits usize");
                 let n = usize::from(params.n());
                 let r = usize::from(params.r());
-                let mut sets = Vec::with_capacity(b);
-                for i in 0..b {
-                    let mut set: Vec<u16> = (0..r).map(|j| ((i * r + j) % n) as u16).collect();
+                let mut rows: Vec<u16> = (0..b * r).map(|i| (i % n) as u16).collect();
+                for set in rows.chunks_exact_mut(r) {
                     set.sort_unstable();
-                    sets.push(set);
                 }
-                Placement::new(params.n(), params.r(), sets)
+                Placement::from_rows(params.n(), params.r(), rows)
             }
         }
     }
@@ -123,7 +121,7 @@ impl RandomStrategy {
         let b = usize::try_from(params.b()).expect("b fits usize");
         let n = params.n();
         let r = usize::from(params.r());
-        let mut sets = Vec::with_capacity(b);
+        let mut rows = Vec::with_capacity(b * r);
         let mut set: Vec<u16> = Vec::with_capacity(r);
         for _ in 0..b {
             set.clear();
@@ -134,9 +132,9 @@ impl RandomStrategy {
                 }
             }
             set.sort_unstable();
-            sets.push(set.clone());
+            rows.extend_from_slice(&set);
         }
-        Placement::new(n, params.r(), sets)
+        Placement::from_rows(n, params.r(), rows)
     }
 
     /// One attempt at a load-capped draw; `None` on a dead end (fewer
@@ -153,9 +151,10 @@ impl RandomStrategy {
         let r = usize::from(params.r());
         let cap = Self::load_cap(params);
         let mut remaining = vec![cap; n];
-        let mut sets = Vec::with_capacity(b);
+        let mut rows = Vec::with_capacity(b * r);
+        let mut set: Vec<u16> = Vec::with_capacity(r);
         for _ in 0..b {
-            let mut set: Vec<u16> = Vec::with_capacity(r);
+            set.clear();
             for _ in 0..r {
                 // Draw over nodes not yet in this set with remaining
                 // capacity; weight = capacity or 1.
@@ -198,9 +197,9 @@ impl RandomStrategy {
                 remaining[usize::from(nd)] -= 1;
             }
             set.sort_unstable();
-            sets.push(set);
+            rows.extend_from_slice(&set);
         }
-        Ok(Some(Placement::new(params.n(), params.r(), sets)?))
+        Ok(Some(Placement::from_rows(params.n(), params.r(), rows)?))
     }
 }
 
@@ -263,7 +262,7 @@ mod tests {
         let placement = RandomStrategy::new(3, RandomVariant::Unconstrained)
             .place(&p)
             .unwrap();
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             assert!(set.windows(2).all(|w| w[0] < w[1]));
         }
     }
@@ -299,7 +298,7 @@ mod tests {
         let placement = RandomStrategy::new(42, RandomVariant::LoadBalanced)
             .place(&p)
             .unwrap();
-        let distinct: std::collections::HashSet<_> = placement.replica_sets().iter().collect();
+        let distinct: std::collections::HashSet<_> = placement.rows().collect();
         assert!(distinct.len() > 1500, "suspiciously few distinct sets");
     }
 }

@@ -198,7 +198,8 @@ mod tests {
         assert_eq!(strat.lambda(), 2); // 1500 ≤ 2·782
         let placement = strat.build(1500).unwrap();
         // The multiset of replica sets is a 2-(71,3,2) packing.
-        let design = BlockDesign::new(71, 3, placement.replica_sets().to_vec()).unwrap();
+        let design =
+            BlockDesign::new(71, 3, placement.rows().map(<[u16]>::to_vec).collect()).unwrap();
         assert!(verify::is_t_packing(&design, 2, 2));
         assert!(!verify::is_t_packing(&design, 2, 1)); // λ=2 really needed
     }
@@ -251,7 +252,7 @@ mod tests {
     fn replica_sets_have_distinct_nodes() {
         // Round-robin wrap-around must still produce distinct nodes.
         let placement = round_robin(10, 7, 5, 50).unwrap();
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             assert!(set.windows(2).all(|w| w[0] < w[1]), "{set:?}");
         }
     }

@@ -423,7 +423,7 @@ fn projection_bound(topology: &Topology, placement: &Placement, params: &SystemP
     };
     let mut loads = vec![0u64; units];
     let mut seen: Vec<u16> = Vec::with_capacity(usize::from(params.r()));
-    for set in placement.replica_sets() {
+    for set in placement.rows() {
         seen.clear();
         for &nd in set {
             let unit = if flat { nd } else { topology.domain_of(nd, 1) };
@@ -523,10 +523,10 @@ pub fn repair_domain_collisions(
     }
     let n = placement.num_nodes();
     let r = placement.replicas_per_object();
-    let mut sets = placement.replica_sets().to_vec();
+    let mut rows = placement.shared_rows();
     let mut loads = placement.loads();
     let mut moved = 0u64;
-    for set in &mut sets {
+    for set in std::sync::Arc::make_mut(&mut rows).chunks_exact_mut(usize::from(r)) {
         // Up to r passes: each moves the worst-colliding replica if a
         // strictly better home exists.
         for _ in 0..r {
@@ -561,15 +561,16 @@ pub fn repair_domain_collisions(
             if new_collision >= worst {
                 break;
             }
-            set.remove(worst_at);
-            let at = set.binary_search(&target).expect_err("target not in set");
-            set.insert(at, target);
+            if let Some(slot) = set.get_mut(worst_at) {
+                *slot = target;
+            }
+            set.sort_unstable();
             loads[usize::from(out)] -= 1;
             loads[usize::from(target)] += 1;
             moved += 1;
         }
     }
-    Ok((Placement::new(n, r, sets)?, moved))
+    Ok((Placement::from_rows(n, r, rows)?, moved))
 }
 
 /// Any strategy made topology aware: builds the inner placement, then
@@ -769,7 +770,7 @@ mod tests {
             .build(&params)
             .unwrap();
         assert_eq!(placement.num_objects(), 40);
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             let mut racks: Vec<u16> = set.iter().map(|&nd| topo.domain_of(nd, 1)).collect();
             racks.sort_unstable();
             racks.dedup();
@@ -893,7 +894,7 @@ mod tests {
             .unwrap();
         let (repaired, moved) = repair_domain_collisions(&oblivious, &topo).unwrap();
         assert!(moved > 0, "expected at least one collision to repair");
-        for set in repaired.replica_sets() {
+        for set in repaired.rows() {
             let mut racks: Vec<u16> = set.iter().map(|&nd| topo.domain_of(nd, 1)).collect();
             racks.sort_unstable();
             racks.dedup();
@@ -929,7 +930,7 @@ mod tests {
         assert_eq!(wrapped.name(), "domain-repaired(ring)");
         assert_eq!(wrapped.lower_bound(&params), 0);
         let placement = wrapped.build(&params).unwrap();
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             let mut racks: Vec<u16> = set.iter().map(|&nd| topo.domain_of(nd, 1)).collect();
             racks.sort_unstable();
             racks.dedup();

@@ -35,13 +35,15 @@ fn determinism_scope(path: &str) -> bool {
             .any(|f| path == format!("crates/core/src/{f}"))
 }
 
-/// Non-test library code that will sit behind the serving loop: the
-/// `core`, `adversary` and `sim` crates' `src/` trees (no `src/bin/`).
+/// Non-test library code that sits in or behind the serving loop: the
+/// `core`, `adversary`, `sim` and `service` crates' `src/` trees (no
+/// `src/bin/`).
 fn panic_scope(path: &str) -> bool {
     [
         "crates/core/src/",
         "crates/adversary/src/",
         "crates/sim/src/",
+        "crates/service/src/",
     ]
     .iter()
     .any(|p| path.starts_with(p))
@@ -340,10 +342,19 @@ mod tests {
     #[test]
     fn unwrap_and_macros_fire_in_library_code() {
         let src = "fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\nfn g() { panic!(\"x\") }\n";
+        for path in ["crates/sim/src/json.rs", "crates/service/src/lib.rs"] {
+            assert_eq!(
+                diags(path, src),
+                vec![(RuleId::Panic, 2), (RuleId::Panic, 4)],
+                "{path}"
+            );
+        }
+        // The serving crate's threading room is in scope for both rules.
         assert_eq!(
-            diags("crates/sim/src/json.rs", src),
-            vec![(RuleId::Panic, 2), (RuleId::Panic, 4)]
+            diags("crates/service/src/runtime.rs", "let x = pins[at];\n"),
+            vec![(RuleId::Index, 1)]
         );
+        assert_eq!(diags("crates/verify/src/lib.rs", src), vec![]);
     }
 
     #[test]

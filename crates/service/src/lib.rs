@@ -14,12 +14,13 @@
 //! The backend is a classic read-copy-publish design, std-only and
 //! `#![forbid(unsafe_code)]`:
 //!
-//! * Reads go through an immutable [`Snapshot`] — a CSR forward map
-//!   (object → replica list, primary first) plus the epoch that built
-//!   it and a digest of its availability [`Certificate`] when one was
-//!   emitted. Snapshots are shared as `Arc<Snapshot>` and never mutate.
+//! * Reads go through an immutable [`Snapshot`] — the engine's
+//!   [`Placement`] rows (object → replica list, primary first), shared,
+//!   not copied, plus the upsert pins laid over them, the epoch and a
+//!   digest of its availability [`Certificate`] when one was emitted.
+//!   Snapshots are shared as `Arc<Snapshot>` and never mutate.
 //! * The only shared mutable cell is an `RwLock<Arc<Snapshot>>`. A
-//!   lookup holds the read lock just long enough to index the CSR; the
+//!   lookup holds the read lock just long enough to index one row; the
 //!   repair thread holds the write lock just long enough to swap one
 //!   `Arc` pointer. Millions of concurrent lookups therefore never
 //!   block on a repair in progress — they block (briefly) only on the
@@ -44,7 +45,9 @@
 //! # Upsert pins and certificates
 //!
 //! [`PlacementProvider::upsert`] pins an object to an explicit replica
-//! list (the rio-rs client-directed placement case). Pins override the
+//! list (the rio-rs client-directed placement case): an object of the
+//! placement, on distinct nodes below the engine's slot count —
+//! [`ServiceHandle::enqueue`] refuses any other pin. Pins override the
 //! engine's placement in every later snapshot until released
 //! ([`ServiceEvent::Release`]) — but the adversary attacks the
 //! *engine's* placement, so a snapshot with live pins keeps its
@@ -56,7 +59,7 @@
 
 pub mod runtime;
 
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use wcp_core::{Certificate, ClusterEvent, Fnv, Placement};
@@ -77,8 +80,9 @@ pub trait PlacementProvider {
 
     /// Pins `object` to an explicit replica list (primary first),
     /// overriding the planner from the next epoch on. Returns `false`
-    /// when the event queue rejected the request (service shutting
-    /// down, or an empty replica list).
+    /// when the event queue rejected the request: the service is
+    /// shutting down, the object is outside the placement, or the list
+    /// is empty, repeats a node or names one beyond the slot count.
     fn upsert(&self, object: u64, nodes: &[NodeId]) -> bool;
 
     /// Takes `node` out of service: enqueues the corresponding failure
@@ -129,25 +133,82 @@ impl CertificateDigest {
     }
 }
 
-/// One immutable published placement: the CSR forward map a lookup
-/// indexes, the epoch that built it, and the certificate digest of the
-/// engine placement it was derived from.
+/// One immutable published placement: the engine's placement with the
+/// upsert pins laid over it, the epoch that published it, and the
+/// certificate digest of the engine placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     epoch: u64,
-    /// CSR row starts: object `o`'s replicas are
-    /// `nodes[offsets[o]..offsets[o + 1]]`, primary first.
-    offsets: Vec<u32>,
-    nodes: Vec<NodeId>,
-    pinned: usize,
+    placement: Placement,
+    pins: PinOverlay,
     certificate: Option<CertificateDigest>,
+}
+
+/// Upsert pins laid over the engine's rows, sorted by object. Each
+/// 64-object word holding pins owns 64 slots, one per object, so a lookup
+/// finds a pinned primary in two loads; without pins there are no slots.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PinOverlay {
+    /// Per word: where its slots start (0, a block left empty, if none).
+    words: Vec<usize>,
+    /// Per object of a word holding pins: `Some(primary)` when pinned.
+    slots: Vec<Option<Option<NodeId>>>,
+    pins: Vec<(u64, Vec<NodeId>)>,
+}
+
+impl PinOverlay {
+    /// The pins a merge walk over objects `0..b` meets: those above
+    /// every earlier pin, up to the first one outside the placement
+    /// (for a sorted list of objects below `b`, all of them).
+    fn new(b: usize, pins: &[(u64, Vec<NodeId>)]) -> Self {
+        if pins.is_empty() {
+            return Self::default();
+        }
+        let mut overlay = Self {
+            words: vec![0; b.div_ceil(64)],
+            slots: vec![None; 64],
+            pins: Vec::new(),
+        };
+        for (object, nodes) in pins.iter().take_while(|(o, _)| *o < b as u64) {
+            if overlay.pins.last().is_some_and(|(last, _)| object <= last) {
+                continue;
+            }
+            let o = *object as usize;
+            if let Some(base) = overlay.words.get_mut(o / 64) {
+                if *base == 0 {
+                    *base = overlay.slots.len();
+                    overlay.slots.resize(*base + 64, None);
+                }
+                if let Some(slot) = overlay.slots.get_mut(*base + o % 64) {
+                    *slot = Some(nodes.first().copied());
+                }
+            }
+            overlay.pins.push((*object, nodes.clone()));
+        }
+        overlay
+    }
+
+    /// `Some(primary)` when object `o` is pinned.
+    #[inline]
+    fn slot(&self, o: usize) -> Option<Option<NodeId>> {
+        let base = self.words.get(o / 64)?;
+        self.slots.get(base + o % 64).copied().flatten()
+    }
+
+    /// The pinned row of object `o`, or `None` when `o` is not pinned.
+    fn row(&self, o: usize) -> Option<&[NodeId]> {
+        self.slot(o)?;
+        let at = self.pins.binary_search_by_key(&(o as u64), |(p, _)| *p);
+        self.pins.get(at.ok()?).map(|(_, nodes)| nodes.as_slice())
+    }
 }
 
 impl Snapshot {
     /// Builds the snapshot for `placement` at `epoch`, overriding the
     /// objects pinned by `pins` (an ordered `(object, replicas)` list)
     /// and stamping the certificate digest when the attacker emitted
-    /// one.
+    /// one. Shares the placement's rows: O(1) without pins, O(pins +
+    /// b/64) with them.
     #[must_use]
     pub fn from_placement(
         epoch: u64,
@@ -155,32 +216,10 @@ impl Snapshot {
         pins: &[(u64, Vec<NodeId>)],
         certificate: Option<&Certificate>,
     ) -> Self {
-        let sets = placement.replica_sets();
-        let mut offsets = Vec::with_capacity(sets.len() + 1);
-        let mut nodes =
-            Vec::with_capacity(sets.len() * usize::from(placement.replicas_per_object()));
-        let mut pinned = 0;
-        let mut pin_at = 0;
-        offsets.push(0u32);
-        for (o, set) in sets.iter().enumerate() {
-            while pin_at < pins.len() && (pins[pin_at].0 as usize) < o {
-                pin_at += 1;
-            }
-            let row: &[NodeId] = match pins.get(pin_at) {
-                Some((po, replicas)) if *po as usize == o => {
-                    pinned += 1;
-                    replicas
-                }
-                _ => set,
-            };
-            nodes.extend_from_slice(row);
-            offsets.push(nodes.len() as u32);
-        }
         Self {
             epoch,
-            offsets,
-            nodes,
-            pinned,
+            placement: placement.clone(),
+            pins: PinOverlay::new(placement.num_objects(), pins),
             certificate: certificate.map(CertificateDigest::of),
         }
     }
@@ -194,7 +233,7 @@ impl Snapshot {
     /// The number of objects the snapshot can answer for.
     #[must_use]
     pub fn num_objects(&self) -> u64 {
-        (self.offsets.len() - 1) as u64
+        self.placement.num_objects() as u64
     }
 
     /// The object's primary replica, or `None` outside the placement.
@@ -202,29 +241,25 @@ impl Snapshot {
     #[must_use]
     pub fn lookup(&self, object: u64) -> Option<NodeId> {
         let o = usize::try_from(object).ok()?;
-        let start = *self.offsets.get(o)? as usize;
-        let end = *self.offsets.get(o + 1)? as usize;
-        if start == end {
-            None
-        } else {
-            Some(self.nodes[start])
-        }
+        let engine = self.placement.first_replica(o)?;
+        // Both answers are read before one is picked: hot pinned and
+        // unpinned objects interleave, so a branch here mispredicts.
+        let pinned = self.pins.slot(o);
+        std::hint::select_unpredictable(pinned.is_some(), pinned.flatten(), Some(engine))
     }
 
     /// The object's full replica list (primary first).
     #[must_use]
     pub fn replicas(&self, object: u64) -> Option<&[NodeId]> {
         let o = usize::try_from(object).ok()?;
-        let start = *self.offsets.get(o)? as usize;
-        let end = *self.offsets.get(o + 1)? as usize;
-        Some(&self.nodes[start..end])
+        self.pins.row(o).or_else(|| self.placement.row(o))
     }
 
     /// Objects whose answers come from an [`PlacementProvider::upsert`]
     /// pin rather than the certified engine placement.
     #[must_use]
     pub fn pinned(&self) -> usize {
-        self.pinned
+        self.pins.pins.len()
     }
 
     /// The digest of the engine placement's availability certificate,
@@ -237,14 +272,20 @@ impl Snapshot {
     /// FNV-1a over the forward map — the value the determinism suite
     /// byte-compares across thread counts (epoch numbers and
     /// interleavings are *not* part of it; see `tests/differential.rs`).
+    /// It hashes the object count, the running row ends (from 0) and
+    /// then every node, row by row.
     #[must_use]
     pub fn forward_digest(&self) -> u64 {
+        let rows = || (0..self.num_objects()).map_while(|o| self.replicas(o));
         let mut h = Fnv::new();
         h.write_u64(self.num_objects());
-        for w in &self.offsets {
-            h.write_u64(u64::from(*w));
+        let mut end = 0;
+        h.write_u64(end);
+        for row in rows() {
+            end += row.len() as u64;
+            h.write_u64(end);
         }
-        for nd in &self.nodes {
+        for nd in rows().flatten() {
             h.write_u64(u64::from(*nd));
         }
         h.finish()
@@ -265,7 +306,8 @@ pub enum ServiceEvent {
     Upsert {
         /// The object to pin.
         object: u64,
-        /// Its replica list, primary first (non-empty).
+        /// Its replica list, primary first: non-empty, distinct, and
+        /// below the engine's slot count.
         nodes: Vec<NodeId>,
     },
     /// Drop the pin on `object`, returning it to the engine placement.
@@ -305,6 +347,10 @@ struct QueueState {
 }
 
 /// The state a [`ServiceHandle`] and the repair thread share.
+///
+/// Every lock recovers from poisoning: each critical section is an
+/// `Arc` swap or a queue update that cannot be left half-done, so the
+/// state a panicking holder leaves behind is consistent.
 #[derive(Debug)]
 pub(crate) struct Shared {
     snapshot: RwLock<Arc<Snapshot>>,
@@ -316,23 +362,52 @@ pub(crate) struct Shared {
     /// and `quiesce` wait here).
     room: Condvar,
     capacity: usize,
+    /// The engine's object count and slot count, which bound every
+    /// pin (neither changes while a service runs).
+    objects: u64,
+    slots: u16,
 }
 
 impl Shared {
-    pub(crate) fn new(first: Snapshot, capacity: usize) -> Self {
+    pub(crate) fn new(first: Snapshot, capacity: usize, slots: u16) -> Self {
         Self {
+            objects: first.num_objects(),
             snapshot: RwLock::new(Arc::new(first)),
             queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
             room: Condvar::new(),
             capacity: capacity.max(1),
+            slots,
         }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, QueueState> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn current(&self) -> RwLockReadGuard<'_, Arc<Snapshot>> {
+        self.snapshot.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether the repair thread can serve `event`: an upsert must pin
+    /// an object of the placement to a non-empty list of distinct
+    /// nodes below the slot count.
+    fn admits(&self, event: &ServiceEvent) -> bool {
+        let ServiceEvent::Upsert { object, nodes } = event else {
+            return true;
+        };
+        let mut sorted = nodes.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        *object < self.objects
+            && sorted.len() == nodes.len()
+            && sorted.last().is_some_and(|&nd| nd < self.slots)
     }
 
     /// Blocks until the repair thread may drain a batch; returns it,
     /// or `None` once the queue is closed *and* empty.
     pub(crate) fn take_batch(&self, max_batch: usize) -> Option<Vec<ServiceEvent>> {
-        let mut q = self.queue.lock().expect("queue poisoned");
+        let mut q = self.queue();
         loop {
             if !q.pending.is_empty() {
                 let take = q.pending.len().min(max_batch.max(1));
@@ -344,7 +419,7 @@ impl Shared {
             if q.closed {
                 return None;
             }
-            q = self.work.wait(q).expect("queue poisoned");
+            q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -352,16 +427,31 @@ impl Shared {
     /// in-flight batch (the swap is the writer's whole critical
     /// section).
     pub(crate) fn publish(&self, next: Snapshot) {
-        *self.snapshot.write().expect("snapshot poisoned") = Arc::new(next);
-        let mut q = self.queue.lock().expect("queue poisoned");
-        q.in_flight = 0;
-        drop(q);
+        *self
+            .snapshot
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+        self.queue().in_flight = 0;
         self.room.notify_all();
     }
 
     pub(crate) fn close(&self) {
-        self.queue.lock().expect("queue poisoned").closed = true;
+        self.queue().closed = true;
         self.work.notify_all();
+    }
+
+    /// Shuts the queue for good when the repair thread stops: closes
+    /// it, drops what is pending, retires the in-flight batch and wakes
+    /// every waiter, so writers get `false` and `quiesce` returns while
+    /// readers keep the last published epoch.
+    pub(crate) fn abandon(&self) {
+        let mut q = self.queue();
+        q.closed = true;
+        q.pending.clear();
+        q.in_flight = 0;
+        drop(q);
+        self.work.notify_all();
+        self.room.notify_all();
     }
 }
 
@@ -384,25 +474,27 @@ impl ServiceHandle {
     /// [`ServiceHandle::published_epoch`].
     #[must_use]
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.shared.snapshot.read().expect("snapshot poisoned"))
+        Arc::clone(&self.shared.current())
     }
 
     /// The latest published epoch.
     #[must_use]
     pub fn published_epoch(&self) -> u64 {
-        self.shared
-            .snapshot
-            .read()
-            .expect("snapshot poisoned")
-            .epoch
+        self.shared.current().epoch
     }
 
     /// Enqueues `event`, blocking while the queue is at capacity.
-    /// Returns `false` once the service is shutting down (the event is
-    /// dropped).
+    /// Returns `false` (dropping the event) once the service is
+    /// shutting down or its repair thread has stopped, and for an
+    /// upsert the service cannot serve: an object outside the
+    /// placement, or a replica list that is empty, repeats a node or
+    /// names one beyond the engine's slot count.
     pub fn enqueue(&self, event: ServiceEvent) -> bool {
         let shared = &*self.shared;
-        let mut q = shared.queue.lock().expect("queue poisoned");
+        if !shared.admits(&event) {
+            return false;
+        }
+        let mut q = shared.queue();
         loop {
             if q.closed {
                 return false;
@@ -412,22 +504,23 @@ impl ServiceHandle {
                 shared.work.notify_all();
                 return true;
             }
-            q = shared.room.wait(q).expect("queue poisoned");
+            q = shared.room.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Blocks until every event enqueued so far has been applied *and*
-    /// published. After `quiesce` returns, [`Self::snapshot`] reflects
+    /// published, or dropped because the repair thread stopped. After
+    /// `quiesce` returns on a live service, [`Self::snapshot`] reflects
     /// all prior writes (the differential suite's synchronization
     /// point).
     pub fn quiesce(&self) {
         let shared = &*self.shared;
-        let mut q = shared.queue.lock().expect("queue poisoned");
+        let mut q = shared.queue();
         while !q.pending.is_empty() || q.in_flight > 0 {
             let (guard, timeout) = shared
                 .room
                 .wait_timeout(q, Duration::from_millis(50))
-                .expect("queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             q = guard;
             // The repair thread can only have died between batches with
             // the queue closed; re-checking after a timeout keeps a
@@ -441,17 +534,10 @@ impl ServiceHandle {
 
 impl PlacementProvider for ServiceHandle {
     fn lookup(&self, object: u64) -> Option<NodeId> {
-        self.shared
-            .snapshot
-            .read()
-            .expect("snapshot poisoned")
-            .lookup(object)
+        self.shared.current().lookup(object)
     }
 
     fn upsert(&self, object: u64, nodes: &[NodeId]) -> bool {
-        if nodes.is_empty() {
-            return false;
-        }
         self.enqueue(ServiceEvent::Upsert {
             object,
             nodes: nodes.to_vec(),
@@ -486,9 +572,9 @@ mod tests {
         assert_eq!(snap.epoch(), 3);
         assert_eq!(snap.num_objects(), 40);
         assert_eq!(snap.pinned(), 0);
-        for (o, set) in p.replica_sets().iter().enumerate() {
+        for (o, set) in p.rows().enumerate() {
             assert_eq!(snap.lookup(o as u64), Some(set[0]));
-            assert_eq!(snap.replicas(o as u64).unwrap(), &set[..]);
+            assert_eq!(snap.replicas(o as u64).unwrap(), set);
         }
         assert_eq!(snap.lookup(40), None);
         assert_eq!(snap.lookup(u64::MAX), None);
@@ -503,8 +589,52 @@ mod tests {
         assert_eq!(snap.lookup(4), Some(9));
         assert_eq!(snap.replicas(11).unwrap(), &[0, 1, 2]);
         for o in (0..20u64).filter(|o| *o != 4 && *o != 11) {
-            assert_eq!(snap.lookup(o), Some(p.replica_sets()[o as usize][0]));
+            assert_eq!(snap.lookup(o), Some(p.replicas(o as usize)[0]));
         }
+        // Pins spanning word boundaries: each object answers its own
+        // pin, and the rest answer the engine's rows.
+        let p = placement(10, 300, 3, 1);
+        let pins: Vec<(u64, Vec<u16>)> = [0u64, 63, 64, 65, 127, 128, 299]
+            .iter()
+            .map(|&o| (o, vec![(o % 10) as u16, 9 - (o % 10) as u16]))
+            .collect();
+        let snap = Snapshot::from_placement(1, &p, &pins, None);
+        assert_eq!(snap.pinned(), pins.len());
+        for o in 0..300u64 {
+            let want = pins
+                .iter()
+                .find(|(po, _)| *po == o)
+                .map_or(p.replicas(o as usize), |(_, nodes)| nodes.as_slice());
+            assert_eq!(snap.replicas(o), Some(want), "object {o}");
+            assert_eq!(snap.lookup(o), want.first().copied(), "object {o}");
+        }
+    }
+
+    #[test]
+    fn pins_the_merge_walk_never_meets_are_ignored() {
+        // The overlay keeps exactly the pins a walk over objects 0..b
+        // meets: the first of a repeated object, and none out of order
+        // or beyond the placement.
+        let p = placement(10, 20, 3, 1);
+        let pins = vec![
+            (2u64, vec![9u16]),
+            (2, vec![8]),
+            (5, vec![7]),
+            (3, vec![6]),
+            (40, vec![5]),
+            (19, vec![4]),
+        ];
+        let snap = Snapshot::from_placement(1, &p, &pins, None);
+        assert_eq!(snap.pinned(), 2);
+        assert_eq!(snap.lookup(2), Some(9));
+        assert_eq!(snap.lookup(5), Some(7));
+        assert_eq!(snap.lookup(3), Some(p.replicas(3)[0]));
+        assert_eq!(snap.lookup(19), Some(p.replicas(19)[0]));
+        assert_eq!(snap.lookup(40), None);
+        // An empty pinned list answers no primary.
+        let snap = Snapshot::from_placement(1, &p, &[(6, vec![])], None);
+        assert_eq!(snap.lookup(6), None);
+        assert_eq!(snap.replicas(6), Some(&[][..]));
     }
 
     #[test]

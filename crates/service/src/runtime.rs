@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::thread;
 
 use wcp_core::engine::Attacker;
-use wcp_core::{ClusterEvent, DynamicEngine, Placement};
+use wcp_core::{ClusterEvent, DynamicEngine};
 
 use crate::{NodeId, ServiceConfig, ServiceEvent, ServiceHandle, Shared, Snapshot};
 
@@ -61,7 +61,11 @@ pub struct ServeReport {
 /// # Panics
 ///
 /// Propagates panics from `body` and from the repair thread (engine
-/// invariant violations), per `std::thread::scope` semantics.
+/// invariant violations), per `std::thread::scope` semantics. A repair
+/// thread that panics first shuts the queue: from then on writes
+/// return `false`, [`ServiceHandle::quiesce`] returns, and readers keep
+/// the last published epoch until `body` returns and the panic is
+/// re-raised.
 pub fn serve<A, R>(
     mut engine: DynamicEngine<A>,
     config: &ServiceConfig,
@@ -72,7 +76,7 @@ where
     R: Send,
 {
     let first = Snapshot::from_placement(0, engine.placement(), &[], None);
-    let shared = Arc::new(Shared::new(first, config.queue_capacity));
+    let shared = Arc::new(Shared::new(first, config.queue_capacity, engine.capacity()));
     let handle = ServiceHandle::new(Arc::clone(&shared));
     let max_batch = config.max_batch;
 
@@ -80,6 +84,7 @@ where
         let repair = scope.spawn(|| repair_loop(&mut engine, &shared, max_batch));
         let result = body(&handle);
         shared.close();
+        // lint:allow(panic, serve re-raises a repair-thread panic by its documented contract)
         let report = repair.join().expect("repair thread panicked");
         (result, report)
     });
@@ -93,6 +98,15 @@ fn repair_loop<A: Attacker>(
     shared: &Shared,
     max_batch: usize,
 ) -> ServeReport {
+    /// Shuts the queue when the loop ends, by return or by unwinding,
+    /// so no caller waits on a dead thread.
+    struct Abandon<'a>(&'a Shared);
+    impl Drop for Abandon<'_> {
+        fn drop(&mut self) {
+            self.0.abandon();
+        }
+    }
+    let _abandon = Abandon(shared);
     let mut report = ServeReport::default();
     let mut epoch = 0u64;
     // Live upsert pins, ordered by object id (what
@@ -114,7 +128,11 @@ fn repair_loop<A: Attacker>(
                 ServiceEvent::Upsert { object, nodes } => {
                     report.pinned += 1;
                     match pins.binary_search_by_key(&object, |(o, _)| *o) {
-                        Ok(at) => pins[at].1 = nodes,
+                        Ok(at) => {
+                            if let Some(pin) = pins.get_mut(at) {
+                                pin.1 = nodes;
+                            }
+                        }
                         Err(at) => pins.insert(at, (object, nodes)),
                     }
                 }
@@ -161,13 +179,6 @@ where
     })
 }
 
-/// The static half of the serving story, for benches: a snapshot built
-/// straight from a placement, bypassing the engine (epoch 0, no pins).
-#[must_use]
-pub fn snapshot_of(placement: &Placement) -> Snapshot {
-    Snapshot::from_placement(0, placement, &[], None)
-}
-
 /// Runs `worker(0..threads)` on that many scoped threads and returns
 /// the results in index order.
 ///
@@ -192,6 +203,7 @@ pub fn fan_out<R: Send>(threads: usize, worker: impl Fn(usize) -> R + Sync) -> V
             .collect();
         handles
             .into_iter()
+            // lint:allow(panic, fan_out re-raises a worker panic by its documented contract)
             .map(|h| h.join().expect("fan_out worker panicked"))
             .collect()
     })
@@ -201,7 +213,7 @@ pub fn fan_out<R: Send>(threads: usize, worker: impl Fn(usize) -> R + Sync) -> V
 mod tests {
     use super::*;
     use crate::PlacementProvider;
-    use wcp_core::{DynamicConfig, RandomVariant, StrategyKind, SystemParams};
+    use wcp_core::{DynamicConfig, Placement, RandomVariant, StrategyKind, SystemParams};
 
     fn engine(n: u16, b: u64, capacity: u16) -> DynamicEngine {
         let params = SystemParams::new(n, b, 3, 2, 2).unwrap();
@@ -232,7 +244,7 @@ mod tests {
         let mut direct = engine(12, 60, 14);
         direct.run_trace(events).unwrap();
         assert_eq!(
-            snapshot_of(direct.placement()).forward_digest(),
+            Snapshot::from_placement(0, direct.placement(), &[], None).forward_digest(),
             digest,
             "served and direct replays must agree on the forward map"
         );
@@ -271,11 +283,90 @@ mod tests {
         assert_eq!(answers.3, 0);
         assert_eq!(
             answers.2,
-            Some(served.placement().replica_sets()[7][0]),
+            Some(served.placement().replicas(7)[0]),
             "release must fall back to the engine placement"
         );
         assert_eq!(report.pinned, 1);
         assert_eq!(report.released, 1);
+    }
+
+    #[test]
+    fn hostile_pins_are_refused() {
+        let (answers, report, _) = serve(engine(12, 40, 14), &ServiceConfig::default(), |handle| {
+            let refused = [
+                handle.upsert(1, &[60000]), // beyond the 14 slots
+                handle.upsert(1, &[5, 14]),
+                handle.upsert(1, &[3, 9, 3]), // repeated node
+                handle.upsert(40, &[0, 1]),   // object beyond b = 40
+                handle.enqueue(ServiceEvent::Upsert {
+                    object: 2,
+                    nodes: vec![],
+                }),
+            ];
+            let accepted = handle.upsert(1, &[13, 0]);
+            handle.quiesce();
+            (refused, accepted, handle.lookup(1), handle.lookup(2))
+        });
+        assert_eq!(answers.0, [false; 5]);
+        assert!(answers.1, "a pin on distinct nodes below the slot count");
+        assert_eq!(answers.2, Some(13));
+        assert!(answers.3.is_some(), "object 2 keeps its engine row");
+        assert_eq!(report.pinned, 1);
+    }
+
+    /// Panics on its `fuse`-th attack, like a repair bug would.
+    struct Fuse {
+        calls: std::cell::Cell<u32>,
+        fuse: u32,
+    }
+
+    impl Attacker for Fuse {
+        fn attack(&self, placement: &Placement, s: u16, k: u16) -> wcp_core::AttackOutcome {
+            self.calls.set(self.calls.get() + 1);
+            assert!(self.calls.get() < self.fuse, "attacker fuse blew");
+            wcp_core::ExhaustiveAttacker::default().attack(placement, s, k)
+        }
+    }
+
+    #[test]
+    fn a_dead_repair_thread_does_not_hang_its_callers() {
+        let params = SystemParams::new(12, 40, 3, 2, 2).unwrap();
+        let kind = StrategyKind::Random {
+            seed: 7,
+            variant: RandomVariant::LoadBalanced,
+        };
+        let attacker = Fuse {
+            calls: std::cell::Cell::new(0),
+            fuse: 3,
+        };
+        let engine =
+            DynamicEngine::with_attacker(params, kind, 14, DynamicConfig::default(), attacker)
+                .unwrap();
+        let config = ServiceConfig {
+            queue_capacity: 2,
+            max_batch: 1,
+        };
+        let mut seen = None;
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve(engine, &config, |handle| {
+                assert!(handle.remove_node(3)); // attacks 1 and 2
+                handle.quiesce();
+                let live = handle.snapshot_epoch();
+                assert!(handle.remove_node(4)); // attack 3 panics
+                handle.quiesce();
+                // More writes than the queue holds: each is refused at
+                // once instead of blocking on the dead thread.
+                let writes: Vec<bool> = (0..4).map(|o| handle.upsert(o, &[0])).collect();
+                handle.quiesce();
+                seen = Some((live, handle.snapshot_epoch(), handle.lookup(0), writes));
+            })
+        }));
+        assert!(served.is_err(), "serve re-raises the repair panic");
+        let (live, last, answer, writes) = seen.expect("the body ran to its end");
+        assert_eq!(live, 1);
+        assert_eq!(last, 1, "readers keep the last published epoch");
+        assert!(answer.is_some());
+        assert_eq!(writes, vec![false; 4]);
     }
 
     #[test]

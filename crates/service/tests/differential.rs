@@ -5,18 +5,26 @@
 //!
 //! The determinism CI job replays this suite under `WCP_THREADS=1/2/8`.
 //! What *is* byte-diffed across those runs: the final snapshot's
-//! [`Snapshot::forward_digest`] (the whole CSR forward map) and the
-//! final engine placement. What is explicitly *not*: epoch numbers
+//! [`Snapshot::forward_digest`] (every served row, pins included) and
+//! the final engine placement. What is explicitly *not*: epoch numbers
 //! (batching splits vary with scheduling) and reader interleavings —
 //! lookup answers are epoch-deterministic, not wall-clock-deterministic.
+//! Golden values pin both digest formats across versions, so a change
+//! of representation cannot change what is hashed.
 //!
 //! [`Snapshot::forward_digest`]: wcp_service::Snapshot::forward_digest
 
 use wcp_core::{
-    ClusterEvent, DynamicConfig, DynamicEngine, RandomVariant, StrategyKind, SystemParams,
+    placement_digest, ClusterEvent, DynamicConfig, DynamicEngine, Placement, RandomVariant,
+    StrategyKind, SystemParams,
 };
-use wcp_service::runtime::{serve_trace, snapshot_of};
-use wcp_service::ServiceConfig;
+use wcp_service::runtime::serve_trace;
+use wcp_service::{ServiceConfig, Snapshot};
+
+/// The engine placement's own snapshot: epoch 0, no pins.
+fn snapshot_of(placement: &Placement) -> Snapshot {
+    Snapshot::from_placement(0, placement, &[], None)
+}
 
 fn engine(seed: u64) -> DynamicEngine {
     let params = SystemParams::new(14, 80, 3, 2, 2).unwrap();
@@ -110,4 +118,24 @@ fn digest_is_sensitive_to_the_trace() {
         h.snapshot().forward_digest()
     });
     assert_ne!(full, cut);
+}
+
+#[test]
+fn digests_match_their_golden_values() {
+    let (digest, _, served) = serve_trace(engine(9), &ServiceConfig::default(), trace(), |h| {
+        h.snapshot().forward_digest()
+    });
+    assert_eq!(digest, 0xe3bc_b000_080e_3079);
+    assert_eq!(placement_digest(served.placement()), 0x2a64_2886_3575_2308);
+
+    let start = engine(5);
+    let p = start.placement();
+    assert_eq!(placement_digest(p), 0xe841_54f5_c16f_4a0d);
+    let plain = Snapshot::from_placement(0, p, &[], None);
+    assert_eq!(plain.forward_digest(), 0xa34f_1e70_133f_4e3c);
+    // The two-node pin is a row whose length is not r.
+    let pins = [(4, vec![9, 8, 7]), (11, vec![0, 1])];
+    let pinned = Snapshot::from_placement(0, p, &pins, None);
+    assert_eq!(pinned.pinned(), 2);
+    assert_eq!(pinned.forward_digest(), 0xccec_504c_d3d7_5a85);
 }

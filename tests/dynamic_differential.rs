@@ -6,8 +6,7 @@
 //! oracle): after *every* event of a churn trace,
 //!
 //! 1. the repaired placement must satisfy every `Placement` invariant
-//!    plus the dynamic ones (no replica on a down slot, load accounting
-//!    consistent),
+//!    plus the dynamic one (no replica on a down slot),
 //! 2. its worst-case availability under the exact adversary must be
 //!    within the configured degradation threshold of the oracle's, and
 //! 3. for deterministic strategies the engine's internal oracle must

@@ -45,7 +45,7 @@ proptest! {
             return Ok(()); // nothing constructible at this size — fine
         };
         let placement = strategy.build(b).expect("build");
-        let design = BlockDesign::new(n, r, placement.replica_sets().to_vec()).expect("valid blocks");
+        let design = BlockDesign::new(n, r, placement.rows().map(<[u16]>::to_vec).collect()).expect("valid blocks");
         prop_assert!(
             verify::is_t_packing(&design, x + 1, strategy.lambda()),
             "λ = {} exceeded", strategy.lambda()

@@ -36,7 +36,7 @@ fn check_structure(placement: &Placement, params: &SystemParams, name: &str) {
         "{name}: object count"
     );
     assert_eq!(placement.num_nodes(), params.n(), "{name}: node count");
-    for (obj, set) in placement.replica_sets().iter().enumerate() {
+    for (obj, set) in placement.rows().enumerate() {
         assert_eq!(
             set.len(),
             usize::from(params.r()),
@@ -239,7 +239,7 @@ fn domain_spread_conforms_across_topologies() {
             .expect("builds");
         check_structure(&placement, &params, "domain-spread");
         if topo.num_levels() > 0 && topo.domains_at(1) >= params.r() {
-            for set in placement.replica_sets() {
+            for set in placement.rows() {
                 let mut racks: Vec<u16> = set.iter().map(|&nd| topo.domain_of(nd, 1)).collect();
                 racks.sort_unstable();
                 racks.dedup();
@@ -293,7 +293,7 @@ fn domain_repair_wrapper_conforms_for_every_family() {
         let wrapped = DomainRepaired::new(inner, topo.clone());
         let placement = wrapped.build(&params).expect("repairs");
         check_structure(&placement, &params, wrapped.name());
-        for set in placement.replica_sets() {
+        for set in placement.rows() {
             let mut racks: Vec<u16> = set.iter().map(|&nd| topo.domain_of(nd, 1)).collect();
             racks.sort_unstable();
             racks.dedup();
