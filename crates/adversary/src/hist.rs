@@ -63,14 +63,20 @@ pub(crate) struct HistogramCounts {
     /// classes at `hits = s − 1` — the histogram twin of the packed
     /// ladder's delta-maintained [`crate::search::ClimbScratch`] gains.
     gains: Vec<i64>,
-    /// Reusable sort buffer for class construction.
+    /// Reusable sort buffer for class construction: the object ids in
+    /// class order.
     sort_idx: Vec<u32>,
+    /// The radix passes' scatter target (the two swap roles per pass).
+    radix_idx: Vec<u32>,
 }
 
 impl HistogramCounts {
     /// Rebinds to another placement/threshold, reusing every
     /// allocation. Classes are formed by sorting object ids by replica
-    /// set and merging adjacent equals — deterministic, no hashing.
+    /// set and merging adjacent equals — deterministic, no hashing. The
+    /// sort is a stable radix sort ([`sort_by_rows`], `O(r·(b + n))`),
+    /// not a comparison sort; it yields the same lexicographic class
+    /// order, so class ids and every later decision are unchanged.
     pub(crate) fn rebind(&mut self, placement: &Placement, s: u16) {
         let n = placement.num_nodes();
         let b = placement.num_objects();
@@ -81,13 +87,14 @@ impl HistogramCounts {
         self.b = b as u64;
         let stride = usize::from(r);
         let mut sort_idx = std::mem::take(&mut self.sort_idx);
-        sort_idx.clear();
-        sort_idx.extend(0..b as u32);
-        sort_idx.sort_unstable_by(|&x, &y| {
-            placement
-                .replicas(x as usize)
-                .cmp(placement.replicas(y as usize))
-        });
+        // The CSR offsets are rebuilt below; until then they serve as
+        // the radix passes' bucket counts.
+        sort_by_rows(
+            placement,
+            &mut sort_idx,
+            &mut self.radix_idx,
+            &mut self.csr_off,
+        );
         self.weight.clear();
         self.class_nodes.clear();
         for &obj in &sort_idx {
@@ -420,6 +427,55 @@ impl HistogramCounts {
     }
 }
 
+/// Sorts object ids by replica set, lexicographically, into `ids`: a
+/// stable LSD counting sort with one pass per row column, last column
+/// first, each pass `O(b + n)` (`spare` is the scatter target, `counts`
+/// the per-node buckets). Stability makes the passes compose into the
+/// lexicographic order, with equal sets left in id order.
+fn sort_by_rows(
+    placement: &Placement,
+    ids: &mut Vec<u32>,
+    spare: &mut Vec<u32>,
+    counts: &mut Vec<u32>,
+) {
+    let b = placement.num_objects();
+    let n = usize::from(placement.num_nodes());
+    ids.clear();
+    ids.extend(0..b as u32);
+    spare.clear();
+    spare.resize(b, 0);
+    let key = |obj: u32, col: usize| {
+        placement
+            .row(obj as usize)
+            .and_then(|set| set.get(col))
+            .map_or(0, |&nd| usize::from(nd))
+    };
+    for col in (0..usize::from(placement.replicas_per_object())).rev() {
+        counts.clear();
+        counts.resize(n + 1, 0);
+        for &obj in ids.iter() {
+            if let Some(count) = counts.get_mut(key(obj, col) + 1) {
+                *count += 1;
+            }
+        }
+        // Prefix sums: `counts[nd]` becomes bucket `nd`'s first slot.
+        let mut acc = 0u32;
+        for slot in counts.iter_mut() {
+            acc += *slot;
+            *slot = acc;
+        }
+        for &obj in ids.iter() {
+            if let Some(at) = counts.get_mut(key(obj, col)) {
+                if let Some(slot) = spare.get_mut(*at as usize) {
+                    *slot = obj;
+                }
+                *at += 1;
+            }
+        }
+        std::mem::swap(ids, spare);
+    }
+}
+
 /// Reusable side buffers for the histogram ladder (the gain table lives
 /// inside [`HistogramCounts`] itself, maintained across every update).
 #[derive(Debug, Default)]
@@ -545,6 +601,78 @@ mod tests {
         RandomStrategy::new(seed, RandomVariant::LoadBalanced)
             .place(&params)
             .unwrap()
+    }
+
+    /// Classes formed the way `rebind` formed them before the radix
+    /// sort: comparison-sort the ids by row, merge adjacent equals.
+    fn comparison_sort_classes(p: &Placement) -> (Vec<u64>, Vec<u16>) {
+        let mut ids: Vec<usize> = (0..p.num_objects()).collect();
+        ids.sort_unstable_by(|&x, &y| p.replicas(x).cmp(p.replicas(y)));
+        let mut weight: Vec<u64> = Vec::new();
+        let mut rows: Vec<&[u16]> = Vec::new();
+        for obj in ids {
+            let set = p.replicas(obj);
+            if rows.last() == Some(&set) {
+                *weight.last_mut().unwrap() += 1;
+            } else {
+                weight.push(1);
+                rows.push(set);
+            }
+        }
+        (weight, rows.concat())
+    }
+
+    /// The radix classes — weights, host rows and the node → class CSR
+    /// — equal the comparison-sort reference's.
+    fn assert_classes_match_reference(p: &Placement) {
+        let shape = (p.num_nodes(), p.num_objects(), p.replicas_per_object());
+        let (weight, class_nodes) = comparison_sort_classes(p);
+        let mut hc = HistogramCounts::default();
+        hc.rebind(p, 1);
+        assert_eq!(hc.weight, weight, "weights {shape:?}");
+        assert_eq!(hc.class_nodes, class_nodes, "class rows {shape:?}");
+        let stride = usize::from(p.replicas_per_object());
+        for nd in 0..p.num_nodes() {
+            let expected: Vec<u32> = class_nodes
+                .chunks_exact(stride)
+                .enumerate()
+                .filter(|(_, hosts)| hosts.contains(&nd))
+                .map(|(c, _)| c as u32)
+                .collect();
+            assert_eq!(hc.row_classes(nd), expected, "CSR row {nd} {shape:?}");
+        }
+    }
+
+    #[test]
+    fn radix_classes_match_comparison_sort() {
+        let uniform = |n: u16, b: u64, r: u16, seed: u64| {
+            let params = SystemParams::new(n, b, r, 1, 1).unwrap();
+            RandomStrategy::new(seed, RandomVariant::Unconstrained)
+                .place(&params)
+                .unwrap()
+        };
+        let shapes = [
+            random_placement(8, 400, 1, 0),    // r = 1, heavy duplication
+            random_placement(8, 400, 2, 3),    // few classes, large weights
+            random_placement(12, 700, 6, 5),   // r = 6
+            random_placement(300, 2000, 3, 7), // node ids past one byte
+            uniform(300, 1500, 6, 9),          // r = 6, n = 300
+            uniform(71, 3000, 3, 11),          // mostly singleton classes
+            random_placement(5, 1, 2, 1),      // b = 1
+            Placement::new(300, 3, vec![vec![3, 17, 299]; 500]).unwrap(), // one row
+            Placement::new(9, 1, vec![vec![8]; 3]).unwrap(),
+        ];
+        for p in &shapes {
+            assert_classes_match_reference(p);
+        }
+        // Rebinding one backend across shapes leaves nothing behind.
+        let mut hc = HistogramCounts::default();
+        for p in shapes.iter().rev() {
+            hc.rebind(p, 1);
+            let (weight, class_nodes) = comparison_sort_classes(p);
+            assert_eq!(hc.weight, weight);
+            assert_eq!(hc.class_nodes, class_nodes);
+        }
     }
 
     #[test]

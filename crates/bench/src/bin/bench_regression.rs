@@ -1,10 +1,13 @@
 //! `bench_regression` — the CI gate over benchmark snapshots.
 //!
 //! Compares a fresh snapshot (`BENCH_strategies.json`,
-//! `BENCH_adversary.json`, `BENCH_adversary_parallel.json`, … — both
-//! schemas are understood) against the committed baseline and exits
+//! `BENCH_adversary.json`, `BENCH_adversary_parallel.json`, … — every
+//! schema is understood) against the committed baseline and exits
 //! non-zero when any family's mean time regressed beyond the threshold
-//! (default 25%), or when a family vanished from the fresh snapshot:
+//! (default 25%), when a family vanished from the fresh snapshot, or
+//! when a strategy in both engine-sweep snapshots changed one of its
+//! deterministic answers (`lower_bound`, `measured_availability`,
+//! `exact`):
 //!
 //! ```text
 //! bench_regression crates/bench/BENCH_strategies.json fresh.json --threshold 25
@@ -20,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wcp_bench::regression::compare;
+use wcp_bench::regression::{answer_mismatches, compare};
 
 /// Resolves a snapshot argument to an existing file: the path as
 /// written, else (for relative paths) re-anchored at the bench crate's
@@ -87,7 +90,8 @@ fn run(args: &[String]) -> Result<bool, String> {
         std::fs::read_to_string(&resolved)
             .map_err(|e| format!("cannot read {}: {e}", resolved.display()))
     };
-    let deltas = compare(&read(baseline_path)?, &read(current_path)?)?;
+    let (baseline, current) = (read(baseline_path)?, read(current_path)?);
+    let deltas = compare(&baseline, &current)?;
     let threshold = threshold_pct / 100.0;
     let mut failed = false;
     println!(
@@ -108,6 +112,13 @@ fn run(args: &[String]) -> Result<bool, String> {
             current,
             change,
             if regressed { "FAIL" } else { "ok" }
+        );
+    }
+    for m in answer_mismatches(&baseline, &current)? {
+        failed = true;
+        println!(
+            "{}: {} changed from {} to {}  FAIL",
+            m.strategy, m.field, m.baseline, m.current
         );
     }
     Ok(failed)

@@ -19,7 +19,11 @@
 //! p99_staleness_epochs, peak_rss_bytes}` (the serving-layer closed
 //! loop; the gate reads the per-lookup timings, the committed-snapshot
 //! pin test enforces the single-threaded lookup-rate floor). The
-//! `bench_regression` binary wraps this as a CI-friendly exit code.
+//! engine sweep's answers are deterministic, so [`answer_mismatches`]
+//! additionally requires every strategy present in both snapshots to
+//! agree on `lower_bound`, `measured_availability` and `exact`. The
+//! `bench_regression` binary wraps both checks as a CI-friendly exit
+//! code.
 
 use wcp_sim::json::Value;
 
@@ -158,6 +162,64 @@ pub fn compare(baseline: &str, current: &str) -> Result<Vec<FamilyDelta>, String
         .collect())
 }
 
+/// The deterministic per-strategy answers of a `strategies[]` snapshot.
+pub const ANSWER_FIELDS: [&str; 3] = ["lower_bound", "measured_availability", "exact"];
+
+/// One deterministic answer on which two `strategies[]` snapshots
+/// disagree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnswerMismatch {
+    /// The strategy both snapshots list.
+    pub strategy: String,
+    /// One of [`ANSWER_FIELDS`].
+    pub field: &'static str,
+    /// The baseline's value, as JSON (`null` when absent).
+    pub baseline: String,
+    /// The current snapshot's value, as JSON (`null` when absent).
+    pub current: String,
+}
+
+/// The [`ANSWER_FIELDS`] on which a strategy present in both snapshots
+/// differs. Only `strategies[]` snapshots carry answers; for any other
+/// schema (in either snapshot) the list is empty, and strategies in only
+/// one snapshot are [`compare`]'s business.
+///
+/// # Errors
+///
+/// A message when either document is not JSON.
+pub fn answer_mismatches(baseline: &str, current: &str) -> Result<Vec<AnswerMismatch>, String> {
+    let base_doc = Value::parse(baseline).map_err(|e| e.to_string())?;
+    let cur_doc = Value::parse(current).map_err(|e| e.to_string())?;
+    let (Some(base), Some(cur)) = (
+        base_doc.get("strategies").and_then(Value::as_array),
+        cur_doc.get("strategies").and_then(Value::as_array),
+    ) else {
+        return Ok(Vec::new());
+    };
+    fn name(entry: &Value) -> Option<&str> {
+        entry.get("strategy").and_then(Value::as_str)
+    }
+    let render = |v: Option<&Value>| v.map_or_else(|| "null".to_string(), Value::to_json);
+    let mut mismatches = Vec::new();
+    for b in base {
+        let Some(strategy) = name(b) else { continue };
+        let Some(c) = cur.iter().find(|c| name(c) == Some(strategy)) else {
+            continue;
+        };
+        for field in ANSWER_FIELDS {
+            if b.get(field) != c.get(field) {
+                mismatches.push(AnswerMismatch {
+                    strategy: strategy.to_string(),
+                    field,
+                    baseline: render(b.get(field)),
+                    current: render(c.get(field)),
+                });
+            }
+        }
+    }
+    Ok(mismatches)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +315,115 @@ mod tests {
         assert!(fams.iter().any(|f| f.family == "simple"));
         assert!(fams.iter().any(|f| f.family == "combo"));
         assert!(fams.iter().all(|f| f.mean_ns > 0.0));
+    }
+
+    /// A strategies snapshot with answers: `(name, lower_bound,
+    /// measured_availability, exact)`.
+    fn answered<S: AsRef<str>>(entries: &[(S, i64, u64, bool)]) -> String {
+        let body: Vec<String> = entries
+            .iter()
+            .map(|(name, lb, avail, exact)| {
+                let name = name.as_ref();
+                format!(
+                    "  {{\"strategy\": {name:?}, \"lower_bound\": {lb}, \
+                     \"measured_availability\": {avail}, \"exact\": {exact}, \
+                     \"median_pipeline_ns\": 1000}}"
+                )
+            })
+            .collect();
+        format!("{{\n\"strategies\": [\n{}\n]\n}}\n", body.join(",\n"))
+    }
+
+    #[test]
+    fn synthetic_answer_mismatch_fails_the_gate() {
+        let base = answered(&[("ring", 0, 200, true), ("combo", 230, 230, true)]);
+        let same = answered(&[("combo", 230, 230, true), ("ring", 0, 200, true)]);
+        assert_eq!(answer_mismatches(&base, &same).unwrap(), Vec::new());
+        let cur = answered(&[
+            ("ring", 0, 201, false),
+            ("combo", 230, 230, true),
+            ("teleport", 9, 9, true),
+        ]);
+        let got = answer_mismatches(&base, &cur).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                AnswerMismatch {
+                    strategy: "ring".to_string(),
+                    field: "measured_availability",
+                    baseline: "200".to_string(),
+                    current: "201".to_string(),
+                },
+                AnswerMismatch {
+                    strategy: "ring".to_string(),
+                    field: "exact",
+                    baseline: "true".to_string(),
+                    current: "false".to_string(),
+                },
+            ]
+        );
+        // A stale bound is caught too; a strategy in one snapshot only
+        // is left to the timing gate.
+        let stale = answered(&[("ring", 5, 200, true)]);
+        let got = answer_mismatches(&stale, &base).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].field, "lower_bound");
+        // Snapshots without answers have nothing to compare.
+        let timing_only = snapshot(&[("ring", 100)]);
+        assert_eq!(
+            answer_mismatches(&timing_only, &timing_only).unwrap(),
+            Vec::new()
+        );
+        assert!(answer_mismatches("not json", &base).is_err());
+    }
+
+    #[test]
+    fn committed_strategies_snapshot_matches_a_fresh_evaluation() {
+        // The engine sweep's answers are deterministic: re-evaluate every
+        // committed strategy at the snapshot's parameters and gate the
+        // committed answers against the fresh ones.
+        use wcp_core::{Engine, StrategyKind, SystemParams};
+        let committed = include_str!("../BENCH_strategies.json");
+        let doc = Value::parse(committed).unwrap();
+        let param = |k: &str| {
+            doc.get("params")
+                .and_then(|p| p.get(k))
+                .and_then(Value::as_u64)
+                .unwrap()
+        };
+        let narrow = |k: &str| u16::try_from(param(k)).unwrap();
+        let params = SystemParams::new(
+            narrow("n"),
+            param("b"),
+            narrow("r"),
+            narrow("s"),
+            narrow("k"),
+        )
+        .unwrap();
+        let engine = Engine::new(params);
+        let fresh: Vec<(String, i64, u64, bool)> = StrategyKind::all(&params)
+            .iter()
+            .map(|kind| {
+                let report = engine.evaluate(kind).unwrap();
+                (
+                    report.strategy,
+                    report.lower_bound,
+                    report.measured_availability,
+                    report.exact,
+                )
+            })
+            .collect();
+        let mismatches = answer_mismatches(committed, &answered(&fresh)).unwrap();
+        assert_eq!(mismatches, Vec::new());
+        // Every committed strategy was re-evaluated, none skipped.
+        let committed_names = doc.get("strategies").and_then(Value::as_array).unwrap();
+        for entry in committed_names {
+            let name = entry.get("strategy").and_then(Value::as_str).unwrap();
+            assert!(
+                fresh.iter().any(|(n, ..)| n == name),
+                "{name} not re-evaluated"
+            );
+        }
     }
 
     #[test]

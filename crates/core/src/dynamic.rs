@@ -721,49 +721,78 @@ impl<A: Attacker> DynamicEngine<A> {
 
     /// Pulls the newly arrived node `v` up to the floor of the mean load
     /// by draining replicas from the heaviest up nodes (bounded
-    /// movement: at most `⌊rb/active⌋` replicas). With a topology
-    /// attached, each donor prefers handing over the object whose
-    /// remaining replicas co-locate least with the newcomer.
+    /// movement: at most `⌊rb/active⌋` replicas). The heaviest donor
+    /// (lowest id on ties) that still improves balance hands over its
+    /// first eligible object (one holding the donor but not `v`); a
+    /// donor with none left gives way to the next heaviest. With a
+    /// topology attached, a donor instead hands over the eligible object
+    /// whose remaining replicas co-locate least with the newcomer.
+    ///
+    /// The rebalance only ever replaces a donor by `v` in a set, so a
+    /// set's eligibility for any donor can go from true to false but
+    /// never back. Each donor therefore keeps a cursor: no set before it
+    /// is eligible, so the scan resumes there and still finds the first
+    /// eligible object, and a donor found empty stays empty. Without a
+    /// topology the whole rebalance walks the table at most once per
+    /// donor; the topology path still ranks every eligible set per moved
+    /// replica.
     fn rebalance_arrival(&self, v: u16) -> Result<(Placement, u64), DynamicError> {
         let r = self.base.r();
+        let stride = usize::from(r);
         let mut rows = self.placement.shared_rows();
         let table = Arc::make_mut(&mut rows);
+        let objects = table.len() / stride;
         let mut loads = self.placement.loads();
         let active = self.active();
         let mean_floor = (u64::from(r) * self.base.b()) / active.len().max(1) as u64;
+        // Per donor slot: the first object that may still be eligible.
+        let mut cursor = vec![0usize; usize::from(self.capacity)];
         let mut moved = 0u64;
-        'fill: while u64::from(loads[usize::from(v)]) < mean_floor {
-            // Donors, heaviest first, that still improve balance.
-            let mut donors: Vec<u16> = active
+        while u64::from(loads[usize::from(v)]) < mean_floor {
+            let load = |w: u16| loads.get(usize::from(w)).copied().unwrap_or(0);
+            let from = |w: u16| cursor.get(usize::from(w)).copied().unwrap_or(objects);
+            let Some(w) = active
                 .iter()
                 .copied()
-                .filter(|&w| w != v && loads[usize::from(w)] > loads[usize::from(v)] + 1)
-                .collect();
-            donors.sort_by_key(|&w| (std::cmp::Reverse(loads[usize::from(w)]), w));
-            for w in donors {
-                let mut eligible = table
-                    .chunks_exact_mut(usize::from(r))
-                    .filter(|set| set.binary_search(&w).is_ok() && set.binary_search(&v).is_err());
-                // Without a topology every candidate keys to 0, so the
-                // early-exit first match IS the minimum — keep the
-                // O(first hit) scan instead of walking all b sets.
-                let donated = if self.topology.is_none() {
-                    eligible.next()
-                } else {
-                    eligible.min_by_key(|set| self.collision_excluding(v, set, w))
-                };
-                if let Some(set) = donated {
-                    if let Some(slot) = set.iter_mut().find(|nd| **nd == w) {
-                        *slot = v;
-                    }
-                    set.sort_unstable();
-                    loads[usize::from(w)] -= 1;
-                    loads[usize::from(v)] += 1;
-                    moved += 1;
-                    continue 'fill;
-                }
+                .filter(|&w| w != v && from(w) < objects && load(w) > load(v) + 1)
+                .min_by_key(|&w| (std::cmp::Reverse(load(w)), w))
+            else {
+                break; // No donor can improve balance further.
+            };
+            let start = from(w);
+            let eligible =
+                |set: &[u16]| set.binary_search(&w).is_ok() && set.binary_search(&v).is_err();
+            let mut candidates = table
+                .get(start * stride..)
+                .unwrap_or_default()
+                .chunks_exact(stride)
+                .enumerate()
+                .filter(|(_, set)| eligible(set))
+                .map(|(i, set)| (start + i, set));
+            let donated = if self.topology.is_none() {
+                candidates.next()
+            } else {
+                candidates.min_by_key(|(_, set)| self.collision_excluding(v, set, w))
             }
-            break; // No donor can improve balance further.
+            .map(|(obj, _)| obj);
+            if let Some(next) = cursor.get_mut(usize::from(w)) {
+                *next = match donated {
+                    None => objects,
+                    Some(obj) if self.topology.is_none() => obj + 1,
+                    Some(_) => start,
+                };
+            }
+            let Some(set) = donated.and_then(|obj| table.get_mut(obj * stride..(obj + 1) * stride))
+            else {
+                continue; // This donor is drained of eligible sets.
+            };
+            if let Some(slot) = set.iter_mut().find(|nd| **nd == w) {
+                *slot = v;
+            }
+            set.sort_unstable();
+            loads[usize::from(w)] -= 1;
+            loads[usize::from(v)] += 1;
+            moved += 1;
         }
         Ok((Placement::from_rows(self.capacity, r, rows)?, moved))
     }
@@ -841,6 +870,8 @@ pub fn movement_between(old: &Placement, new: &Placement) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::placement_digest;
+    use crate::engine::AttackOutcome;
     use wcp_sim::churn::ChurnSpec;
 
     fn params(n: u16, b: u64, r: u16, s: u16, k: u16) -> SystemParams {
@@ -1099,7 +1130,10 @@ mod tests {
     #[test]
     fn flat_topology_changes_nothing() {
         // An attached flat topology must reproduce the oblivious engine
-        // decision for decision across a whole trace.
+        // decision for decision across a whole trace. The topology path
+        // ranks every eligible set, the oblivious one takes the first
+        // after each donor's cursor, so this is also the cursor's
+        // differential against a full scan.
         let trace = ChurnSpec::new("dyn-flat-topo", 16, 13, 15).generate();
         let mut flat = ring_engine().with_topology(Topology::flat(16)).unwrap();
         let mut plain = ring_engine();
@@ -1109,6 +1143,92 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(flat.placement(), plain.placement());
+    }
+
+    /// An attacker that fails nothing, so repair is always adopted.
+    struct NoAttack;
+
+    impl Attacker for NoAttack {
+        fn attack(&self, _placement: &Placement, _s: u16, _k: u16) -> AttackOutcome {
+            AttackOutcome {
+                failed: 0,
+                nodes: Vec::new(),
+                exact: false,
+                certificate: None,
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_cursor_matches_full_scan_on_long_rows() {
+        // The cursor differential on a shape where donors hand over many
+        // objects each: with every repair adopted, a flat topology's
+        // full ranking and the oblivious cursor must leave the same
+        // placement after every event.
+        let kind = StrategyKind::Random {
+            seed: 3,
+            variant: RandomVariant::LoadBalanced,
+        };
+        let mk = || {
+            DynamicEngine::with_attacker(
+                params(31, 2_000, 3, 2, 3),
+                kind.clone(),
+                34,
+                DynamicConfig::default(),
+                NoAttack,
+            )
+            .unwrap()
+        };
+        let mut flat = mk().with_topology(Topology::flat(34)).unwrap();
+        let mut plain = mk();
+        let trace = ChurnSpec::new("dyn-cursor", 34, 31, 20).generate();
+        let mut arrivals = 0;
+        for event in &trace.events {
+            let event = ClusterEvent::from(event);
+            let a = flat.apply(event).unwrap();
+            let b = plain.apply(event).unwrap();
+            assert_eq!(a, b, "{event:?}");
+            assert_eq!(flat.placement(), plain.placement(), "{event:?}");
+            arrivals += usize::from(!event.is_departure() && a.moved > 0);
+        }
+        assert!(arrivals >= 3, "trace too short to exercise arrivals");
+    }
+
+    #[test]
+    fn golden_repair_digests() {
+        // Digests recorded when every arrival scan restarted at object 0:
+        // the per-donor cursor must hand over the very same objects.
+        let kind = StrategyKind::Random {
+            seed: 0x5eed,
+            variant: RandomVariant::LoadBalanced,
+        };
+        let mut engine = DynamicEngine::with_attacker(
+            params(71, 20_000, 3, 2, 3),
+            kind,
+            75,
+            DynamicConfig::default(),
+            NoAttack,
+        )
+        .unwrap();
+        assert_eq!(placement_digest(engine.placement()), 0xbad8_06e5_1ae8_9d06);
+        let steps = [
+            (ClusterEvent::Fail { node: 5 }, 845, 0x477b_336f_2e5b_9a0f),
+            (ClusterEvent::Join { node: 71 }, 845, 0x0f8f_3a85_4689_68c0),
+            (
+                ClusterEvent::Recover { node: 5 },
+                833,
+                0x09fb_53b9_6325_32e3,
+            ),
+            (ClusterEvent::Leave { node: 40 }, 833, 0x4d57_b402_1fd2_484f),
+            (ClusterEvent::Join { node: 72 }, 833, 0x6ce8_a5d4_fe62_c863),
+        ];
+        for (event, moved, digest) in steps {
+            let step = engine.apply(event).unwrap();
+            engine.validate().unwrap();
+            assert_eq!(step.action, RepairAction::Repaired, "{event:?}");
+            assert_eq!(step.moved, moved, "{event:?}");
+            assert_eq!(placement_digest(engine.placement()), digest, "{event:?}");
+        }
     }
 
     #[test]
