@@ -4,11 +4,10 @@
 //! ladder group and the quality ablation.
 //!
 //! Besides the criterion measurements, the run writes a
-//! `BENCH_adversary.json` snapshot (override the path with the
-//! `BENCH_ADVERSARY_OUT` environment variable) recording median
-//! evaluation times for both the scalar and packed series — so the
-//! kernel's speedup is committed alongside the code and CI's
-//! `bench_regression` gate can hold the line on it.
+//! `BENCH_adversary.json` snapshot (into `BENCH_OUT_DIR` when set)
+//! recording median evaluation times for both the scalar and packed
+//! series — so the kernel's speedup is committed alongside the code and
+//! CI's `bench_regression` gate can hold the line on it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -16,7 +15,7 @@ use wcp_adversary::{
     exact_worst_with, greedy_worst_with, local_search_worst_with, reference, AdversaryConfig,
     AdversaryScratch, Ladder,
 };
-use wcp_bench::{fixture_placement, median_ns};
+use wcp_bench::{attack_snapshot, eval_row, fixture_placement, median_ns};
 use wcp_core::Placement;
 
 /// The churn acceptance shape from ROADMAP/PR 3: n=71, b=1200, r=3.
@@ -132,30 +131,31 @@ fn bench_fig7_scale_ladder(c: &mut Criterion) {
 /// snapshot the CI regression gate consumes.
 fn write_snapshot(placement: &Placement, s: u16, k: u16, cfg: &AdversaryConfig) {
     let mut scratch = AdversaryScratch::new();
-    let series: Vec<(&str, u128)> = vec![
-        (
+    let mut snapshot = attack_snapshot(placement, s, k);
+    snapshot.rows = vec![
+        eval_row(
             "scalar_greedy",
             median_ns(|| reference::greedy_worst_with(placement, s, k, &mut scratch).failed),
         ),
-        (
+        eval_row(
             "packed_greedy",
             median_ns(|| greedy_worst_with(placement, s, k, &mut scratch).failed),
         ),
-        (
+        eval_row(
             "scalar_local_search",
             median_ns(|| {
                 reference::local_search_worst_with(placement, s, k, cfg, &mut scratch).failed
             }),
         ),
-        (
+        eval_row(
             "packed_local_search",
             median_ns(|| local_search_worst_with(placement, s, k, cfg, &mut scratch).failed),
         ),
-        (
+        eval_row(
             "scalar_ladder",
             median_ns(|| scalar_ladder(placement, s, k, cfg, &mut scratch)),
         ),
-        (
+        eval_row(
             "packed_ladder",
             median_ns(|| {
                 Ladder::new(cfg)
@@ -166,52 +166,7 @@ fn write_snapshot(placement: &Placement, s: u16, k: u16, cfg: &AdversaryConfig) 
             }),
         ),
     ];
-    let lookup = |name: &str| {
-        series
-            .iter()
-            .find(|(nm, _)| *nm == name)
-            .map(|&(_, ns)| ns as f64)
-            .expect("series present")
-    };
-    let speedup_ladder = lookup("scalar_ladder") / lookup("packed_ladder").max(1.0);
-    let speedup_local = lookup("scalar_local_search") / lookup("packed_local_search").max(1.0);
-    let speedup_greedy = lookup("scalar_greedy") / lookup("packed_greedy").max(1.0);
-    let entries: Vec<String> = series
-        .iter()
-        .map(|(name, ns)| {
-            format!(
-                "  {{\"name\": {name:?}, \"median_ns\": {ns}, \"evals_per_second\": {:.1}}}",
-                1e9 / (*ns as f64).max(1.0)
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n\"shape\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {s}, \"k\": {k}}},\n",
-            "\"series\": [\n{}\n],\n",
-            "\"speedup_ladder\": {:.2},\n",
-            "\"speedup_local_search\": {:.2},\n",
-            "\"speedup_greedy\": {:.2}\n}}\n"
-        ),
-        placement.num_nodes(),
-        placement.num_objects(),
-        placement.replicas_per_object(),
-        entries.join(",\n"),
-        speedup_ladder,
-        speedup_local,
-        speedup_greedy,
-        s = s,
-        k = k,
-    );
-    let path = wcp_bench::snapshot_out("BENCH_ADVERSARY_OUT", "BENCH_adversary.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} (ladder speedup {speedup_ladder:.2}x, \
-             local-search {speedup_local:.2}x, greedy {speedup_greedy:.2}x)",
-            path.display()
-        ),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("adversary", &snapshot);
 }
 
 criterion_group!(benches, bench_kernel_vs_scalar, bench_fig7_scale_ladder);

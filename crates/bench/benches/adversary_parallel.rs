@@ -4,21 +4,20 @@
 //! at k=5 under the frontier-parallel branch-and-bound.
 //!
 //! Besides the criterion measurements, the run writes a
-//! `BENCH_adversary_parallel.json` snapshot (override the path with the
-//! `BENCH_ADVERSARY_PARALLEL_OUT` environment variable) in the same
-//! `series[].{name, median_ns}` schema `bench_regression` parses, so
-//! CI's 25% gate covers the parallel path and the committed snapshot
-//! pins the ≥2× four-thread target against the PR 4 serial kernel
-//! (asserted by a unit test in `wcp_bench::regression`, not in CI —
-//! the CI box exposes a single core).
+//! `BENCH_adversary_parallel.json` snapshot (into `BENCH_OUT_DIR` when
+//! set), so CI's 25% gate covers the parallel path and the exact k=5
+//! optimum (the `exact_k5_t4` row's `failed` answer) must match the
+//! baseline. The committed snapshot pins the ≥2× four-thread target
+//! against the PR 4 serial kernel (asserted by a unit test in
+//! `wcp_bench::regression`, not in CI — the CI box exposes a single
+//! core).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 use wcp_adversary::{
     exact_worst_parallel, local_search_worst_with, AdversaryConfig, AdversaryScratch, Ladder,
 };
-use wcp_bench::{fixture_placement, median_ns, snapshot_out};
+use wcp_bench::{attack_snapshot, eval_row, fixture_placement, median3_ns, median_ns};
 use wcp_core::{Parallelism, Placement};
 
 /// The churn acceptance shape from ROADMAP/PR 3: n=71, b=1200, r=3.
@@ -59,28 +58,16 @@ fn bench_parallel_ladder(c: &mut Criterion) {
     write_snapshot(&placement, s, k);
 }
 
-/// Median of three timed runs — for the seconds-scale exact k=5 series,
-/// where `median_ns`'s nine batched samples would dominate the bench's
-/// wall time without improving a measurement this long.
-fn median3_ns(mut one: impl FnMut() -> u64) -> u128 {
-    let mut samples: Vec<u128> = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(one());
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[1]
-}
-
 /// Records the ladder medians at 1/half/all/4 threads and the exact
 /// k=5 feasibility run into the JSON snapshot the CI gate consumes.
 fn write_snapshot(placement: &Placement, s: u16, k: u16) {
     let mut scratch = AdversaryScratch::new();
     let available = Parallelism::default().threads();
     let half = available.div_ceil(2).max(1);
-    let mut series: Vec<(String, u128)> = Vec::new();
+    let mut snapshot = attack_snapshot(placement, s, k);
+    snapshot
+        .shape
+        .push(("threads_available".to_string(), available.into()));
     for (label, threads) in [
         ("ladder_t1", 1),
         ("ladder_t_half", half),
@@ -95,7 +82,9 @@ fn write_snapshot(placement: &Placement, s: u16, k: u16) {
                 .worst
                 .failed
         });
-        series.push((format!("{label} (threads={threads})"), ns));
+        snapshot
+            .rows
+            .push(eval_row(format!("{label} (threads={threads})"), ns));
     }
 
     // Exact-rung feasibility at k=5 on the acceptance shape: LS seeds
@@ -111,44 +100,10 @@ fn write_snapshot(placement: &Placement, s: u16, k: u16) {
         exact_k5_failed = wc.failed.max(seed);
         exact_k5_failed
     });
-    series.push(("exact_k5_t4 (threads=4)".to_string(), exact_k5_ns));
-
-    let entries: Vec<String> = series
-        .iter()
-        .map(|(name, ns)| {
-            format!(
-                "  {{\"name\": {name:?}, \"median_ns\": {ns}, \"evals_per_second\": {:.1}}}",
-                1e9 / (*ns as f64).max(1.0)
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n\"shape\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {s}, \"k\": {k}}},\n",
-            "\"threads_available\": {},\n",
-            "\"exact_k5_failed\": {},\n",
-            "\"series\": [\n{}\n]\n}}\n"
-        ),
-        placement.num_nodes(),
-        placement.num_objects(),
-        placement.replicas_per_object(),
-        available,
-        exact_k5_failed,
-        entries.join(",\n"),
-        s = s,
-        k = k,
+    snapshot.rows.push(
+        eval_row("exact_k5_t4 (threads=4)", exact_k5_ns).answer("failed", exact_k5_failed.into()),
     );
-    let path = snapshot_out(
-        "BENCH_ADVERSARY_PARALLEL_OUT",
-        "BENCH_adversary_parallel.json",
-    );
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} (threads available: {available}, exact k=5 failed: {exact_k5_failed})",
-            path.display()
-        ),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("adversary_parallel", &snapshot);
 }
 
 criterion_group!(benches, bench_parallel_ladder);

@@ -7,15 +7,14 @@
 //! indirection costs when every unit is one leaf), and the domain
 //! ladder on a 12-rack topology (the correlated-failure workload this
 //! bench exists to gate). Besides the criterion measurements, the run
-//! writes a `BENCH_domains.json` snapshot (override the path with the
-//! `BENCH_DOMAINS_OUT` environment variable) that CI's
-//! `bench_regression` gate compares against the committed baseline at
-//! the 25% threshold.
+//! writes a `BENCH_domains.json` snapshot (into `BENCH_OUT_DIR` when
+//! set) that CI's `bench_regression` gate compares against the
+//! committed baseline at the 25% threshold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wcp_adversary::{AdversaryConfig, Ladder};
-use wcp_bench::{fixture_placement, median_ns};
+use wcp_bench::{attack_snapshot, eval_row, fixture_placement, median_ns};
 use wcp_core::{Placement, Topology};
 
 /// The churn/adversary acceptance shape: n=71, b=1200, r=3.
@@ -71,12 +70,16 @@ fn write_snapshot(
     k: u16,
     cfg: &AdversaryConfig,
 ) {
-    let series: Vec<(&str, u128)> = vec![
-        (
+    let mut snapshot = attack_snapshot(placement, s, k);
+    snapshot
+        .shape
+        .push(("racks".to_string(), racks.domains_at(1).into()));
+    snapshot.rows = vec![
+        eval_row(
             "node_ladder",
             median_ns(|| Ladder::new(cfg).run(placement, s, k).worst.failed),
         ),
-        (
+        eval_row(
             "flat_domain_ladder",
             median_ns(|| {
                 Ladder::new(cfg)
@@ -85,7 +88,7 @@ fn write_snapshot(
                     .failed
             }),
         ),
-        (
+        eval_row(
             "rack_domain_ladder",
             median_ns(|| {
                 Ladder::new(cfg)
@@ -95,53 +98,7 @@ fn write_snapshot(
             }),
         ),
     ];
-    let lookup = |name: &str| {
-        series
-            .iter()
-            .find(|(nm, _)| *nm == name)
-            .map(|&(_, ns)| ns as f64)
-            .expect("series present")
-    };
-    // The unit indirection's cost on the flat topology, and how much a
-    // real rack tree costs relative to flat — the two ratios the README
-    // documents.
-    let flat_overhead = lookup("flat_domain_ladder") / lookup("node_ladder").max(1.0);
-    let rack_vs_flat = lookup("rack_domain_ladder") / lookup("flat_domain_ladder").max(1.0);
-    let entries: Vec<String> = series
-        .iter()
-        .map(|(name, ns)| {
-            format!(
-                "  {{\"name\": {name:?}, \"median_ns\": {ns}, \"evals_per_second\": {:.1}}}",
-                1e9 / (*ns as f64).max(1.0)
-            )
-        })
-        .collect();
-    let json = format!(
-        concat!(
-            "{{\n\"shape\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {s}, \"k\": {k}, ",
-            "\"racks\": {}}},\n",
-            "\"series\": [\n{}\n],\n",
-            "\"flat_overhead\": {:.2},\n",
-            "\"rack_vs_flat\": {:.2}\n}}\n"
-        ),
-        placement.num_nodes(),
-        placement.num_objects(),
-        placement.replicas_per_object(),
-        racks.domains_at(1),
-        entries.join(",\n"),
-        flat_overhead,
-        rack_vs_flat,
-        s = s,
-        k = k,
-    );
-    let path = wcp_bench::snapshot_out("BENCH_DOMAINS_OUT", "BENCH_domains.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} (flat overhead {flat_overhead:.2}x, rack vs flat {rack_vs_flat:.2}x)",
-            path.display()
-        ),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("domains", &snapshot);
 }
 
 criterion_group!(benches, bench_domain_vs_flat);

@@ -4,19 +4,17 @@
 //!
 //! Besides the criterion measurement (b = 10⁵ only — a b = 10⁶ build
 //! dominates criterion's warmup budget), the run writes a
-//! `BENCH_scale.json` snapshot (override the path with the
-//! `BENCH_SCALE_OUT` environment variable) in the
-//! `scale[].{name, b, median_ns, evals_per_second, peak_rss_bytes}`
-//! schema `bench_regression` parses, so CI's 25% gate covers the scale
-//! regime and the committed snapshot pins the ≤ 2 GiB peak-RSS
-//! acceptance budget (asserted by a unit test in
-//! `wcp_bench::regression`).
+//! `BENCH_scale.json` snapshot (into `BENCH_OUT_DIR` when set) whose
+//! rows carry `b`, `evals_per_second` and `peak_rss_bytes` as metrics,
+//! so CI's 25% gate covers the scale regime and the committed snapshot
+//! pins the ≤ 2 GiB peak-RSS acceptance budget (asserted by a unit test
+//! in `wcp_bench::regression`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 use wcp_adversary::{AdversaryConfig, AdversaryScratch, Ladder};
-use wcp_bench::{fixture_placement, median_ns, peak_rss_bytes, snapshot_out};
+use wcp_bench::{eval_row, fixture_placement, median3_ns, median_ns, peak_rss_bytes};
+use wcp_sim::bench::BenchSnapshot;
 
 fn bench_scale_ladder(c: &mut Criterion) {
     let placement = fixture_placement(71, 100_000, 3);
@@ -40,28 +38,19 @@ fn bench_scale_ladder(c: &mut Criterion) {
     write_snapshot(s, k, &config);
 }
 
-/// Median of three timed runs — for the seconds-scale b = 10⁶ series,
-/// where `median_ns`'s nine batched samples would dominate the bench's
-/// wall time without improving a measurement this long.
-fn median3_ns(mut one: impl FnMut() -> u64) -> u128 {
-    let mut samples: Vec<u128> = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(one());
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[1]
-}
-
 /// Records the ladder medians and peak RSS at both scale shapes into the
 /// JSON snapshot the CI gate consumes. Shapes run in ascending `b`:
 /// `VmHWM` is a process-lifetime high-water mark, so each reading is
 /// dominated by the largest shape run so far.
 fn write_snapshot(s: u16, k: u16, config: &AdversaryConfig) {
     let mut scratch = AdversaryScratch::new();
-    let mut entries: Vec<String> = Vec::new();
+    let mut snapshot = BenchSnapshot::new([
+        ("n", 71u16.into()),
+        ("r", 3u16.into()),
+        ("s", s.into()),
+        ("k", k.into()),
+        ("hist_threshold", config.hist_threshold.into()),
+    ]);
     for (name, b, seconds_scale) in [
         ("ladder_b100k", 100_000u64, false),
         ("ladder_b1m", 1_000_000, true),
@@ -80,28 +69,13 @@ fn write_snapshot(s: u16, k: u16, config: &AdversaryConfig) {
             median_ns(one)
         };
         let rss = peak_rss_bytes().unwrap_or(0);
-        entries.push(format!(
-            "  {{\"name\": {name:?}, \"b\": {b}, \"median_ns\": {ns}, \
-             \"evals_per_second\": {:.3}, \"peak_rss_bytes\": {rss}}}",
-            1e9 / (ns as f64).max(1.0)
-        ));
+        snapshot.rows.push(
+            eval_row(name, ns)
+                .metric("b", b as f64)
+                .metric("peak_rss_bytes", rss as f64),
+        );
     }
-    let json = format!(
-        concat!(
-            "{{\n\"shape\": {{\"n\": 71, \"r\": 3, \"s\": {s}, \"k\": {k}}},\n",
-            "\"hist_threshold\": {},\n",
-            "\"scale\": [\n{}\n]\n}}\n"
-        ),
-        config.hist_threshold,
-        entries.join(",\n"),
-        s = s,
-        k = k,
-    );
-    let path = snapshot_out("BENCH_SCALE_OUT", "BENCH_scale.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("scale", &snapshot);
 }
 
 criterion_group!(benches, bench_scale_ladder);

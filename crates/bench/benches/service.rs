@@ -4,13 +4,12 @@
 //!
 //! Besides the criterion measurement (static b = 10⁵ snapshot — the
 //! b = 10⁶ closed loop dominates criterion's warmup budget), the run
-//! writes a `BENCH_service.json` snapshot (override the path with the
-//! `BENCH_SERVICE_OUT` environment variable) in the
-//! `service[].{name, threads, median_ns, lookups_per_second,
-//! p99_staleness_epochs, peak_rss_bytes}` schema `bench_regression`
-//! parses, so CI's 25% gate covers the serving layer and the committed
-//! snapshot pins the ≥ 1M lookups/s single-threaded acceptance floor
-//! (asserted by a unit test in `wcp_bench::regression`).
+//! writes a `BENCH_service.json` snapshot (into `BENCH_OUT_DIR` when
+//! set) whose rows carry `threads`, `lookups_per_second`,
+//! `p99_staleness_epochs` and `peak_rss_bytes` as metrics, so CI's 25%
+//! gate covers the serving layer and the committed snapshot pins the
+//! ≥ 1M lookups/s single-threaded acceptance floor (asserted by a unit
+//! test in `wcp_bench::regression`).
 //!
 //! The closed-loop rows (`closed_loop_t1` / `_t_half` / `_t_all`) run
 //! that many reader threads over YCSB-style zipf request tables while
@@ -23,13 +22,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use wcp_bench::{fixture_placement, peak_rss_bytes, snapshot_out};
+use wcp_bench::{fixture_placement, peak_rss_bytes};
 use wcp_core::engine::ExhaustiveAttacker;
 use wcp_core::{
     ClusterEvent, DynamicConfig, DynamicEngine, RandomVariant, StrategyKind, SystemParams,
 };
 use wcp_service::runtime::{fan_out, serve};
 use wcp_service::{ServiceConfig, ServiceEvent, Snapshot};
+use wcp_sim::bench::{BenchRow, BenchSnapshot};
 use wcp_sim::workload::ZipfSpec;
 
 /// The acceptance shape: the n = 71 cluster at one million objects.
@@ -133,7 +133,7 @@ fn write_snapshot() {
         ("closed_loop_t_half", (all / 2).max(2)),
         ("closed_loop_t_all", all.max(3)),
     ];
-    let mut entries: Vec<String> = Vec::new();
+    let mut snapshot = BenchSnapshot::new([("n", N.into()), ("b", B.into()), ("r", R.into())]);
     for (name, threads) in ladder {
         let mut samples: Vec<(u64, f64, u64)> = (0..3).map(|_| closed_loop(threads)).collect();
         samples.sort_by(|a, b| {
@@ -146,27 +146,15 @@ fn write_snapshot() {
         // Per-lookup cost on one reader thread: the gate's timing.
         let ns = 1e9 * threads as f64 / rate.max(1e-9);
         let rss = peak_rss_bytes().unwrap_or(0);
-        entries.push(format!(
-            "  {{\"name\": {name:?}, \"threads\": {threads}, \"median_ns\": {ns:.3}, \
-             \"lookups_per_second\": {rate:.0}, \"p99_staleness_epochs\": {p99}, \
-             \"peak_rss_bytes\": {rss}}}"
-        ));
+        snapshot.rows.push(
+            BenchRow::new(name, ns)
+                .metric("threads", threads as f64)
+                .metric("lookups_per_second", rate)
+                .metric("p99_staleness_epochs", p99 as f64)
+                .metric("peak_rss_bytes", rss as f64),
+        );
     }
-    let json = format!(
-        concat!(
-            "{{\n\"shape\": {{\"n\": {n}, \"b\": {b}, \"r\": {r}}},\n",
-            "\"service\": [\n{entries}\n]\n}}\n"
-        ),
-        n = N,
-        b = B,
-        r = R,
-        entries = entries.join(",\n"),
-    );
-    let path = snapshot_out("BENCH_SERVICE_OUT", "BENCH_service.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("service", &snapshot);
 }
 
 criterion_group!(benches, bench_service_lookup);

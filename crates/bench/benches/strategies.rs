@@ -4,15 +4,16 @@
 //! the whole surface, not just individual hot paths.
 //!
 //! Besides the criterion measurements, the run writes a
-//! `BENCH_strategies.json` snapshot (override the path with the
-//! `BENCH_OUT` environment variable) recording, per strategy: the
-//! claimed lower bound, the measured worst-case availability, whether
-//! the adversary was exact, and the median end-to-end pipeline cost.
+//! `BENCH_strategies.json` snapshot (into `BENCH_OUT_DIR` when set)
+//! with one row per strategy: the median end-to-end pipeline cost, and
+//! as answers the claimed lower bound, the measured worst-case
+//! availability and whether the adversary was exact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use wcp_core::{Engine, StrategyKind, SystemParams};
+use wcp_sim::bench::{BenchRow, BenchSnapshot};
 
 /// One parameter set, small enough that the engine's exhaustive
 /// attacker is exact (C(13, 3) = 286 failure sets), so the sweep
@@ -45,7 +46,13 @@ fn bench_strategy_sweep(c: &mut Criterion) {
 /// snapshot.
 fn write_snapshot(engine: &Engine, params: &SystemParams) {
     const RUNS: usize = 5;
-    let mut entries = Vec::new();
+    let mut snapshot = BenchSnapshot::new([
+        ("n", params.n().into()),
+        ("b", params.b().into()),
+        ("r", params.r().into()),
+        ("s", params.s().into()),
+        ("k", params.k().into()),
+    ]);
     for kind in StrategyKind::all(params) {
         let mut costs: Vec<u128> = (0..RUNS)
             .map(|_| {
@@ -56,33 +63,14 @@ fn write_snapshot(engine: &Engine, params: &SystemParams) {
             .collect();
         costs.sort_unstable();
         let report = engine.evaluate(&kind).expect("evaluates");
-        entries.push(format!(
-            concat!(
-                "  {{\"strategy\": {:?}, \"lower_bound\": {}, ",
-                "\"measured_availability\": {}, \"exact\": {}, ",
-                "\"median_pipeline_ns\": {}}}"
-            ),
-            report.strategy,
-            report.lower_bound,
-            report.measured_availability,
-            report.exact,
-            costs[RUNS / 2]
-        ));
+        snapshot.rows.push(
+            BenchRow::new(report.strategy, costs[RUNS / 2] as f64)
+                .answer("lower_bound", report.lower_bound.into())
+                .answer("measured_availability", report.measured_availability.into())
+                .answer("exact", report.exact.into()),
+        );
     }
-    let json = format!(
-        "{{\n\"params\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {}, \"k\": {}}},\n\"strategies\": [\n{}\n]\n}}\n",
-        params.n(),
-        params.b(),
-        params.r(),
-        params.s(),
-        params.k(),
-        entries.join(",\n")
-    );
-    let path = wcp_bench::snapshot_out("BENCH_OUT", "BENCH_strategies.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("strategies", &snapshot);
 }
 
 criterion_group!(benches, bench_strategy_sweep);

@@ -3,10 +3,10 @@
 //! full adversary ladder (`SweepAdversary`, scratch reuse on).
 //!
 //! Besides the criterion measurements, the run writes a
-//! `BENCH_sweep.json` snapshot (override the path with the
-//! `BENCH_SWEEP_OUT` environment variable) so future PRs can track
-//! sweep throughput the same way `BENCH_strategies.json` tracks the
-//! per-strategy pipeline.
+//! `BENCH_sweep.json` snapshot (into `BENCH_OUT_DIR` when set) so
+//! future PRs can track sweep throughput the same way
+//! `BENCH_strategies.json` tracks the per-strategy pipeline. CI records
+//! it without gating it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -14,6 +14,7 @@ use std::time::Instant;
 use wcp_adversary::SweepAdversary;
 use wcp_core::sweep::{sweep_with, SweepOptions, SweepSpec};
 use wcp_core::StrategyKind;
+use wcp_sim::bench::{BenchRow, BenchSnapshot};
 
 /// The benchmark grid: every strategy family over a small n so each
 /// cell stays cheap and the cell count (not one giant cell) dominates.
@@ -71,33 +72,28 @@ fn bench_sweep_throughput(c: &mut Criterion) {
 fn write_snapshot(spec: &SweepSpec) {
     const RUNS: usize = 5;
     let cells = spec.cells().len();
-    let mut entries = Vec::new();
+    let mut snapshot = BenchSnapshot::new([
+        ("label", spec.label.as_str().into()),
+        ("cells", cells.into()),
+    ]);
     for threads in thread_points() {
-        let mut secs: Vec<f64> = (0..RUNS)
+        let mut ns: Vec<u128> = (0..RUNS)
             .map(|_| {
                 let t = Instant::now();
                 let records = sweep_with(spec, &options(threads), SweepAdversary::new);
                 assert_eq!(records.len(), cells);
-                t.elapsed().as_secs_f64()
+                t.elapsed().as_nanos()
             })
             .collect();
-        secs.sort_by(f64::total_cmp);
-        let median = secs[RUNS / 2];
-        entries.push(format!(
-            "  {{\"threads\": {threads}, \"median_seconds\": {median:.6}, \"cells_per_second\": {:.1}}}",
-            cells as f64 / median.max(1e-12),
-        ));
+        ns.sort_unstable();
+        let median = ns[RUNS / 2].max(1) as f64;
+        snapshot.rows.push(
+            BenchRow::new(format!("threads_{threads}"), median)
+                .metric("threads", threads as f64)
+                .metric("cells_per_second", cells as f64 * 1e9 / median),
+        );
     }
-    let json = format!(
-        "{{\n\"label\": {:?},\n\"cells\": {cells},\n\"throughput\": [\n{}\n]\n}}\n",
-        spec.label,
-        entries.join(",\n"),
-    );
-    let path = wcp_bench::snapshot_out("BENCH_SWEEP_OUT", "BENCH_sweep.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
+    wcp_bench::write_snapshot("sweep", &snapshot);
 }
 
 criterion_group!(benches, bench_sweep_throughput);

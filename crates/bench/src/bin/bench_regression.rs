@@ -1,36 +1,36 @@
 //! `bench_regression` — the CI gate over benchmark snapshots.
 //!
-//! Compares a fresh snapshot (`BENCH_strategies.json`,
-//! `BENCH_adversary.json`, `BENCH_adversary_parallel.json`, … — every
-//! schema is understood) against the committed baseline and exits
+//! Compares a fresh `BENCH_*.json` snapshot against its committed
+//! baseline — both in the one [`BenchSnapshot`] shape — and exits
 //! non-zero when any family's mean time regressed beyond the threshold
 //! (default 25%), when a family vanished from the fresh snapshot, or
-//! when a strategy in both engine-sweep snapshots changed one of its
-//! deterministic answers (`lower_bound`, `measured_availability`,
-//! `exact`):
+//! when a row in both snapshots changed one of its deterministic
+//! `answers`:
 //!
 //! ```text
-//! bench_regression crates/bench/BENCH_strategies.json fresh.json --threshold 25
-//! bench_regression crates/bench/BENCH_adversary.json fresh-adv.json --threshold 25
+//! BENCH_OUT_DIR=fresh cargo bench -p wcp-bench --bench adversary
+//! bench_regression crates/bench/BENCH_adversary.json crates/bench/fresh/BENCH_adversary.json --threshold 25
 //! ```
 //!
-//! Snapshot paths that don't exist as written are re-anchored at this
-//! crate's manifest directory (and the workspace root) before the gate
-//! gives up — benches resolve their default output the same way, so a
-//! gate invoked from the wrong directory still finds the real files
-//! instead of silently comparing nothing. A baseline that cannot be
-//! found anywhere is a hard error: a vacuous gate must not pass.
+//! A baseline path that does not exist as written is re-anchored at
+//! this crate's manifest directory (and the workspace root), where the
+//! committed baselines live, so the gate finds them from any working
+//! directory. The current snapshot gets no such help: it must exist
+//! exactly where it was written, because fresh snapshots carry their
+//! baseline's file name and re-anchoring one would gate the baseline
+//! against itself. For the same reason a baseline and a current that
+//! resolve to the same file are an error. A vacuous gate must not pass.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wcp_bench::regression::{answer_mismatches, compare};
+use wcp_sim::bench::BenchSnapshot;
 
-/// Resolves a snapshot argument to an existing file: the path as
+/// Resolves the baseline argument to an existing file: the path as
 /// written, else (for relative paths) re-anchored at the bench crate's
 /// manifest directory, the workspace root, or — as a last resort — the
-/// bare file name inside the manifest directory, where every committed
-/// `BENCH_*.json` baseline lives.
-fn resolve(path: &str) -> Result<PathBuf, String> {
+/// bare file name inside the manifest directory.
+fn resolve_baseline(path: &str) -> Result<PathBuf, String> {
     let direct = Path::new(path);
     if direct.exists() {
         return Ok(direct.to_path_buf());
@@ -60,6 +60,13 @@ fn resolve(path: &str) -> Result<PathBuf, String> {
     ))
 }
 
+/// Reads and parses one snapshot.
+fn load(path: &Path) -> Result<BenchSnapshot, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    BenchSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn run(args: &[String]) -> Result<bool, String> {
     let mut paths = Vec::new();
     let mut threshold_pct = 25.0f64;
@@ -85,20 +92,33 @@ fn run(args: &[String]) -> Result<bool, String> {
             "usage: bench_regression <baseline.json> <current.json> [--threshold PCT]".to_string(),
         );
     };
-    let read = |path: &str| {
-        let resolved = resolve(path)?;
-        std::fs::read_to_string(&resolved)
-            .map_err(|e| format!("cannot read {}: {e}", resolved.display()))
+    let baseline_file = resolve_baseline(baseline_path)?;
+    let current_file = PathBuf::from(current_path);
+    if !current_file.exists() {
+        return Err(format!(
+            "current snapshot '{current_path}' is absent — was the bench run, \
+             and did it write there? A gate without a fresh snapshot is vacuous"
+        ));
+    }
+    let same = |a: &Path, b: &Path| match (a.canonicalize(), b.canonicalize()) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => false,
     };
-    let (baseline, current) = (read(baseline_path)?, read(current_path)?);
-    let deltas = compare(&baseline, &current)?;
+    if same(&baseline_file, &current_file) {
+        return Err(format!(
+            "baseline and current snapshot are the same file ({}): the gate \
+             would compare the baseline with itself",
+            baseline_file.display()
+        ));
+    }
+    let (baseline, current) = (load(&baseline_file)?, load(&current_file)?);
     let threshold = threshold_pct / 100.0;
     let mut failed = false;
     println!(
         "{:<12} {:>14} {:>14} {:>9}  gate(±{threshold_pct}%)",
         "family", "baseline_ns", "current_ns", "change"
     );
-    for d in &deltas {
+    for d in &compare(&baseline, &current) {
         let regressed = d.regressed(threshold);
         failed |= regressed;
         let (current, change) = match (d.current_ns, d.change) {
@@ -114,11 +134,11 @@ fn run(args: &[String]) -> Result<bool, String> {
             if regressed { "FAIL" } else { "ok" }
         );
     }
-    for m in answer_mismatches(&baseline, &current)? {
+    for m in answer_mismatches(&baseline, &current) {
         failed = true;
         println!(
             "{}: {} changed from {} to {}  FAIL",
-            m.strategy, m.field, m.baseline, m.current
+            m.row, m.field, m.baseline, m.current
         );
     }
     Ok(failed)
@@ -153,17 +173,28 @@ mod tests {
             .to_string()
     }
 
+    /// A copy of a committed snapshot under a fresh directory, as a
+    /// bench run with `BENCH_OUT_DIR` would leave it.
+    fn fresh_copy(name: &str, tag: &str) -> String {
+        let dir =
+            std::env::temp_dir().join(format!("wcp-bench-regression-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::copy(committed(name), &path).unwrap();
+        path.display().to_string()
+    }
+
     #[test]
-    fn gate_accepts_a_snapshot_against_itself() {
-        let base = committed("BENCH_adversary.json");
-        assert_eq!(run(&[base.clone(), base]), Ok(false));
+    fn gate_accepts_a_fresh_copy_of_its_baseline() {
+        let fresh = fresh_copy("BENCH_adversary.json", "accept");
+        assert_eq!(run(&[committed("BENCH_adversary.json"), fresh]), Ok(false));
     }
 
     #[test]
     fn missing_baseline_is_a_loud_error_not_a_pass() {
         let err = run(&[
             "no/such/dir/BENCH_definitely_absent.json".to_string(),
-            committed("BENCH_adversary.json"),
+            fresh_copy("BENCH_adversary.json", "missing-baseline"),
         ])
         .unwrap_err();
         assert!(err.contains("absent"), "error must name the problem: {err}");
@@ -178,25 +209,51 @@ mod tests {
     }
 
     #[test]
-    fn relative_paths_reanchor_at_the_manifest_dir() {
-        // The ci.yml idiom: a workspace-root-relative path works no
-        // matter which directory the gate binary runs from, because the
-        // bare file name re-anchors at the crate's manifest directory.
-        let resolved = resolve("crates/bench/BENCH_adversary.json").expect("resolves");
+    fn missing_current_snapshot_is_not_reanchored_onto_the_baseline() {
+        // A fresh snapshot that was never written must not resolve to the
+        // committed file of the same name: that gated the baseline
+        // against itself and passed.
+        let err = run(&[
+            "crates/bench/BENCH_adversary.json".to_string(),
+            "out/BENCH_adversary.json".to_string(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("absent"), "{err}");
+        assert!(err.contains("out/BENCH_adversary.json"), "{err}");
+    }
+
+    #[test]
+    fn baseline_and_current_may_not_be_the_same_file() {
+        let base = committed("BENCH_adversary.json");
+        let err = run(&[base.clone(), base]).unwrap_err();
+        assert!(err.contains("same file"), "{err}");
+    }
+
+    #[test]
+    fn relative_baselines_reanchor_at_the_manifest_dir() {
+        // The ci.yml idiom: a workspace-root-relative baseline works no
+        // matter which directory the gate binary runs from.
+        let resolved = resolve_baseline("crates/bench/BENCH_adversary.json").expect("resolves");
         assert!(resolved.exists());
-        let fallback = resolve("some/stale/cwd/BENCH_adversary.json").expect("resolves");
+        let fallback = resolve_baseline("some/stale/cwd/BENCH_adversary.json").expect("resolves");
         assert!(fallback.ends_with("BENCH_adversary.json") && fallback.exists());
     }
 
     #[test]
     fn threshold_validation() {
         let base = committed("BENCH_adversary.json");
-        assert!(run(&[base.clone(), base.clone(), "--threshold".into(), "0".into()]).is_err());
-        assert!(run(&[base.clone(), base.clone(), "--threshold".into(), "x".into()]).is_err());
+        let fresh = fresh_copy("BENCH_adversary.json", "threshold");
+        let with = |pct: &str| {
+            run(&[
+                base.clone(),
+                fresh.clone(),
+                "--threshold".into(),
+                pct.into(),
+            ])
+        };
+        assert!(with("0").is_err());
+        assert!(with("x").is_err());
         assert!(run(&["--threshold".into(), "25".into(), base.clone()]).is_err());
-        assert_eq!(
-            run(&[base.clone(), base, "--threshold".into(), "25".into()]),
-            Ok(false)
-        );
+        assert_eq!(with("25"), Ok(false));
     }
 }

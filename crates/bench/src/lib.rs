@@ -1,5 +1,10 @@
-//! Shared fixtures for the criterion benchmarks, plus the
-//! [`regression`] analysis CI uses to gate on benchmark snapshots.
+//! Shared fixtures for the criterion benchmarks, the one snapshot
+//! writer ([`write_snapshot`]) and sampler ([`median_ns`]) the
+//! `BENCH_*.json` benches share, plus the [`regression`] analysis CI
+//! uses to gate on those snapshots.
+//!
+//! Every snapshot has the one shape of [`wcp_sim::bench::BenchSnapshot`]:
+//! `{"shape": {…}, "rows": [{"name", "median_ns", "answers"?, "metrics"?}]}`.
 //!
 //! The benchmarks measure the computational pieces behind the paper's
 //! experiments: the Combo DP (Sec. III-B1), the design constructions of
@@ -12,7 +17,9 @@
 
 pub mod regression;
 
+use std::path::PathBuf;
 use wcp_core::{Placement, PlannerContext, RandomVariant, StrategyKind, SystemParams};
+use wcp_sim::bench::{BenchRow, BenchSnapshot};
 
 /// A deterministic mid-size random placement for adversary benchmarks,
 /// drawn through the unified strategy API.
@@ -33,17 +40,48 @@ pub fn fixture_placement(n: u16, b: u64, r: u16) -> Placement {
     .expect("fixture placement samples")
 }
 
-/// Resolves the output path for a `BENCH_*.json` snapshot: the
-/// `env_key` override verbatim when set (and non-empty), otherwise
-/// `default_name` anchored at this crate's manifest directory. Snapshot
-/// benches must resolve through this — a bare relative default lands
-/// the file in whatever directory `cargo bench` happened to run from,
-/// and the CI gate then diffs against a stale committed baseline.
+/// An empty snapshot whose shape is the attacked placement's `n`, `b`,
+/// `r` and the adversary's `s`, `k`.
 #[must_use]
-pub fn snapshot_out(env_key: &str, default_name: &str) -> std::path::PathBuf {
-    match std::env::var(env_key) {
-        Ok(path) if !path.is_empty() => std::path::PathBuf::from(path),
-        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(default_name),
+pub fn attack_snapshot(placement: &Placement, s: u16, k: u16) -> BenchSnapshot {
+    BenchSnapshot::new([
+        ("n", placement.num_nodes().into()),
+        ("b", placement.num_objects().into()),
+        ("r", placement.replicas_per_object().into()),
+        ("s", s.into()),
+        ("k", k.into()),
+    ])
+}
+
+/// A row timing one evaluation: its median, and the evaluations per
+/// second that implies as a metric.
+#[must_use]
+pub fn eval_row(name: impl Into<String>, median_ns: u128) -> BenchRow {
+    let ns = median_ns.max(1) as f64;
+    BenchRow::new(name, ns).metric("evals_per_second", 1e9 / ns)
+}
+
+/// Writes `snapshot` as `BENCH_{bench}.json` into the directory named by
+/// `BENCH_OUT_DIR` (created if missing) when that is set and non-empty,
+/// else into this crate's manifest directory, where the committed
+/// baselines live. A relative `BENCH_OUT_DIR` resolves against the bench
+/// executable's working directory, which `cargo bench` sets to this
+/// crate's root.
+///
+/// Exits the process non-zero when the file cannot be written: a bench
+/// run that records nothing must not pass.
+pub fn write_snapshot(bench: &str, snapshot: &BenchSnapshot) {
+    let dir = match std::env::var("BENCH_OUT_DIR") {
+        Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
+        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")),
+    };
+    let path = dir.join(format!("BENCH_{bench}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, snapshot.to_json())) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -88,4 +126,21 @@ pub fn median_ns(mut one: impl FnMut() -> u64) -> u128 {
         .collect();
     samples.sort_unstable();
     samples[SAMPLES / 2]
+}
+
+/// Median of three timed runs, for series that take seconds, where
+/// [`median_ns`]'s nine batched samples would dominate the bench's wall
+/// time without improving a measurement this long.
+pub fn median3_ns(mut one: impl FnMut() -> u64) -> u128 {
+    use std::hint::black_box;
+    use std::time::Instant;
+    let mut samples: Vec<u128> = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(one());
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[1]
 }

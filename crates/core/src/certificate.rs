@@ -23,11 +23,13 @@
 //! were actually searched to exhaustion. That part is guarded by the
 //! kernel-vs-scalar differential suites, not by the certificate.
 //!
-//! The encoding is hand-rolled stable JSON (the workspace cannot fetch
-//! serde); [`Certificate::from_value`] reads it back via
-//! [`wcp_sim::json`]. 64-bit hashes are encoded as `"0x…"` strings
-//! because the JSON number model is `f64` (exact only below 2^53). A
-//! FNV-1a digest over the canonical encoding seals the certificate:
+//! The encoding is a [`wcp_sim::json::Value`] ([`Certificate::to_value`])
+//! with a fixed member order, so its rendering is stable;
+//! [`Certificate::from_value`] reads it back. 64-bit hashes are encoded
+//! as `"0x…"` strings because the JSON number model is `f64` (exact only
+//! below 2^53); every count is below 2^53 because all `b` objects are
+//! materialized. A FNV-1a digest over the rendered body seals the
+//! certificate and is appended as its last member, `digest`:
 //! [`Certificate::from_value`] rejects any document whose digest does
 //! not match its content.
 
@@ -220,71 +222,76 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// The canonical encoding without the digest member (the digest is
-    /// FNV-1a over exactly these bytes).
-    #[must_use]
-    fn body_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"version\": {}, \"kind\": \"{}\", \
-             \"params\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {}, \"k\": {}}}, \
-             \"placement\": \"{}\", \"claimed_failed\": {}, \"exact\": {}, \"rungs\": [",
-            CERTIFICATE_VERSION,
-            self.kind.label(),
-            self.n,
-            self.b,
-            self.r,
-            self.s,
-            self.k,
-            hex(self.placement),
-            self.claimed_failed,
-            self.exact,
-        );
-        for (i, rung) in self.rungs.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"kind\": \"{}\", \"failed\": {}, \"witness\": [{}], \
-                 \"units\": [{}], \"trace\": \"{}\"}}",
-                rung.kind.label(),
-                rung.failed,
-                join(rung.witness.iter()),
-                join(rung.units.iter()),
-                hex(rung.trace),
-            );
-        }
-        out.push_str("], \"ledger\": [");
-        for (i, entry) in self.ledger.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{}, {}]", entry.root, entry.bound);
-        }
-        out.push(']');
-        out
+    /// The canonical body: every member except the digest.
+    fn body(&self) -> Value {
+        let rungs = self
+            .rungs
+            .iter()
+            .map(|rung| {
+                Value::object([
+                    ("kind", rung.kind.label().into()),
+                    ("failed", rung.failed.into()),
+                    ("witness", numbers(&rung.witness)),
+                    ("units", numbers(&rung.units)),
+                    ("trace", hex(rung.trace).into()),
+                ])
+            })
+            .collect();
+        let ledger = self
+            .ledger
+            .iter()
+            .map(|entry| Value::Array(vec![entry.root.into(), entry.bound.into()]))
+            .collect();
+        let params = Value::object([
+            ("n", self.n.into()),
+            ("b", self.b.into()),
+            ("r", self.r.into()),
+            ("s", self.s.into()),
+            ("k", self.k.into()),
+        ]);
+        Value::object([
+            ("version", CERTIFICATE_VERSION.into()),
+            ("kind", self.kind.label().into()),
+            ("params", params),
+            ("placement", hex(self.placement).into()),
+            ("claimed_failed", self.claimed_failed.into()),
+            ("exact", self.exact.into()),
+            ("rungs", Value::Array(rungs)),
+            ("ledger", Value::Array(ledger)),
+        ])
+    }
+
+    /// FNV-1a over the rendered body without its closing `}`: exactly
+    /// the bytes that precede `, "digest": …` in [`Certificate::to_json`].
+    fn seal(body: &Value) -> u64 {
+        let text = body.to_json();
+        let mut h = Fnv::new();
+        h.write_bytes(text.strip_suffix('}').unwrap_or(&text).as_bytes());
+        h.finish()
     }
 
     /// The certificate's seal: FNV-1a over the canonical encoding.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.write_bytes(self.body_json().as_bytes());
-        h.finish()
+        Self::seal(&self.body())
+    }
+
+    /// The certificate as one JSON object, `digest` its last member.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let mut value = self.body();
+        let digest = hex(Self::seal(&value));
+        if let Value::Object(members) = &mut value {
+            members.push(("digest".to_string(), digest.into()));
+        }
+        value
     }
 
     /// Renders the certificate as one stable JSON object, digest
     /// included. Byte-identical for equal certificates.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{}, \"digest\": \"{}\"}}",
-            self.body_json(),
-            hex(self.digest())
-        )
+        self.to_value().to_json()
     }
 
     /// Parses a certificate back from its JSON form.
@@ -357,15 +364,14 @@ impl Certificate {
         }
         let mut ledger = Vec::new();
         for ev in field_array(value, "ledger")? {
-            let pair = ev
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| "ledger entries must be [root, bound] pairs".to_string())?;
-            let root = pair[0]
+            let Some([root, bound]) = ev.as_array() else {
+                return Err("ledger entries must be [root, bound] pairs".to_string());
+            };
+            let root = root
                 .as_u64()
                 .and_then(|x| u32::try_from(x).ok())
                 .ok_or_else(|| "non-u32 ledger root".to_string())?;
-            let bound = pair[1]
+            let bound = bound
                 .as_u64()
                 .ok_or_else(|| "non-u64 ledger bound".to_string())?;
             ledger.push(LedgerEntry { root, bound });
@@ -405,15 +411,8 @@ fn parse_hex(text: &str) -> Option<u64> {
     u64::from_str_radix(text.strip_prefix("0x")?, 16).ok()
 }
 
-fn join<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
-    let mut out = String::new();
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&item.to_string());
-    }
-    out
+fn numbers<T: Copy + Into<Value>>(items: &[T]) -> Value {
+    Value::Array(items.iter().map(|&x| x.into()).collect())
 }
 
 fn field_u64(value: &Value, key: &str) -> Result<u64, String> {
@@ -501,6 +500,33 @@ mod tests {
         assert!(text.contains("\"failed\": 7"), "substitution applied");
         let err = Certificate::from_json(&text).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
+    }
+
+    #[test]
+    fn every_single_byte_mutation_errors_or_parses_back_equal() {
+        // The seal must catch any one-byte corruption of a logged
+        // certificate; the only mutations that may parse are those that
+        // leave the certificate itself unchanged (whitespace, hex case).
+        let cert = sample();
+        let text = cert.to_json();
+        let mut accepted = 0;
+        for pos in 0..text.len() {
+            for byte in 0..=u8::MAX {
+                let mut bytes = text.clone().into_bytes();
+                if bytes[pos] == byte {
+                    continue;
+                }
+                bytes[pos] = byte;
+                let Ok(mutated) = String::from_utf8(bytes) else {
+                    continue;
+                };
+                if let Ok(back) = Certificate::from_json(&mutated) {
+                    assert_eq!(back, cert, "{mutated}");
+                    accepted += 1;
+                }
+            }
+        }
+        assert!(accepted > 0, "whitespace mutations parse back");
     }
 
     #[test]

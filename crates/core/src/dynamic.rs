@@ -74,6 +74,7 @@ use crate::strategy::{PlacementStrategy, PlannerContext, StrategyKind};
 use crate::topology::Topology;
 use crate::{Placement, PlacementError, RandomVariant, SystemParams};
 use std::sync::Arc;
+use wcp_sim::json::Value;
 
 /// A cluster-membership event (the dynamic half of the model; the
 /// static half — what the adversary does between events — is Definition
@@ -275,33 +276,33 @@ pub struct StepReport {
 }
 
 impl StepReport {
-    /// Renders the step as one JSON object (jsonl-friendly).
+    /// The step as one JSON object (jsonl-friendly).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"event\": {{\"kind\": \"{}\", \"node\": {}}}, ",
-                "\"action\": \"{}\", \"active\": {}, ",
-                "\"moved\": {}, \"replan_moved\": {}, ",
-                "\"availability\": {}, \"oracle_availability\": {}, ",
-                "\"exact\": {}, \"oracle_exact\": {}, \"lower_bound\": {}, ",
-                "\"certificate\": {}}}"
+    pub fn to_value(&self) -> Value {
+        Value::object([
+            (
+                "event",
+                Value::object([
+                    ("kind", self.event.label().into()),
+                    ("node", self.event.node().into()),
+                ]),
             ),
-            self.event.label(),
-            self.event.node(),
-            self.action.label(),
-            self.active,
-            self.moved,
-            self.replan_moved,
-            self.availability,
-            self.oracle_availability,
-            self.exact,
-            self.oracle_exact,
-            self.lower_bound,
-            self.certificate
-                .as_ref()
-                .map_or_else(|| "null".to_string(), Certificate::to_json),
-        )
+            ("action", self.action.label().into()),
+            ("active", self.active.into()),
+            ("moved", self.moved.into()),
+            ("replan_moved", self.replan_moved.into()),
+            ("availability", self.availability.into()),
+            ("oracle_availability", self.oracle_availability.into()),
+            ("exact", self.exact.into()),
+            ("oracle_exact", self.oracle_exact.into()),
+            ("lower_bound", self.lower_bound.into()),
+            (
+                "certificate",
+                self.certificate
+                    .as_ref()
+                    .map_or(Value::Null, Certificate::to_value),
+            ),
+        ])
     }
 }
 
@@ -1243,7 +1244,7 @@ mod tests {
     fn step_reports_serialize() {
         let mut engine = ring_engine();
         let step = engine.apply(ClusterEvent::Fail { node: 0 }).unwrap();
-        let json = step.to_json();
+        let json = step.to_value().to_json();
         assert!(json.contains("\"kind\": \"fail\""));
         assert!(json.contains("\"action\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -20,6 +20,7 @@ use crate::strategy::{PlacementStrategy, PlannerContext, StrategyKind};
 use crate::{Placement, PlacementError, SystemParams};
 use std::time::Instant;
 use wcp_combin::KSubsets;
+use wcp_sim::json::Value;
 
 /// The outcome of one adversary run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,11 +148,8 @@ pub struct Timings {
     pub attack_ns: u64,
 }
 
-/// The serializable outcome of one full pipeline run.
-///
-/// Serialization is the hand-rolled [`to_json`](Self::to_json) (the
-/// build environment cannot fetch serde; the format is plain JSON and
-/// stable).
+/// The serializable outcome of one full pipeline run, rendered by
+/// [`to_value`](Self::to_value).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationReport {
     /// The planned strategy's [`PlacementStrategy::name`].
@@ -178,44 +176,62 @@ pub struct EvaluationReport {
 }
 
 impl EvaluationReport {
+    /// The report as a JSON object. `load_stats.mean` is rounded to
+    /// three decimals.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let witness = self.witness.iter().map(|&node| node.into()).collect();
+        // Parsing the `{:.3}` rendering gives the nearest f64 to the
+        // rounded decimal, the number the JSONL has always carried.
+        let mean = format!("{:.3}", self.load_stats.mean)
+            .parse()
+            .unwrap_or(self.load_stats.mean);
+        Value::object([
+            ("strategy", self.strategy.as_str().into()),
+            (
+                "params",
+                Value::object([
+                    ("n", self.params.n().into()),
+                    ("b", self.params.b().into()),
+                    ("r", self.params.r().into()),
+                    ("s", self.params.s().into()),
+                    ("k", self.params.k().into()),
+                ]),
+            ),
+            ("lower_bound", self.lower_bound.into()),
+            ("measured_availability", self.measured_availability.into()),
+            ("worst_failed", self.worst_failed.into()),
+            ("witness", Value::Array(witness)),
+            ("exact", self.exact.into()),
+            (
+                "load_stats",
+                Value::object([
+                    ("min", self.load_stats.min.into()),
+                    ("max", self.load_stats.max.into()),
+                    ("mean", mean.into()),
+                ]),
+            ),
+            (
+                "timings_ns",
+                Value::object([
+                    ("plan", self.timings.plan_ns.into()),
+                    ("build", self.timings.build_ns.into()),
+                    ("attack", self.timings.attack_ns.into()),
+                ]),
+            ),
+            (
+                "certificate",
+                self.certificate
+                    .as_ref()
+                    .map_or(Value::Null, Certificate::to_value),
+            ),
+        ])
+    }
+
     /// Renders the report as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let witness: Vec<String> = self.witness.iter().map(u16::to_string).collect();
-        format!(
-            concat!(
-                "{{\"strategy\": {:?}, ",
-                "\"params\": {{\"n\": {}, \"b\": {}, \"r\": {}, \"s\": {}, \"k\": {}}}, ",
-                "\"lower_bound\": {}, ",
-                "\"measured_availability\": {}, ",
-                "\"worst_failed\": {}, ",
-                "\"witness\": [{}], ",
-                "\"exact\": {}, ",
-                "\"load_stats\": {{\"min\": {}, \"max\": {}, \"mean\": {:.3}}}, ",
-                "\"timings_ns\": {{\"plan\": {}, \"build\": {}, \"attack\": {}}}, ",
-                "\"certificate\": {}}}"
-            ),
-            self.strategy,
-            self.params.n(),
-            self.params.b(),
-            self.params.r(),
-            self.params.s(),
-            self.params.k(),
-            self.lower_bound,
-            self.measured_availability,
-            self.worst_failed,
-            witness.join(", "),
-            self.exact,
-            self.load_stats.min,
-            self.load_stats.max,
-            self.load_stats.mean,
-            self.timings.plan_ns,
-            self.timings.build_ns,
-            self.timings.attack_ns,
-            self.certificate
-                .as_ref()
-                .map_or_else(|| "null".to_string(), Certificate::to_json),
-        )
+        self.to_value().to_json()
     }
 }
 

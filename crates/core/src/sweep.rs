@@ -390,28 +390,22 @@ impl SweepRecord {
         // The topology key appears only for axis cells, so sweeps
         // without an axis stay as terse as plain-grid ones.
         if let Some(t) = &self.cell.topology {
-            record = record.topology(Value::Object(vec![
-                ("racks".into(), Value::Num(f64::from(t.racks))),
-                ("zones".into(), Value::Num(f64::from(t.zones))),
+            record = record.topology(Value::object([
+                ("racks", t.racks.into()),
+                ("zones", t.zones.into()),
             ]));
         }
         match &self.outcome {
-            // A report that fails to re-parse as JSON would be a core
-            // bug; surface it as an error record rather than panicking
-            // (this module is in the panic-discipline lint scope).
-            Ok(report) => match record.clone().report_json(&report.to_json()) {
-                Ok(with_report) => with_report.to_json(),
-                Err(e) => record.error(format!("unrenderable report: {e}")).to_json(),
-            },
+            Ok(report) => record.report(report.to_value()).to_json(),
             Err(e) => record
                 .extra(
                     "params",
-                    Value::Object(vec![
-                        ("n".into(), Value::Num(f64::from(self.cell.params.n()))),
-                        ("b".into(), Value::Num(self.cell.params.b() as f64)),
-                        ("r".into(), Value::Num(f64::from(self.cell.params.r()))),
-                        ("s".into(), Value::Num(f64::from(self.cell.params.s()))),
-                        ("k".into(), Value::Num(f64::from(self.cell.params.k()))),
+                    Value::object([
+                        ("n", self.cell.params.n().into()),
+                        ("b", self.cell.params.b().into()),
+                        ("r", self.cell.params.r().into()),
+                        ("s", self.cell.params.s().into()),
+                        ("k", self.cell.params.k().into()),
                     ]),
                 )
                 .error(e.clone())

@@ -1,193 +1,35 @@
-//! Bench-snapshot schema rule: every committed `BENCH_*.json` must
-//! match one of the regression-gate schemas, so a malformed baseline
-//! can never silently disable the 25% CI gates.
+//! Bench-snapshot schema rule: every committed `BENCH_*.json` must be
+//! a [`BenchSnapshot`], so a malformed baseline can never silently
+//! disable the 25% CI gates.
 //!
-//! The gates (`wcp_bench::regression`) accept:
-//!
-//! * `{"strategies": [{"strategy": <str>, "median_pipeline_ns": <num>}, …]}`
-//! * `{"series":     [{"name": <str>, "median_ns": <num>}, …]}`
-//! * `{"certified":  [{"name": <str>, "median_ns": <num>,
-//!   "certificate": <object|null>}, …]}` — ladder timings carrying
-//!   their availability certificates (the gate ignores the
-//!   certificates; `wcp-verify` checks them)
-//! * `{"scale":      [{"name": <str>, "b": <num>, "median_ns": <num>,
-//!   "evals_per_second": <num>, "peak_rss_bytes": <num>}, …]}` — the
-//!   million-object regime (the gate reads the timings; a
-//!   committed-snapshot test pins the RSS budget)
-//! * `{"service":    [{"name": <str>, "threads": <num>,
-//!   "median_ns": <num>, "lookups_per_second": <num>,
-//!   "p99_staleness_epochs": <num>, "peak_rss_bytes": <num>}, …]}` —
-//!   the serving-layer closed loop (the gate reads the timings; a
-//!   committed-snapshot test pins the lookups/s acceptance floor)
-//!
-//! plus the ungated sweep-throughput shape CI records for trending:
-//!
-//! * `{"throughput": [{"threads": <num>, "cells_per_second": <num>}, …]}`
-//!
-//! This rule validates statically what the gate would reject at run
-//! time — plus what it would *mis-accept*: empty arrays, non-positive
-//! or non-finite medians, duplicate entry names (which would skew the
-//! per-family means).
+//! The rule reads each snapshot with [`BenchSnapshot::parse`], the
+//! parser the `bench_regression` gate uses, and reports its error: the
+//! lint and the gate refuse the same documents. That covers malformed
+//! JSON, members outside the one shape, empty rows, duplicate row names
+//! (which would skew the per-family means), missing, non-finite or
+//! non-positive medians and non-numeric metrics. Bars on particular
+//! metrics (peak RSS, lookup rate) are pinned by the committed-snapshot
+//! tests in `wcp_bench::regression`.
 
 use crate::{Diagnostic, RuleId};
 use std::path::Path;
-use wcp_sim::json::Value;
+use wcp_sim::bench::BenchSnapshot;
 
 /// Validates one snapshot document. `file` is only used for labels.
 #[must_use]
 pub fn validate(file: &str, text: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut fire = |msg: String| {
-        diags.push(Diagnostic {
-            file: file.to_string(),
-            line: 1,
-            rule: RuleId::BenchSchema,
-            message: msg,
-        });
-    };
-    let doc = match Value::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            fire(format!("snapshot is not valid JSON: {e}"));
-            return diags;
-        }
-    };
-    let strategies = doc.get("strategies").and_then(Value::as_array);
-    let series = doc.get("series").and_then(Value::as_array);
-    let certified = doc.get("certified").and_then(Value::as_array);
-    let scale = doc.get("scale").and_then(Value::as_array);
-    let service = doc.get("service").and_then(Value::as_array);
-    let throughput = doc.get("throughput").and_then(Value::as_array);
-    let arrays = [strategies, series, certified, scale, service, throughput]
-        .iter()
-        .flatten()
-        .count();
-    if arrays > 1 {
-        fire(
-            "snapshot mixes \"strategies\"/\"series\"/\"certified\"/\"scale\"/\"service\"/\
-             \"throughput\" arrays; the gate would pick one arbitrarily"
-                .to_string(),
-        );
-        return diags;
+    match BenchSnapshot::parse(text) {
+        Ok(_) => Vec::new(),
+        Err(message) => vec![diagnostic(file, message)],
     }
-    if let Some(entries) = throughput {
-        validate_throughput(entries, &mut fire);
-        return diags;
-    }
-    let (entries, label, name_key, ns_key) = match (strategies, series, certified, scale, service) {
-        (Some(arr), None, None, None, None) => {
-            (arr, "strategies", "strategy", "median_pipeline_ns")
-        }
-        (None, Some(arr), None, None, None) => (arr, "series", "name", "median_ns"),
-        (None, None, Some(arr), None, None) => (arr, "certified", "name", "median_ns"),
-        (None, None, None, Some(arr), None) => (arr, "scale", "name", "median_ns"),
-        (None, None, None, None, Some(arr)) => (arr, "service", "name", "median_ns"),
-        _ => {
-            fire(
-                "snapshot has none of the \"strategies\"/\"series\"/\"certified\"/\"scale\"/\
-                 \"service\"/\"throughput\" arrays (the regression gate would reject it)"
-                    .to_string(),
-            );
-            return diags;
-        }
-    };
-    if entries.is_empty() {
-        fire(format!(
-            "\"{label}\" is empty: an empty baseline gates nothing"
-        ));
-    }
-    let mut names: Vec<&str> = Vec::new();
-    for (idx, entry) in entries.iter().enumerate() {
-        let Some(name) = entry.get(name_key).and_then(Value::as_str) else {
-            fire(format!(
-                "{label}[{idx}] lacks a string \"{name_key}\" field"
-            ));
-            continue;
-        };
-        if names.contains(&name) {
-            fire(format!(
-                "duplicate entry name {name:?} would skew the per-family mean"
-            ));
-        }
-        names.push(name);
-        match entry.get(ns_key).and_then(Value::as_f64) {
-            None => fire(format!(
-                "{label}[{idx}] ({name:?}) lacks a numeric \"{ns_key}\" field"
-            )),
-            Some(ns) if !(ns.is_finite() && ns > 0.0) => fire(format!(
-                "{label}[{idx}] ({name:?}) has non-positive or non-finite {ns_key} = {ns}"
-            )),
-            Some(_) => {}
-        }
-        if label == "scale" {
-            for key in ["b", "evals_per_second", "peak_rss_bytes"] {
-                match entry.get(key).and_then(Value::as_f64) {
-                    None => fire(format!(
-                        "scale[{idx}] ({name:?}) lacks a numeric \"{key}\" field"
-                    )),
-                    Some(v) if !(v.is_finite() && v > 0.0) => fire(format!(
-                        "scale[{idx}] ({name:?}) has non-positive or non-finite {key} = {v}"
-                    )),
-                    Some(_) => {}
-                }
-            }
-        }
-        if label == "service" {
-            for key in ["threads", "lookups_per_second", "peak_rss_bytes"] {
-                match entry.get(key).and_then(Value::as_f64) {
-                    None => fire(format!(
-                        "service[{idx}] ({name:?}) lacks a numeric \"{key}\" field"
-                    )),
-                    Some(v) if !(v.is_finite() && v > 0.0) => fire(format!(
-                        "service[{idx}] ({name:?}) has non-positive or non-finite {key} = {v}"
-                    )),
-                    Some(_) => {}
-                }
-            }
-            // Staleness is legitimately zero on a quiet cluster, so it
-            // only has to be present, finite and non-negative.
-            match entry.get("p99_staleness_epochs").and_then(Value::as_f64) {
-                None => fire(format!(
-                    "service[{idx}] ({name:?}) lacks a numeric \"p99_staleness_epochs\" field"
-                )),
-                Some(v) if !(v.is_finite() && v >= 0.0) => fire(format!(
-                    "service[{idx}] ({name:?}) has negative or non-finite \
-                     p99_staleness_epochs = {v}"
-                )),
-                Some(_) => {}
-            }
-        }
-        if label == "certified" {
-            match entry.get("certificate") {
-                None => fire(format!(
-                    "certified[{idx}] ({name:?}) lacks a \"certificate\" field \
-                     (an object, or null for uncertified entries)"
-                )),
-                Some(Value::Null | Value::Object(_)) => {}
-                Some(_) => fire(format!(
-                    "certified[{idx}] ({name:?}) \"certificate\" must be an object or null"
-                )),
-            }
-        }
-    }
-    diags
 }
 
-/// Validates the ungated sweep-throughput shape.
-fn validate_throughput(entries: &[Value], fire: &mut impl FnMut(String)) {
-    if entries.is_empty() {
-        fire("\"throughput\" is empty: the snapshot records nothing".to_string());
-    }
-    for (idx, entry) in entries.iter().enumerate() {
-        for key in ["threads", "cells_per_second"] {
-            match entry.get(key).and_then(Value::as_f64) {
-                None => fire(format!("throughput[{idx}] lacks a numeric \"{key}\" field")),
-                Some(v) if !(v.is_finite() && v > 0.0) => fire(format!(
-                    "throughput[{idx}] has non-positive or non-finite {key} = {v}"
-                )),
-                Some(_) => {}
-            }
-        }
+fn diagnostic(file: &str, message: String) -> Diagnostic {
+    Diagnostic {
+        file: file.to_string(),
+        line: 1,
+        rule: RuleId::BenchSchema,
+        message,
     }
 }
 
@@ -211,15 +53,14 @@ pub fn check(root: &Path) -> Result<Vec<Diagnostic>, String> {
         })
         .collect();
     snapshots.sort();
-    let mut diags = Vec::new();
     if snapshots.is_empty() {
-        diags.push(Diagnostic {
-            file: "crates/bench".to_string(),
-            line: 1,
-            rule: RuleId::BenchSchema,
-            message: "no committed BENCH_*.json snapshots found; the CI regression gates have no baselines".to_string(),
-        });
+        return Ok(vec![diagnostic(
+            "crates/bench",
+            "no committed BENCH_*.json snapshots found; the CI regression gates have no baselines"
+                .to_string(),
+        )]);
     }
+    let mut diags = Vec::new();
     for p in snapshots {
         let rel = p
             .strip_prefix(root)
@@ -228,12 +69,7 @@ pub fn check(root: &Path) -> Result<Vec<Diagnostic>, String> {
             .replace('\\', "/");
         match std::fs::read_to_string(&p) {
             Ok(text) => diags.extend(validate(&rel, &text)),
-            Err(e) => diags.push(Diagnostic {
-                file: rel,
-                line: 1,
-                rule: RuleId::BenchSchema,
-                message: format!("unreadable snapshot: {e}"),
-            }),
+            Err(e) => diags.push(diagnostic(&rel, format!("unreadable snapshot: {e}"))),
         }
     }
     Ok(diags)
@@ -244,121 +80,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_schemas_validate() {
-        let strategies =
-            "{\"strategies\": [{\"strategy\": \"ring\", \"median_pipeline_ns\": 120}]}";
-        assert_eq!(validate("a.json", strategies), vec![]);
-        let series = "{\"shape\": {\"n\": 71}, \"series\": [{\"name\": \"packed_ladder\", \"median_ns\": 99.5}]}";
-        assert_eq!(validate("b.json", series), vec![]);
-        let certified = concat!(
-            "{\"certified\": [",
-            "{\"name\": \"ladder_k3\", \"median_ns\": 120, \"certificate\": {\"v\": 1}}, ",
-            "{\"name\": \"ladder_k5\", \"median_ns\": 150, \"certificate\": null}",
+    fn the_one_shape_validates() {
+        let snapshot = concat!(
+            "{\"shape\": {\"n\": 71}, \"rows\": [",
+            "{\"name\": \"packed_ladder\", \"median_ns\": 99.5, ",
+            "\"answers\": {\"failed\": 34}, \"metrics\": {\"peak_rss_bytes\": 9}}",
             "]}"
         );
-        assert_eq!(validate("c.json", certified), vec![]);
-        let scale = concat!(
-            "{\"shape\": {\"n\": 71}, \"scale\": [",
-            "{\"name\": \"ladder_b1m\", \"b\": 1000000, \"median_ns\": 900000000, ",
-            "\"evals_per_second\": 1.1, \"peak_rss_bytes\": 101838848}",
-            "]}"
-        );
-        assert_eq!(validate("d.json", scale), vec![]);
-        let service = concat!(
-            "{\"shape\": {\"n\": 71}, \"service\": [",
-            "{\"name\": \"closed_loop_t1\", \"threads\": 1, \"median_ns\": 2.2, ",
-            "\"lookups_per_second\": 459830398, \"p99_staleness_epochs\": 0, ",
-            "\"peak_rss_bytes\": 442970112}",
-            "]}"
-        );
-        assert_eq!(validate("e.json", service), vec![]);
+        assert_eq!(validate("a.json", snapshot), vec![]);
     }
 
     #[test]
-    fn malformed_documents_fire() {
+    fn malformed_documents_fire_with_the_parser_message() {
         for (text, needle) in [
-            ("nope", "not valid JSON"),
-            ("{}", "none of"),
+            ("nope", "JSON parse error"),
+            ("{}", "\"shape\""),
+            ("{\"shape\": {}, \"rows\": []}", "empty"),
             (
-                "{\"throughput\": [{\"threads\": 1}]}",
-                "lacks a numeric \"cells_per_second\"",
+                "{\"series\": [{\"name\": \"x\", \"median_ns\": 1}]}",
+                "unknown member",
             ),
             (
-                "{\"throughput\": [{\"threads\": 0, \"cells_per_second\": 9.5}]}",
-                "non-positive",
-            ),
-            ("{\"strategies\": []}", "empty"),
-            (
-                "{\"series\": [{\"name\": \"x\"}]}",
-                "lacks a numeric \"median_ns\"",
-            ),
-            (
-                "{\"series\": [{\"median_ns\": 5}]}",
-                "lacks a string \"name\"",
-            ),
-            (
-                "{\"series\": [{\"name\": \"x\", \"median_ns\": 0}]}",
-                "non-positive",
-            ),
-            (
-                "{\"series\": [{\"name\": \"x\", \"median_ns\": 1}, {\"name\": \"x\", \"median_ns\": 2}]}",
+                "{\"shape\": {}, \"rows\": [{\"name\": \"x\", \"median_ns\": 1}, \
+                 {\"name\": \"x\", \"median_ns\": 2}]}",
                 "duplicate",
-            ),
-            (
-                "{\"series\": [], \"strategies\": []}",
-                "mixes",
-            ),
-            (
-                "{\"certified\": [{\"name\": \"x\", \"median_ns\": 5}]}",
-                "lacks a \"certificate\"",
-            ),
-            (
-                "{\"certified\": [{\"name\": \"x\", \"median_ns\": 5, \"certificate\": 7}]}",
-                "must be an object or null",
-            ),
-            (
-                "{\"certified\": [], \"series\": []}",
-                "mixes",
-            ),
-            (
-                "{\"scale\": [{\"name\": \"x\", \"median_ns\": 5}]}",
-                "lacks a numeric \"b\"",
-            ),
-            (
-                "{\"scale\": [{\"name\": \"x\", \"b\": 10, \"median_ns\": 5, \
-                 \"evals_per_second\": 1.0, \"peak_rss_bytes\": 0}]}",
-                "non-positive",
-            ),
-            (
-                "{\"scale\": [], \"series\": []}",
-                "mixes",
-            ),
-            (
-                "{\"service\": [{\"name\": \"x\", \"median_ns\": 5}]}",
-                "lacks a numeric \"threads\"",
-            ),
-            (
-                "{\"service\": [{\"name\": \"x\", \"threads\": 1, \"median_ns\": 5, \
-                 \"lookups_per_second\": 0, \"peak_rss_bytes\": 9, \
-                 \"p99_staleness_epochs\": 0}]}",
-                "non-positive",
-            ),
-            (
-                "{\"service\": [{\"name\": \"x\", \"threads\": 1, \"median_ns\": 5, \
-                 \"lookups_per_second\": 10, \"peak_rss_bytes\": 9, \
-                 \"p99_staleness_epochs\": -1}]}",
-                "negative or non-finite",
-            ),
-            (
-                "{\"service\": [], \"scale\": []}",
-                "mixes",
             ),
         ] {
             let diags = validate("x.json", text);
-            assert!(
-                diags.iter().any(|d| d.message.contains(needle)),
-                "{text} => {diags:?}"
-            );
+            assert_eq!(diags.len(), 1, "{text}");
+            assert_eq!(diags[0].rule, RuleId::BenchSchema);
+            assert!(diags[0].message.contains(needle), "{text} => {diags:?}");
         }
     }
 

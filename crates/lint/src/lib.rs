@@ -19,9 +19,10 @@
 //!   (`wcp_core::sweep`, `wcp_adversary::pool`), so the "bit-identical
 //!   at every thread count" contract has exactly two rooms to audit;
 //! * [`RuleId::Layering`] — the crate DAG has no cycles or upward edges;
-//! * [`RuleId::BenchSchema`] — committed `BENCH_*.json` snapshots match
-//!   a regression-gate schema, so a malformed baseline cannot silently
-//!   disable the 25% gates.
+//! * [`RuleId::BenchSchema`] — committed `BENCH_*.json` snapshots parse
+//!   as the one `wcp_sim::bench::BenchSnapshot` shape the regression
+//!   gate reads, so a malformed baseline cannot silently disable the 25%
+//!   gates.
 //!
 //! Violations diff against a committed `lint_baseline.txt`: legacy debt
 //! is tracked per `(rule, file)` and burned down, while any *new*

@@ -112,7 +112,8 @@ pub struct CertificateDigest {
     /// Whether the claim was proven exact (the ladder's exact rung
     /// completed).
     pub exact: bool,
-    /// FNV-1a over the certificate's canonical JSON rendering.
+    /// The certificate's seal, [`Certificate::digest`]: FNV-1a over its
+    /// canonical JSON body, logged as the certificate's `"digest"`.
     pub digest: u64,
 }
 
@@ -120,15 +121,10 @@ impl CertificateDigest {
     /// Digests a full certificate.
     #[must_use]
     pub fn of(cert: &Certificate) -> Self {
-        let json = cert.to_json();
-        let mut h = Fnv::new();
-        for b in json.bytes() {
-            h.write_u64(u64::from(b));
-        }
         Self {
             claimed_failed: cert.claimed_failed,
             exact: cert.exact,
-            digest: h.finish(),
+            digest: cert.digest(),
         }
     }
 }
@@ -661,5 +657,9 @@ mod tests {
         assert_eq!(d.claimed_failed, cert.claimed_failed);
         assert_eq!(d.exact, cert.exact);
         assert_eq!(*d, CertificateDigest::of(&cert));
+        // The fingerprint is the seal the logged certificate prints.
+        let logged = wcp_sim::json::Value::parse(&cert.to_json()).unwrap();
+        let sealed = logged.get("digest").and_then(|v| v.as_str()).unwrap();
+        assert_eq!(format!("{:#018x}", d.digest), sealed);
     }
 }

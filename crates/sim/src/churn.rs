@@ -6,7 +6,7 @@
 //! ([`ChurnEventKind::Recover`]) or are provisioned fresh
 //! ([`ChurnEventKind::Join`]). Traces are generated deterministically
 //! from a [`ChurnSpec`] seed and round-trip through the workspace's
-//! hand-rolled JSON ([`crate::json`]), so an experiment can be re-run
+//! JSON layer ([`crate::json`]), so an experiment can be re-run
 //! bit-for-bit from its persisted trace file.
 //!
 //! This crate knows nothing about placements; `wcp_core::dynamic`

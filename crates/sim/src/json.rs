@@ -1,10 +1,11 @@
-//! A minimal JSON reader/writer for the formats this workspace emits.
+//! The workspace's one JSON reader and writer.
 //!
-//! The build environment cannot fetch serde, and the tooling only needs
-//! to read back its own hand-rolled output (sweep spec files, churn
-//! traces, the `BENCH_*.json` snapshots), so this is a small
+//! The build environment cannot fetch serde, so this is a small
 //! recursive-descent parser into a dynamic [`Value`], plus the matching
-//! serializer [`Value::to_json`]. Numbers are stored as `f64`; that is
+//! serializer [`Value::to_json`]. Every JSON document the workspace
+//! writes — reports, certificates, JSONL records, churn traces and the
+//! `BENCH_*.json` snapshots — is built as a [`Value`] and rendered here,
+//! so one function decides the bytes. Numbers are stored as `f64`; that is
 //! exact for every magnitude the tooling writes (counts, nanoseconds,
 //! bounds — all well below 2^53). Nesting is bounded by [`MAX_DEPTH`] so
 //! adversarial inputs (`[[[[…`) fail with a [`ParseError`] instead of
@@ -53,6 +54,26 @@ impl Value {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
+    }
+
+    /// An object from `(key, value)` members, in order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wcp_sim::json::Value;
+    ///
+    /// let v = Value::object([("n", 13u16.into()), ("exact", true.into()), ("kind", "node".into())]);
+    /// assert_eq!(v.to_json(), r#"{"n": 13, "exact": true, "kind": "node"}"#);
+    /// ```
+    #[must_use]
+    pub fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+        Value::Object(
+            members
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
     }
 
     /// Object member lookup (`None` for non-objects or missing keys).
@@ -130,7 +151,72 @@ impl Value {
     pub fn to_json(&self) -> String {
         self.to_string()
     }
+
+    /// Renders an object one member per line, with the elements of each
+    /// non-empty array member one per line below it, and a trailing
+    /// newline: the layout of the committed bench snapshots, where a
+    /// re-recorded row is a one-line diff. Anything else renders as
+    /// [`Value::to_json`]. Either layout parses back to an equal value.
+    #[must_use]
+    pub fn to_json_lines(&self) -> String {
+        use std::fmt::Write as _;
+        let Value::Object(members) = self else {
+            return self.to_json();
+        };
+        let mut out = String::from("{");
+        for (i, (key, value)) in members.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            let _ = write!(out, "{}: ", Value::Str(key.clone()));
+            match value {
+                Value::Array(items) if !items.is_empty() => {
+                    out.push('[');
+                    for (j, item) in items.iter().enumerate() {
+                        out.push_str(if j > 0 { ",\n  " } else { "\n  " });
+                        let _ = write!(out, "{item}");
+                    }
+                    out.push_str("\n]");
+                }
+                _ => {
+                    let _ = write!(out, "{value}");
+                }
+            }
+        }
+        out.push_str("\n}\n");
+        out
+    }
 }
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+/// Numbers convert through `f64`, exact for every magnitude below 2^53
+/// (see the module docs).
+macro_rules! value_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                Value::Num(x as f64)
+            }
+        }
+    )*};
+}
+
+value_from_number!(u16, u32, u64, usize, i64, f64);
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -427,27 +513,24 @@ mod tests {
     #[test]
     fn parses_own_bench_snapshot_shape() {
         let text = r#"{
-            "params": {"n": 13, "b": 260},
-            "strategies": [
-                {"strategy": "simple(x=0, λ=60)", "median_pipeline_ns": 498564},
-                {"strategy": "ring", "median_pipeline_ns": 420637}
+            "shape": {"n": 13, "b": 260},
+            "rows": [
+                {"name": "simple(x=0, λ=60)", "median_ns": 498564},
+                {"name": "ring", "median_ns": 420637}
             ]
         }"#;
         let v = Value::parse(text).unwrap();
         assert_eq!(
-            v.get("params").and_then(|p| p.get("n")).unwrap().as_u64(),
+            v.get("shape").and_then(|p| p.get("n")).unwrap().as_u64(),
             Some(13)
         );
-        let strategies = v.get("strategies").unwrap().as_array().unwrap();
-        assert_eq!(strategies.len(), 2);
+        let rows = v.get("rows").unwrap().as_array().unwrap();
+        assert_eq!(rows.len(), 2);
         assert_eq!(
-            strategies[0].get("strategy").unwrap().as_str(),
+            rows[0].get("name").unwrap().as_str(),
             Some("simple(x=0, λ=60)")
         );
-        assert_eq!(
-            strategies[1].get("median_pipeline_ns").unwrap().as_u64(),
-            Some(420_637)
-        );
+        assert_eq!(rows[1].get("median_ns").unwrap().as_u64(), Some(420_637));
     }
 
     #[test]
@@ -509,6 +592,19 @@ mod tests {
         assert!(Value::parse(&ok).is_ok());
         let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(Value::parse(&over).is_err());
+    }
+
+    #[test]
+    fn line_layout_puts_each_array_element_on_its_own_line() {
+        let v =
+            Value::parse(r#"{"shape": {"n": 3}, "rows": [{"a": 1}, {"a": 2}], "e": []}"#).unwrap();
+        let text = v.to_json_lines();
+        assert_eq!(
+            text,
+            "{\n\"shape\": {\"n\": 3},\n\"rows\": [\n  {\"a\": 1},\n  {\"a\": 2}\n],\n\"e\": []\n}\n"
+        );
+        assert_eq!(Value::parse(&text).unwrap(), v);
+        assert_eq!(Value::Num(2.5).to_json_lines(), "2.5");
     }
 
     #[test]

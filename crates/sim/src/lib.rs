@@ -3,15 +3,17 @@
 //! Nothing here is specific to replica placement: [`Summary`] aggregates
 //! repeated measurements, [`Table`] renders the paper-style grids as
 //! aligned text, [`Csv`] and [`JsonLines`] persist raw series for
-//! external plotting, [`json`] parses and writes the hand-rolled JSON
-//! the tooling exchanges (sweep specs, churn traces, benchmark
-//! snapshots), [`churn`] generates seeded cluster-membership event
+//! external plotting, [`json`] is the one JSON reader and writer (sweep
+//! specs, churn traces, reports, certificates), [`record`] is the one
+//! JSONL record shape and [`mod@bench`] the one benchmark-snapshot shape,
+//! [`churn`] generates seeded cluster-membership event
 //! traces for the dynamic experiments, [`topo`] generates seeded
 //! failure-domain topology layouts, and [`seed_for`] derives stable
 //! per-run RNG seeds so every experiment is reproducible run-to-run.
 
 #![forbid(unsafe_code)]
 
+pub mod bench;
 pub mod churn;
 pub mod json;
 pub mod record;

@@ -10,8 +10,9 @@
 //! report), and the `topology` the run attacked under.
 //!
 //! The payloads stay opaque [`Value`]s here: `wcp-sim` sits at rank 0
-//! and cannot name `wcp_core::Certificate`, and the consumers
-//! (`wcp-verify`) re-parse them through the typed constructors anyway.
+//! and cannot name `wcp_core::Certificate`, so the core report types
+//! hand over their `to_value()` trees, and the consumers (`wcp-verify`)
+//! re-parse them through the typed constructors.
 //! [`Record::certificate`] is the single lookup the verifier uses —
 //! it finds a certificate wherever the record put it (embedded in the
 //! report, as evaluation and step reports do, or top-level).
@@ -111,25 +112,19 @@ impl Record {
         self
     }
 
-    /// Attaches the report payload from its JSON rendering (how the
-    /// core report types expose themselves).
-    ///
-    /// # Errors
-    ///
-    /// The underlying JSON parse error, stringified.
-    pub fn report_json(mut self, json: &str) -> Result<Self, String> {
-        self.report = Some(Value::parse(json).map_err(|e| e.to_string())?);
-        Ok(self)
+    /// Attaches the report payload (how the core report types expose
+    /// themselves: `to_value()`).
+    #[must_use]
+    pub fn report(mut self, report: Value) -> Self {
+        self.report = Some(report);
+        self
     }
 
-    /// Attaches a bare certificate from its JSON rendering.
-    ///
-    /// # Errors
-    ///
-    /// The underlying JSON parse error, stringified.
-    pub fn certificate_json(mut self, json: &str) -> Result<Self, String> {
-        self.certificate = Some(Value::parse(json).map_err(|e| e.to_string())?);
-        Ok(self)
+    /// Attaches a bare certificate, one carried outside any report.
+    #[must_use]
+    pub fn bare_certificate(mut self, certificate: Value) -> Self {
+        self.certificate = Some(certificate);
+        self
     }
 
     /// Marks the record as a failed cell.
@@ -251,8 +246,10 @@ mod tests {
                 ("racks".into(), Value::Num(4.0)),
                 ("zones".into(), Value::Num(2.0)),
             ]))
-            .report_json("{\"params\": {\"n\": 12}, \"certificate\": {\"kind\": \"node\"}}")
-            .unwrap()
+            .report(Value::object([
+                ("params", Value::object([("n", 12u16.into())])),
+                ("certificate", Value::object([("kind", "node".into())])),
+            ]))
     }
 
     #[test]
@@ -274,16 +271,13 @@ mod tests {
             embedded.certificate().and_then(|c| c.get("kind")),
             Some(&Value::Str("node".into()))
         );
-        let bare = Record::new("domains")
-            .certificate_json("{\"kind\": \"domain\"}")
-            .unwrap();
+        let bare =
+            Record::new("domains").bare_certificate(Value::object([("kind", "domain".into())]));
         assert_eq!(
             bare.certificate().and_then(|c| c.get("kind")),
             Some(&Value::Str("domain".into()))
         );
-        let null_cert = Record::new("churn")
-            .report_json("{\"certificate\": null}")
-            .unwrap();
+        let null_cert = Record::new("churn").report(Value::object([("certificate", Value::Null)]));
         assert_eq!(null_cert.certificate(), None);
         assert_eq!(Record::new("x").certificate(), None);
     }

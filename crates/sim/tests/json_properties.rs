@@ -1,16 +1,20 @@
-//! Proptest fuzz coverage for the hand-rolled JSON layer.
+//! Proptest fuzz coverage for the JSON layer and the two document
+//! shapes read through it, [`Record`] (JSONL lines) and
+//! [`BenchSnapshot`] (`BENCH_*.json`).
 //!
-//! Two directions: (1) *round-trip* — any generated [`Value`]
-//! serializes to text that parses back to an equal value, and the
-//! serialized form is a fixed point of parse ∘ serialize; (2)
-//! *robustness* — arbitrary and mutated inputs may fail to parse but
-//! must never panic (the parser is the trust boundary for every spec,
-//! trace and snapshot file the tooling reads back).
+//! Two directions: (1) *round-trip* — any generated [`Value`], record
+//! or snapshot serializes to text that parses back to an equal one, and
+//! the serialized form is a fixed point of parse ∘ serialize; (2)
+//! *robustness* — arbitrary, truncated and mutated inputs may fail to
+//! parse but must never panic (the parsers are the trust boundary for
+//! every spec, trace, record and snapshot file the tooling reads back).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wcp_sim::bench::{BenchRow, BenchSnapshot};
 use wcp_sim::json::Value;
+use wcp_sim::record::Record;
 
 /// Characters exercising every escape path of the writer and reader.
 const STRING_POOL: &[char] = &[
@@ -56,8 +60,118 @@ fn arb_value(rng: &mut StdRng, depth: usize) -> Value {
     }
 }
 
+fn arb_members(rng: &mut StdRng, depth: usize) -> Vec<(String, Value)> {
+    (0..rng.gen_range(0usize..4))
+        .map(|_| (arb_string(rng), arb_value(rng, depth)))
+        .collect()
+}
+
+fn maybe<T>(rng: &mut StdRng, make: impl FnOnce(&mut StdRng) -> T) -> Option<T> {
+    rng.gen_bool(0.5).then(|| make(rng))
+}
+
+/// A random [`Record`]: every optional field present or absent, payloads
+/// arbitrary values.
+fn arb_record(rng: &mut StdRng) -> Record {
+    Record {
+        experiment: arb_string(rng),
+        strategy: maybe(rng, arb_string),
+        spec: maybe(rng, arb_string),
+        adversary: maybe(rng, arb_string),
+        extras: arb_members(rng, 2),
+        topology: maybe(rng, |rng| arb_value(rng, 2)),
+        report: maybe(rng, |rng| arb_value(rng, 3)),
+        certificate: maybe(rng, |rng| arb_value(rng, 3)),
+        error: maybe(rng, arb_string),
+    }
+}
+
+/// A random [`BenchSnapshot`] that satisfies the parser's rules: at
+/// least one row, unique names, finite positive medians.
+fn arb_snapshot(rng: &mut StdRng) -> BenchSnapshot {
+    BenchSnapshot {
+        shape: arb_members(rng, 2),
+        rows: (0..rng.gen_range(1usize..5))
+            .map(|i| BenchRow {
+                name: format!("{}#{i}", arb_string(rng)),
+                median_ns: rng.gen_range(1e-3..1e12),
+                answers: arb_members(rng, 2),
+                metrics: (0..rng.gen_range(0usize..4))
+                    .map(|_| (arb_string(rng), Value::Num(arb_number(rng))))
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
+/// Every parser under test, as a must-not-panic probe.
+fn parse_all(text: &str) {
+    let _ = Value::parse(text);
+    let _ = Record::parse(text);
+    let _ = BenchSnapshot::parse(text);
+}
+
+/// A valid document of any of the three kinds.
+fn arb_document(rng: &mut StdRng) -> String {
+    match rng.gen_range(0u32..3) {
+        0 => arb_value(rng, 3).to_json(),
+        1 => arb_record(rng).to_json(),
+        _ => arb_snapshot(rng).to_json(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A record's line parses back field for field, and re-renders to
+    /// the same line.
+    #[test]
+    fn record_round_trips(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let record = arb_record(&mut rng);
+        let line = record.to_json();
+        let parsed = Record::parse(&line)
+            .unwrap_or_else(|e| panic!("own record rejected: {e}\n{line}"));
+        prop_assert_eq!(&parsed, &record);
+        prop_assert_eq!(parsed.to_json(), line);
+    }
+
+    /// A snapshot's document parses back row for row, and re-renders to
+    /// the same bytes.
+    #[test]
+    fn snapshot_round_trips(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let snapshot = arb_snapshot(&mut rng);
+        let text = snapshot.to_json();
+        let parsed = BenchSnapshot::parse(&text)
+            .unwrap_or_else(|e| panic!("own snapshot rejected: {e}\n{text}"));
+        prop_assert_eq!(&parsed, &snapshot);
+        prop_assert_eq!(parsed.to_json(), text);
+    }
+
+    /// Truncated and byte-mutated records and snapshots never panic
+    /// their parsers.
+    #[test]
+    fn damaged_records_and_snapshots_never_panic(
+        seed in any::<u64>(),
+        cut in 0.0f64..1.0,
+        pos in 0.0f64..1.0,
+        replacement in any::<u8>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text = arb_document(&mut rng);
+        let boundary = (text.len() as f64 * cut) as usize;
+        let boundary = (0..=boundary).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
+        parse_all(&text[..boundary]);
+        let mut bytes = text.into_bytes();
+        if !bytes.is_empty() {
+            let i = ((bytes.len() - 1) as f64 * pos) as usize;
+            bytes[i] = replacement;
+        }
+        if let Ok(mutated) = String::from_utf8(bytes) {
+            parse_all(&mutated);
+        }
+    }
 
     /// serialize → parse is the identity, and the canonical form is a
     /// fixed point of parse → serialize.
