@@ -85,16 +85,33 @@ impl NodeSet {
         self.words.fill(0);
     }
 
+    /// Membership as a `0`/`1` word, without a branch on the answer
+    /// (`0` outside the universe) — summed straight into hit counts by
+    /// the exact DFS's table shifts.
+    #[inline]
+    pub(crate) fn bit(&self, node: u16) -> u64 {
+        let i = usize::from(node);
+        self.words
+            .get(i / WORD_BITS)
+            .map_or(0, |&w| w >> (i % WORD_BITS) & 1)
+    }
+
     pub(crate) fn contains(&self, node: u16) -> bool {
-        self.words[usize::from(node) / WORD_BITS] >> (usize::from(node) % WORD_BITS) & 1 == 1
+        self.bit(node) == 1
     }
 
     pub(crate) fn insert(&mut self, node: u16) {
-        self.words[usize::from(node) / WORD_BITS] |= 1u64 << (usize::from(node) % WORD_BITS);
+        let i = usize::from(node);
+        if let Some(w) = self.words.get_mut(i / WORD_BITS) {
+            *w |= 1u64 << (i % WORD_BITS);
+        }
     }
 
     pub(crate) fn remove(&mut self, node: u16) {
-        self.words[usize::from(node) / WORD_BITS] &= !(1u64 << (usize::from(node) % WORD_BITS));
+        let i = usize::from(node);
+        if let Some(w) = self.words.get_mut(i / WORD_BITS) {
+            *w &= !(1u64 << (i % WORD_BITS));
+        }
     }
 
     /// Members in ascending order.
@@ -155,14 +172,8 @@ impl Iterator for BitIter<'_> {
                 return Some(idx as u16);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = if self.invert {
-                !self.words[self.word_idx]
-            } else {
-                self.words[self.word_idx]
-            };
+            let &word = self.words.get(self.word_idx)?;
+            self.current = if self.invert { !word } else { word };
         }
     }
 }
@@ -177,11 +188,22 @@ pub(crate) fn eq_word(planes: &[u64], stride: usize, w: usize, c: u64) -> u64 {
         return 0;
     }
     let mut acc = !0u64;
-    for j in 0..p {
-        let x = planes[j * stride + w];
+    for (j, x) in column(planes, stride, w).enumerate() {
         acc &= if c >> j & 1 == 1 { x } else { !x };
     }
     acc
+}
+
+/// Word `w` of every plane, plane 0 first: one bit column of the
+/// bit-sliced counters.
+fn column(
+    planes: &[u64],
+    stride: usize,
+    w: usize,
+) -> impl DoubleEndedIterator<Item = u64> + ExactSizeIterator + '_ {
+    planes
+        .chunks_exact(stride.max(1))
+        .map(move |plane| plane.get(w).copied().unwrap_or(0))
 }
 
 /// `X ≥ c` per bit column at word index `w` (see [`eq_word`]). Requires
@@ -195,27 +217,14 @@ pub(crate) fn ge_word(planes: &[u64], stride: usize, w: usize, c: u64) -> u64 {
     }
     match c {
         // ≥ 1: any plane bit set.
-        1 => {
-            let mut acc = 0u64;
-            for j in 0..p {
-                acc |= planes[j * stride + w];
-            }
-            acc
-        }
+        1 => column(planes, stride, w).fold(0, |acc, x| acc | x),
         // ≥ 2: any plane above bit 0 set.
-        2 => {
-            let mut acc = 0u64;
-            for j in 1..p {
-                acc |= planes[j * stride + w];
-            }
-            acc
-        }
+        2 => column(planes, stride, w).skip(1).fold(0, |acc, x| acc | x),
         // General magnitude comparator, MSB first.
         _ => {
             let mut gt = 0u64;
             let mut eq = !0u64;
-            for j in (0..p).rev() {
-                let x = planes[j * stride + w];
+            for (j, x) in column(planes, stride, w).enumerate().rev() {
                 if c >> j & 1 == 1 {
                     eq &= x;
                 } else {

@@ -9,11 +9,11 @@
 //! **bound ledger** for the branch-and-bound tree, and the seal binding
 //! the claim to the placement.
 //!
-//! The ledger is computed *post hoc* on the packed kernel the exact rung
-//! just searched. Both the serial DFS root frame (depth 0 is below its
-//! re-sort depth) and the parallel frontier split order root children
-//! by the same total key — `(gain, load, node)` descending at the empty
-//! set — and expand exactly the first `n − k + 1` of them, so
+//! The ledger is computed *post hoc* from the loads of the kernel the
+//! exact rung just searched. Both the serial DFS root frame (depth 0 is
+//! below its re-sort depth) and the parallel frontier split order root
+//! children by the same total key — `(gain, load, node)` descending at
+//! the empty set — and expand exactly the first `n − k + 1` of them, so
 //! re-deriving that order after the search reproduces the true root
 //! frontier. For each root child `x` the recorded bound is the same
 //! admissible bound the DFS prunes with one level down:
@@ -21,6 +21,12 @@
 //! ```text
 //! bound(x) = failed({x}) + failable_within(k − 1)   (evaluated at {x})
 //! ```
+//!
+//! With no node failed every object sits at zero hits, and with `x`
+//! alone failed exactly the objects on `x` sit at one, so both the
+//! root key and `bound(x)` are functions of `load(x)`, `b`, `s` and `k`
+//! ([`root_bound`]): the whole ledger costs `O(n log n)`, with no
+//! kernel update per root.
 //!
 //! No attack whose set contains `x` as its first element (in root
 //! order) can fail more than `bound(x)` objects: the remaining `k − 1`
@@ -97,11 +103,12 @@ pub(crate) fn base_certificate(
 /// The exact rung's post-hoc bound ledger: one admissible bound per
 /// root child of the branch-and-bound tree, in the canonical
 /// `(gain, load, node)` descending root order, covering exactly the
-/// `n − k + 1` children the root frame expands. Reuses the kernel
-/// binding the exact rung searched on; degenerate budgets (`k = 0` or
-/// `k = n`) need no search and get no ledger.
+/// `n − k + 1` children the root frame expands. Reads the loads of the
+/// kernel binding the exact rung searched on; degenerate budgets
+/// (`k = 0` or `k = n`) need no search and get no ledger.
 pub(crate) fn node_ledger(
     placement: &Placement,
+    s: u16,
     k: u16,
     scratch: &mut AdversaryScratch,
 ) -> Vec<LedgerEntry> {
@@ -109,21 +116,37 @@ pub(crate) fn node_ledger(
     if k == 0 || k >= n {
         return Vec::new();
     }
+    let b = placement.num_objects() as u64;
     let (pc, _, _) = scratch.cleared_packed();
-    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
+    // At the empty set a node's gain is its whole load at s = 1 and
+    // nothing otherwise, so the canonical `(gain, load, node)` order is
+    // the `(load, node)` order.
+    let mut keys: Vec<(u32, u16)> = (0..n).map(|nd| (pc.load(nd), nd)).collect();
     keys.sort_unstable_by(|a, b| b.cmp(a));
     let roots = usize::from(n - k) + 1;
-    let mut ledger = Vec::with_capacity(roots);
-    for &(_, _, nd) in keys.iter().take(roots) {
-        pc.add_node(nd);
-        let bound = pc.failed() + pc.failable_within(k - 1);
-        pc.remove_node(nd);
-        ledger.push(LedgerEntry {
+    keys.iter()
+        .take(roots)
+        .map(|&(load, nd)| LedgerEntry {
             root: u32::from(nd),
-            bound,
-        });
+            bound: root_bound(u64::from(load), b, s, k),
+        })
+        .collect()
+}
+
+/// `failed({x}) + failable_within(k − 1)` evaluated at the one-node set
+/// `{x}` of a node with `load` objects among `b`, for `1 ≤ k`: the
+/// objects on `x` sit at one hit, every other object at zero.
+fn root_bound(load: u64, b: u64, s: u16, k: u16) -> u64 {
+    let failed = if s == 1 { load } else { 0 };
+    let m = k - 1;
+    if m == 0 {
+        return failed;
     }
-    ledger
+    // Failable within m more failures: s − m ≤ hits < s.
+    let lo = s.saturating_sub(m);
+    let untouched = if lo == 0 { b - load } else { 0 };
+    let touched = if lo <= 1 && s >= 2 { load } else { 0 };
+    failed + untouched + touched
 }
 
 #[cfg(test)]
@@ -185,6 +208,36 @@ mod tests {
             .expect("certified");
         let back = Certificate::from_json(&cert.to_json()).expect("parses");
         assert_eq!(back, cert);
+    }
+
+    #[test]
+    fn root_bound_matches_the_kernel_at_every_shape() {
+        // The closed form against adding each root to the kernel and
+        // reading the bound off it.
+        for (n, b, r, seed) in [
+            (9u16, 40u64, 3u16, 1u64),
+            (12, 70, 4, 2),
+            (7, 30, 1, 3),
+            (10, 65, 2, 4),
+        ] {
+            let p = random_placement(n, b, r, seed);
+            for s in 1..=r {
+                let mut pc = crate::PackedCounts::new(&p, s);
+                for k in 1..n {
+                    for nd in 0..n {
+                        pc.add_node(nd);
+                        let kernel = pc.failed() + pc.failable_within(k - 1);
+                        pc.remove_node(nd);
+                        let load = u64::from(pc.load(nd));
+                        assert_eq!(
+                            root_bound(load, b, s, k),
+                            kernel,
+                            "r={r} s={s} k={k} nd={nd}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

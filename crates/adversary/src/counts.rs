@@ -254,15 +254,16 @@ pub(crate) const OBJ_CHUNK: usize = 1 << 15;
 pub struct BuildStats {
     /// Cache-sized object chunks the streaming CSR pass ran.
     pub chunks: u32,
-    /// Distinct heap buffers the build wrote (arena, CSR offsets, CSR
-    /// object ids, membership words) — a constant independent of `n`
-    /// and `b`. The forward map is the bound placement's own table.
+    /// Distinct heap buffers the build wrote (arena, CSR offsets,
+    /// membership words) — a constant independent of `n` and `b`. The
+    /// forward map is the bound placement's own table, and the CSR
+    /// co-hosts are filled on first use by the exact DFS.
     pub buffers: u32,
 }
 
 /// The number of heap buffers behind a [`PackedCounts`] build; see
 /// [`BuildStats::buffers`].
-pub(crate) const REBIND_BUFFERS: u32 = 4;
+pub(crate) const REBIND_BUFFERS: u32 = 3;
 
 /// The word-parallel failure-accounting kernel.
 ///
@@ -270,11 +271,14 @@ pub(crate) const REBIND_BUFFERS: u32 = 4;
 /// stays as the differential-test oracle) but organised for streaming
 /// word operations instead of per-object scalar updates:
 ///
-/// * the inverted index is stored in **CSR form** — one flat object-id
-///   array plus an `n + 1` offset array, built fused with the bitmap
-///   fill in cache-sized object chunks straight off the placement's
-///   flat rows — so a node's row is one contiguous cache-friendly
-///   slice, and per-node loads fall out of the offsets for free;
+/// * the inverted index is stored in **CSR form** — an `n + 1` offset
+///   array plus one flat array holding, for every (node, hosted object)
+///   entry, the object's *other* `r − 1` hosts (`u16`; the same 12 B
+///   per object as a `u32` object id at `r = 3`). A node's row is one
+///   contiguous slice that the exact DFS streams to shift its path
+///   tables (the object ids themselves are never needed), filled on the
+///   DFS's first use after a rebind since no other caller reads it;
+///   per-node loads fall out of the offsets for free;
 /// * the forward map (object → hosts) is not copied: the kernel holds
 ///   an O(1) clone of the bound [`Placement`] and reads its rows;
 /// * every node additionally carries a **dense object bitmap**
@@ -344,9 +348,12 @@ pub struct PackedCounts {
     /// Popcount of `hits = s − 1`, maintained incrementally (gives the
     /// `failable_within(1)` histogram bound in O(1)).
     eq_count: u64,
-    /// CSR inverted index: offsets (`n + 1`) and flat object ids.
+    /// CSR inverted index: offsets (`n + 1`, in objects) and, per
+    /// entry, the object's other `r − 1` hosts in row order.
     csr_off: Vec<u32>,
-    csr_obj: Vec<u32>,
+    csr_cohosts: Vec<u16>,
+    /// Whether `csr_cohosts` describes the bound placement.
+    cohosts_ready: bool,
     /// The bound placement (an O(1) clone sharing its rows): the
     /// forward map the delta walks read.
     placement: Option<Placement>,
@@ -372,10 +379,11 @@ impl PackedCounts {
     /// [`FailureCounts::rebind`].
     ///
     /// The build streams over the placement's flat rows: pass 1 only
-    /// counts objects per node, then pass 2 runs in `OBJ_CHUNK`-sized
-    /// object chunks, filling each chunk's CSR slots and row-bitmap
+    /// counts objects per node (the CSR offsets), then pass 2 runs in
+    /// `OBJ_CHUNK`-sized object chunks, filling each chunk's row-bitmap
     /// windows before moving on — no intermediate `Vec<Vec<u32>>` is
     /// ever materialized, and every bitmap lands in the single arena.
+    /// The CSR co-hosts wait for the exact DFS's first use.
     pub fn rebind(&mut self, placement: &Placement, s: u16) {
         let n = usize::from(placement.num_nodes());
         let b = placement.num_objects();
@@ -405,18 +413,14 @@ impl PackedCounts {
             acc += *slot;
             *slot = acc;
         }
-        self.csr_obj.clear();
-        self.csr_obj
-            .resize(self.csr_off.last().copied().unwrap_or(0) as usize, 0);
+        // Every slot now holds its row's start (csr_off[0] = 0).
+        self.cohosts_ready = false;
         self.arena.clear();
         self.arena.resize(self.rows_off + n * self.words, 0);
         // Pass 2 (streaming): objects in cache-sized chunks straight off
-        // the placement's rows. Each chunk fills its CSR slots —
-        // csr_off[nd] doubling as the cursor (rows come out ascending
-        // because objects are visited in order) — and ORs its bits into
-        // a 4 KiB window of every row bitmap before the next chunk
-        // starts, with the object's word/mask amortized over its `r`
-        // hosts.
+        // the placement's rows, ORing each chunk's bits into a 4 KiB
+        // window of every row bitmap before the next chunk starts, with
+        // the object's word/mask amortized over its `r` hosts.
         let words = self.words;
         let rows = self.arena.get_mut(self.rows_off..).unwrap_or(&mut []);
         let mut chunks = 0u32;
@@ -427,24 +431,11 @@ impl PackedCounts {
                 let word = obj / WORD_BITS;
                 let mask = 1u64 << (obj % WORD_BITS);
                 for &nd in placement.row(obj).unwrap_or(&[]) {
-                    let nd = usize::from(nd);
-                    if let Some(cursor) = self.csr_off.get_mut(nd) {
-                        let at = *cursor as usize;
-                        *cursor += 1;
-                        if let Some(slot) = self.csr_obj.get_mut(at) {
-                            *slot = obj as u32;
-                        }
-                    }
-                    if let Some(w) = rows.get_mut(nd * words + word) {
+                    if let Some(w) = rows.get_mut(usize::from(nd) * words + word) {
                         *w |= mask;
                     }
                 }
             }
-        }
-        // Shift the cursors (now row ends) back into start offsets.
-        let mut prev = 0u32;
-        for slot in self.csr_off.iter_mut() {
-            prev = std::mem::replace(slot, prev);
         }
         self.stats = BuildStats {
             chunks,
@@ -454,6 +445,68 @@ impl PackedCounts {
         self.members.reset(n);
         self.failed = 0;
         self.reset_eq_sm1();
+    }
+
+    /// Fills the CSR co-hosts for the bound placement unless they are
+    /// filled already (the exact DFS calls this before it searches;
+    /// nothing else reads them). One pass over the placement's rows,
+    /// dispatched once on the co-hosts per entry so the common
+    /// replication factors fill with a constant row width.
+    pub(crate) fn ensure_cohosts(&mut self) {
+        if self.cohosts_ready {
+            return;
+        }
+        let width = usize::from(self.r.saturating_sub(1));
+        self.csr_cohosts.clear();
+        self.csr_cohosts.resize(
+            self.csr_off.last().copied().unwrap_or(0) as usize * width,
+            0,
+        );
+        match width {
+            1 => self.fill_cohosts(1),
+            2 => self.fill_cohosts(2),
+            3 => self.fill_cohosts(3),
+            width => self.fill_cohosts(width),
+        }
+        self.cohosts_ready = true;
+    }
+
+    /// [`PackedCounts::ensure_cohosts`] at `width = r − 1`: each
+    /// entry's slots get the object's row without the entry's node,
+    /// `csr_off[nd]` doubling as the cursor (rows come out in ascending
+    /// object order because objects are visited in order) and shifted
+    /// back to row starts afterwards. Always inlined, so each constant
+    /// `width` of the dispatch gets its own unrolled copy.
+    #[inline(always)]
+    fn fill_cohosts(&mut self, width: usize) {
+        let Some(placement) = self.placement.as_ref() else {
+            return;
+        };
+        for hosts in placement.rows() {
+            // `0..=width` rather than the row's own length, so that a
+            // constant width unrolls into constant host indices.
+            for i in 0..=width {
+                let Some(cursor) = hosts
+                    .get(i)
+                    .and_then(|&nd| self.csr_off.get_mut(usize::from(nd)))
+                else {
+                    continue;
+                };
+                let at = *cursor as usize * width;
+                *cursor += 1;
+                let slots = self.csr_cohosts.get_mut(at..at + width).unwrap_or(&mut []);
+                // Slot j holds host j, or j + 1 from the node's position
+                // on: the row without the node.
+                for (j, slot) in slots.iter_mut().enumerate() {
+                    *slot = hosts.get(j + usize::from(j >= i)).copied().unwrap_or(0);
+                }
+            }
+        }
+        // Shift the cursors (now row ends) back into start offsets.
+        let mut prev = 0u32;
+        for slot in self.csr_off.iter_mut() {
+            prev = std::mem::replace(slot, prev);
+        }
     }
 
     /// Empties the failed set without touching the placement binding
@@ -546,14 +599,23 @@ impl PackedCounts {
         self.members.contains(node)
     }
 
-    /// The node's CSR row: ids of objects with a replica there
-    /// (sorted ascending), as one contiguous slice of the flat index.
-    #[must_use]
-    pub fn row_objects(&self, node: u16) -> &[u32] {
+    /// The node's CSR row of co-hosts: for every object with a replica
+    /// on `node` (ascending object order), that object's other `r − 1`
+    /// hosts in ascending node order — `load(node) · (r − 1)` ids in
+    /// one contiguous slice (empty at `r = 1`). Requires
+    /// [`PackedCounts::ensure_cohosts`] since the last rebind.
+    pub(crate) fn cohost_row(&self, node: u16) -> &[u16] {
+        debug_assert!(self.cohosts_ready, "co-hosts read before ensure_cohosts");
+        let stride = usize::from(self.r.saturating_sub(1));
         let i = usize::from(node);
-        let lo = self.csr_off.get(i).copied().unwrap_or(0) as usize;
-        let hi = self.csr_off.get(i + 1).copied().unwrap_or(0) as usize;
-        self.csr_obj.get(lo..hi).unwrap_or(&[])
+        let lo = self.csr_off.get(i).copied().unwrap_or(0) as usize * stride;
+        let hi = self.csr_off.get(i + 1).copied().unwrap_or(0) as usize * stride;
+        self.csr_cohosts.get(lo..hi).unwrap_or(&[])
+    }
+
+    /// Replicas per object `r` of the bound placement.
+    pub(crate) fn replicas_per_object(&self) -> u16 {
+        self.r
     }
 
     /// Whether `obj` has a replica on `node` (bitmap probe, `O(1)`).
@@ -616,29 +678,6 @@ impl PackedCounts {
         }
     }
 
-    /// Writes the `hits = s − 2` bitmap (objects one more hit away from
-    /// joining the gain set) into `out`; all zeros when `s < 2` or the
-    /// level is unreachable. The fused pair sweep of the exact DFS uses
-    /// it to delta-update gains across siblings.
-    pub(crate) fn eq_sm2_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.words, 0);
-        let Some(c) = self.s.checked_sub(2) else {
-            return;
-        };
-        if c > self.r {
-            return;
-        }
-        let planes = self.planes();
-        for (w, slot) in out.iter_mut().enumerate() {
-            let mut eq = eq_word(planes, self.words, w, u64::from(c));
-            if w + 1 == self.words {
-                eq &= self.tail;
-            }
-            *slot = eq;
-        }
-    }
-
     /// Writes the "failable within `m` more failures" mask — objects
     /// with `s − m ≤ hits < s` — into `out`.
     pub(crate) fn failable_mask_into(&self, m: u16, out: &mut Vec<u64>) {
@@ -677,6 +716,12 @@ impl PackedCounts {
     /// for fully inlined complement scans in the hot search loops.
     pub(crate) fn member_words(&self) -> (&[u64], u64) {
         (self.members.words(), self.members.limit_mask())
+    }
+
+    /// The failed-node set itself, for branch-free membership reads
+    /// ([`NodeSet::bit`]).
+    pub(crate) fn members(&self) -> &NodeSet {
+        &self.members
     }
 
     /// Applies the tail mask when `w` is the last word.
@@ -820,30 +865,6 @@ impl PackedCounts {
         self.and_popcount_row(node, self.eq_sm1_words())
     }
 
-    /// Writes `gain(nd)` for **every** node into `out` (indexed by node
-    /// id, failed members included) with a single scan of the maintained
-    /// `hits = s − 1` set: iterate its set bits and bump each host of
-    /// the object via the flat forward map — `O(b/64 + eq_count · r)`
-    /// total, where `n` separate [`PackedCounts::gain`] queries cost
-    /// `O(n · b/64)`. The exact DFS's bottom level batches its whole
-    /// candidate sweep through this.
-    pub(crate) fn gains_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(usize::from(self.num_nodes()), 0);
-        for (w, &word) in self.eq_sm1_words().iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let obj = w * WORD_BITS + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for &nd in self.hosts_of(obj) {
-                    if let Some(slot) = out.get_mut(usize::from(nd)) {
-                        *slot += 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Admissible upper bound on the number of *additional* objects
     /// that could fail if `m` more nodes fail: objects needing at most
     /// `m` more replica hits (a comparator sweep over the planes).
@@ -858,7 +879,7 @@ impl PackedCounts {
         }
         if m == 1 {
             // hist[s − 1] is the maintained eq-count: O(1), the case
-            // the exact DFS hits on every expansion.
+            // the exact DFS hits on every pair and bottom frame.
             return self.eq_count;
         }
         if lo > self.r {
@@ -1147,56 +1168,52 @@ mod tests {
     #[test]
     fn packed_csr_and_loads_mirror_placement() {
         let p = sample();
-        let pc = PackedCounts::new(&p, 2);
+        let mut pc = PackedCounts::new(&p, 2);
         assert_eq!(pc.num_nodes(), 6);
         assert_eq!(pc.num_objects(), 4);
         assert_eq!(pc.threshold(), 2);
-        let loads = p.cached_loads();
-        for nd in 0..6u16 {
-            assert_eq!(pc.load(nd), loads[usize::from(nd)], "load({nd})");
-            let nested = p.objects_by_node();
-            assert_eq!(
-                pc.row_objects(nd),
-                nested[usize::from(nd)].as_slice(),
-                "row({nd})"
-            );
-            for obj in 0..4 {
-                assert_eq!(
-                    pc.node_hosts(nd, obj),
-                    p.replicas(obj).contains(&nd),
-                    "hosts({nd}, {obj})"
-                );
+        // A rebind to another placement of the same shape must refill
+        // the co-hosts on their next use.
+        let q = Placement::new(
+            6,
+            3,
+            vec![vec![1, 2, 5], vec![0, 3, 4], vec![0, 2, 4], vec![1, 3, 5]],
+        )
+        .unwrap();
+        for placement in [&p, &q, &p] {
+            pc.rebind(placement, 2);
+            pc.ensure_cohosts();
+            let loads = placement.cached_loads();
+            let nested = placement.objects_by_node();
+            for nd in 0..6u16 {
+                assert_eq!(pc.load(nd), loads[usize::from(nd)], "load({nd})");
+                // Each entry is the hosted object's row without `nd`, in
+                // ascending object order.
+                let expected: Vec<u16> = nested[usize::from(nd)]
+                    .iter()
+                    .flat_map(|&obj| placement.replicas(obj as usize).iter().copied())
+                    .filter(|&c| c != nd)
+                    .collect();
+                assert_eq!(pc.cohost_row(nd), expected.as_slice(), "cohosts({nd})");
+                for obj in 0..4 {
+                    assert_eq!(
+                        pc.node_hosts(nd, obj),
+                        placement.replicas(obj).contains(&nd),
+                        "hosts({nd}, {obj})"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn batched_gains_match_single_queries() {
-        // Word-boundary shape again; batch must agree with gain() for
-        // every non-member at every step of a growth walk.
-        let sets: Vec<Vec<u16>> = (0..70u16)
-            .map(|o| {
-                let mut s = vec![o % 7, 7 + o % 3];
-                s.sort_unstable();
-                s
-            })
-            .collect();
-        let p = Placement::new(10, 2, sets).unwrap();
-        for s in 1..=2u16 {
-            let mut pc = PackedCounts::new(&p, s);
-            let mut gains = Vec::new();
-            for nd in [u16::MAX, 0, 7, 3] {
-                if nd != u16::MAX {
-                    pc.add_node(nd);
-                }
-                pc.gains_into(&mut gains);
-                assert_eq!(gains.len(), 10);
-                for cand in 0..10u16 {
-                    if !pc.contains(cand) {
-                        assert_eq!(gains[usize::from(cand)], pc.gain(cand), "s={s} cand={cand}");
-                    }
-                }
-            }
+    fn cohost_rows_are_empty_at_one_replica() {
+        let p = Placement::new(3, 1, vec![vec![0], vec![2], vec![0]]).unwrap();
+        let mut pc = PackedCounts::new(&p, 1);
+        pc.ensure_cohosts();
+        assert_eq!(pc.load(0), 2);
+        for nd in 0..3u16 {
+            assert!(pc.cohost_row(nd).is_empty(), "cohosts({nd})");
         }
     }
 

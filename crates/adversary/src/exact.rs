@@ -1,22 +1,30 @@
 //! Exact worst-case search: DFS over node combinations with
 //! branch-and-bound pruning, running on the word-parallel kernel.
 //!
-//! Three upgrades over the scalar reference DFS
+//! Upgrades over the scalar reference DFS
 //! ([`crate::reference::exact_worst`]):
 //!
-//! * all accounting (add/remove/bounds) runs on [`PackedCounts`], so a
-//!   node expansion costs `O((b/64)·log r)` word operations;
+//! * the failed count and the histogram bound run on [`PackedCounts`]
+//!   (an add/remove is one ripple-carry pass of `O((b/64)·log r)` word
+//!   operations), while every per-candidate number a frame reads — the
+//!   candidate's gain, its hit supply, what it exposes to a partner —
+//!   comes from **hit-level counts kept along the DFS path**
+//!   ([`PathTables`]): each add/remove shifts them in `O(load·r)` by
+//!   streaming the node's CSR co-host row, so a frame costs `O(1)` per
+//!   candidate instead of a `b/64`-word masked popcount;
 //! * alongside the histogram bound (`failable_within`), shallow depths
-//!   apply a **hit-supply bound** built from row/failable-set overlaps:
-//!   every newly failed object needs at least one more replica hit, and
-//!   the `m` remaining failures can supply at most the sum of the `m`
-//!   largest `|row(nd) ∩ failable|` among the live candidates — an
-//!   admissible cap that prunes whole subtrees the histogram bound
-//!   cannot;
+//!   apply a **hit-supply bound**: every newly failed object needs at
+//!   least one more replica hit, and the `m` remaining failures can
+//!   supply at most the sum of the `m` largest `|row(nd) ∩ failable|`
+//!   among the live candidates — an admissible cap that prunes whole
+//!   subtrees the histogram bound cannot;
 //! * shallow depths **re-sort their candidate children by live gain**
 //!   (then load), so the incumbent-beating sets are explored first and
 //!   the bounds bite sooner. Each frame orders only its own candidate
-//!   slice, which preserves exactly-once subset enumeration.
+//!   slice, which preserves exactly-once subset enumeration;
+//! * the bottom two levels close in one fused sweep over candidate
+//!   pairs, reading the path-maintained pair-correction matrix instead
+//!   of adding and removing the first node of each pair.
 
 use crate::counts::PackedCounts;
 use crate::pool::SharedBound;
@@ -37,41 +45,198 @@ pub(crate) struct DfsScratch {
     sort_bufs: Vec<Vec<u16>>,
     /// `(gain, load, node)` sort keys.
     keys: Vec<(u64, u32, u16)>,
-    /// Failable-object mask for the supply bound.
-    failable: Vec<u64>,
     /// Top-`m` supply accumulator.
     tops: Vec<u64>,
-    /// Per-node gain table for the batched bottom-level sweeps.
-    gains: Vec<u64>,
-    /// `hits = s − 2` mask for the fused pair sweep's ceilings.
-    eq_lo: Vec<u64>,
-    /// Pairwise gain correction, `pair[lo·n + hi]` for node pair
-    /// `lo < hi`: `+1` per object at `hits = s − 2` hosted by both,
-    /// `−1` per object at `hits = s − 1` hosted by both — exactly the
-    /// difference between `gain({x, y})` and `gain(x) + gain(y)`.
-    /// Built once per binding at the empty failed set and delta-shifted
-    /// along the DFS path (see [`Search::pair_shift`]).
-    pair: Vec<i32>,
-    /// Binding key `(n, b, s)` of the cached root pair matrix; cleared
-    /// on rebinding.
-    pair_key: Option<(u16, usize, u16)>,
+    /// The per-node counts every frame reads, kept along the path.
+    path: PathTables,
+    /// Node expansions of the last serial search, read by the tests that
+    /// pin the search's decision sequence.
+    pub(crate) expansions: u64,
 }
 
 impl DfsScratch {
-    /// Drops the cached root pair matrix (the kernel is being rebound,
+    /// Drops the cached root path tables (the kernel is being rebound,
     /// possibly to a different placement with the same shape).
-    pub(crate) fn invalidate_pair_cache(&mut self) {
-        self.pair_key = None;
+    pub(crate) fn invalidate_path_tables(&mut self) {
+        self.path.key = None;
     }
 }
 
-/// Bottom-level frames with at least this many candidates compute all
-/// gains in one batched `eq_sm1` scan ([`PackedCounts::gains_into`],
-/// `O(b/64 + eq·r)`) instead of per-candidate row intersections
-/// (`O(cands · b/64)`). Below it, the frame is too small for the scan
-/// to amortize. The threshold is a pure function of the frame, so the
-/// choice — and the search result — stays deterministic.
-const GAIN_BATCH_MIN: usize = 8;
+/// Per-node counts kept along the DFS path, so that a frame reads every
+/// per-candidate number in `O(1)`:
+///
+/// * `levels[nd·(r+1) + h] = |row(nd) ∩ {hits = h}|` — a candidate's
+///   gain is its level `s − 1`, its hit supply within `m` more failures
+///   the sum of levels `s − m ..= s − 1`, and what it exposes to a pair
+///   partner its level `s − 2`;
+/// * `pair[lo·n + hi]` for node pair `lo < hi`: `+1` per object at
+///   `hits = s − 2` hosted by both, `−1` per object at `hits = s − 1`
+///   hosted by both — exactly the difference between `gain({x, y})` and
+///   `gain(x) + gain(y)`.
+///
+/// Both start at the empty failed set (every object at level 0), are
+/// cached per binding under one key, and are shifted by every add and
+/// remove of the search ([`PathTables::shift`]). A shift leaves the
+/// shifted node's own row and pairs alone, and it updates failed
+/// co-hosts' rows off by one level; neither is read while that node is
+/// failed, and because the DFS removes nodes in reverse order of adding
+/// them, the balanced shifts restore every entry exactly.
+#[derive(Debug, Default)]
+pub(crate) struct PathTables {
+    levels: Vec<u32>,
+    pair: Vec<i32>,
+    /// Levels per node (`r + 1`).
+    stride: usize,
+    /// Nodes `n` (the pair matrix's row length).
+    n: usize,
+    /// The threshold `s`.
+    s: usize,
+    /// Binding key `(n, b, s)` of the cached tables; cleared on
+    /// rebinding.
+    key: Option<(u16, usize, u16)>,
+}
+
+impl PathTables {
+    /// Resets the tables to the empty failed set of `pc`'s binding
+    /// unless they are cached for it already; with `pairs`, also builds
+    /// the pair matrix and has `pc` fill the co-host rows the shifts
+    /// stream (only searches with `k ≥ 2` read the matrix or shift).
+    /// Must be called with an empty failed set.
+    fn ensure(&mut self, pc: &mut PackedCounts, pairs: bool) {
+        let key = (pc.num_nodes(), pc.num_objects(), pc.threshold());
+        if self.key != Some(key) {
+            self.n = usize::from(pc.num_nodes());
+            self.stride = usize::from(pc.replicas_per_object()) + 1;
+            self.s = usize::from(pc.threshold());
+            self.levels.clear();
+            self.levels.resize(self.n * self.stride, 0);
+            for (nd, row) in (0..pc.num_nodes()).zip(self.levels.chunks_exact_mut(self.stride)) {
+                if let Some(level0) = row.first_mut() {
+                    *level0 = pc.load(nd);
+                }
+            }
+            self.pair.clear();
+            self.key = Some(key);
+        }
+        if pairs {
+            pc.ensure_cohosts();
+        }
+        if pairs && self.pair.is_empty() {
+            self.pair.resize(self.n * self.n, 0);
+            let w0 = pair_weight(0, self.s);
+            if w0 != 0 {
+                for obj in 0..pc.num_objects() {
+                    // Rows are ascending: `a < b` is the canonical order.
+                    let hosts = pc.hosts_of(obj);
+                    for (i, &a) in hosts.iter().enumerate() {
+                        let row = usize::from(a) * self.n;
+                        for &b in hosts.get(i + 1..).unwrap_or(&[]) {
+                            if let Some(slot) = self.pair.get_mut(row + usize::from(b)) {
+                                *slot += w0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `|row(nd) ∩ {hits = h}|` for a node outside the failed set; `0`
+    /// for levels above `r`.
+    fn level(&self, nd: u16, h: usize) -> u64 {
+        if h >= self.stride {
+            return 0;
+        }
+        self.levels
+            .get(usize::from(nd) * self.stride + h)
+            .map_or(0, |&c| u64::from(c))
+    }
+
+    /// Objects `nd` fails if it joins the failed set (level `s − 1`).
+    fn gain(&self, nd: u16) -> u64 {
+        self.s.checked_sub(1).map_or(0, |h| self.level(nd, h))
+    }
+
+    /// Objects `nd` would move into the gain set (level `s − 2`), the
+    /// most it can add to a partner's gain.
+    fn exposure(&self, nd: u16) -> u64 {
+        self.s.checked_sub(2).map_or(0, |h| self.level(nd, h))
+    }
+
+    /// `|row(nd) ∩ {s − m ≤ hits < s}|`: the hits `nd` can supply to
+    /// objects still failable within `m` more failures.
+    fn supply(&self, nd: u16, m: u16) -> u64 {
+        let lo = self.s.saturating_sub(usize::from(m));
+        (lo..self.s).map(|h| self.level(nd, h)).sum()
+    }
+
+    /// `gain({x, y}) − gain(x) − gain(y)` for two distinct nodes outside
+    /// the failed set.
+    fn correction(&self, x: u16, y: u16) -> i32 {
+        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+        self.pair
+            .get(usize::from(lo) * self.n + usize::from(hi))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Shifts the tables for `nd` joining (`dir = 1`) or having left
+    /// (`dir = −1`) the failed set; both calls happen with `nd` outside
+    /// the set. Dispatches on the co-hosts per object (`r − 1`) so the
+    /// common replication factors stream with a constant row width.
+    fn shift(&mut self, pc: &PackedCounts, nd: u16, dir: i32) {
+        match self.stride.saturating_sub(2) {
+            0 => {} // r = 1: objects have no co-hosts
+            1 => self.shift_rows(pc, nd, dir, 1),
+            2 => self.shift_rows(pc, nd, dir, 2),
+            3 => self.shift_rows(pc, nd, dir, 3),
+            others => self.shift_rows(pc, nd, dir, others),
+        }
+    }
+
+    /// [`PathTables::shift`] over co-host rows of `width = r − 1`.
+    /// Streams `nd`'s co-host row: an object's hit level is the number
+    /// of its failed co-hosts, each co-host's count moves from that
+    /// level to the next, and each co-host pair's correction moves by
+    /// the weight difference of the two levels — one branch-free pass
+    /// with no plane gathers. Always inlined, so each constant `width`
+    /// of [`PathTables::shift`] gets its own unrolled copy.
+    #[inline(always)]
+    fn shift_rows(&mut self, pc: &PackedCounts, nd: u16, dir: i32, width: usize) {
+        let members = pc.members();
+        let (stride, n, s) = (self.stride, self.n, self.s);
+        // Two's-complement ±1 for the unsigned level counts.
+        let step = dir as u32;
+        for co in pc.cohost_row(nd).chunks_exact(width) {
+            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            for &c in co {
+                let at = usize::from(c) * stride + h;
+                if let Some([from, to]) = self.levels.get_mut(at..at + 2) {
+                    *from = from.wrapping_sub(step);
+                    *to = to.wrapping_add(step);
+                }
+            }
+            let delta = dir * (pair_weight(h + 1, s) - pair_weight(h, s));
+            // Co-host rows are ascending, so `a < b` is already the
+            // canonical pair order.
+            for (i, &a) in co.iter().enumerate() {
+                let row = usize::from(a) * n;
+                for &b in co.get(i + 1..).unwrap_or(&[]) {
+                    if let Some(slot) = self.pair.get_mut(row + usize::from(b)) {
+                        *slot += delta;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An object's weight in the pair-correction matrix at hit count `h`:
+/// `+1` one hit below the gain set (`h = s − 2`), `−1` inside it
+/// (`h = s − 1`), `0` elsewhere.
+fn pair_weight(h: usize, s: usize) -> i32 {
+    i32::from(h + 2 == s) - i32::from(h + 1 == s)
+}
 
 /// Finds the exact maximum number of failed objects over all `k`-subsets
 /// of nodes, or `None` if the search exceeds `budget` node expansions.
@@ -170,9 +335,7 @@ pub(crate) fn run_dfs(
     if ds.sort_bufs.len() < usize::from(SORT_DEPTH) {
         ds.sort_bufs.resize_with(usize::from(SORT_DEPTH), Vec::new);
     }
-    if k >= 2 {
-        ensure_pair_matrix(pc, ds);
-    }
+    ds.path.ensure(pc, k >= 2);
 
     let order = std::mem::take(&mut ds.order);
     let mut search = Search {
@@ -188,6 +351,7 @@ pub(crate) fn run_dfs(
     };
     let completed = search.dfs(&order, 0);
     let (best, best_nodes) = (search.best, search.best_nodes);
+    search.ds.expansions = search.expansions;
     search.ds.order = order;
     if completed {
         Some(WorstCase {
@@ -227,9 +391,7 @@ pub(crate) fn dfs_rooted(
     let Some(&root) = order.get(root_pos) else {
         return Some((incumbent, Vec::new()));
     };
-    if k >= 2 {
-        ensure_pair_matrix(pc, ds);
-    }
+    ds.path.ensure(pc, k >= 2);
     let tail = order.get(root_pos + 1..).unwrap_or(&[]);
     let mut search = Search {
         pc,
@@ -242,14 +404,17 @@ pub(crate) fn dfs_rooted(
         all_objects: b,
         shared: Some(shared),
     };
-    if k >= 3 {
-        search.pair_shift(root, 1);
+    // k = 1 closes at the root itself; any deeper frame reads the
+    // shifted tables.
+    let shifted = k >= 2;
+    if shifted {
+        search.ds.path.shift(search.pc, root, 1);
     }
     search.pc.add_node(root);
     let completed = search.dfs(tail, 1);
     search.pc.remove_node(root);
-    if k >= 3 {
-        search.pair_shift(root, -1);
+    if shifted {
+        search.ds.path.shift(search.pc, root, -1);
     }
     let (best, best_nodes) = (search.best, search.best_nodes);
     completed.then_some((best, best_nodes))
@@ -293,18 +458,16 @@ impl Search<'_> {
         let failed = self.pc.failed();
         if remaining == 1 {
             // Closed-form last level: adding one more node fails
-            // exactly `gain(nd) = |row(nd) ∩ {hits = s − 1}|` more
-            // objects, so the best completion is a masked-popcount
-            // sweep over the candidates — no add/remove churn, and the
-            // bottom level is the bulk of the combination tree.
+            // exactly `gain(nd)` more objects, read off the path
+            // tables — no add/remove churn, and the bottom level is the
+            // bulk of the combination tree.
             if self.best >= self.all_objects {
                 return true;
             }
             // O(1) level ceiling: gain(nd) ≤ |{hits = s − 1}| for every
             // candidate, and `failable_within(1)` is exactly that
             // eq-count. A frame whose ceiling cannot beat the incumbent
-            // skips the whole candidate sweep — the dominant cost of
-            // the combination tree's bottom level.
+            // skips the whole candidate sweep.
             let ceiling = failed + self.pc.failable_within(1);
             if ceiling <= self.best {
                 return true;
@@ -314,21 +477,12 @@ impl Search<'_> {
                     return true;
                 }
             }
-            let batched = cands.len() >= GAIN_BATCH_MIN;
-            if batched {
-                self.pc.gains_into(&mut self.ds.gains);
-            }
             for &nd in cands {
                 self.expansions += 1;
                 if self.expansions > self.budget {
                     return false;
                 }
-                let gain = if batched {
-                    self.ds.gains.get(usize::from(nd)).copied().unwrap_or(0)
-                } else {
-                    self.pc.gain(nd)
-                };
-                let total = failed + gain;
+                let total = failed + self.ds.path.gain(nd);
                 if total > self.best {
                     self.best = total;
                     self.pc.collect_nodes(&mut self.best_nodes);
@@ -352,52 +506,55 @@ impl Search<'_> {
                 return true; // below every other worker's proven value
             }
         }
-        if depth < SORT_DEPTH {
-            // Supply bound: the remaining failures can add at most one
-            // hit per (node, hosted failable object) pair, and each new
-            // failure needs at least one such hit.
-            let supply = self.supply_bound(cands, remaining);
-            if failed + supply <= self.best {
+        if depth >= SORT_DEPTH {
+            return if remaining == 2 {
+                self.expand_pairs(cands)
+            } else {
+                self.expand(cands, depth, remaining)
+            };
+        }
+        // Supply bound: the remaining failures can add at most one hit
+        // per (node, hosted failable object) pair, and each new failure
+        // needs at least one such hit.
+        let supply = self.supply_bound(cands, remaining);
+        if failed + supply <= self.best {
+            return true;
+        }
+        if let Some(shared) = self.shared {
+            if failed + supply < shared.get() {
                 return true;
             }
-            if let Some(shared) = self.shared {
-                if failed + supply < shared.get() {
-                    return true;
-                }
-            }
-            let mut buf = std::mem::take(&mut self.ds.sort_bufs[usize::from(depth)]);
-            self.order_by_live_gain(cands, &mut buf);
-            let ok = if remaining == 2 {
-                self.expand_pairs(&buf)
-            } else {
-                self.expand(&buf, depth, remaining)
-            };
-            self.ds.sort_bufs[usize::from(depth)] = buf;
-            ok
-        } else if remaining == 2 {
-            self.expand_pairs(cands)
-        } else {
-            self.expand(cands, depth, remaining)
         }
+        let slot = usize::from(depth);
+        let mut buf = self
+            .ds
+            .sort_bufs
+            .get_mut(slot)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        self.order_by_live_gain(cands, &mut buf);
+        let ok = if remaining == 2 {
+            self.expand_pairs(&buf)
+        } else {
+            self.expand(&buf, depth, remaining)
+        };
+        if let Some(kept) = self.ds.sort_bufs.get_mut(slot) {
+            *kept = buf;
+        }
+        ok
     }
 
     /// Closes the bottom **two** levels in one fused sweep. A
     /// `remaining == 2` frame needs `max gain({x, y})` over candidate
-    /// pairs, and rippling every `x` through the counter planes just to
-    /// re-derive gains is the dominant cost of the whole search tree.
-    /// Instead `gain({x, y})` decomposes as
-    /// `gain(x) + gain(y) + pair[x, y]` — one gain-table build per
-    /// frame plus an O(1) lookup per pair into the path-maintained
-    /// correction matrix, with no add/remove churn at all. Enumeration
+    /// pairs, and `gain({x, y})` decomposes as
+    /// `gain(x) + gain(y) + correction(x, y)` — three reads of the path
+    /// tables per pair, with no add/remove churn at all. Enumeration
     /// order, pruning ceilings, budget accounting, and recording match
     /// the unfused recursion exactly, so results (and witnesses) are
     /// unchanged.
     fn expand_pairs(&mut self, cands: &[u16]) -> bool {
         let failed = self.pc.failed();
         let eq_count = self.pc.failable_within(1);
-        self.pc.gains_into(&mut self.ds.gains);
-        self.pc.eq_sm2_into(&mut self.ds.eq_lo);
-        let n = usize::from(self.pc.num_nodes());
         let last = cands.len().saturating_sub(1);
         for (pos, &x) in cands.iter().enumerate().take(last) {
             self.expansions += 1;
@@ -407,14 +564,13 @@ impl Search<'_> {
             if self.best >= self.all_objects {
                 continue;
             }
-            // `gain(x)` straight from the table; the `hits = s − 2`
-            // overlap bounds what x can newly expose to its partner.
-            let gx = self.ds.gains.get(usize::from(x)).copied().unwrap_or(0);
-            let dp_pop = self.pc.and_popcount_row(x, &self.ds.eq_lo);
+            let gx = self.ds.path.gain(x);
             let failed_x = failed + gx;
             // The child's eq-ceiling, identical to the unfused
-            // `failed + failable_within(1)` after adding x.
-            let ceiling = failed_x + (eq_count - gx + dp_pop);
+            // `failed + failable_within(1)` after adding x: x's gain
+            // leaves the `hits = s − 1` set and its level `s − 2`
+            // joins it.
+            let ceiling = failed_x + (eq_count - gx + self.ds.path.exposure(x));
             if ceiling <= self.best {
                 continue;
             }
@@ -429,15 +585,9 @@ impl Search<'_> {
                 if self.expansions > self.budget {
                     return false;
                 }
-                let gy = self.ds.gains.get(usize::from(y)).copied().unwrap_or(0);
-                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-                let corr = self
-                    .ds
-                    .pair
-                    .get(usize::from(lo) * n + usize::from(hi))
-                    .copied()
-                    .unwrap_or(0);
-                let total = (failed_x + gy).wrapping_add_signed(i64::from(corr));
+                let path = &self.ds.path;
+                let total =
+                    (failed_x + path.gain(y)).wrapping_add_signed(i64::from(path.correction(x, y)));
                 if total > self.best {
                     self.best = total;
                     self.pc.collect_nodes(&mut self.best_nodes);
@@ -455,8 +605,8 @@ impl Search<'_> {
 
     /// Iterates this frame's children in `cands` order. Only reached
     /// with `remaining ≥ 3` (the pair level closes in
-    /// [`Search::expand_pairs`]), so every child subtree contains a pair
-    /// frame and the pair matrix is shifted across each add/remove.
+    /// [`Search::expand_pairs`]), so every child subtree reads the path
+    /// tables, which are shifted across each add/remove.
     fn expand(&mut self, cands: &[u16], depth: u16, remaining: u16) -> bool {
         let last = cands.len() - usize::from(remaining) + 1;
         for (pos, &nd) in cands.iter().enumerate().take(last) {
@@ -464,11 +614,11 @@ impl Search<'_> {
             if self.expansions > self.budget {
                 return false;
             }
-            self.pair_shift(nd, 1);
+            self.ds.path.shift(self.pc, nd, 1);
             self.pc.add_node(nd);
-            let ok = self.dfs(&cands[pos + 1..], depth + 1);
+            let ok = self.dfs(cands.get(pos + 1..).unwrap_or(&[]), depth + 1);
             self.pc.remove_node(nd);
-            self.pair_shift(nd, -1);
+            self.ds.path.shift(self.pc, nd, -1);
             if !ok {
                 return false;
             }
@@ -476,34 +626,14 @@ impl Search<'_> {
         true
     }
 
-    /// Shifts the pair-correction matrix for `nd` joining (`dir = 1`)
-    /// or having left (`dir = −1`) the failed set: each of its objects
-    /// moves one hit level, and only levels `s − 2` and `s − 1` carry
-    /// weight. Both calls happen with `nd` *outside* the failed set, so
-    /// they see the same hit counts and cancel exactly.
-    fn pair_shift(&mut self, nd: u16, dir: i32) {
-        let pc = &*self.pc;
-        let ds = &mut *self.ds;
-        let s = pc.threshold();
-        let n = usize::from(pc.num_nodes());
-        for &obj in pc.row_objects(nd) {
-            let obj = obj as usize;
-            let h = pc.hit_count(obj);
-            let delta = dir * (pair_weight(h + 1, s) - pair_weight(h, s));
-            if delta != 0 {
-                bump_pairs(&mut ds.pair, n, pc.hosts_of(obj), delta);
-            }
-        }
-    }
-
     /// Sorts `cands` into `buf` by decreasing `(gain, load, node)` under
     /// the current partial failure set.
     fn order_by_live_gain(&mut self, cands: &[u16], buf: &mut Vec<u16>) {
-        let pc = &*self.pc;
+        let (pc, path) = (&*self.pc, &self.ds.path);
         self.ds.keys.clear();
         self.ds
             .keys
-            .extend(cands.iter().map(|&nd| (pc.gain(nd), pc.load(nd), nd)));
+            .extend(cands.iter().map(|&nd| (path.gain(nd), pc.load(nd), nd)));
         self.ds.keys.sort_unstable_by(|a, b| b.cmp(a));
         buf.clear();
         buf.extend(self.ds.keys.iter().map(|&(_, _, nd)| nd));
@@ -513,73 +643,25 @@ impl Search<'_> {
     /// largest `|row(nd) ∩ failable|` overlaps among the candidates.
     fn supply_bound(&mut self, cands: &[u16], remaining: u16) -> u64 {
         let m = usize::from(remaining);
-        self.pc.failable_mask_into(remaining, &mut self.ds.failable);
-        self.ds.tops.clear();
+        let DfsScratch { tops, path, .. } = &mut *self.ds;
+        tops.clear();
         for &nd in cands {
-            let supply = self.pc.and_popcount_row(nd, &self.ds.failable);
+            let supply = path.supply(nd, remaining);
             // Keep the m largest supplies (ascending insertion into a
             // tiny buffer; m ≤ k).
-            if self.ds.tops.len() < m {
-                let at = self.ds.tops.partition_point(|&t| t < supply);
-                self.ds.tops.insert(at, supply);
-            } else if let Some(&min) = self.ds.tops.first() {
+            if tops.len() < m {
+                let at = tops.partition_point(|&t| t < supply);
+                tops.insert(at, supply);
+            } else if let Some(&min) = tops.first() {
                 if supply > min {
-                    self.ds.tops.remove(0);
-                    let at = self.ds.tops.partition_point(|&t| t < supply);
-                    self.ds.tops.insert(at, supply);
+                    tops.remove(0);
+                    let at = tops.partition_point(|&t| t < supply);
+                    tops.insert(at, supply);
                 }
             }
         }
-        self.ds.tops.iter().sum()
+        tops.iter().sum()
     }
-}
-
-/// An object's weight in the pair-correction matrix at hit count `h`:
-/// `+1` one hit below the gain set (`h = s − 2`), `−1` inside it
-/// (`h = s − 1`), `0` elsewhere.
-fn pair_weight(h: u16, s: u16) -> i32 {
-    if h + 2 == s {
-        1
-    } else if h + 1 == s {
-        -1
-    } else {
-        0
-    }
-}
-
-/// Adds `delta` to the pair-matrix entry of every host pair of one
-/// object (canonical `lo < hi` indexing).
-fn bump_pairs(pair: &mut [i32], n: usize, hosts: &[u16], delta: i32) {
-    for (i, &a) in hosts.iter().enumerate() {
-        for &b in hosts.get(i + 1..).unwrap_or(&[]) {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            if let Some(slot) = pair.get_mut(usize::from(lo) * n + usize::from(hi)) {
-                *slot += delta;
-            }
-        }
-    }
-}
-
-/// Builds (or reuses) the empty-set pair-correction matrix for the
-/// current binding. Must be called with an empty failed set; the DFS
-/// keeps the matrix current from there via balanced
-/// [`Search::pair_shift`] calls, so a cached matrix is already back in
-/// its root state.
-fn ensure_pair_matrix(pc: &PackedCounts, ds: &mut DfsScratch) {
-    let key = (pc.num_nodes(), pc.num_objects(), pc.threshold());
-    if ds.pair_key == Some(key) {
-        return;
-    }
-    let n = usize::from(pc.num_nodes());
-    ds.pair.clear();
-    ds.pair.resize(n * n, 0);
-    let w0 = pair_weight(0, pc.threshold());
-    if w0 != 0 {
-        for obj in 0..pc.num_objects() {
-            bump_pairs(&mut ds.pair, n, pc.hosts_of(obj), w0);
-        }
-    }
-    ds.pair_key = Some(key);
 }
 
 #[cfg(test)]

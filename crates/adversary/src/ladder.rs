@@ -121,7 +121,7 @@ impl<'a> Ladder<'a> {
         let (worst, rungs) = node_ladder(placement, s, k, self.config, scratch);
         let certificate = self.certified.then(|| Certificate {
             ledger: if worst.exact {
-                certify::node_ledger(placement, k, scratch)
+                certify::node_ledger(placement, s, k, scratch)
             } else {
                 Vec::new()
             },
@@ -272,6 +272,76 @@ mod tests {
                 assert_eq!(prev, out);
             }
         }
+    }
+
+    /// One certified run on a fresh scratch: the certificate digest, the
+    /// exact rung's node expansions and whether it completed.
+    fn decision_record(p: &Placement, s: u16, k: u16) -> (u64, u64, bool) {
+        let mut scratch = AdversaryScratch::new();
+        let out = Ladder::new(&AdversaryConfig::default())
+            .scratch(&mut scratch)
+            .certified()
+            .run(p, s, k);
+        let cert = out.certificate.expect("certified run");
+        (cert.digest(), scratch.dfs.expansions, out.worst.exact)
+    }
+
+    /// The churn benchmark's shape: `up` nodes carrying every replica
+    /// among `slots` node ids, the down slots hosting nothing.
+    fn churn_placement(slots: u16, up: u16, b: u64, seed: u64) -> Placement {
+        let live = random_placement(up, b, 3, seed);
+        let down: Vec<u16> = (0..slots - up).map(|i| 5 + i * 17).collect();
+        let ids: Vec<u16> = (0..slots).filter(|nd| !down.contains(nd)).collect();
+        let rows: Vec<u16> = live
+            .rows()
+            .flatten()
+            .map(|&nd| ids[usize::from(nd)])
+            .collect();
+        Placement::from_rows(slots, 3, rows).unwrap()
+    }
+
+    /// `(n, b, r, seed, s, k)` of a golden run; its record is
+    /// `(digest, expansions)`.
+    type GoldenShape = (u16, u64, u16, u64, u16, u16);
+
+    /// The golden decision record: certificate digests and exact-rung
+    /// expansion counts of certified ladder runs across thresholds,
+    /// budgets, replication factors and object counts. A kernel change
+    /// that claims to leave every decision alone must leave these
+    /// numbers alone. Every run completes exactly.
+    const GOLDEN: [(GoldenShape, (u64, u64)); 11] = [
+        ((71, 1_200, 3, 1, 2, 3), (0x68ab_1ebb_289a_4125, 59_639)),
+        ((71, 1_200, 3, 2, 1, 2), (0x7af6_5b77_4344_326e, 0)),
+        ((13, 1_200, 3, 2, 1, 3), (0xc9d2_69fe_cfde_cb60, 363)),
+        ((16, 1_200, 4, 2, 1, 4), (0xb829_4503_0ee5_5dbe, 2_379)),
+        ((25, 1_200, 2, 2, 1, 3), (0x653a_b98b_8e10_b170, 442)),
+        ((31, 1_200, 3, 4, 2, 5), (0x9c42_3e93_f755_e221, 201_375)),
+        ((30, 1_200, 5, 8, 3, 4), (0xfb3f_5bc8_7ca2_42d6, 31_464)),
+        ((20, 1_200, 1, 9, 1, 3), (0x62f4_93d8_dae7_5cde, 0)),
+        ((71, 20_000, 3, 5, 2, 3), (0x9d52_edd7_868f_2d4d, 59_639)),
+        ((40, 20_000, 4, 6, 3, 3), (0x3e9c_dde8_259f_6ae6, 10_659)),
+        ((50, 20_000, 2, 7, 2, 3), (0xfa63_56e7_957c_7b9e, 20_824)),
+    ];
+
+    #[test]
+    fn certified_runs_match_the_golden_record() {
+        for ((n, b, r, seed, s, k), want) in GOLDEN {
+            let (digest, expansions, exact) =
+                decision_record(&random_placement(n, b, r, seed), s, k);
+            assert!(exact, "n={n} b={b} r={r} s={s} k={k}");
+            assert_eq!((digest, expansions), want, "n={n} b={b} r={r} s={s} k={k}");
+        }
+    }
+
+    /// The golden record's two heavy shapes: `k = 5` at the paper's
+    /// `n = 71, b = 1200`, and the churn benchmark's `b = 10⁵` shape.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "11.8 M expansions; run with --release")]
+    fn heavy_shapes_match_the_golden_record() {
+        let k5 = decision_record(&random_placement(71, 1_200, 3, 3), 3, 5);
+        assert_eq!(k5, (0xd391_328b_c033_b228, 11_779_618, true));
+        let churn = decision_record(&churn_placement(75, 71, 100_000, 4242), 2, 3);
+        assert_eq!(churn, (0xb0c1_e642_bcc5_16ce, 70_283, true));
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl AdversaryScratch {
             None => self.packed = Some(PackedCounts::new(placement, s)),
         }
         // A rebind can change placement content behind an identical
-        // (n, b, s) shape; the DFS pair matrix must not survive it.
-        self.dfs.invalidate_pair_cache();
+        // (n, b, s) shape; the DFS path tables must not survive it.
+        self.dfs.invalidate_path_tables();
         (
             self.packed.as_mut().expect("bound above"),
             &mut self.climb,

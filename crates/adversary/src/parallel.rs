@@ -16,7 +16,8 @@
 //! to the lexicographically smallest witness". One thread simply runs
 //! the restarts in index order on the caller's scratch.
 //!
-//! **Exact search** runs the serial DFS at one thread. At more it
+//! **Exact search** runs the serial DFS at one thread (and at `k ≤ 1`,
+//! where the root frame is a single closed-form sweep). At more it
 //! splits the root frontier: task `i` explores the subtree rooted at
 //! the `i`-th child of the deterministic root order — the same
 //! `(gain, load, node)` descending key the serial DFS sorts its root
@@ -238,8 +239,11 @@ pub(crate) fn exact_rung(
         "scratch not bound to this placement"
     );
     debug_assert_eq!(pc.threshold(), s, "scratch not bound to this threshold");
-    // k = 0 has no root frame to split.
-    if parallelism.threads() == 1 || k == 0 {
+    // k = 0 has no root frame to split, and at k = 1 the root frame is
+    // the serial DFS's closed-form bottom level: one O(n) sweep in
+    // static load order, which a split (ordered by live gain) would
+    // resolve to a different witness among tied nodes.
+    if parallelism.threads() == 1 || k <= 1 {
         return exact::run_dfs(pc, ds, k, budget, incumbent, b);
     }
     let confirmed = WorstCase {

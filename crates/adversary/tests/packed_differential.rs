@@ -12,10 +12,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use wcp_adversary::{
-    exact_worst, greedy_worst, local_search_worst, reference, AdversaryConfig, FailureCounts,
-    PackedCounts,
+    exact_worst, exact_worst_parallel, greedy_worst, local_search_worst, reference,
+    AdversaryConfig, FailureCounts, PackedCounts,
 };
-use wcp_core::{Placement, RandomStrategy, RandomVariant, SystemParams};
+use wcp_core::{Parallelism, Placement, RandomStrategy, RandomVariant, SystemParams};
 
 fn placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
     let params = SystemParams::new(n, b, r, 1, 1).expect("valid");
@@ -155,20 +155,25 @@ proptest! {
         }
     }
 
-    /// The upgraded exact DFS (supply bound + live child ordering) and
-    /// the reference DFS agree on the optimum; both witnesses achieve
-    /// it.
+    /// The upgraded exact DFS (supply bound, live child ordering,
+    /// path-maintained hit levels and pair corrections) and the
+    /// reference DFS agree on the optimum, and the kernel witness
+    /// achieves it; the frontier split at 2 and 8 threads returns the
+    /// serial optimum *and* witness. The shapes reach every branch of
+    /// the path tables: `r = 1` (no co-hosts), every `s ≤ r` (levels
+    /// `s − 1` and `s − 2` in and out of range), and rows spanning
+    /// several words.
     #[test]
     fn exact_matches_reference(
         n in 6u16..14,
-        b in 4u64..60,
-        r in 2u16..=4,
+        b in 4u64..300,
+        r in 1u16..=5,
         k in 1u16..=5,
         seed in any::<u64>(),
     ) {
         prop_assume!(r <= n);
         let p = placement(n, b, r, seed);
-        for s in 1..=r.min(3) {
+        for s in 1..=r {
             let kernel = exact_worst(&p, s, k, u64::MAX, 0).expect("no budget");
             let oracle = reference::exact_worst(&p, s, k, u64::MAX, 0).expect("no budget");
             prop_assert_eq!(kernel.failed, oracle.failed, "s={} k={}", s, k);
@@ -177,6 +182,12 @@ proptest! {
                 p.failed_objects(&kernel.nodes, s), kernel.failed,
                 "kernel witness s={} k={}", s, k
             );
+            for threads in [2usize, 8] {
+                let split = exact_worst_parallel(
+                    &p, s, k, u64::MAX, 0, Parallelism::new(threads),
+                ).expect("no budget");
+                prop_assert_eq!(&split, &kernel, "threads={} s={} k={}", threads, s, k);
+            }
         }
     }
 }

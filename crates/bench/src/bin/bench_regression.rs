@@ -23,8 +23,37 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use wcp_bench::regression::{answer_mismatches, compare};
+use wcp_bench::regression::{answer_mismatches, compare, FamilyDelta};
 use wcp_sim::bench::BenchSnapshot;
+
+/// A nanosecond figure with at least four significant digits: whole
+/// nanoseconds from 1 µs up, decimals below, so the sub-10 ns lookup
+/// rows print the values the gate compared (`2.175`, not `2`).
+fn fmt_ns(ns: f64) -> String {
+    if ns == 0.0 || !ns.is_finite() || ns.abs() >= 1000.0 {
+        return format!("{ns:.0}");
+    }
+    let whole_digits = ns.abs().log10().floor() as i32 + 1;
+    let decimals = (4 - whole_digits).clamp(0, 9) as usize;
+    format!("{ns:.decimals$}")
+}
+
+/// One table row of the gate: family, both means, the relative change
+/// and the verdict at `threshold` (a fraction).
+fn delta_row(d: &FamilyDelta, threshold: f64) -> String {
+    let (current, change) = match (d.current_ns, d.change) {
+        (Some(c), Some(ch)) => (fmt_ns(c), format!("{:+.1}%", ch * 100.0)),
+        _ => ("missing".to_string(), "—".to_string()),
+    };
+    format!(
+        "{:<12} {:>14} {:>14} {:>9}  {}",
+        d.family,
+        fmt_ns(d.baseline_ns),
+        current,
+        change,
+        if d.regressed(threshold) { "FAIL" } else { "ok" }
+    )
+}
 
 /// Resolves the baseline argument to an existing file: the path as
 /// written, else (for relative paths) re-anchored at the bench crate's
@@ -119,20 +148,8 @@ fn run(args: &[String]) -> Result<bool, String> {
         "family", "baseline_ns", "current_ns", "change"
     );
     for d in &compare(&baseline, &current) {
-        let regressed = d.regressed(threshold);
-        failed |= regressed;
-        let (current, change) = match (d.current_ns, d.change) {
-            (Some(c), Some(ch)) => (format!("{c:.0}"), format!("{:+.1}%", ch * 100.0)),
-            _ => ("missing".to_string(), "—".to_string()),
-        };
-        println!(
-            "{:<12} {:>14.0} {:>14} {:>9}  {}",
-            d.family,
-            d.baseline_ns,
-            current,
-            change,
-            if regressed { "FAIL" } else { "ok" }
-        );
+        failed |= d.regressed(threshold);
+        println!("{}", delta_row(d, threshold));
     }
     for m in answer_mismatches(&baseline, &current) {
         failed = true;
@@ -237,6 +254,44 @@ mod tests {
         assert!(resolved.exists());
         let fallback = resolve_baseline("some/stale/cwd/BENCH_adversary.json").expect("resolves");
         assert!(fallback.ends_with("BENCH_adversary.json") && fallback.exists());
+    }
+
+    #[test]
+    fn rows_print_the_figures_they_gate() {
+        let delta = |family: &str, baseline_ns: f64, current_ns: f64| FamilyDelta {
+            family: family.to_string(),
+            baseline_ns,
+            current_ns: Some(current_ns),
+            change: Some(current_ns / baseline_ns - 1.0),
+        };
+        let lookup = delta_row(&delta("closed", 2.175, 1.640), 0.25);
+        let cols: Vec<&str> = lookup.split_whitespace().collect();
+        assert_eq!(
+            cols,
+            ["closed", "2.175", "1.640", "-24.6%", "ok"],
+            "{lookup}"
+        );
+        let slow = delta_row(&delta("closed", 3.559, 4.773), 0.25);
+        assert!(
+            slow.contains(" 3.559 ") && slow.contains(" 4.773 ") && slow.ends_with("FAIL"),
+            "{slow}"
+        );
+        let ladder = delta_row(&delta("ladder", 59_507_263.0, 24_497_081.4), 0.25);
+        assert!(
+            ladder.contains(" 59507263 ") && ladder.contains(" 24497081 "),
+            "{ladder}"
+        );
+        assert_eq!(fmt_ns(123.456), "123.5");
+        assert_eq!(fmt_ns(0.012_346), "0.01235");
+        assert_eq!(fmt_ns(0.0), "0");
+        let gone = FamilyDelta {
+            family: "gone".to_string(),
+            baseline_ns: 10.5,
+            current_ns: None,
+            change: None,
+        };
+        let row = delta_row(&gone, 0.25);
+        assert!(row.contains("10.50") && row.contains("missing"), "{row}");
     }
 
     #[test]

@@ -36,7 +36,8 @@ fn determinism_scope(path: &str) -> bool {
 }
 
 /// Non-test library code that sits in or behind the serving loop: the
-/// `core`, `adversary`, `sim` and `service` crates' `src/` trees (no
+/// `core`, `adversary`, `sim` and `service` crates' `src/` trees, plus
+/// `verify`, which re-checks every certificate the adversary emits (no
 /// `src/bin/`).
 fn panic_scope(path: &str) -> bool {
     [
@@ -44,6 +45,7 @@ fn panic_scope(path: &str) -> bool {
         "crates/adversary/src/",
         "crates/sim/src/",
         "crates/service/src/",
+        "crates/verify/src/",
     ]
     .iter()
     .any(|p| path.starts_with(p))
@@ -342,7 +344,11 @@ mod tests {
     #[test]
     fn unwrap_and_macros_fire_in_library_code() {
         let src = "fn f(v: Option<u32>) -> u32 {\n    v.unwrap()\n}\nfn g() { panic!(\"x\") }\n";
-        for path in ["crates/sim/src/json.rs", "crates/service/src/lib.rs"] {
+        for path in [
+            "crates/sim/src/json.rs",
+            "crates/service/src/lib.rs",
+            "crates/verify/src/lib.rs",
+        ] {
             assert_eq!(
                 diags(path, src),
                 vec![(RuleId::Panic, 2), (RuleId::Panic, 4)],
@@ -354,7 +360,7 @@ mod tests {
             diags("crates/service/src/runtime.rs", "let x = pins[at];\n"),
             vec![(RuleId::Index, 1)]
         );
-        assert_eq!(diags("crates/verify/src/lib.rs", src), vec![]);
+        assert_eq!(diags("crates/bench/src/lib.rs", src), vec![]);
     }
 
     #[test]

@@ -127,10 +127,10 @@ pub fn verify_structure(cert: &Certificate) -> Result<(), String> {
         }
         let mut seen = vec![false; usize::from(cert.n)];
         for &nd in &rung.witness {
-            if nd >= cert.n {
+            let Some(slot) = seen.get_mut(usize::from(nd)) else {
                 return fail(format!("rung {i} witness node {nd} outside 0..{}", cert.n));
-            }
-            if std::mem::replace(&mut seen[usize::from(nd)], true) {
+            };
+            if std::mem::replace(slot, true) {
                 return fail(format!("rung {i} witness repeats node {nd}"));
             }
         }
@@ -141,7 +141,9 @@ pub fn verify_structure(cert: &Certificate) -> Result<(), String> {
         }
         prev = Some(rung);
     }
-    let last = cert.rungs.last().expect("non-empty above");
+    let Some(last) = cert.rungs.last() else {
+        return fail("certificate has no rungs");
+    };
     if last.failed != cert.claimed_failed {
         return fail(format!(
             "headline claim {} is not the last rung's {}",
@@ -239,7 +241,7 @@ pub fn verify_node(cert: &Certificate, placement: &Placement) -> Result<VerifyRe
     // set, and failing every node dominates any other choice (failure
     // is monotone in the failed set).
     if k == 0 {
-        if cert.claimed_failed != 0 || !cert.rungs[0].witness.is_empty() {
+        if cert.claimed_failed != 0 || cert.rungs.first().is_some_and(|r| !r.witness.is_empty()) {
             return Err("k = 0 certificate must claim the empty attack".into());
         }
         if !cert.ledger.is_empty() {
@@ -249,8 +251,11 @@ pub fn verify_node(cert: &Certificate, placement: &Placement) -> Result<VerifyRe
         return Ok(report);
     }
     if k >= n {
-        let last = cert.rungs.last().expect("structure checked");
-        if last.witness.len() != usize::from(n) {
+        let all_down = cert
+            .rungs
+            .last()
+            .is_some_and(|last| last.witness.len() == usize::from(n));
+        if !all_down {
             return Err(format!(
                 "k = {k} ≥ n = {n} certificate must witness all nodes down"
             ));
@@ -277,7 +282,13 @@ pub fn verify_node(cert: &Certificate, placement: &Placement) -> Result<VerifyRe
     let mut fc = FailureCounts::new(placement, cert.s);
     let loads = placement.cached_loads();
     let mut keys: Vec<(u64, u32, u16)> = (0..n)
-        .map(|nd| (fc.gain(nd), loads[usize::from(nd)], nd))
+        .map(|nd| {
+            (
+                fc.gain(nd),
+                loads.get(usize::from(nd)).copied().unwrap_or(0),
+                nd,
+            )
+        })
         .collect();
     keys.sort_unstable_by(|a, b| b.cmp(a));
     for (i, (&(_, _, nd), entry)) in keys.iter().take(roots).zip(&cert.ledger).enumerate() {
@@ -355,13 +366,14 @@ pub fn verify_domain(
         let mut seen = vec![false; u_count];
         let mut union: Vec<u16> = Vec::new();
         for &u in &rung.units {
-            let Some(slot) = seen.get_mut(u as usize) else {
+            let (Some(slot), Some(leaves)) = (seen.get_mut(u as usize), units.get(u as usize))
+            else {
                 return Err(format!("rung {i} names unit {u} outside 0..{u_count}"));
             };
             if std::mem::replace(slot, true) {
                 return Err(format!("rung {i} repeats unit {u}"));
             }
-            union.extend_from_slice(&units[u as usize]);
+            union.extend_from_slice(leaves);
         }
         union.sort_unstable();
         union.dedup();
@@ -383,7 +395,7 @@ pub fn verify_domain(
         return Ok(report);
     }
     if k == 0 {
-        if cert.claimed_failed != 0 || !cert.rungs[0].units.is_empty() {
+        if cert.claimed_failed != 0 || cert.rungs.first().is_some_and(|r| !r.units.is_empty()) {
             return Err("k = 0 certificate must claim the empty attack".into());
         }
         if !cert.ledger.is_empty() {
@@ -393,8 +405,11 @@ pub fn verify_domain(
         return Ok(report);
     }
     if usize::from(k) >= u_count {
-        let last = cert.rungs.last().expect("structure checked");
-        if last.units.len() != u_count {
+        let all_down = cert
+            .rungs
+            .last()
+            .is_some_and(|last| last.units.len() == u_count);
+        if !all_down {
             return Err(format!(
                 "k = {k} ≥ {u_count} units: certificate must witness all units down"
             ));
@@ -422,7 +437,7 @@ pub fn verify_domain(
         .map(|leaves| {
             leaves
                 .iter()
-                .map(|&nd| u64::from(loads[usize::from(nd)]))
+                .map(|&nd| u64::from(loads.get(usize::from(nd)).copied().unwrap_or(0)))
                 .sum()
         })
         .collect();
@@ -441,11 +456,11 @@ pub fn verify_domain(
     }
     let mut fc = FailureCounts::new(placement, cert.s);
     let mut keys: Vec<(u64, u64, u32)> = Vec::with_capacity(u_count);
-    for (u, leaves) in units.iter().enumerate() {
+    for ((u, leaves), &weight) in units.iter().enumerate().zip(&weights) {
         down(&mut fc, leaves);
         let gain = fc.failed();
         up(&mut fc, leaves);
-        keys.push((gain, weights[u], u as u32));
+        keys.push((gain, weight, u as u32));
     }
     keys.sort_unstable_by(|a, b| b.cmp(a));
     for (i, (&(_, _, u), entry)) in keys.iter().take(roots).zip(&cert.ledger).enumerate() {
@@ -455,7 +470,11 @@ pub fn verify_domain(
                 entry.root
             ));
         }
-        let leaves = &units[u as usize];
+        let Some(leaves) = units.get(u as usize) else {
+            return Err(format!(
+                "ledger entry {i} roots at unit {u} outside 0..{u_count}"
+            ));
+        };
         down(&mut fc, leaves);
         let bound = fc.failed() + fc.failable_within(hits);
         up(&mut fc, leaves);
