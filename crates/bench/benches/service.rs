@@ -16,7 +16,11 @@
 //! one writer paces a `Fail`/`Recover` pair through the repair thread —
 //! lookups/s is sustained across the whole run including the epoch
 //! publishes, and `p99_staleness_epochs` is measured from the readers'
-//! pinned snapshots against the live published epoch.
+//! pinned snapshots against the live published epoch. Those readers
+//! take one snapshot per table and read it in a batch; the
+//! `per_request_*` rows run the same loop with one
+//! [`PlacementProvider::lookup`] per request through each reader's own
+//! handle, the path a frontend calls.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,7 +32,7 @@ use wcp_core::{
     ClusterEvent, DynamicConfig, DynamicEngine, RandomVariant, StrategyKind, SystemParams,
 };
 use wcp_service::runtime::{fan_out, serve};
-use wcp_service::{ServiceConfig, ServiceEvent, Snapshot};
+use wcp_service::{PlacementProvider, ServiceConfig, ServiceEvent, Snapshot};
 use wcp_sim::bench::{BenchRow, BenchSnapshot};
 use wcp_sim::workload::ZipfSpec;
 
@@ -57,9 +61,18 @@ fn bench_service_lookup(c: &mut Criterion) {
     write_snapshot();
 }
 
+/// How a reader reads its request table.
+#[derive(Clone, Copy)]
+enum Reads {
+    /// One `snapshot()` per table, then `Snapshot::lookup` per request.
+    Batch,
+    /// One `PlacementProvider::lookup` per request.
+    PerRequest,
+}
+
 /// One closed-loop run at `threads` readers over the b = 10⁶ engine:
 /// returns (total lookups, slowest reader's seconds, p99 staleness).
-fn closed_loop(threads: usize) -> (u64, f64, u64) {
+fn closed_loop(threads: usize, reads: Reads) -> (u64, f64, u64) {
     let params = SystemParams::new(N, B, R, 2, 2).expect("acceptance shape is valid");
     let kind = StrategyKind::Random {
         seed: 0x000b_e9c4,
@@ -83,7 +96,7 @@ fn closed_loop(threads: usize) -> (u64, f64, u64) {
         max_batch: 4,
     };
     let (stats, _, _) = serve(engine, &config, |handle| {
-        fan_out(threads + 1, |worker| {
+        fan_out(handle, threads + 1, |handle, worker| {
             if worker == 0 {
                 handle.enqueue(ServiceEvent::Churn(ClusterEvent::Fail { node: 3 }));
                 std::thread::sleep(Duration::from_millis(30));
@@ -101,8 +114,17 @@ fn closed_loop(threads: usize) -> (u64, f64, u64) {
                 while !stop.load(Ordering::SeqCst) {
                     let snap = handle.snapshot();
                     staleness.push(handle.published_epoch().saturating_sub(snap.epoch()));
-                    for &object in &table {
-                        hits += u64::from(snap.lookup(object).is_some());
+                    match reads {
+                        Reads::Batch => {
+                            for &object in &table {
+                                hits += u64::from(snap.lookup(object).is_some());
+                            }
+                        }
+                        Reads::PerRequest => {
+                            for &object in &table {
+                                hits += u64::from(handle.lookup(object).is_some());
+                            }
+                        }
                     }
                     lookups += table.len() as u64;
                 }
@@ -128,14 +150,19 @@ fn closed_loop(threads: usize) -> (u64, f64, u64) {
 /// batching does not apply.
 fn write_snapshot() {
     let all = std::thread::available_parallelism().map_or(4, usize::from);
+    let (half, most) = ((all / 2).max(2), all.max(3));
     let ladder = [
-        ("closed_loop_t1", 1),
-        ("closed_loop_t_half", (all / 2).max(2)),
-        ("closed_loop_t_all", all.max(3)),
+        ("closed_loop_t1", 1, Reads::Batch),
+        ("closed_loop_t_half", half, Reads::Batch),
+        ("closed_loop_t_all", most, Reads::Batch),
+        ("per_request_t1", 1, Reads::PerRequest),
+        ("per_request_t_half", half, Reads::PerRequest),
+        ("per_request_t_all", most, Reads::PerRequest),
     ];
     let mut snapshot = BenchSnapshot::new([("n", N.into()), ("b", B.into()), ("r", R.into())]);
-    for (name, threads) in ladder {
-        let mut samples: Vec<(u64, f64, u64)> = (0..3).map(|_| closed_loop(threads)).collect();
+    for (name, threads, reads) in ladder {
+        let mut samples: Vec<(u64, f64, u64)> =
+            (0..3).map(|_| closed_loop(threads, reads)).collect();
         samples.sort_by(|a, b| {
             let ra = a.0 as f64 / a.1.max(1e-9);
             let rb = b.0 as f64 / b.1.max(1e-9);

@@ -484,6 +484,25 @@ mod tests {
     }
 
     #[test]
+    fn committed_per_request_rate_does_not_fall_as_readers_are_added() {
+        // One `PlacementProvider::lookup` per request through each
+        // reader's own handle: the aggregate rate at every reader must
+        // be at least the one-reader rate.
+        let snap = committed(include_str!("../BENCH_service.json"));
+        let rate = |name: &str| {
+            snap.row(name)
+                .and_then(|row| row.metric_value("lookups_per_second"))
+                .unwrap_or_else(|| panic!("{name}: lookups_per_second"))
+        };
+        let one = rate("per_request_t1");
+        let all = rate("per_request_t_all");
+        assert!(
+            all >= one,
+            "per-request aggregate rate fell from {one:.0}/s at one reader to {all:.0}/s at all"
+        );
+    }
+
+    #[test]
     fn committed_sweep_snapshot_records_throughput() {
         let snap = committed(include_str!("../BENCH_sweep.json"));
         positive_metrics(&snap, &["threads", "cells_per_second"]);

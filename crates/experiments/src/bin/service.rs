@@ -80,7 +80,7 @@ fn run_ladder_row(
         max_batch: 4,
     };
     let (stats, report, _) = serve(engine, &config, |handle| {
-        fan_out(readers + 1, |worker| {
+        fan_out(handle, readers + 1, |handle, worker| {
             if worker == 0 {
                 // The writer: paced Fail/Recover pairs (always legal —
                 // each pair restores the membership it found).

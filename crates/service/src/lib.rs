@@ -19,13 +19,17 @@
 //!   not copied, plus the upsert pins laid over them, the epoch and a
 //!   digest of its availability [`Certificate`] when one was emitted.
 //!   Snapshots are shared as `Arc<Snapshot>` and never mutate.
-//! * The only shared mutable cell is an `RwLock<Arc<Snapshot>>`. A
-//!   lookup holds the read lock just long enough to index one row; the
-//!   repair thread holds the write lock just long enough to swap one
-//!   `Arc` pointer. Millions of concurrent lookups therefore never
-//!   block on a repair in progress — they block (briefly) only on the
-//!   pointer swap itself, and batch readers can [`ServiceHandle::snapshot`]
-//!   once and not even do that.
+//! * The shared mutable state is an `RwLock<Arc<Snapshot>>` and an
+//!   `AtomicU64` holding its epoch, which the repair thread stores
+//!   (`Release`) while it holds the write lock for the `Arc` swap. Each
+//!   reader owns a [`ServiceHandle`] that holds the snapshot it last
+//!   read: a lookup loads the epoch (`Acquire`) and answers from the
+//!   held snapshot while the epochs match, so a reader takes the read
+//!   lock once per publish, to fetch the new snapshot, and never on a
+//!   repair in progress.
+//! * A pin epoch costs O(b/64 + blocks touched): the overlay gives each
+//!   64-object word holding pins one shared block, and a publish copies
+//!   the word index and only the blocks its batch changed.
 //! * Writes are asynchronous: [`PlacementProvider::upsert`] and
 //!   [`PlacementProvider::remove_node`] enqueue [`ServiceEvent`]s into
 //!   a bounded queue. The repair thread (the crate's one sanctioned
@@ -38,9 +42,12 @@
 //! Readers observe **monotone epochs** (the writer only ever installs
 //! `epoch + 1`) and **per-epoch-consistent answers** (a snapshot never
 //! changes after publication); `tests/stress.rs` hammers both claims
-//! under load. Staleness is bounded by queue depth: a reader holding a
-//! snapshot at epoch `e` while [`ServiceHandle::published_epoch`]
-//! reports `p` is exactly `p − e` repair rounds behind.
+//! under load. A lookup is at most one epoch check behind the latest
+//! publish, and after [`ServiceHandle::quiesce`] a reader's next call
+//! sees every earlier write. Staleness is bounded by queue depth: a
+//! batch reader holding a snapshot at epoch `e` while
+//! [`ServiceHandle::published_epoch`] reports `p` is exactly `p − e`
+//! repair rounds behind.
 //!
 //! # Upsert pins and certificates
 //!
@@ -59,7 +66,9 @@
 
 pub mod runtime;
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
 use wcp_core::{Certificate, ClusterEvent, Fnv, Placement};
@@ -69,10 +78,12 @@ pub type NodeId = u16;
 
 /// The serving surface: what a storage frontend calls per request.
 ///
-/// `lookup` is the hot path and must never block on repair;
-/// `upsert` / `remove_node` are asynchronous — they enqueue work for
-/// the repair thread and return, and their effect lands in a later
-/// epoch (watch [`PlacementProvider::snapshot_epoch`] advance).
+/// `lookup` is the hot path and must never block on repair: a
+/// [`ServiceHandle`] answers it from the snapshot it holds after one
+/// atomic epoch check. `upsert` / `remove_node` are asynchronous — they
+/// enqueue work for the repair thread and return, and their effect
+/// lands in a later epoch (watch [`PlacementProvider::snapshot_epoch`]
+/// advance).
 pub trait PlacementProvider {
     /// The node currently serving `object` (its primary replica), or
     /// `None` when the object is outside the placement.
@@ -95,9 +106,9 @@ pub trait PlacementProvider {
         self.remove_node(node)
     }
 
-    /// The epoch of the latest *published* snapshot (what a fresh
-    /// lookup would read). A snapshot held by a batch reader may be
-    /// older; the difference is its staleness in epochs.
+    /// The epoch of the latest *published* snapshot (what the next
+    /// lookup reads). A snapshot held by a batch reader may be older;
+    /// the difference is its staleness in epochs.
     fn snapshot_epoch(&self) -> u64;
 }
 
@@ -140,62 +151,123 @@ pub struct Snapshot {
     certificate: Option<CertificateDigest>,
 }
 
-/// Upsert pins laid over the engine's rows, sorted by object. Each
-/// 64-object word holding pins owns 64 slots, one per object, so a lookup
-/// finds a pinned primary in two loads; without pins there are no slots.
+/// The pins of one 64-object word: each object's pinned primary, and
+/// the pinned rows in offset order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Block {
+    /// Per object of the word: `Some(primary)` when pinned.
+    slots: [Option<Option<NodeId>>; 64],
+    /// The pinned rows, by offset in the word.
+    rows: Vec<(u8, Vec<NodeId>)>,
+}
+
+impl Default for Block {
+    fn default() -> Self {
+        Self {
+            slots: [None; 64],
+            rows: Vec::new(),
+        }
+    }
+}
+
+/// Upsert pins laid over the engine's rows. Each 64-object word holding
+/// pins owns one block behind an `Arc`, so a lookup finds a pinned
+/// primary in two loads, and a copy of the overlay shares every block:
+/// a pin or release copies only the block it changes. Without pins
+/// there is no word index, and a release that empties a block drops it,
+/// so equal pins give equal overlays.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PinOverlay {
-    /// Per word: where its slots start (0, a block left empty, if none).
-    words: Vec<usize>,
-    /// Per object of a word holding pins: `Some(primary)` when pinned.
-    slots: Vec<Option<Option<NodeId>>>,
-    pins: Vec<(u64, Vec<NodeId>)>,
+    /// Per word: its block, `None` while no object of the word is
+    /// pinned; empty while no object is.
+    words: Vec<Option<Arc<Block>>>,
+    /// The block a word without pins reads.
+    empty: Arc<Block>,
+    /// Pinned objects over every block.
+    pinned: usize,
 }
 
 impl PinOverlay {
-    /// The pins a merge walk over objects `0..b` meets: those above
-    /// every earlier pin, up to the first one outside the placement
-    /// (for a sorted list of objects below `b`, all of them).
-    fn new(b: usize, pins: &[(u64, Vec<NodeId>)]) -> Self {
-        if pins.is_empty() {
-            return Self::default();
-        }
-        let mut overlay = Self {
-            words: vec![0; b.div_ceil(64)],
-            slots: vec![None; 64],
-            pins: Vec::new(),
+    /// Pins `object` of a placement of `b` objects to `nodes`,
+    /// replacing any earlier pin; objects outside the placement are
+    /// ignored.
+    fn pin(&mut self, b: usize, object: u64, nodes: Vec<NodeId>) {
+        let Some(o) = usize::try_from(object).ok().filter(|&o| o < b) else {
+            return;
         };
-        for (object, nodes) in pins.iter().take_while(|(o, _)| *o < b as u64) {
-            if overlay.pins.last().is_some_and(|(last, _)| object <= last) {
-                continue;
-            }
-            let o = *object as usize;
-            if let Some(base) = overlay.words.get_mut(o / 64) {
-                if *base == 0 {
-                    *base = overlay.slots.len();
-                    overlay.slots.resize(*base + 64, None);
-                }
-                if let Some(slot) = overlay.slots.get_mut(*base + o % 64) {
-                    *slot = Some(nodes.first().copied());
-                }
-            }
-            overlay.pins.push((*object, nodes.clone()));
+        if self.words.is_empty() {
+            self.words = vec![None; b.div_ceil(64)];
         }
-        overlay
+        let Some(word) = self.words.get_mut(o / 64) else {
+            return;
+        };
+        let block = Arc::make_mut(word.get_or_insert_default());
+        let offset = (o % 64) as u8;
+        if let Some(slot) = block.slots.get_mut(o % 64) {
+            *slot = Some(nodes.first().copied());
+        }
+        match block.rows.binary_search_by_key(&offset, |(at, _)| *at) {
+            Ok(at) => {
+                if let Some(row) = block.rows.get_mut(at) {
+                    row.1 = nodes;
+                }
+            }
+            Err(at) => {
+                block.rows.insert(at, (offset, nodes));
+                self.pinned += 1;
+            }
+        }
+    }
+
+    /// Drops the pin on `object`; returns whether there was one.
+    fn release(&mut self, object: u64) -> bool {
+        let Some(o) = usize::try_from(object).ok() else {
+            return false;
+        };
+        let Some(word) = self.words.get_mut(o / 64) else {
+            return false;
+        };
+        let offset = (o % 64) as u8;
+        let Some(at) = word
+            .as_ref()
+            .and_then(|block| block.rows.binary_search_by_key(&offset, |(at, _)| *at).ok())
+        else {
+            return false;
+        };
+        self.pinned -= 1;
+        match word {
+            Some(block) if block.rows.len() > 1 => {
+                let block = Arc::make_mut(block);
+                block.rows.remove(at);
+                if let Some(slot) = block.slots.get_mut(o % 64) {
+                    *slot = None;
+                }
+            }
+            _ => *word = None,
+        }
+        if self.pinned == 0 {
+            *self = Self::default();
+        }
+        true
     }
 
     /// `Some(primary)` when object `o` is pinned.
     #[inline]
     fn slot(&self, o: usize) -> Option<Option<NodeId>> {
-        let base = self.words.get(o / 64)?;
-        self.slots.get(base + o % 64).copied().flatten()
+        // A word without pins reads the empty block through a select:
+        // hot pinned and unpinned words interleave, so a branch here
+        // mispredicts.
+        let word = self.words.get(o / 64)?.as_deref();
+        let block = std::hint::select_unpredictable(word.is_some(), word, Some(&*self.empty));
+        block?.slots.get(o % 64).copied().flatten()
     }
 
     /// The pinned row of object `o`, or `None` when `o` is not pinned.
     fn row(&self, o: usize) -> Option<&[NodeId]> {
-        self.slot(o)?;
-        let at = self.pins.binary_search_by_key(&(o as u64), |(p, _)| *p);
-        self.pins.get(at.ok()?).map(|(_, nodes)| nodes.as_slice())
+        let block = self.words.get(o / 64)?.as_deref()?;
+        let offset = (o % 64) as u8;
+        let at = block.rows.binary_search_by_key(&offset, |(at, _)| *at);
+        block.rows.get(at.ok()?).map(|(_, nodes)| nodes.as_slice())
     }
 }
 
@@ -205,6 +277,10 @@ impl Snapshot {
     /// and stamping the certificate digest when the attacker emitted
     /// one. Shares the placement's rows: O(1) without pins, O(pins +
     /// b/64) with them.
+    ///
+    /// The pins are those a merge walk over objects `0..b` meets: each
+    /// above every earlier one, up to the first outside the placement
+    /// (for a sorted list of objects below `b`, all of them).
     #[must_use]
     pub fn from_placement(
         epoch: u64,
@@ -212,10 +288,30 @@ impl Snapshot {
         pins: &[(u64, Vec<NodeId>)],
         certificate: Option<&Certificate>,
     ) -> Self {
+        let b = placement.num_objects();
+        let mut overlay = PinOverlay::default();
+        let mut last = None;
+        for (object, nodes) in pins.iter().take_while(|(o, _)| *o < b as u64) {
+            if last.is_some_and(|last| *object <= last) {
+                continue;
+            }
+            last = Some(*object);
+            overlay.pin(b, *object, nodes.clone());
+        }
+        Self::with_pins(epoch, placement, overlay, certificate)
+    }
+
+    /// The snapshot of `placement` with `pins` laid over it, at `epoch`.
+    fn with_pins(
+        epoch: u64,
+        placement: &Placement,
+        pins: PinOverlay,
+        certificate: Option<&Certificate>,
+    ) -> Self {
         Self {
             epoch,
             placement: placement.clone(),
-            pins: PinOverlay::new(placement.num_objects(), pins),
+            pins,
             certificate: certificate.map(CertificateDigest::of),
         }
     }
@@ -255,7 +351,7 @@ impl Snapshot {
     /// pin rather than the certified engine placement.
     #[must_use]
     pub fn pinned(&self) -> usize {
-        self.pins.pins.len()
+        self.pins.pinned
     }
 
     /// The digest of the engine placement's availability certificate,
@@ -350,6 +446,12 @@ struct QueueState {
 #[derive(Debug)]
 pub(crate) struct Shared {
     snapshot: RwLock<Arc<Snapshot>>,
+    /// The epoch of `snapshot`, stored before the write lock that
+    /// installed it is released: no snapshot a reader can lock is newer
+    /// than the epoch it can load.
+    epoch: AtomicU64,
+    /// `enqueue` calls that returned `false`.
+    refused: AtomicU64,
     queue: Mutex<QueueState>,
     /// Signaled when the queue gains work or closes (repair thread
     /// waits here).
@@ -368,6 +470,8 @@ impl Shared {
     pub(crate) fn new(first: Snapshot, capacity: usize, slots: u16) -> Self {
         Self {
             objects: first.num_objects(),
+            epoch: AtomicU64::new(first.epoch),
+            refused: AtomicU64::new(0),
             snapshot: RwLock::new(Arc::new(first)),
             queue: Mutex::new(QueueState::default()),
             work: Condvar::new(),
@@ -381,8 +485,20 @@ impl Shared {
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn current(&self) -> RwLockReadGuard<'_, Arc<Snapshot>> {
-        self.snapshot.read().unwrap_or_else(PoisonError::into_inner)
+    /// The current snapshot, read under the lock.
+    fn current(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The latest published epoch.
+    #[inline]
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// The `enqueue` calls refused so far.
+    pub(crate) fn refused(&self) -> u64 {
+        self.refused.load(Ordering::Acquire)
     }
 
     /// Whether the repair thread can serve `event`: an upsert must pin
@@ -420,13 +536,19 @@ impl Shared {
     }
 
     /// Publishes `next` as the new current snapshot and retires the
-    /// in-flight batch (the swap is the writer's whole critical
-    /// section).
+    /// in-flight batch. The swap and the epoch store are the writer's
+    /// whole critical section; the snapshot it replaces is dropped
+    /// after the unlock.
     pub(crate) fn publish(&self, next: Snapshot) {
-        *self
+        let epoch = next.epoch;
+        let mut current = self
             .snapshot
             .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+            .unwrap_or_else(PoisonError::into_inner);
+        let replaced = std::mem::replace(&mut *current, Arc::new(next));
+        self.epoch.store(epoch, Ordering::Release);
+        drop(current);
+        drop(replaced);
         self.queue().in_flight = 0;
         self.room.notify_all();
     }
@@ -451,41 +573,102 @@ impl Shared {
     }
 }
 
-/// The cheap, clonable handle to a running service: implements
+/// One reader's handle to a running service: implements
 /// [`PlacementProvider`], plus batch-reader and back-pressure
 /// extensions. Obtained from [`runtime::serve`].
-#[derive(Debug, Clone)]
+///
+/// The handle holds the snapshot it last read and checks it against
+/// the published epoch with one atomic load per read, so it takes the
+/// snapshot lock once per publish, not once per request. That cache
+/// makes it `Send` but not `Sync`: give each reader thread its own
+/// handle. [`Clone`] makes a new reader with nothing held, and
+/// [`runtime::fan_out`] hands each worker one.
+///
+/// ```compile_fail,E0277
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<wcp_service::ServiceHandle>();
+/// ```
+#[derive(Debug)]
 pub struct ServiceHandle {
     shared: Arc<Shared>,
+    /// The snapshot this reader last read; empty until its first read,
+    /// so a handle that never reads holds no rows.
+    held: RefCell<Option<Arc<Snapshot>>>,
+}
+
+/// Handles move to their reader threads.
+const _: fn() = || {
+    fn moves_between_threads<T: Send>() {}
+    moves_between_threads::<ServiceHandle>();
+};
+
+impl Clone for ServiceHandle {
+    /// A new reader of the same service, holding no snapshot yet.
+    fn clone(&self) -> Self {
+        Self::new(Arc::clone(&self.shared))
+    }
 }
 
 impl ServiceHandle {
     pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        Self { shared }
+        Self {
+            shared,
+            held: RefCell::new(None),
+        }
     }
 
-    /// The current snapshot, for batch readers: one `RwLock` read per
-    /// *batch* instead of per lookup, at the price of staleness the
-    /// caller measures via [`Snapshot::epoch`] against
+    /// Runs `read` on the latest published snapshot: the held one while
+    /// its epoch is the published one, else a fresh one read under the
+    /// lock, which the handle then holds.
+    #[inline]
+    fn read<R>(&self, read: impl FnOnce(&Arc<Snapshot>) -> R) -> R {
+        let epoch = self.shared.epoch();
+        let mut held = self.held.borrow_mut();
+        if let Some(snapshot) = held.as_ref().filter(|s| s.epoch == epoch) {
+            return read(snapshot);
+        }
+        read(self.refresh(&mut held))
+    }
+
+    /// Holds the published snapshot instead, read under the lock.
+    #[cold]
+    #[inline(never)]
+    fn refresh<'a>(&self, held: &'a mut Option<Arc<Snapshot>>) -> &'a Arc<Snapshot> {
+        held.insert(self.shared.current())
+    }
+
+    /// The latest published snapshot, for batch readers: one epoch
+    /// check per *batch* instead of per lookup, at the price of
+    /// staleness the caller measures via [`Snapshot::epoch`] against
     /// [`ServiceHandle::published_epoch`].
     #[must_use]
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.shared.current())
+        self.read(Arc::clone)
     }
 
-    /// The latest published epoch.
+    /// The latest published epoch: one atomic load, no lock.
+    #[inline]
     #[must_use]
     pub fn published_epoch(&self) -> u64 {
-        self.shared.current().epoch
+        self.shared.epoch()
     }
 
     /// Enqueues `event`, blocking while the queue is at capacity.
-    /// Returns `false` (dropping the event) once the service is
-    /// shutting down or its repair thread has stopped, and for an
-    /// upsert the service cannot serve: an object outside the
+    /// Returns `false` (dropping the event, and counting it in
+    /// [`ServeReport::refused`](runtime::ServeReport::refused)) once the
+    /// service is shutting down or its repair thread has stopped, and
+    /// for an upsert the service cannot serve: an object outside the
     /// placement, or a replica list that is empty, repeats a node or
     /// names one beyond the engine's slot count.
     pub fn enqueue(&self, event: ServiceEvent) -> bool {
+        let accepted = self.try_enqueue(event);
+        if !accepted {
+            self.shared.refused.fetch_add(1, Ordering::AcqRel);
+        }
+        accepted
+    }
+
+    fn try_enqueue(&self, event: ServiceEvent) -> bool {
         let shared = &*self.shared;
         if !shared.admits(&event) {
             return false;
@@ -529,8 +712,9 @@ impl ServiceHandle {
 }
 
 impl PlacementProvider for ServiceHandle {
+    #[inline]
     fn lookup(&self, object: u64) -> Option<NodeId> {
-        self.shared.current().lookup(object)
+        self.read(|snapshot| snapshot.lookup(object))
     }
 
     fn upsert(&self, object: u64, nodes: &[NodeId]) -> bool {
@@ -544,6 +728,7 @@ impl PlacementProvider for ServiceHandle {
         self.enqueue(ServiceEvent::Churn(ClusterEvent::Fail { node }))
     }
 
+    #[inline]
     fn snapshot_epoch(&self) -> u64 {
         self.published_epoch()
     }

@@ -30,7 +30,7 @@ use std::thread;
 use wcp_core::engine::Attacker;
 use wcp_core::{ClusterEvent, DynamicEngine};
 
-use crate::{NodeId, ServiceConfig, ServiceEvent, ServiceHandle, Shared, Snapshot};
+use crate::{PinOverlay, ServiceConfig, ServiceEvent, ServiceHandle, Shared, Snapshot};
 
 /// What the repair thread did over the service's lifetime, returned by
 /// [`serve`] next to the caller's own result.
@@ -47,6 +47,9 @@ pub struct ServeReport {
     pub pinned: u64,
     /// Pins released.
     pub released: u64,
+    /// [`ServiceHandle::enqueue`] calls that returned `false` while the
+    /// service ran: hostile upserts, and writes after the queue shut.
+    pub refused: u64,
 }
 
 /// Runs a placement service for the duration of `body`.
@@ -80,15 +83,29 @@ where
     let handle = ServiceHandle::new(Arc::clone(&shared));
     let max_batch = config.max_batch;
 
-    let (result, report) = thread::scope(|scope| {
+    let (result, mut report) = thread::scope(|scope| {
         let repair = scope.spawn(|| repair_loop(&mut engine, &shared, max_batch));
-        let result = body(&handle);
-        shared.close();
+        let result = {
+            let _close = Close(&shared);
+            body(&handle)
+        };
         // lint:allow(panic, serve re-raises a repair-thread panic by its documented contract)
         let report = repair.join().expect("repair thread panicked");
         (result, report)
     });
+    report.refused = shared.refused();
     (result, report, engine)
+}
+
+/// Closes the queue when dropped, so the repair thread drains what is
+/// left and stops whether the body returned or unwound (a body that
+/// unwinds must not leave the scope waiting on the repair thread).
+struct Close<'a>(&'a Shared);
+
+impl Drop for Close<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// The single-drainer repair loop; returns its lifetime tally when the
@@ -109,9 +126,10 @@ fn repair_loop<A: Attacker>(
     let _abandon = Abandon(shared);
     let mut report = ServeReport::default();
     let mut epoch = 0u64;
-    // Live upsert pins, ordered by object id (what
-    // `Snapshot::from_placement` expects).
-    let mut pins: Vec<(u64, Vec<NodeId>)> = Vec::new();
+    let b = engine.placement().num_objects();
+    // The live upsert pins. Each epoch's snapshot shares their blocks,
+    // so a pin copies only the block it changes.
+    let mut pins = PinOverlay::default();
     while let Some(batch) = shared.take_batch(max_batch) {
         let mut certificate = None;
         for event in batch {
@@ -127,18 +145,10 @@ fn repair_loop<A: Attacker>(
                 },
                 ServiceEvent::Upsert { object, nodes } => {
                     report.pinned += 1;
-                    match pins.binary_search_by_key(&object, |(o, _)| *o) {
-                        Ok(at) => {
-                            if let Some(pin) = pins.get_mut(at) {
-                                pin.1 = nodes;
-                            }
-                        }
-                        Err(at) => pins.insert(at, (object, nodes)),
-                    }
+                    pins.pin(b, object, nodes);
                 }
                 ServiceEvent::Release { object } => {
-                    if let Ok(at) = pins.binary_search_by_key(&object, |(o, _)| *o) {
-                        pins.remove(at);
+                    if pins.release(object) {
                         report.released += 1;
                     }
                 }
@@ -146,10 +156,10 @@ fn repair_loop<A: Attacker>(
         }
         epoch += 1;
         report.epochs += 1;
-        shared.publish(Snapshot::from_placement(
+        shared.publish(Snapshot::with_pins(
             epoch,
             engine.placement(),
-            &pins,
+            pins.clone(),
             certificate.as_ref(),
         ));
     }
@@ -179,26 +189,31 @@ where
     })
 }
 
-/// Runs `worker(0..threads)` on that many scoped threads and returns
-/// the results in index order.
+/// Runs `worker(reader, 0..threads)` on that many scoped threads, each
+/// with its own clone of `handle`, and returns the results in index
+/// order.
 ///
 /// This is the reader-side fan-out the service bench and experiment
 /// use to drive concurrent lookup load; it lives here because this
 /// module is the crate's one sanctioned threading room — callers
 /// outside it (bench harnesses, experiment binaries) stay free of
-/// `thread::scope` entirely.
+/// `thread::scope` entirely. A [`ServiceHandle`] is one reader, so each
+/// worker reads through its own.
 ///
 /// # Panics
 ///
 /// Propagates worker panics, per `std::thread::scope` semantics.
-pub fn fan_out<R: Send>(threads: usize, worker: impl Fn(usize) -> R + Sync) -> Vec<R> {
+pub fn fan_out<R: Send>(
+    handle: &ServiceHandle,
+    threads: usize,
+    worker: impl Fn(&ServiceHandle, usize) -> R + Sync,
+) -> Vec<R> {
     thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|i| {
-                scope.spawn({
-                    let worker = &worker;
-                    move || worker(i)
-                })
+                let reader = handle.clone();
+                let worker = &worker;
+                scope.spawn(move || worker(&reader, i))
             })
             .collect();
         handles
@@ -312,6 +327,7 @@ mod tests {
         assert_eq!(answers.2, Some(13));
         assert!(answers.3.is_some(), "object 2 keeps its engine row");
         assert_eq!(report.pinned, 1);
+        assert_eq!(report.refused, 5);
     }
 
     /// Panics on its `fuse`-th attack, like a repair bug would.
@@ -370,9 +386,28 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_body_is_re_raised() {
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve(engine(12, 40, 14), &ServiceConfig::default(), |handle| {
+                assert!(handle.remove_node(3));
+                panic!("the body fails");
+            })
+        }));
+        assert!(served.is_err(), "serve re-raises the body's panic");
+    }
+
+    #[test]
     fn fan_out_returns_results_in_index_order() {
-        assert_eq!(fan_out(4, |i| i * i), vec![0, 1, 4, 9]);
-        assert_eq!(fan_out(0, |i| i), Vec::<usize>::new());
+        let (results, _, _) = serve(engine(12, 40, 14), &ServiceConfig::default(), |handle| {
+            (
+                fan_out(handle, 4, |reader, i| {
+                    (i * i, reader.lookup(i as u64).is_some())
+                }),
+                fan_out(handle, 0, |_, i| i),
+            )
+        });
+        assert_eq!(results.0, vec![(0, true), (1, true), (4, true), (9, true)]);
+        assert_eq!(results.1, Vec::<usize>::new());
     }
 
     #[test]

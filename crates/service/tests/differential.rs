@@ -10,16 +10,24 @@
 //! (batching splits vary with scheduling) and reader interleavings —
 //! lookup answers are epoch-deterministic, not wall-clock-deterministic.
 //! Golden values pin both digest formats across versions, so a change
-//! of representation cannot change what is hashed.
+//! of representation cannot change what is hashed. The repair thread's
+//! incremental pin overlay must equal the one
+//! [`Snapshot::from_placement`] builds from scratch, epoch by epoch.
 //!
 //! [`Snapshot::forward_digest`]: wcp_service::Snapshot::forward_digest
+//! [`Snapshot::from_placement`]: wcp_service::Snapshot::from_placement
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wcp_core::{
     placement_digest, ClusterEvent, DynamicConfig, DynamicEngine, Placement, RandomVariant,
     StrategyKind, SystemParams,
 };
-use wcp_service::runtime::serve_trace;
-use wcp_service::{ServiceConfig, Snapshot};
+use wcp_service::runtime::{serve, serve_trace};
+use wcp_service::{PlacementProvider, ServiceConfig, ServiceEvent, Snapshot};
 
 /// The engine placement's own snapshot: epoch 0, no pins.
 fn snapshot_of(placement: &Placement) -> Snapshot {
@@ -138,4 +146,105 @@ fn digests_match_their_golden_values() {
     let pinned = Snapshot::from_placement(0, p, &pins, None);
     assert_eq!(pinned.pinned(), 2);
     assert_eq!(pinned.forward_digest(), 0xccec_504c_d3d7_5a85);
+}
+
+/// Asserts that `served` answers exactly as `expected` does.
+fn assert_same_answers(served: &Snapshot, expected: &Snapshot, context: &str) {
+    assert_eq!(served.pinned(), expected.pinned(), "{context}: pinned");
+    assert_eq!(
+        served.forward_digest(),
+        expected.forward_digest(),
+        "{context}: forward digest"
+    );
+    for o in 0..=served.num_objects() {
+        assert_eq!(
+            served.lookup(o),
+            expected.lookup(o),
+            "{context}: lookup({o})"
+        );
+        assert_eq!(
+            served.replicas(o),
+            expected.replicas(o),
+            "{context}: replicas({o})"
+        );
+    }
+}
+
+#[test]
+fn incremental_pins_match_a_snapshot_built_from_scratch() {
+    // Objects at and around the 64-object word boundaries, drawn often,
+    // so pins and releases share, fill and empty blocks.
+    const EDGES: [u64; 10] = [0, 1, 63, 64, 65, 127, 128, 191, 192, 299];
+    let b = 300u64;
+    let params = SystemParams::new(12, b, 3, 2, 2).unwrap();
+    let kind = StrategyKind::Random {
+        seed: 3,
+        variant: RandomVariant::LoadBalanced,
+    };
+    let config = ServiceConfig {
+        queue_capacity: 4,
+        max_batch: 1,
+    };
+    for seed in 0..6u64 {
+        let engine =
+            DynamicEngine::new(params, kind.clone(), 14, DynamicConfig::default()).unwrap();
+        let placement = engine.placement().clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (released, report, _) = serve(engine, &config, |handle| {
+            let mut live: BTreeMap<u64, Vec<u16>> = BTreeMap::new();
+            // Every epoch's snapshot next to the one built from scratch.
+            let mut history: Vec<(Arc<Snapshot>, Snapshot)> = Vec::new();
+            for step in 0..80 {
+                let object = if rng.gen_bool(0.5) {
+                    EDGES[rng.gen_range(0..EDGES.len())]
+                } else {
+                    rng.gen_range(0..b)
+                };
+                if rng.gen_bool(0.6) {
+                    let mut nodes = Vec::new();
+                    for _ in 0..rng.gen_range(1..=4usize) {
+                        let node = rng.gen_range(0..14u16);
+                        if !nodes.contains(&node) {
+                            nodes.push(node);
+                        }
+                    }
+                    assert!(handle.upsert(object, &nodes));
+                    live.insert(object, nodes);
+                } else {
+                    // Often a release of an object that is not pinned.
+                    assert!(handle.enqueue(ServiceEvent::Release { object }));
+                    live.remove(&object);
+                }
+                handle.quiesce();
+                let served = handle.snapshot();
+                let pins: Vec<(u64, Vec<u16>)> = live.clone().into_iter().collect();
+                let expected = Snapshot::from_placement(served.epoch(), &placement, &pins, None);
+                let context = format!("seed {seed}, step {step}");
+                assert_same_answers(&served, &expected, &context);
+                assert_eq!(*served, expected, "{context}: equal pins, equal snapshots");
+                history.push((served, expected));
+            }
+            // Releasing every pin leaves the overlay of no pins.
+            for &object in live.keys() {
+                assert!(handle.enqueue(ServiceEvent::Release { object }));
+            }
+            handle.quiesce();
+            let served = handle.snapshot();
+            let expected = Snapshot::from_placement(served.epoch(), &placement, &[], None);
+            assert_eq!(served.pinned(), 0, "seed {seed}");
+            assert_eq!(*served, expected, "seed {seed}: no pins left");
+            // Later pins copied the blocks they touched: every earlier
+            // snapshot still answers as it did.
+            for (served, expected) in &history {
+                let context = format!("seed {seed}, epoch {}", served.epoch());
+                assert_same_answers(served, expected, &context);
+            }
+            live.len() as u64
+        });
+        assert_eq!(
+            report.epochs,
+            80 + released,
+            "max_batch 1 publishes every write"
+        );
+    }
 }

@@ -7,13 +7,15 @@
 //!    the fact against the record of published snapshots.
 //! 2. **Monotone epochs** — no reader ever sees the epoch go backwards.
 //!
-//! The readers deliberately mix the two read paths (per-lookup lock
-//! and batch `snapshot()`), and the writer keeps `max_batch` at 1 so
-//! every churn event is its own epoch — the worst case for readers.
+//! The readers deliberately mix the two read paths (per-request
+//! `lookup` and batch `snapshot()`), and the writer keeps `max_batch` at
+//! 1 so every churn event is its own epoch — the worst case for readers.
+//! A third test forces the one interleaving a reader's held snapshot
+//! must survive: a pin published between two of its lookups.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::thread;
 
 use wcp_core::{
@@ -173,6 +175,7 @@ fn lookups_do_not_block_across_publishes() {
     // with thousands of answers is the observable contract.
     let b = 400u64;
     let stop = AtomicBool::new(false);
+    let started = Barrier::new(2);
     let (count, report, _) = serve(
         engine(14, b, 18, 9),
         &ServiceConfig {
@@ -182,9 +185,10 @@ fn lookups_do_not_block_across_publishes() {
         |handle| {
             thread::scope(|scope| {
                 let h = handle.clone();
-                let stop = &stop;
+                let (stop, started) = (&stop, &started);
                 let reader = scope.spawn(move || {
                     let mut count = 0u64;
+                    started.wait();
                     while !stop.load(Ordering::SeqCst) {
                         for o in 0..64 {
                             if h.lookup(o).is_some() {
@@ -194,6 +198,8 @@ fn lookups_do_not_block_across_publishes() {
                     }
                     count
                 });
+                // The churn starts once the reader runs.
+                started.wait();
                 for round in 0..6u16 {
                     handle.enqueue(ServiceEvent::Churn(ClusterEvent::Fail { node: round % 14 }));
                     handle.enqueue(ServiceEvent::Churn(ClusterEvent::Recover {
@@ -208,4 +214,64 @@ fn lookups_do_not_block_across_publishes() {
     );
     assert_eq!(report.applied, 12);
     assert!(count > 0, "reader made progress during churn");
+}
+
+#[test]
+fn a_reader_sees_a_pin_published_after_its_last_lookup() {
+    // The reader holds the snapshot of epoch e from its lookups; the
+    // writer then pins the objects it reads and quiesces. The reader's
+    // next lookup must find the pin, not the held epoch's answer. Each
+    // step is fenced by the barrier, so the interleaving is forced; both
+    // sides only record inside it (a panic there would strand the other
+    // at the barrier). The pins' primary is slot 13, which the 12
+    // initial nodes leave empty, so no engine row answers it.
+    let objects = [5u64, 63, 64, 250];
+    let step = Barrier::new(2);
+    // (held snapshot's epoch, published epoch), read in that order.
+    let epochs = |h: &ServiceHandle| (h.snapshot().epoch(), h.published_epoch());
+    let ((reads, writes), report, _) = serve(
+        engine(12, 300, 14, 11),
+        &ServiceConfig::default(),
+        |handle| {
+            thread::scope(|scope| {
+                let reader = handle.clone();
+                let step = &step;
+                let reader = scope.spawn(move || {
+                    objects.map(|o| {
+                        let before = (reader.lookup(o), epochs(&reader));
+                        step.wait(); // held at `before`'s epoch
+                        step.wait(); // the pin on `o` is published
+                        (before, (reader.lookup(o), epochs(&reader)))
+                    })
+                });
+                let writes = objects.map(|o| {
+                    step.wait();
+                    let before = epochs(handle);
+                    let accepted = handle.upsert(o, &[13, (o % 12) as u16]);
+                    handle.quiesce();
+                    let after = epochs(handle);
+                    step.wait();
+                    (accepted, before, after)
+                });
+                (reader.join().expect("reader panicked"), writes)
+            })
+        },
+    );
+    assert_eq!(report.pinned, objects.len() as u64);
+    for (o, (before, after)) in objects.iter().zip(reads) {
+        assert_ne!(before.0, Some(13), "object {o} starts on its engine row");
+        assert_eq!(after.0, Some(13), "object {o}: the pin, not the held epoch");
+        for (held, published) in [before.1, after.1] {
+            assert!(
+                published >= held,
+                "object {o}: published {published} < held {held}"
+            );
+        }
+        assert!(after.1 .0 > before.1 .0, "object {o}: the reader moved on");
+    }
+    for (o, (accepted, before, after)) in objects.iter().zip(writes) {
+        assert!(accepted, "object {o}");
+        assert!(before.1 >= before.0 && after.1 >= after.0, "object {o}");
+        assert!(after.0 > before.0, "object {o}: the pin published an epoch");
+    }
 }
