@@ -44,6 +44,26 @@
 //! Down slots host no replicas after repair, so attacking the slot-space
 //! placement is equivalent to attacking the active sub-cluster.
 //!
+//! # One event
+//!
+//! [`DynamicEngine::apply`] stages an event before it commits it: the
+//! repair, the attack on the repaired placement, the replan and the
+//! attack on the replan all run against the engine's old state, and the
+//! slot states, the placement and the [`MovementReport`] are written
+//! together at the end. An error, or a panic in the attacker, leaves the
+//! engine as it was.
+//!
+//! The replan (the oracle) is a pure function of the membership size
+//! and, with a topology attached, of the topology projected onto the up
+//! slots. The engine keeps the compact plans of the last three such keys
+//! and widens a kept plan onto the current up slots instead of planning
+//! and building it again. One event moves the membership by one node,
+//! so a walk within a band of three sizes builds each plan once. The
+//! widened oracle is attacked exactly as a fresh one would be, so every
+//! answer is unchanged, and [`MovementReport::oracle_builds`] counts the
+//! plans built. A kept plan holds `b · r` node ids (0.6 MB at
+//! `b = 10⁵`), and only events keep plans.
+//!
 //! # Examples
 //!
 //! ```
@@ -319,6 +339,10 @@ pub struct MovementReport {
     pub moved: u64,
     /// Replicas full replans would have moved at every event.
     pub replan_moved: u64,
+    /// Oracle replans planned and built from scratch; the other
+    /// `events − oracle_builds` events widened a compact plan kept from
+    /// an earlier event at the same membership size.
+    pub oracle_builds: u64,
 }
 
 impl MovementReport {
@@ -356,6 +380,30 @@ pub struct DynamicEngine<A: Attacker = ExhaustiveAttacker> {
     placement: Placement,
     movement: MovementReport,
     topology: Option<Topology>,
+    /// The compact oracle plans of the last [`ORACLE_PLANS`] keys, most
+    /// recently used last; filled by [`DynamicEngine::apply`] only.
+    oracles: Vec<OraclePlan>,
+}
+
+/// How many compact oracle plans a [`DynamicEngine`] keeps. One event
+/// moves the membership by one node, so a walk that stays within three
+/// sizes (the end-to-end benchmark's one-node band) replans from the
+/// kept plans alone.
+const ORACLE_PLANS: usize = 3;
+
+/// A from-scratch replan kept before widening, keyed by the membership
+/// size and the projected topology it was planned for.
+#[derive(Debug)]
+struct OraclePlan {
+    /// Up nodes the plan places on.
+    m: u16,
+    /// The slot-universe topology projected onto the up slots, when one
+    /// is attached.
+    topology: Option<Topology>,
+    /// The built placement over compact nodes `0..m`.
+    compact: Placement,
+    /// The strategy's claimed availability lower bound at `m`.
+    lower_bound: i64,
 }
 
 impl DynamicEngine<ExhaustiveAttacker> {
@@ -424,10 +472,11 @@ impl<A: Attacker> DynamicEngine<A> {
             placement: Placement::new(capacity, params.r(), Vec::new())?,
             movement: MovementReport::default(),
             topology: None,
+            oracles: Vec::new(),
         };
-        let (strategy, compact) = engine.plan_for(params.n())?;
-        let built = strategy.build(&compact)?;
-        engine.placement = engine.widen(&built)?;
+        let (strategy, compact) = engine.plan_for(params.n(), None)?;
+        let initial: Vec<u16> = (0..params.n()).collect();
+        engine.placement = widen(&strategy.build(&compact)?, &initial, capacity)?;
         Ok(engine)
     }
 
@@ -451,6 +500,7 @@ impl<A: Attacker> DynamicEngine<A> {
             )));
         }
         self.topology = Some(topology);
+        self.oracles.clear();
         Ok(self)
     }
 
@@ -497,7 +547,9 @@ impl<A: Attacker> DynamicEngine<A> {
     #[must_use]
     pub fn active(&self) -> Vec<u16> {
         (0..self.capacity)
-            .filter(|&v| self.slots[usize::from(v)] == Slot::Up)
+            .zip(&self.slots)
+            .filter(|&(_, &s)| s == Slot::Up)
+            .map(|(v, _)| v)
             .collect()
     }
 
@@ -545,11 +597,13 @@ impl<A: Attacker> DynamicEngine<A> {
         Ok(())
     }
 
-    /// Applies one membership event: updates the slot states, repairs
-    /// the placement incrementally, re-attacks, and falls back to a
-    /// from-scratch replan when incremental availability degrades past
-    /// [`DynamicConfig::threshold`]. On any error the engine state is
-    /// unchanged (the event is rejected).
+    /// Applies one membership event: repairs the placement
+    /// incrementally, re-attacks, and falls back to a from-scratch
+    /// replan when incremental availability degrades past
+    /// [`DynamicConfig::threshold`]. The slot states, the placement and
+    /// the movement tally are written together once both attacks have
+    /// returned, so on any error — and when the attacker panics — the
+    /// engine state is unchanged (the event is rejected).
     ///
     /// # Errors
     ///
@@ -559,13 +613,12 @@ impl<A: Attacker> DynamicEngine<A> {
     /// [`DynamicError::Placement`] on replan failures.
     pub fn apply(&mut self, event: ClusterEvent) -> Result<StepReport, DynamicError> {
         let v = event.node();
-        if v >= self.capacity {
+        let Some(&state) = self.slots.get(usize::from(v)) else {
             return Err(DynamicError::InvalidEvent(format!(
                 "slot {v} outside capacity {}",
                 self.capacity
             )));
-        }
-        let state = self.slots[usize::from(v)];
+        };
         let legal = match event {
             ClusterEvent::Join { .. } => state == Slot::Drained,
             ClusterEvent::Recover { .. } => state == Slot::Failed,
@@ -577,11 +630,24 @@ impl<A: Attacker> DynamicEngine<A> {
                 event.label()
             )));
         }
-        let active_after = if event.is_departure() {
-            self.active_count() - 1
-        } else {
-            self.active_count() + 1
+        let after = match event {
+            ClusterEvent::Join { .. } | ClusterEvent::Recover { .. } => Slot::Up,
+            ClusterEvent::Leave { .. } => Slot::Drained,
+            ClusterEvent::Fail { .. } => Slot::Failed,
         };
+        // The up slots once the event lands, ascending.
+        let active: Vec<u16> = (0..self.capacity)
+            .zip(&self.slots)
+            .filter(|&(w, &s)| {
+                if w == v {
+                    after == Slot::Up
+                } else {
+                    s == Slot::Up
+                }
+            })
+            .map(|(w, _)| w)
+            .collect();
+        let active_after = active.len() as u16;
         let need = self.base.r().max(self.base.k() + 1);
         if active_after < need {
             return Err(DynamicError::InsufficientNodes {
@@ -590,31 +656,22 @@ impl<A: Attacker> DynamicEngine<A> {
             });
         }
 
-        // Commit the membership change, then repair.
-        self.slots[usize::from(v)] = match event {
-            ClusterEvent::Join { .. } | ClusterEvent::Recover { .. } => Slot::Up,
-            ClusterEvent::Leave { .. } => Slot::Drained,
-            ClusterEvent::Fail { .. } => Slot::Failed,
-        };
-        let before = self.placement.clone();
         let (repaired, moved) = if event.is_departure() {
-            self.repair_departure(v)?
+            self.repair_departure(v, &active)?
         } else {
-            self.rebalance_arrival(v)?
+            self.rebalance_arrival(v, &active)?
         };
         let outcome = self
             .attacker
             .attack(&repaired, self.base.s(), self.base.k());
         let availability = self.base.b() - outcome.failed;
 
-        // Differential oracle: a from-scratch replan at the current
+        // Differential oracle: a from-scratch replan at the new
         // membership, attacked by the same adversary.
-        let (strategy, compact) = self.plan_for(active_after)?;
-        let lower_bound = strategy.lower_bound(&compact);
-        let oracle = self.widen(&strategy.build(&compact)?)?;
+        let (oracle, lower_bound, built) = self.replan(&active)?;
         let oracle_outcome = self.attacker.attack(&oracle, self.base.s(), self.base.k());
         let oracle_availability = self.base.b() - oracle_outcome.failed;
-        let replan_moved = movement_between(&before, &oracle);
+        let replan_moved = movement_between(&self.placement, &oracle);
 
         let degraded = (oracle_availability.saturating_sub(availability)) as f64
             > self.config.threshold * self.base.b() as f64;
@@ -639,10 +696,16 @@ impl<A: Attacker> DynamicEngine<A> {
                     outcome.certificate,
                 )
             };
+
+        // Commit: the event's only writes to the engine state.
+        if let Some(slot) = self.slots.get_mut(usize::from(v)) {
+            *slot = after;
+        }
         self.placement = adopted;
         self.movement.events += 1;
         self.movement.moved += adopted_moved;
         self.movement.replan_moved += replan_moved;
+        self.movement.oracle_builds += u64::from(built);
         match action {
             RepairAction::Repaired => self.movement.repairs += 1,
             RepairAction::Replanned => self.movement.replans += 1,
@@ -678,15 +741,15 @@ impl<A: Attacker> DynamicEngine<A> {
     }
 
     /// Re-homes every replica living on the departed node `v` to the
-    /// least-loaded up node not already in the object's set. With a
-    /// topology attached, domain preservation ranks first: among the up
-    /// candidates, the one sharing the least tree depth with the
-    /// object's surviving replicas wins, load and id breaking ties.
-    fn repair_departure(&self, v: u16) -> Result<(Placement, u64), DynamicError> {
+    /// least-loaded node of `active` (the up slots after the event) not
+    /// already in the object's set. With a topology attached, domain
+    /// preservation ranks first: among the up candidates, the one
+    /// sharing the least tree depth with the object's surviving replicas
+    /// wins, load and id breaking ties.
+    fn repair_departure(&self, v: u16, active: &[u16]) -> Result<(Placement, u64), DynamicError> {
         let r = self.base.r();
         let mut rows = self.placement.shared_rows();
         let mut loads = self.placement.loads();
-        let active = self.active();
         let mut moved = 0u64;
         for set in Arc::make_mut(&mut rows).chunks_exact_mut(usize::from(r)) {
             let Ok(i) = set.binary_search(&v) else {
@@ -696,38 +759,30 @@ impl<A: Attacker> DynamicEngine<A> {
                 .iter()
                 .copied()
                 .filter(|w| set.binary_search(w).is_err())
-                .min_by_key(|&w| {
-                    (
-                        self.collision_excluding(w, set, v),
-                        loads[usize::from(w)],
-                        w,
-                    )
-                });
-            let Some(w) = target else {
+                .min_by_key(|&w| (self.collision_excluding(w, set, v), load(&loads, w), w));
+            let (Some(w), Some(slot)) = (target, set.get_mut(i)) else {
                 return Err(DynamicError::InsufficientNodes {
                     active: active.len() as u16,
                     need: r,
                 });
             };
-            if let Some(slot) = set.get_mut(i) {
-                *slot = w;
-            }
+            *slot = w;
             set.sort_unstable();
-            loads[usize::from(v)] -= 1;
-            loads[usize::from(w)] += 1;
+            shift(&mut loads, v, w);
             moved += 1;
         }
         Ok((Placement::from_rows(self.capacity, r, rows)?, moved))
     }
 
     /// Pulls the newly arrived node `v` up to the floor of the mean load
-    /// by draining replicas from the heaviest up nodes (bounded
-    /// movement: at most `⌊rb/active⌋` replicas). The heaviest donor
-    /// (lowest id on ties) that still improves balance hands over its
-    /// first eligible object (one holding the donor but not `v`); a
-    /// donor with none left gives way to the next heaviest. With a
-    /// topology attached, a donor instead hands over the eligible object
-    /// whose remaining replicas co-locate least with the newcomer.
+    /// over `active` (the up slots after the event, `v` among them) by
+    /// draining replicas from the heaviest up nodes (bounded movement:
+    /// at most `⌊rb/active⌋` replicas). The heaviest donor (lowest id on
+    /// ties) that still improves balance hands over its first eligible
+    /// object (one holding the donor but not `v`); a donor with none
+    /// left gives way to the next heaviest. With a topology attached, a
+    /// donor instead hands over the eligible object whose remaining
+    /// replicas co-locate least with the newcomer.
     ///
     /// The rebalance only ever replaces a donor by `v` in a set, so a
     /// set's eligibility for any donor can go from true to false but
@@ -737,26 +792,24 @@ impl<A: Attacker> DynamicEngine<A> {
     /// topology the whole rebalance walks the table at most once per
     /// donor; the topology path still ranks every eligible set per moved
     /// replica.
-    fn rebalance_arrival(&self, v: u16) -> Result<(Placement, u64), DynamicError> {
+    fn rebalance_arrival(&self, v: u16, active: &[u16]) -> Result<(Placement, u64), DynamicError> {
         let r = self.base.r();
         let stride = usize::from(r);
         let mut rows = self.placement.shared_rows();
         let table = Arc::make_mut(&mut rows);
         let objects = table.len() / stride;
         let mut loads = self.placement.loads();
-        let active = self.active();
         let mean_floor = (u64::from(r) * self.base.b()) / active.len().max(1) as u64;
         // Per donor slot: the first object that may still be eligible.
         let mut cursor = vec![0usize; usize::from(self.capacity)];
         let mut moved = 0u64;
-        while u64::from(loads[usize::from(v)]) < mean_floor {
-            let load = |w: u16| loads.get(usize::from(w)).copied().unwrap_or(0);
+        while u64::from(load(&loads, v)) < mean_floor {
             let from = |w: u16| cursor.get(usize::from(w)).copied().unwrap_or(objects);
             let Some(w) = active
                 .iter()
                 .copied()
-                .filter(|&w| w != v && from(w) < objects && load(w) > load(v) + 1)
-                .min_by_key(|&w| (std::cmp::Reverse(load(w)), w))
+                .filter(|&w| w != v && from(w) < objects && load(&loads, w) > load(&loads, v) + 1)
+                .min_by_key(|&w| (std::cmp::Reverse(load(&loads, w)), w))
             else {
                 break; // No donor can improve balance further.
             };
@@ -791,23 +844,70 @@ impl<A: Attacker> DynamicEngine<A> {
                 *slot = v;
             }
             set.sort_unstable();
-            loads[usize::from(w)] -= 1;
-            loads[usize::from(v)] += 1;
+            shift(&mut loads, w, v);
             moved += 1;
         }
         Ok((Placement::from_rows(self.capacity, r, rows)?, moved))
     }
 
-    /// Plans the configured kind at a compact membership of `m` nodes,
-    /// falling back to load-balanced `Random` when the kind is not
-    /// constructible there.
+    /// The from-scratch replan at the membership `active` (the up slots,
+    /// ascending), widened onto the slot space, with the strategy's
+    /// lower bound and whether the compact plan had to be built.
     ///
     /// The attached slot-universe topology is projected onto the active
     /// slots so topology-aware kinds see the surviving failure domains
     /// at the compact node count. Without the projection the capacity-
     /// sized topology fails the planner's `num_nodes == n` filter and
     /// every replan silently degrades to the flat topology.
-    fn plan_for(&self, m: u16) -> Result<(Box<dyn PlacementStrategy>, SystemParams), DynamicError> {
+    ///
+    /// The compact plan is a pure function of the membership size and
+    /// the projected topology (the kind, the planner context and the
+    /// fallback seed are fixed for the engine's life), so the plans of
+    /// the last [`ORACLE_PLANS`] keys are kept, most recent last, and a
+    /// kept plan is widened instead of built again. A plan or build that
+    /// fails keeps nothing.
+    fn replan(&mut self, active: &[u16]) -> Result<(Placement, i64, bool), DynamicError> {
+        let m = active.len() as u16;
+        let topology = match &self.topology {
+            Some(topo) => Some(topo.project(active)?),
+            None => None,
+        };
+        let kept = self
+            .oracles
+            .iter()
+            .position(|plan| plan.m == m && plan.topology == topology);
+        let plan = match kept {
+            Some(i) => self.oracles.remove(i),
+            None => {
+                let (strategy, params) = self.plan_for(m, topology.clone())?;
+                let lower_bound = strategy.lower_bound(&params);
+                let compact = strategy.build(&params)?;
+                if self.oracles.len() == ORACLE_PLANS {
+                    self.oracles.remove(0);
+                }
+                OraclePlan {
+                    m,
+                    topology,
+                    compact,
+                    lower_bound,
+                }
+            }
+        };
+        let oracle = widen(&plan.compact, active, self.capacity);
+        let lower_bound = plan.lower_bound;
+        self.oracles.push(plan);
+        Ok((oracle?, lower_bound, kept.is_none()))
+    }
+
+    /// Plans the configured kind at a compact membership of `m` nodes
+    /// over `topology` (the projected slot-universe topology, if any),
+    /// falling back to load-balanced `Random` when the kind is not
+    /// constructible there.
+    fn plan_for(
+        &self,
+        m: u16,
+        topology: Option<Topology>,
+    ) -> Result<(Box<dyn PlacementStrategy>, SystemParams), DynamicError> {
         let need = self.base.r().max(self.base.k() + 1);
         if m < need {
             return Err(DynamicError::InsufficientNodes { active: m, need });
@@ -819,15 +919,11 @@ impl<A: Attacker> DynamicEngine<A> {
             self.base.s(),
             self.base.k(),
         )?;
-        let ctx = match &self.topology {
-            Some(topo) => {
-                let active = self.active();
-                debug_assert_eq!(active.len(), usize::from(m));
-                PlannerContext {
-                    topology: Some(topo.project(&active)?),
-                    ..self.config.ctx.clone()
-                }
-            }
+        let ctx = match topology {
+            Some(topology) => PlannerContext {
+                topology: Some(topology),
+                ..self.config.ctx.clone()
+            },
             None => self.config.ctx.clone(),
         };
         match self.kind.plan(&compact, &ctx) {
@@ -842,18 +938,42 @@ impl<A: Attacker> DynamicEngine<A> {
             Err(e) => Err(e.into()),
         }
     }
+}
 
-    /// Maps a compact placement (nodes `0..m`) onto the up slots of the
-    /// full slot space (monotone, so sortedness is preserved).
-    fn widen(&self, compact: &Placement) -> Result<Placement, DynamicError> {
-        let active = self.active();
-        let rows: Vec<u16> = compact
-            .rows()
-            .flatten()
-            .map(|&i| active[usize::from(i)])
-            .collect();
-        Ok(Placement::from_rows(self.capacity, self.base.r(), rows)?)
+/// A node's load, 0 for an id outside the table.
+fn load(loads: &[u32], node: u16) -> u32 {
+    loads.get(usize::from(node)).copied().unwrap_or(0)
+}
+
+/// Moves one replica's load from `from` to `to`.
+fn shift(loads: &mut [u32], from: u16, to: u16) {
+    if let Some(l) = loads.get_mut(usize::from(from)) {
+        *l -= 1;
     }
+    if let Some(l) = loads.get_mut(usize::from(to)) {
+        *l += 1;
+    }
+}
+
+/// Maps a compact placement (nodes `0..m`) onto the up slots `active`
+/// of a `capacity`-slot space (monotone, so sortedness is preserved).
+///
+/// The map runs over the flat compact table, so the iterator knows its
+/// exact length and the rows are written straight into one shared
+/// table, with no buffer to copy from. A compact id with no up slot
+/// becomes `u16::MAX`, which no slot space holds, so
+/// [`Placement::from_rows`] rejects its row.
+fn widen(compact: &Placement, active: &[u16], capacity: u16) -> Result<Placement, DynamicError> {
+    let rows: Arc<[u16]> = compact
+        .shared_rows()
+        .iter()
+        .map(|&i| active.get(usize::from(i)).copied().unwrap_or(u16::MAX))
+        .collect();
+    Ok(Placement::from_rows(
+        capacity,
+        compact.replicas_per_object(),
+        rows,
+    )?)
 }
 
 /// Replicas that must be copied to new homes to turn `old` into `new`:
@@ -1230,6 +1350,101 @@ mod tests {
             assert_eq!(step.moved, moved, "{event:?}");
             assert_eq!(placement_digest(engine.placement()), digest, "{event:?}");
         }
+    }
+
+    /// Panics on exactly its `fuse`-th attack, as a buggy attacker
+    /// would, and attacks exhaustively otherwise.
+    struct Fuse {
+        calls: std::cell::Cell<u32>,
+        fuse: u32,
+    }
+
+    impl Attacker for Fuse {
+        fn attack(&self, placement: &Placement, s: u16, k: u16) -> AttackOutcome {
+            self.calls.set(self.calls.get() + 1);
+            assert_ne!(self.calls.get(), self.fuse, "attacker fuse blew");
+            ExhaustiveAttacker::default().attack(placement, s, k)
+        }
+    }
+
+    #[test]
+    fn a_panicking_attack_leaves_the_engine_untouched() {
+        // Attacks 3 and 4 are the second event's adopted and oracle
+        // attacks: the panic lands after repair, and after the replan.
+        for fuse in [3, 4] {
+            let attacker = Fuse {
+                calls: std::cell::Cell::new(0),
+                fuse,
+            };
+            let mut engine = DynamicEngine::with_attacker(
+                params(13, 26, 3, 2, 3),
+                StrategyKind::Ring,
+                16,
+                DynamicConfig::default(),
+                attacker,
+            )
+            .unwrap();
+            engine.apply(ClusterEvent::Fail { node: 4 }).unwrap();
+            let active = engine.active_count();
+            let placement = engine.placement().clone();
+            let movement = *engine.movement();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.apply(ClusterEvent::Fail { node: 3 })
+            }));
+            assert!(caught.is_err(), "fuse {fuse}");
+            engine.validate().unwrap();
+            assert_eq!(engine.active_count(), active, "fuse {fuse}");
+            assert_eq!(engine.placement(), &placement, "fuse {fuse}");
+            assert_eq!(engine.movement(), &movement, "fuse {fuse}");
+            let step = engine.apply(ClusterEvent::Fail { node: 3 }).unwrap();
+            assert_eq!(step.active, active - 1);
+            engine.validate().unwrap();
+        }
+    }
+
+    fn random_engine(n: u16, capacity: u16) -> DynamicEngine<NoAttack> {
+        let kind = StrategyKind::Random {
+            seed: 0x5eed,
+            variant: RandomVariant::LoadBalanced,
+        };
+        let config = DynamicConfig::default();
+        DynamicEngine::with_attacker(params(n, 600, 3, 2, 3), kind, capacity, config, NoAttack)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_one_node_band_builds_one_plan_per_size() {
+        // The end-to-end benchmark's walk: 71 of 72 slots up and a floor
+        // of 70, so every event lands on one of three sizes.
+        let trace = ChurnSpec {
+            min_active: 70,
+            ..ChurnSpec::new("dyn-band", 72, 71, 100)
+        }
+        .generate();
+        let mut engine = random_engine(71, 72);
+        engine.run_trace(&trace.events).unwrap();
+        let m = engine.movement();
+        assert_eq!(m.events, 100);
+        assert!((1..=3).contains(&m.oracle_builds), "{m:?}");
+    }
+
+    #[test]
+    fn a_wide_walk_evicts_and_rebuilds_plans() {
+        let trace = ChurnSpec::new("dyn-wide", 80, 71, 100).generate();
+        let mut engine = random_engine(71, 80);
+        engine.run_trace(&trace.events).unwrap();
+        let m = engine.movement();
+        assert_eq!(m.events, 100);
+        assert!(m.oracle_builds > 3 && m.oracle_builds < m.events, "{m:?}");
+    }
+
+    #[test]
+    fn widening_rejects_a_compact_id_without_an_up_slot() {
+        let compact = Placement::from_rows(3, 2, vec![0, 1, 1, 2]).unwrap();
+        let wide = widen(&compact, &[2, 5, 7], 8).unwrap();
+        assert_eq!(wide, Placement::from_rows(8, 2, vec![2, 5, 5, 7]).unwrap());
+        assert!(widen(&compact, &[2, 5], 8).is_err());
+        assert!(widen(&compact, &[2, 5, 7], 7).is_err());
     }
 
     #[test]

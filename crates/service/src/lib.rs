@@ -298,7 +298,12 @@ impl Snapshot {
             last = Some(*object);
             overlay.pin(b, *object, nodes.clone());
         }
-        Self::with_pins(epoch, placement, overlay, certificate)
+        Self::with_pins(
+            epoch,
+            placement,
+            overlay,
+            certificate.map(CertificateDigest::of),
+        )
     }
 
     /// The snapshot of `placement` with `pins` laid over it, at `epoch`.
@@ -306,13 +311,13 @@ impl Snapshot {
         epoch: u64,
         placement: &Placement,
         pins: PinOverlay,
-        certificate: Option<&Certificate>,
+        certificate: Option<CertificateDigest>,
     ) -> Self {
         Self {
             epoch,
             placement: placement.clone(),
             pins,
-            certificate: certificate.map(CertificateDigest::of),
+            certificate,
         }
     }
 
@@ -355,7 +360,8 @@ impl Snapshot {
     }
 
     /// The digest of the engine placement's availability certificate,
-    /// when the attacker emitted one for this epoch.
+    /// when the attacker emitted one for the churn step that produced
+    /// that placement (an epoch that only pins keeps it).
     #[must_use]
     pub fn certificate(&self) -> Option<&CertificateDigest> {
         self.certificate.as_ref()

@@ -15,8 +15,10 @@
 //! [`ServiceConfig::max_batch`] events, replays them **in enqueue
 //! order** — churn through [`DynamicEngine::apply`] (incremental repair
 //! with the replan-oracle fallback, re-attacked every event), pins into
-//! the overlay — and publishes epoch `e + 1` with the last event's
-//! certificate. Because the queue is FIFO and the drainer is single,
+//! the overlay — and publishes epoch `e + 1` with the certificate of the
+//! last applied churn step. A batch that applies no churn leaves the
+//! engine placement alone, so its epoch keeps the certificate published
+//! before it. Because the queue is FIFO and the drainer is single,
 //! the engine placement after *all* events is independent of how the
 //! rounds were batched; only the epoch numbering varies. That is the
 //! determinism contract the differential suite checks: across
@@ -30,7 +32,9 @@ use std::thread;
 use wcp_core::engine::Attacker;
 use wcp_core::{ClusterEvent, DynamicEngine};
 
-use crate::{PinOverlay, ServiceConfig, ServiceEvent, ServiceHandle, Shared, Snapshot};
+use crate::{
+    CertificateDigest, PinOverlay, ServiceConfig, ServiceEvent, ServiceHandle, Shared, Snapshot,
+};
 
 /// What the repair thread did over the service's lifetime, returned by
 /// [`serve`] next to the caller's own result.
@@ -130,16 +134,20 @@ fn repair_loop<A: Attacker>(
     // The live upsert pins. Each epoch's snapshot shares their blocks,
     // so a pin copies only the block it changes.
     let mut pins = PinOverlay::default();
+    // The digest of the certificate of the engine placement, carried
+    // across batches: a batch that pins only leaves the placement, and
+    // so its certificate, as it was.
+    let mut certificate = None;
     while let Some(batch) = shared.take_batch(max_batch) {
-        let mut certificate = None;
+        // The certificate of the batch's last applied churn step, if any
+        // step applied (a rejected step changes no placement).
+        let mut applied = None;
         for event in batch {
             match event {
                 ServiceEvent::Churn(ev) => match engine.apply(ev) {
                     Ok(step) => {
                         report.applied += 1;
-                        if step.certificate.is_some() {
-                            certificate = step.certificate;
-                        }
+                        applied = Some(step.certificate);
                     }
                     Err(_) => report.rejected += 1,
                 },
@@ -154,13 +162,16 @@ fn repair_loop<A: Attacker>(
                 }
             }
         }
+        if let Some(cert) = applied {
+            certificate = cert.as_ref().map(CertificateDigest::of);
+        }
         epoch += 1;
         report.epochs += 1;
         shared.publish(Snapshot::with_pins(
             epoch,
             engine.placement(),
             pins.clone(),
-            certificate.as_ref(),
+            certificate,
         ));
     }
     report
@@ -383,6 +394,81 @@ mod tests {
         assert_eq!(last, 1, "readers keep the last published epoch");
         assert!(answer.is_some());
         assert_eq!(writes, vec![false; 4]);
+    }
+
+    /// The certified ladder for its first `certified` attacks, then the
+    /// same attack with its certificate dropped, as a probe reports.
+    struct CertifiedFirst {
+        ladder: wcp_adversary::ScratchAdversary,
+        calls: std::cell::Cell<u32>,
+        certified: u32,
+    }
+
+    impl Attacker for CertifiedFirst {
+        fn attack(&self, placement: &Placement, s: u16, k: u16) -> wcp_core::AttackOutcome {
+            self.calls.set(self.calls.get() + 1);
+            let mut outcome = self.ladder.attack(placement, s, k);
+            if self.calls.get() > self.certified {
+                outcome.certificate = None;
+            }
+            outcome
+        }
+    }
+
+    #[test]
+    fn the_certificate_follows_the_engine_placement() {
+        let params = SystemParams::new(12, 40, 3, 2, 2).unwrap();
+        let kind = StrategyKind::Random {
+            seed: 7,
+            variant: RandomVariant::LoadBalanced,
+        };
+        let attacker = CertifiedFirst {
+            ladder: wcp_adversary::ScratchAdversary::new(wcp_adversary::AdversaryConfig::default()),
+            calls: std::cell::Cell::new(0),
+            certified: 2, // the first event's two attacks
+        };
+        let engine =
+            DynamicEngine::with_attacker(params, kind, 14, DynamicConfig::default(), attacker)
+                .unwrap();
+        let config = ServiceConfig {
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let (epochs, report, _) = serve(engine, &config, |handle| {
+            let publish = |event: ServiceEvent| {
+                assert!(handle.enqueue(event));
+                handle.quiesce();
+                handle.snapshot()
+            };
+            let churned = publish(ServiceEvent::Churn(ClusterEvent::Fail { node: 3 }));
+            let pinned = publish(ServiceEvent::Upsert {
+                object: 7,
+                nodes: vec![11, 10, 9],
+            });
+            let rejected = publish(ServiceEvent::Churn(ClusterEvent::Recover { node: 5 }));
+            let uncertified = publish(ServiceEvent::Churn(ClusterEvent::Fail { node: 4 }));
+            [churned, pinned, rejected, uncertified]
+        });
+        let [churned, pinned, rejected, uncertified] = epochs;
+        assert_eq!(report.rejected, 1);
+        assert!(churned.certificate().is_some(), "certified churn stamps it");
+        assert_eq!(pinned.epoch(), churned.epoch() + 1);
+        assert_eq!(pinned.pinned(), 1);
+        assert_eq!(
+            pinned.certificate(),
+            churned.certificate(),
+            "a pin keeps it"
+        );
+        assert_eq!(
+            rejected.certificate(),
+            churned.certificate(),
+            "a rejected event keeps it"
+        );
+        assert_eq!(
+            uncertified.certificate(),
+            None,
+            "a placement nothing certified has no certificate"
+        );
     }
 
     #[test]
