@@ -117,7 +117,7 @@ pub(crate) fn node_ledger(
         return Vec::new();
     }
     let b = placement.num_objects() as u64;
-    let (pc, _, _) = scratch.cleared_packed();
+    let (pc, _, _) = scratch.cleared_packed(placement, s);
     // At the empty set a node's gain is its whole load at s = 1 and
     // nothing otherwise, so the canonical `(gain, load, node)` order is
     // the `(load, node)` order.

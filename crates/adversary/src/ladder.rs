@@ -333,8 +333,9 @@ mod tests {
         }
     }
 
-    /// The golden record's two heavy shapes: `k = 5` at the paper's
-    /// `n = 71, b = 1200`, and the churn benchmark's `b = 10⁵` shape.
+    /// The golden record's heavy shapes: `k = 5` at the paper's
+    /// `n = 71, b = 1200`, the churn benchmark's `b = 10⁵` shape, and
+    /// the scale acceptance shape at `b = 10⁶`.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "11.8 M expansions; run with --release")]
     fn heavy_shapes_match_the_golden_record() {
@@ -342,6 +343,8 @@ mod tests {
         assert_eq!(k5, (0xd391_328b_c033_b228, 11_779_618, true));
         let churn = decision_record(&churn_placement(75, 71, 100_000, 4242), 2, 3);
         assert_eq!(churn, (0xb0c1_e642_bcc5_16ce, 70_283, true));
+        let million = decision_record(&random_placement(71, 1_000_000, 3, 10), 2, 3);
+        assert_eq!(million, (0xacb6_5eff_dc89_fbf4, 59_639, true));
     }
 
     #[test]

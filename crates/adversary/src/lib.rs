@@ -53,7 +53,6 @@ mod certify;
 mod counts;
 pub mod domain;
 mod exact;
-mod hist;
 mod ladder;
 mod parallel;
 mod pool;
@@ -89,8 +88,6 @@ pub struct AdversaryScratch {
     packed: Option<PackedCounts>,
     climb: search::ClimbScratch,
     dfs: exact::DfsScratch,
-    hist: Option<hist::HistogramCounts>,
-    hist_climb: hist::HistClimbScratch,
 }
 
 impl AdversaryScratch {
@@ -103,11 +100,11 @@ impl AdversaryScratch {
     /// Binds the scalar reference backend to a placement/threshold,
     /// reusing previous allocations when present.
     pub fn bind(&mut self, placement: &Placement, s: u16) -> &mut FailureCounts {
-        match &mut self.fc {
-            Some(fc) => fc.rebind(placement, s),
-            None => self.fc = Some(FailureCounts::new(placement, s)),
+        if let Some(fc) = &mut self.fc {
+            fc.rebind(placement, s);
         }
-        self.fc.as_mut().expect("bound above")
+        self.fc
+            .get_or_insert_with(|| FailureCounts::new(placement, s))
     }
 
     /// Binds the word-parallel kernel to a placement/threshold and
@@ -121,57 +118,29 @@ impl AdversaryScratch {
         &mut search::ClimbScratch,
         &mut exact::DfsScratch,
     ) {
-        match &mut self.packed {
-            Some(pc) => pc.rebind(placement, s),
-            None => self.packed = Some(PackedCounts::new(placement, s)),
+        if let Some(pc) = &mut self.packed {
+            pc.rebind(placement, s);
         }
         // A rebind can change placement content behind an identical
         // (n, b, s) shape; the DFS path tables must not survive it.
         self.dfs.invalidate_path_tables();
         (
-            self.packed.as_mut().expect("bound above"),
+            self.packed
+                .get_or_insert_with(|| PackedCounts::new(placement, s)),
             &mut self.climb,
             &mut self.dfs,
         )
     }
 
-    /// Binds the compressed histogram backend to a placement/threshold
-    /// and hands back the backend plus its side buffers (reusing
-    /// previous allocations when present).
-    pub(crate) fn bind_hist(
+    /// The kernel an earlier stage bound to `(placement, s)` and its
+    /// side buffers, cleared to the empty failed set without rebinding
+    /// (the exact rung and the ledger reuse the binding the restarts
+    /// made this way). Callers must guarantee that binding; a scratch
+    /// that holds no kernel yet binds one to `(placement, s)` here.
+    pub(crate) fn cleared_packed(
         &mut self,
         placement: &Placement,
         s: u16,
-    ) -> (&mut hist::HistogramCounts, &mut hist::HistClimbScratch) {
-        let hc = self.hist.get_or_insert_with(Default::default);
-        hc.rebind(placement, s);
-        (hc, &mut self.hist_climb)
-    }
-
-    /// The already-bound histogram backend and side buffers with an
-    /// empty failed set, without rebinding. Callers must guarantee a
-    /// preceding [`AdversaryScratch::bind_hist`] for the same
-    /// `(placement, s)`; an unbound scratch yields an empty default
-    /// backend rather than panicking.
-    pub(crate) fn cleared_hist(
-        &mut self,
-    ) -> (&mut hist::HistogramCounts, &mut hist::HistClimbScratch) {
-        let hc = self.hist.get_or_insert_with(Default::default);
-        hc.clear();
-        (hc, &mut self.hist_climb)
-    }
-
-    /// The already-bound kernel and side buffers with an empty failed
-    /// set, without rebinding. Callers must guarantee a preceding
-    /// [`AdversaryScratch::bind_packed`] for the same `(placement, s)`
-    /// (the exact rung and the ledger reuse the binding an earlier
-    /// stage made this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel has never been bound.
-    pub(crate) fn cleared_packed(
-        &mut self,
     ) -> (
         &mut PackedCounts,
         &mut search::ClimbScratch,
@@ -179,8 +148,7 @@ impl AdversaryScratch {
     ) {
         let pc = self
             .packed
-            .as_mut()
-            .expect("kernel bound by an earlier stage");
+            .get_or_insert_with(|| PackedCounts::new(placement, s));
         pc.clear();
         (pc, &mut self.climb, &mut self.dfs)
     }
@@ -207,13 +175,6 @@ pub struct AdversaryConfig {
     /// thread count. See the `parallel` module's docs in the source for
     /// the determinism argument.
     pub parallelism: Parallelism,
-    /// Object-count threshold above which the greedy and local-search
-    /// rungs run on the compressed histogram backend (per-class counts,
-    /// `O(classes)` state) instead of the per-object packed planes; the
-    /// exact rung always uses the packed kernel. The backends are
-    /// decision-identical (see the `hist` module docs), so this only
-    /// moves the memory/speed trade-off, never the answer.
-    pub hist_threshold: u64,
 }
 
 impl Default for AdversaryConfig {
@@ -224,17 +185,7 @@ impl Default for AdversaryConfig {
             max_steps: 200,
             seed: 0xadb7_7557,
             parallelism: Parallelism::single(),
-            hist_threshold: 65_536,
         }
-    }
-}
-
-impl AdversaryConfig {
-    /// Whether the heuristic rungs use the histogram backend for a
-    /// placement with `b` objects.
-    #[must_use]
-    pub fn uses_histogram(&self, b: usize) -> bool {
-        b as u64 >= self.hist_threshold
     }
 }
 
@@ -420,7 +371,6 @@ impl CellAttacker for SweepAdversary {
                 // Sweeps already parallelize across cells; nesting the
                 // parallel ladder inside each cell would oversubscribe.
                 parallelism: Parallelism::single(),
-                ..AdversaryConfig::default()
             },
         };
         Ladder::new(&config)

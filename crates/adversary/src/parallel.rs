@@ -38,7 +38,6 @@
 //! code of its own.
 
 use crate::exact;
-use crate::hist;
 use crate::pool::{fan_out, SharedBound};
 use crate::search::{self, LadderTrace};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
@@ -72,7 +71,7 @@ pub(crate) fn restart_rng(seed: u64, t: usize) -> StdRng {
 }
 
 /// The schedule's combination key: more failed wins, ties break to the
-/// lexicographically smallest witness. Every backend combines its
+/// lexicographically smallest witness. Every ladder combines its
 /// restarts by it.
 pub(crate) fn rank<T: Ord>(failed: u64, witness: &[T]) -> (u64, Reverse<&[T]>) {
     (failed, Reverse(witness))
@@ -97,30 +96,10 @@ fn restart(
     let b = placement.num_objects() as u64;
     // restarts = 0 keeps the bare greedy set.
     let climb = config.restarts > 0;
-    if config.uses_histogram(placement.num_objects()) {
-        // Million-object regime: same schedule on the compressed
-        // histogram backend (decision-identical to the packed one).
-        let (hc, hs) = if rebind {
-            scratch.bind_hist(placement, s)
-        } else {
-            scratch.cleared_hist()
-        };
-        let greedy = if t == 0 {
-            let g = hist::greedy_hist_into(hc, k);
-            Some((g.failed, g.nodes))
-        } else {
-            hist::seed_random_hist(hc, hs, k, &mut restart_rng(config.seed, t));
-            None
-        };
-        if climb {
-            hist::climb_hist(hc, hs, config.max_steps, b);
-        }
-        return (greedy, hc.failed(), hc.nodes());
-    }
     let (pc, cs, _) = if rebind {
         scratch.bind_packed(placement, s)
     } else {
-        scratch.cleared_packed()
+        scratch.cleared_packed(placement, s)
     };
     // Restart 0 climbs from the greedy set `greedy_into` leaves in `pc`
     // (and the live gain table it leaves in `cs`).
@@ -200,10 +179,9 @@ pub(crate) fn search_rungs(
     trace: &mut LadderTrace,
 ) -> (WorstCase, Option<WorstCase>) {
     let heuristic = local_search(placement, s, k, config, scratch, trace);
-    // One-thread packed restarts leave the caller's kernel bound (one
-    // index build per evaluation, not two); fanned-out or histogram
-    // restarts never touch it.
-    if config.parallelism.threads() > 1 || config.uses_histogram(placement.num_objects()) {
+    // One-thread restarts leave the caller's kernel bound (one index
+    // build per evaluation, not two); fanned-out restarts never touch it.
+    if config.parallelism.threads() > 1 {
         scratch.bind_packed(placement, s);
     }
     let exact = exact_rung(
@@ -233,7 +211,7 @@ pub(crate) fn exact_rung(
     parallelism: Parallelism,
 ) -> Option<WorstCase> {
     let b = placement.num_objects() as u64;
-    let (pc, _, ds) = scratch.cleared_packed();
+    let (pc, _, ds) = scratch.cleared_packed(placement, s);
     debug_assert!(
         pc.num_nodes() == placement.num_nodes() && pc.num_objects() == placement.num_objects(),
         "scratch not bound to this placement"
@@ -268,7 +246,7 @@ pub(crate) fn exact_rung(
     let shared = SharedBound::new(incumbent);
     let results = fan_out(tasks, parallelism.threads(), Worker::default, |w, t| {
         let (pc, _, ds) = if std::mem::replace(&mut w.bound, true) {
-            w.scratch.cleared_packed()
+            w.scratch.cleared_packed(placement, s)
         } else {
             w.scratch.bind_packed(placement, s)
         };

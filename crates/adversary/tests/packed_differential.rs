@@ -13,7 +13,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use wcp_adversary::{
     exact_worst, exact_worst_parallel, greedy_worst, local_search_worst, reference,
-    AdversaryConfig, FailureCounts, PackedCounts,
+    AdversaryConfig, FailureCounts, Ladder, PackedCounts,
 };
 use wcp_core::{Parallelism, Placement, RandomStrategy, RandomVariant, SystemParams};
 
@@ -187,6 +187,43 @@ proptest! {
                     &p, s, k, u64::MAX, 0, Parallelism::new(threads),
                 ).expect("no budget");
                 prop_assert_eq!(&split, &kernel, "threads={} s={} k={}", threads, s, k);
+            }
+        }
+    }
+}
+
+/// Catalog scale: at b = 70,000 the kernel spans three 32,768-object
+/// chunks, and its greedy, local-search and full-ladder rungs must
+/// still reproduce the scalar reference ladder — same greedy and
+/// local-search `WorstCase`, the exact optimum — with every witness
+/// recounting to its claim.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "scalar reference at b = 70,000 takes ~17 s in debug; run with --release"
+)]
+fn catalog_scale_ladder_matches_reference() {
+    let cfg = AdversaryConfig::default();
+    for (n, seed) in [(12u16, 0x7000u64), (14, 0x7001), (16, 0x7002)] {
+        let p = placement(n, 70_000, 3, seed);
+        for s in 1..=3u16 {
+            for k in 1..=3u16 {
+                let ctx = format!("n={n} s={s} k={k}");
+                let greedy = greedy_worst(&p, s, k);
+                assert_eq!(greedy, reference::greedy_worst(&p, s, k), "greedy {ctx}");
+                let ls = local_search_worst(&p, s, k, &cfg);
+                assert_eq!(
+                    ls,
+                    reference::local_search_worst(&p, s, k, &cfg),
+                    "local search {ctx}"
+                );
+                let ladder = Ladder::new(&cfg).run(&p, s, k).worst;
+                let oracle = reference::exact_worst(&p, s, k, u64::MAX, 0).expect("no budget");
+                assert!(ladder.exact && oracle.exact, "exact {ctx}");
+                assert_eq!(ladder.failed, oracle.failed, "ladder {ctx}");
+                for wc in [&greedy, &ls, &ladder] {
+                    assert_eq!(p.failed_objects(&wc.nodes, s), wc.failed, "witness {ctx}");
+                }
             }
         }
     }

@@ -180,13 +180,13 @@ proptest! {
         }
     }
 
-    /// The one-schedule contract: on either backend, every node-ladder
-    /// entry point — the plain and certified `Ladder` at 1, 2, 3 and 8
-    /// threads, the engine-facing `AdversaryConfig` attacker, and
-    /// scratch-owning `ScratchAdversary`s (including the default one)
-    /// carried across a sequence of placements — returns the same
-    /// `WorstCase` and byte-identical certificate JSON, and the local
-    /// search rung alone is thread-count invariant too.
+    /// The one-schedule contract: every node-ladder entry point — the
+    /// plain and certified `Ladder` at 1, 2, 3 and 8 threads, the
+    /// engine-facing `AdversaryConfig` attacker, and scratch-owning
+    /// `ScratchAdversary`s (including the default one) carried across a
+    /// sequence of placements — returns the same `WorstCase` and
+    /// byte-identical certificate JSON, and the local search rung alone
+    /// is thread-count invariant too.
     #[test]
     fn every_entry_point_is_thread_count_invariant(
         first in (8u16..16, 10u64..80, 2u16..=4, 0u16..=5, any::<u64>()),
@@ -194,14 +194,11 @@ proptest! {
         third in (8u16..16, 10u64..80, 2u16..=4, 0u16..=5, any::<u64>()),
     ) {
         let reference_cfg = AdversaryConfig::default();
-        let configs: Vec<AdversaryConfig> = [0, u64::MAX]
+        let configs: Vec<AdversaryConfig> = [1usize, 2, 3, 8]
             .into_iter()
-            .flat_map(|hist_threshold| {
-                [1usize, 2, 3, 8].map(|threads| AdversaryConfig {
-                    hist_threshold,
-                    parallelism: Parallelism::new(threads),
-                    ..AdversaryConfig::default()
-                })
+            .map(|threads| AdversaryConfig {
+                parallelism: Parallelism::new(threads),
+                ..AdversaryConfig::default()
             })
             .collect();
         let default_attacker = ScratchAdversary::default();

@@ -1,6 +1,6 @@
 //! Million-object regime throughput: the full auto adversary ladder
-//! (histogram heuristic rungs + packed exact rung) on the n = 71-derived
-//! shape at b = 10⁵ and b = 10⁶, with peak RSS recorded per shape.
+//! (every rung on the packed kernel) on the n = 71-derived shape at
+//! b = 10⁵ and b = 10⁶, with peak RSS recorded per shape.
 //!
 //! Besides the criterion measurement (b = 10⁵ only — a b = 10⁶ build
 //! dominates criterion's warmup budget), the run writes a
@@ -49,7 +49,6 @@ fn write_snapshot(s: u16, k: u16, config: &AdversaryConfig) {
         ("r", 3u16.into()),
         ("s", s.into()),
         ("k", k.into()),
-        ("hist_threshold", config.hist_threshold.into()),
     ]);
     for (name, b, seconds_scale) in [
         ("ladder_b100k", 100_000u64, false),

@@ -219,30 +219,6 @@ impl Placement {
         count
     }
 
-    /// Every `stride`-th object of this placement (starting at object
-    /// 0), as its own placement over the same nodes. A `stride` of `0`
-    /// or `1` copies every object.
-    ///
-    /// Differential validators use this to check large-`b` backends
-    /// against the scalar oracle on a shape small enough to afford:
-    /// subsampling preserves the per-object replica sets exactly, so
-    /// any per-object disagreement between backends survives into the
-    /// subsample.
-    #[must_use]
-    pub fn subsample(&self, stride: usize) -> Self {
-        Self {
-            n: self.n,
-            r: self.r,
-            rows: self
-                .rows()
-                .step_by(stride.max(1))
-                .flatten()
-                .copied()
-                .collect(),
-            loads_cache: OnceLock::new(),
-        }
-    }
-
     /// Appends the objects of `other` (same `n` and `r`) to this placement.
     ///
     /// # Errors
@@ -343,19 +319,6 @@ mod tests {
         assert_eq!(p.failed_objects(&[0, 1], 3), 0);
         assert_eq!(p.failed_objects(&[4, 5], 2), 2);
         assert_eq!(p.failed_objects(&[], 1), 0);
-    }
-
-    #[test]
-    fn subsampling() {
-        let p = sample();
-        let q = p.subsample(2);
-        assert_eq!(q.num_nodes(), p.num_nodes());
-        assert_eq!(q.num_objects(), 2);
-        assert_eq!(q.replicas(0), p.replicas(0));
-        assert_eq!(q.replicas(1), p.replicas(2));
-        assert_eq!(p.subsample(0).num_objects(), p.num_objects());
-        assert_eq!(p.subsample(1), p);
-        assert_eq!(p.subsample(100).num_objects(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Million-object scale smoke: runs the full auto adversary ladder
-//! (histogram heuristic rungs + packed exact rung) on the n = 71-derived
-//! shape at catalog-scale object counts, reporting wall time, peak RSS
-//! and the backend the heuristic rungs selected.
+//! (every rung on the packed kernel) on the n = 71-derived shape at
+//! catalog-scale object counts, reporting wall time and peak RSS.
 //!
 //! ```text
 //! scale            # b = 100 000 and 1 000 000 (the acceptance shape)
@@ -34,30 +33,18 @@ fn main() -> ExitCode {
     let mut scratch = AdversaryScratch::new();
 
     let mut table = Table::new(
-        ["b", "backend", "failed", "exact", "seconds", "peak_rss_mib"]
+        ["b", "failed", "exact", "seconds", "peak_rss_mib"]
             .map(String::from)
             .to_vec(),
     );
     table.title("Scale regime: auto ladder at n=71, r=3, s=2, k=3");
     let mut csv = Csv::new(
         results_dir().join("scale.csv"),
-        &[
-            "b",
-            "backend",
-            "failed",
-            "exact",
-            "seconds",
-            "peak_rss_bytes",
-        ],
+        &["b", "failed", "exact", "seconds", "peak_rss_bytes"],
     );
     let mut over_budget = false;
     for &b in b_values {
         let placement = fixture_placement(71, b, 3);
-        let backend = if config.uses_histogram(placement.num_objects()) {
-            "histogram"
-        } else {
-            "packed"
-        };
         let t = Instant::now();
         let wc = Ladder::new(&config)
             .scratch(&mut scratch)
@@ -71,7 +58,6 @@ fn main() -> ExitCode {
         over_budget |= rss > RSS_BUDGET_BYTES;
         let row = [
             b.to_string(),
-            backend.to_string(),
             wc.failed.to_string(),
             wc.exact.to_string(),
             format!("{secs:.3}"),
@@ -80,7 +66,6 @@ fn main() -> ExitCode {
         table.row(row.to_vec());
         csv.row(&[
             b.to_string(),
-            backend.to_string(),
             wc.failed.to_string(),
             wc.exact.to_string(),
             format!("{secs:.3}"),
