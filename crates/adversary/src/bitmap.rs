@@ -119,7 +119,6 @@ impl NodeSet {
         BitIter {
             words: &self.words,
             limit: self.len,
-            invert: false,
             word_idx: 0,
             current: self.words.first().copied().unwrap_or(0),
         }
@@ -134,25 +133,13 @@ impl NodeSet {
     pub(crate) fn limit_mask(&self) -> u64 {
         tail_mask(self.len)
     }
-
-    /// Non-members in ascending order.
-    pub(crate) fn iter_absent(&self) -> BitIter<'_> {
-        BitIter {
-            words: &self.words,
-            limit: self.len,
-            invert: true,
-            word_idx: 0,
-            current: !self.words.first().copied().unwrap_or(0),
-        }
-    }
 }
 
-/// Ascending iterator over set (or cleared) bits of a [`NodeSet`].
+/// Ascending iterator over the members of a [`NodeSet`].
 #[derive(Debug)]
 pub(crate) struct BitIter<'a> {
     words: &'a [u64],
     limit: usize,
-    invert: bool,
     word_idx: usize,
     current: u64,
 }
@@ -173,7 +160,7 @@ impl Iterator for BitIter<'_> {
             }
             self.word_idx += 1;
             let &word = self.words.get(self.word_idx)?;
-            self.current = if self.invert { !word } else { word };
+            self.current = word;
         }
     }
 }
@@ -252,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn node_set_iterates_both_ways() {
+    fn node_set_iterates_members() {
         let mut s = NodeSet::default();
         s.reset(70);
         for nd in [0u16, 5, 63, 64, 69] {
@@ -261,10 +248,6 @@ mod tests {
         assert!(s.contains(64) && !s.contains(1));
         let present: Vec<u16> = s.iter_present().collect();
         assert_eq!(present, vec![0, 5, 63, 64, 69]);
-        let absent: Vec<u16> = s.iter_absent().collect();
-        assert_eq!(absent.len(), 65);
-        assert!(absent.windows(2).all(|w| w[0] < w[1]));
-        assert!(!absent.contains(&64) && absent.contains(&1));
         s.remove(64);
         assert!(!s.contains(64));
         assert_eq!(s.iter_present().count(), 4);

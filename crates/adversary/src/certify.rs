@@ -9,11 +9,11 @@
 //! **bound ledger** for the branch-and-bound tree, and the seal binding
 //! the claim to the placement.
 //!
-//! The ledger is computed *post hoc* from the loads of the kernel the
-//! exact rung just searched. Both the serial DFS root frame (depth 0 is
-//! below its re-sort depth) and the parallel frontier split order root
-//! children by the same total key — `(gain, load, node)` descending at
-//! the empty set — and expand exactly the first `n − k + 1` of them, so
+//! The ledger is computed *post hoc* on the kernel binding the exact
+//! rung just searched. Both the serial DFS root frame (depth 0 is below
+//! its re-sort depth) and the parallel frontier split order root
+//! children by the same total key — `(gain, weight, id)` descending at
+//! the empty set — and expand exactly the first `len − k + 1` of them, so
 //! re-deriving that order after the search reproduces the true root
 //! frontier. For each root child `x` the recorded bound is the same
 //! admissible bound the DFS prunes with one level down:
@@ -22,24 +22,28 @@
 //! bound(x) = failed({x}) + failable_within(k − 1)   (evaluated at {x})
 //! ```
 //!
-//! With no node failed every object sits at zero hits, and with `x`
-//! alone failed exactly the objects on `x` sit at one, so both the
-//! root key and `bound(x)` are functions of `load(x)`, `b`, `s` and `k`
-//! ([`root_bound`]): the whole ledger costs `O(n log n)`, with no
-//! kernel update per root.
+//! For the node move set, with no node failed every object sits at zero
+//! hits, and with `x` alone failed exactly the objects on `x` sit at
+//! one, so both the root key and `bound(x)` are functions of `load(x)`,
+//! `b`, `s` and `k` ([`root_bound`]): the whole ledger costs
+//! `O(n log n)`, with no kernel update per root. A failure unit is
+//! failed and restored on the kernel once per root, and its
+//! `failable_within` counts `(k − 1) · c_max` hits.
 //!
 //! No attack whose set contains `x` as its first element (in root
 //! order) can fail more than `bound(x)` objects: the remaining `k − 1`
-//! nodes add at most one hit each per object. The verifier recomputes
-//! both the order and every bound on the scalar [`crate::FailureCounts`]
-//! oracle, so a kernel bug skewing either turns into a certificate
-//! rejection instead of a silently wrong verdict.
+//! moves add at most one hit each (a unit at most `c_max`) per object.
+//! The verifier recomputes both the order and every bound on the scalar
+//! [`crate::FailureCounts`] oracle, so a kernel bug skewing either turns
+//! into a certificate rejection instead of a silently wrong verdict.
 //!
 //! Every bound is also ≤ the root-level bound `failable_within(k)` at
 //! the empty set, so whenever the search confirmed the incumbent
 //! without expanding (the root short-circuit), the ledger still proves
 //! optimality outright.
 
+use crate::exact::{root_order, Branch};
+use crate::ladder::Model;
 use crate::AdversaryScratch;
 use wcp_core::{
     placement_digest, Certificate, CertificateKind, Fnv, LedgerEntry, Placement, Rung, RungKind,
@@ -102,33 +106,28 @@ pub(crate) fn base_certificate(
 
 /// The exact rung's post-hoc bound ledger: one admissible bound per
 /// root child of the branch-and-bound tree, in the canonical
-/// `(gain, load, node)` descending root order, covering exactly the
-/// `n − k + 1` children the root frame expands. Reads the loads of the
-/// kernel binding the exact rung searched on; degenerate budgets
-/// (`k = 0` or `k = n`) need no search and get no ledger.
-pub(crate) fn node_ledger(
-    placement: &Placement,
-    s: u16,
-    k: u16,
+/// `(gain, weight, id)` descending root order, covering exactly the
+/// `len − k + 1` children the root frame expands. Reads the kernel
+/// binding the exact rung searched on, cleared; degenerate budgets
+/// (`k = 0` or every move) need no search and get no ledger.
+pub(crate) fn ledger<M: Model>(
+    model: &M,
     scratch: &mut AdversaryScratch,
+    k: u16,
 ) -> Vec<LedgerEntry> {
-    let n = placement.num_nodes();
-    if k == 0 || k >= n {
+    let len = model.len();
+    if k == 0 || usize::from(k) >= len {
         return Vec::new();
     }
-    let b = placement.num_objects() as u64;
-    let (pc, _, _) = scratch.cleared_packed(placement, s);
-    // At the empty set a node's gain is its whole load at s = 1 and
-    // nothing otherwise, so the canonical `(gain, load, node)` order is
-    // the `(load, node)` order.
-    let mut keys: Vec<(u32, u16)> = (0..n).map(|nd| (pc.load(nd), nd)).collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let roots = usize::from(n - k) + 1;
-    keys.iter()
-        .take(roots)
-        .map(|&(load, nd)| LedgerEntry {
-            root: u32::from(nd),
-            bound: root_bound(u64::from(load), b, s, k),
+    let (mut ms, _, _) = model.bind(scratch, false);
+    let roots = len - usize::from(k) + 1;
+    let mut order = root_order(&mut ms);
+    order.truncate(roots);
+    order
+        .into_iter()
+        .map(|root| LedgerEntry {
+            root,
+            bound: ms.root_bound(root, k),
         })
         .collect()
 }
@@ -136,7 +135,7 @@ pub(crate) fn node_ledger(
 /// `failed({x}) + failable_within(k − 1)` evaluated at the one-node set
 /// `{x}` of a node with `load` objects among `b`, for `1 ≤ k`: the
 /// objects on `x` sit at one hit, every other object at zero.
-fn root_bound(load: u64, b: u64, s: u16, k: u16) -> u64 {
+pub(crate) fn root_bound(load: u64, b: u64, s: u16, k: u16) -> u64 {
     let failed = if s == 1 { load } else { 0 };
     let m = k - 1;
     if m == 0 {

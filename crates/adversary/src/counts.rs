@@ -3,8 +3,7 @@
 //! bit-packed kernel ([`PackedCounts`]) the production ladder runs on.
 
 use crate::bitmap::{
-    and_popcount, eq_word, ge_word, tail_mask, words_for, BitIter, NodeSet, BLOCK_WORDS, LANES,
-    WORD_BITS,
+    and_popcount, eq_word, ge_word, tail_mask, words_for, NodeSet, BLOCK_WORDS, LANES, WORD_BITS,
 };
 use wcp_core::Placement;
 
@@ -221,21 +220,11 @@ impl FailureCounts {
             .collect()
     }
 
-    /// The accounting threshold `s`.
-    pub(crate) fn threshold(&self) -> u16 {
-        self.s
-    }
-
     /// Ids of the objects with a replica on `node` (ascending).
     pub(crate) fn objects_on(&self, node: u16) -> &[u32] {
         self.by_node
             .get(usize::from(node))
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// Current hit count of one object.
-    pub(crate) fn hit_count(&self, obj: usize) -> u16 {
-        self.hits.get(obj).copied().unwrap_or(0)
     }
 }
 
@@ -706,12 +695,6 @@ impl PackedCounts {
         and_popcount(self.row_words(node), mask)
     }
 
-    /// Nodes outside the failed set, ascending — lets scans skip the
-    /// per-node `contains` branch entirely.
-    pub(crate) fn iter_absent(&self) -> BitIter<'_> {
-        self.members.iter_absent()
-    }
-
     /// Raw membership words plus the valid-bit mask of the last word,
     /// for fully inlined complement scans in the hot search loops.
     pub(crate) fn member_words(&self) -> (&[u64], u64) {
@@ -897,12 +880,6 @@ impl PackedCounts {
     #[must_use]
     pub fn nodes(&self) -> Vec<u16> {
         self.members.iter_present().collect()
-    }
-
-    /// [`PackedCounts::nodes`] into a reusable buffer.
-    pub(crate) fn collect_nodes(&self, out: &mut Vec<u16>) {
-        out.clear();
-        out.extend(self.members.iter_present());
     }
 }
 

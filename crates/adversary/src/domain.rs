@@ -8,19 +8,17 @@
 //! dies once `s` of its replicas sit on downed leaves, and overlapping
 //! choices (a leaf plus the rack above it) count each leaf once.
 //!
-//! The search ladder mirrors the per-node ladder decision for decision
-//! — same greedy tie-breaks, same local-search scan orders and restart
-//! schedule (per-restart RNG streams, ties to the smallest witness),
-//! same branch-and-bound shape (incumbent seeding, histogram bound,
-//! shallow-depth supply bound and live child re-sorting, closed form
-//! last level) — so on the **flat** topology it reproduces the node
-//! ladder's [`crate::WorstCase`] bit for bit. It runs
-//! on the word-parallel [`PackedCounts`] kernel by folding each unit's
-//! per-node coverage into ripple-carry `add_node`/`remove_node` updates
-//! (a node is added on its 0 → 1 coverage transition only, removed on
-//! 1 → 0), with the scalar [`FailureCounts`] backend extended
-//! identically as the [`scalar`] reference ladder for the differential
-//! suite (`tests/domain_differential.rs`).
+//! This module holds only what is specific to that budget model: the
+//! unit move set (`UnitModel`) — a unit index plus leaf coverage over
+//! the node ladder's [`PackedCounts`] binding, where a leaf enters the
+//! kernel on its 0 → 1 coverage transition and leaves it on 1 → 0. The
+//! greedy seed, the restart schedule and climb, the exact DFS with its
+//! frontier split, the rungs and the ledger are the node ladder's own
+//! code (`Ladder::run_domain` drives it), so the domain ladder honours
+//! `parallelism` and `Ladder::scratch` exactly as `Ladder::run` does. A
+//! flat topology, where every unit is one leaf, runs the node move set
+//! itself. The scalar oracle is the leaf-set ladder in
+//! [`crate::reference`] (`tests/domain_differential.rs`).
 //!
 //! The bounds generalize admissibly: with `m` unit failures left, one
 //! unit can add at most `c_max = max_u min(|leaves(u)|, r)` hits to one
@@ -28,17 +26,12 @@
 //! hits; for flat topologies `c_max = 1` recovers the node bounds
 //! exactly.
 
-use crate::certify::{self, rung, trace_hash};
-use crate::counts::{FailureCounts, PackedCounts};
-use crate::parallel::{rank, restart_rng};
-use crate::{AdversaryConfig, DomainLadderOutcome};
-use rand::seq::SliceRandom;
-use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, Rung, RungKind, Topology};
-
-/// Depths at which the DFS re-sorts children by live gain and applies
-/// the supply bound (kept equal to the node ladder's constant so flat
-/// topologies explore identically).
-const SORT_DEPTH: u16 = 2;
+use crate::counts::PackedCounts;
+use crate::exact::{self, Branch, DfsScratch};
+use crate::ladder::{domain_worst, kernel, Model, Moves};
+use crate::search::{self, Climb, ClimbScratch, LadderTrace};
+use crate::{AdversaryConfig, AdversaryScratch};
+use wcp_core::{Placement, Topology};
 
 /// The outcome of a domain-adversary run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +51,7 @@ pub struct DomainWorstCase {
 /// weights (total load of a unit's leaves), and the admissible
 /// per-unit hit cap feeding the bounds.
 #[derive(Debug)]
-struct DomainIndex {
+pub(crate) struct DomainIndex {
     /// Leaf sets per unit, in [`Topology::failure_units`] order.
     units: Vec<Vec<u16>>,
     /// Total load of each unit's leaves.
@@ -70,7 +63,14 @@ struct DomainIndex {
 }
 
 impl DomainIndex {
-    fn new(placement: &Placement, topology: &Topology) -> Self {
+    /// The index of `topology`'s units over `placement`, for a budget
+    /// of `k` units at threshold `s`.
+    ///
+    /// # Panics
+    ///
+    /// When the topology's node universe does not match the placement's,
+    /// `k` exceeds the unit count, or `s > r`.
+    pub(crate) fn new(placement: &Placement, topology: &Topology, s: u16, k: u16) -> Self {
         assert_eq!(
             topology.num_nodes(),
             placement.num_nodes(),
@@ -85,12 +85,18 @@ impl DomainIndex {
             .into_iter()
             .map(|u| u.nodes)
             .collect();
+        assert!(
+            usize::from(k) <= units.len(),
+            "k must be ≤ the number of failure units ({})",
+            units.len()
+        );
+        assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
         let weights = units
             .iter()
             .map(|nodes| {
                 nodes
                     .iter()
-                    .map(|&nd| u64::from(loads[usize::from(nd)]))
+                    .map(|&nd| loads.get(usize::from(nd)).map_or(0, |&l| u64::from(l)))
                     .sum()
             })
             .collect();
@@ -103,739 +109,279 @@ impl DomainIndex {
         }
     }
 
-    fn len(&self) -> usize {
-        self.units.len()
+    /// Whether every unit is one leaf (leaves come first, so the units
+    /// are then exactly the nodes in order).
+    pub(crate) fn is_flat(&self) -> bool {
+        self.units.len() == usize::from(self.n)
     }
 
-    /// The union of the given units' leaves (sorted, deduplicated).
-    fn nodes_of(&self, units: &[u32]) -> Vec<u16> {
-        let mut nodes: Vec<u16> = units
+    fn leaves(&self, u: u32) -> &[u16] {
+        self.units.get(u as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// The admissible hit budget of `m` more unit failures.
+    fn hits(&self, m: u16) -> u16 {
+        (u32::from(m) * u32::from(self.max_unit_hits)).min(u32::from(u16::MAX)) as u16
+    }
+}
+
+/// Chosen-unit and leaf-coverage bookkeeping: a leaf is failed in the
+/// kernel iff its coverage is positive, so overlapping units never
+/// double-count a node.
+#[derive(Debug, Default)]
+pub(crate) struct CoverState {
+    chosen: Vec<bool>,
+    cover: Vec<u16>,
+    /// Uncovered-leaf buffer of the unit gain.
+    tmp: Vec<u16>,
+    /// The failable mask of the last [`Branch::begin_supply`].
+    failable: Vec<u64>,
+}
+
+/// The failure-unit budget model over one placement and topology.
+pub(crate) struct UnitModel<'p> {
+    placement: &'p Placement,
+    s: u16,
+    index: DomainIndex,
+}
+
+impl<'p> UnitModel<'p> {
+    pub(crate) fn new(placement: &'p Placement, s: u16, index: DomainIndex) -> Self {
+        Self {
+            placement,
+            s,
+            index,
+        }
+    }
+}
+
+impl Model for UnitModel<'_> {
+    type Set<'a>
+        = UnitMoves<'a>
+    where
+        Self: 'a;
+
+    fn placement(&self) -> &Placement {
+        self.placement
+    }
+
+    fn threshold(&self) -> u16 {
+        self.s
+    }
+
+    fn len(&self) -> usize {
+        self.index.units.len()
+    }
+
+    fn leaves(&self, ids: &[u32]) -> Vec<u16> {
+        let mut nodes: Vec<u16> = ids
             .iter()
-            .flat_map(|&u| self.units[u as usize].iter().copied())
+            .flat_map(|&u| self.index.leaves(u).iter().copied())
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
     }
-}
 
-/// The per-node accounting surface [`PackedCounts`] and
-/// [`FailureCounts`] share; the coverage transition logic below is
-/// written once against it so the packed and scalar backends cannot
-/// drift apart.
-trait NodeCounts {
-    fn add_node(&mut self, node: u16);
-    fn remove_node(&mut self, node: u16);
-    fn gain(&self, node: u16) -> u64;
-    fn failed(&self) -> u64;
-}
-
-impl NodeCounts for PackedCounts {
-    fn add_node(&mut self, node: u16) {
-        PackedCounts::add_node(self, node);
-    }
-    fn remove_node(&mut self, node: u16) {
-        PackedCounts::remove_node(self, node);
-    }
-    fn gain(&self, node: u16) -> u64 {
-        PackedCounts::gain(self, node)
-    }
-    fn failed(&self) -> u64 {
-        PackedCounts::failed(self)
-    }
-}
-
-impl NodeCounts for FailureCounts {
-    fn add_node(&mut self, node: u16) {
-        FailureCounts::add_node(self, node);
-    }
-    fn remove_node(&mut self, node: u16) {
-        FailureCounts::remove_node(self, node);
-    }
-    fn gain(&self, node: u16) -> u64 {
-        FailureCounts::gain(self, node)
-    }
-    fn failed(&self) -> u64 {
-        FailureCounts::failed(self)
+    fn bind<'a>(
+        &'a self,
+        scratch: &'a mut AdversaryScratch,
+        rebind: bool,
+    ) -> (UnitMoves<'a>, &'a mut ClimbScratch, &'a mut DfsScratch) {
+        let AdversaryScratch {
+            packed,
+            path,
+            cover,
+            climb,
+            dfs,
+            ..
+        } = scratch;
+        let pc = kernel(packed, path, self.placement, self.s, rebind);
+        cover.chosen.clear();
+        cover.chosen.resize(self.index.units.len(), false);
+        cover.cover.clear();
+        cover.cover.resize(usize::from(self.index.n), 0);
+        let moves = UnitMoves {
+            pc,
+            idx: &self.index,
+            cov: cover,
+        };
+        (moves, climb, dfs)
     }
 }
 
-/// Chosen-unit and leaf-coverage bookkeeping shared by both backends:
-/// a leaf is failed in the underlying counts iff its coverage is
-/// positive, so overlapping units never double-count a node.
-#[derive(Debug, Default)]
-struct CoverState {
-    chosen: Vec<bool>,
-    cover: Vec<u16>,
+/// The unit move set: leaf coverage over a kernel binding.
+pub(crate) struct UnitMoves<'a> {
+    pc: &'a mut PackedCounts,
+    idx: &'a DomainIndex,
+    cov: &'a mut CoverState,
 }
 
-impl CoverState {
-    fn reset(&mut self, units: usize, n: u16) {
-        self.chosen.clear();
-        self.chosen.resize(units, false);
-        self.cover.clear();
-        self.cover.resize(usize::from(n), 0);
-    }
-
-    fn chosen_units(&self) -> Vec<u32> {
-        self.chosen
-            .iter()
-            .enumerate()
-            .filter_map(|(u, &c)| c.then_some(u as u32))
-            .collect()
-    }
-
-    fn failed_nodes(&self) -> Vec<u16> {
-        self.cover
-            .iter()
-            .enumerate()
-            .filter_map(|(nd, &c)| (c > 0).then_some(nd as u16))
-            .collect()
-    }
-
-    /// Fails unit `u` (leaf set `leaves`): each leaf enters the counts
-    /// on its 0 → 1 coverage transition only.
-    fn fail_unit<C: NodeCounts>(&mut self, counts: &mut C, u: usize, leaves: &[u16]) {
-        debug_assert!(!self.chosen[u], "unit already failed");
-        self.chosen[u] = true;
-        for &nd in leaves {
-            let c = &mut self.cover[usize::from(nd)];
-            *c += 1;
-            if *c == 1 {
-                counts.add_node(nd);
+impl UnitMoves<'_> {
+    /// Marks unit `u` failed (`on`) or not: a leaf enters the kernel on
+    /// its 0 → 1 coverage transition and leaves it on 1 → 0, so
+    /// overlapping units never double-count a node.
+    fn toggle(&mut self, u: u32, on: bool) {
+        if let Some(chosen) = self.cov.chosen.get_mut(u as usize) {
+            debug_assert_ne!(*chosen, on, "unit toggled twice");
+            *chosen = on;
+        }
+        for &nd in self.idx.leaves(u) {
+            let Some(c) = self.cov.cover.get_mut(usize::from(nd)) else {
+                continue;
+            };
+            match (on, *c) {
+                (true, 0) => self.pc.add_node(nd),
+                (false, 1) => self.pc.remove_node(nd),
+                _ => {}
             }
-        }
-    }
-
-    /// Unfails unit `u`: each leaf leaves the counts on its 1 → 0
-    /// coverage transition only.
-    fn unfail_unit<C: NodeCounts>(&mut self, counts: &mut C, u: usize, leaves: &[u16]) {
-        debug_assert!(self.chosen[u], "unit not failed");
-        self.chosen[u] = false;
-        for &nd in leaves {
-            let c = &mut self.cover[usize::from(nd)];
-            *c -= 1;
-            if *c == 0 {
-                counts.remove_node(nd);
-            }
-        }
-    }
-
-    /// Additional failures if the unit with leaf set `leaves` were
-    /// failed; `tmp` is scratch for the uncovered leaves. One uncovered
-    /// leaf is the backend's maintained `gain` fast path (for the
-    /// packed kernel a mask popcount, no add/remove churn); the general
-    /// case applies and undoes.
-    fn gain_unit<C: NodeCounts>(&self, counts: &mut C, leaves: &[u16], tmp: &mut Vec<u16>) -> u64 {
-        tmp.clear();
-        tmp.extend(
-            leaves
-                .iter()
-                .copied()
-                .filter(|&nd| self.cover[usize::from(nd)] == 0),
-        );
-        match tmp[..] {
-            [] => 0,
-            [nd] => counts.gain(nd),
-            _ => {
-                let before = counts.failed();
-                for &nd in tmp.iter() {
-                    counts.add_node(nd);
-                }
-                let after = counts.failed();
-                for &nd in tmp.iter().rev() {
-                    counts.remove_node(nd);
-                }
-                after - before
-            }
+            *c = if on { *c + 1 } else { *c - 1 };
         }
     }
 }
 
-/// The backend contract the generic search harness drives: failure
-/// accounting at unit granularity, plus the bound queries of the exact
-/// DFS. Implemented by the word-parallel kernel wrapper
-/// ([`PackedDomainBackend`]) and the scalar reference wrapper
-/// ([`ScalarDomainBackend`]); both must agree on every observable,
-/// which `tests/domain_differential.rs` asserts.
-trait DomainBackend {
-    fn index(&self) -> &DomainIndex;
-    fn failed(&self) -> u64;
-    fn chosen(&self, u: usize) -> bool;
-    fn chosen_units(&self) -> Vec<u32>;
-    fn failed_nodes(&self) -> Vec<u16>;
-    fn fail_unit(&mut self, u: usize);
-    fn unfail_unit(&mut self, u: usize);
-    /// Additional failures if `u` were failed (non-mutating overall;
-    /// may internally apply and undo).
-    fn gain_unit(&mut self, u: usize) -> u64;
-    /// Objects within `hits` more replica hits of failing.
-    fn failable_within_hits(&self, hits: u16) -> u64;
-    /// Prepares [`unit_supply`](Self::unit_supply) queries at `hits`.
-    fn begin_supply(&mut self, hits: u16);
-    /// Σ over the unit's uncovered leaves of hosted failable objects.
-    fn unit_supply(&self, u: usize) -> u64;
-    /// Empties the failed set.
-    fn clear(&mut self);
-}
-
-/// [`DomainBackend`] on the word-parallel [`PackedCounts`] kernel.
-#[derive(Debug)]
-struct PackedDomainBackend {
-    idx: DomainIndex,
-    pc: PackedCounts,
-    cov: CoverState,
-    failable: Vec<u64>,
-    tmp: Vec<u16>,
-}
-
-impl PackedDomainBackend {
-    fn new(placement: &Placement, topology: &Topology, s: u16) -> Self {
-        let idx = DomainIndex::new(placement, topology);
-        let mut cov = CoverState::default();
-        cov.reset(idx.len(), idx.n);
-        Self {
-            idx,
-            pc: PackedCounts::new(placement, s),
-            cov,
-            failable: Vec::new(),
-            tmp: Vec::new(),
-        }
-    }
-}
-
-impl DomainBackend for PackedDomainBackend {
-    fn index(&self) -> &DomainIndex {
-        &self.idx
+impl Moves for UnitMoves<'_> {
+    fn len(&self) -> usize {
+        self.idx.units.len()
     }
 
     fn failed(&self) -> u64 {
         self.pc.failed()
     }
 
-    fn chosen(&self, u: usize) -> bool {
-        self.cov.chosen[u]
-    }
-
-    fn chosen_units(&self) -> Vec<u32> {
-        self.cov.chosen_units()
-    }
-
-    fn failed_nodes(&self) -> Vec<u16> {
-        self.cov.failed_nodes()
-    }
-
-    fn fail_unit(&mut self, u: usize) {
-        self.cov.fail_unit(&mut self.pc, u, &self.idx.units[u]);
-    }
-
-    fn unfail_unit(&mut self, u: usize) {
-        self.cov.unfail_unit(&mut self.pc, u, &self.idx.units[u]);
-    }
-
-    fn gain_unit(&mut self, u: usize) -> u64 {
-        debug_assert!(!self.cov.chosen[u]);
-        self.cov
-            .gain_unit(&mut self.pc, &self.idx.units[u], &mut self.tmp)
-    }
-
-    fn failable_within_hits(&self, hits: u16) -> u64 {
-        self.pc.failable_within(hits)
-    }
-
-    fn begin_supply(&mut self, hits: u16) {
-        self.pc.failable_mask_into(hits, &mut self.failable);
-    }
-
-    fn unit_supply(&self, u: usize) -> u64 {
-        self.idx.units[u]
-            .iter()
-            .filter(|&&nd| self.cov.cover[usize::from(nd)] == 0)
-            .map(|&nd| self.pc.and_popcount_row(nd, &self.failable))
-            .sum()
-    }
-
-    fn clear(&mut self) {
-        self.pc.clear();
-        self.cov.reset(self.idx.len(), self.idx.n);
+    fn weight(&self, m: u32) -> u64 {
+        self.idx.weights.get(m as usize).copied().unwrap_or(0)
     }
 }
 
-/// [`DomainBackend`] on the scalar [`FailureCounts`] oracle — the
-/// reference the packed backend is differentially tested against.
-#[derive(Debug)]
-struct ScalarDomainBackend {
-    idx: DomainIndex,
-    fc: FailureCounts,
-    cov: CoverState,
-    supply_hits: u16,
-    tmp: Vec<u16>,
-}
+impl Climb for UnitMoves<'_> {
+    fn contains(&self, m: u32) -> bool {
+        self.cov.chosen.get(m as usize).copied().unwrap_or(false)
+    }
 
-impl ScalarDomainBackend {
-    fn new(placement: &Placement, topology: &Topology, s: u16) -> Self {
-        let idx = DomainIndex::new(placement, topology);
-        let mut cov = CoverState::default();
-        cov.reset(idx.len(), idx.n);
-        Self {
-            idx,
-            fc: FailureCounts::new(placement, s),
-            cov,
-            supply_hits: 0,
-            tmp: Vec::new(),
+    /// One uncovered leaf is the kernel's maintained `gain` (a mask
+    /// popcount, no add/remove churn); the general case applies and
+    /// undoes.
+    fn gain(&mut self, m: u32) -> u64 {
+        let UnitMoves { pc, idx, cov } = self;
+        cov.tmp.clear();
+        let open = |nd: &u16| cov.cover.get(usize::from(*nd)) == Some(&0);
+        cov.tmp.extend(idx.leaves(m).iter().copied().filter(open));
+        match cov.tmp.as_slice() {
+            [] => 0,
+            &[nd] => pc.gain(nd),
+            leaves => {
+                let before = pc.failed();
+                leaves.iter().for_each(|&nd| pc.add_node(nd));
+                let after = pc.failed();
+                leaves.iter().rev().for_each(|&nd| pc.remove_node(nd));
+                after - before
+            }
         }
     }
-}
 
-impl DomainBackend for ScalarDomainBackend {
-    fn index(&self) -> &DomainIndex {
-        &self.idx
+    fn add(&mut self, m: u32) {
+        self.toggle(m, true);
     }
 
-    fn failed(&self) -> u64 {
-        self.fc.failed()
+    fn members(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend((0..self.idx.units.len() as u32).filter(|&u| self.contains(u)));
     }
 
-    fn chosen(&self, u: usize) -> bool {
-        self.cov.chosen[u]
-    }
+    fn begin_step(&mut self) {}
 
-    fn chosen_units(&self) -> Vec<u32> {
-        self.cov.chosen_units()
-    }
-
-    fn failed_nodes(&self) -> Vec<u16> {
-        self.cov.failed_nodes()
-    }
-
-    fn fail_unit(&mut self, u: usize) {
-        self.cov.fail_unit(&mut self.fc, u, &self.idx.units[u]);
-    }
-
-    fn unfail_unit(&mut self, u: usize) {
-        self.cov.unfail_unit(&mut self.fc, u, &self.idx.units[u]);
-    }
-
-    fn gain_unit(&mut self, u: usize) -> u64 {
-        debug_assert!(!self.cov.chosen[u]);
-        self.cov
-            .gain_unit(&mut self.fc, &self.idx.units[u], &mut self.tmp)
-    }
-
-    fn failable_within_hits(&self, hits: u16) -> u64 {
-        self.fc.failable_within(hits)
-    }
-
-    fn begin_supply(&mut self, hits: u16) {
-        self.supply_hits = hits;
-    }
-
-    fn unit_supply(&self, u: usize) -> u64 {
-        let s = self.fc.threshold();
-        let lo = s.saturating_sub(self.supply_hits);
-        self.idx.units[u]
-            .iter()
-            .filter(|&&nd| self.cov.cover[usize::from(nd)] == 0)
-            .map(|&nd| {
-                self.fc
-                    .objects_on(nd)
-                    .iter()
-                    .filter(|&&obj| {
-                        let h = self.fc.hit_count(obj as usize);
-                        h >= lo && h < s
-                    })
-                    .count() as u64
-            })
-            .sum()
-    }
-
-    fn clear(&mut self) {
-        self.fc.clear();
-        self.cov.reset(self.idx.len(), self.idx.n);
-    }
-}
-
-/// The admissible hit budget of `m` more unit failures.
-fn hits_budget(remaining: u16, c_max: u16) -> u16 {
-    (u32::from(remaining) * u32::from(c_max)).min(u32::from(u16::MAX)) as u16
-}
-
-/// Snapshot of the backend's current choice as a heuristic outcome.
-fn snapshot<B: DomainBackend>(be: &B, exact: bool) -> DomainWorstCase {
-    DomainWorstCase {
-        failed: be.failed(),
-        units: be.chosen_units(),
-        nodes: be.failed_nodes(),
-        exact,
-    }
-}
-
-/// Greedy ascent over units (the unit analogue of the node greedy:
-/// highest gain, then heaviest total load, then lowest id). Leaves the
-/// chosen set in `be`.
-fn greedy_units<B: DomainBackend>(be: &mut B, k: u16) {
-    debug_assert_eq!(be.failed(), 0, "greedy requires an empty set");
-    let u_count = be.index().len();
-    for _ in 0..usize::from(k).min(u_count) {
-        let mut best_unit = None;
-        let mut best_key = (0u64, 0u64);
-        for u in 0..u_count {
-            if be.chosen(u) {
+    fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)> {
+        self.toggle(out, false);
+        let base = self.pc.failed();
+        let mut best = None;
+        let mut best_value = floor;
+        for inn in 0..self.idx.units.len() as u32 {
+            if inn == out || self.contains(inn) {
                 continue;
             }
-            let key = (be.gain_unit(u), be.index().weights[u]);
-            if best_unit.is_none() || key > best_key {
-                best_key = key;
-                best_unit = Some(u);
+            let value = base + Climb::gain(self, inn);
+            if value > best_value {
+                best_value = value;
+                best = Some((inn, value));
             }
         }
-        be.fail_unit(best_unit.expect("k ≤ units leaves a choice"));
+        self.toggle(out, true);
+        best
+    }
+
+    fn swap(&mut self, out: u32, inn: u32) {
+        self.toggle(out, false);
+        self.toggle(inn, true);
     }
 }
 
-/// Best-improvement unit swaps until a local optimum (or step cap) —
-/// the unit analogue of the node ladder's climb, same scan orders and
-/// strict-improvement tie-breaks.
-fn climb_units<B: DomainBackend>(be: &mut B, max_steps: u32, all: u64) {
-    let u_count = be.index().len();
-    for _ in 0..max_steps {
-        let current = be.failed();
-        if current == all {
-            return;
-        }
-        let members = be.chosen_units();
-        let mut best: Option<(u32, u32, u64)> = None; // (out, in, value)
-        for &out in &members {
-            be.unfail_unit(out as usize);
-            let base = be.failed();
-            for inn in 0..u_count {
-                if be.chosen(inn) || inn as u32 == out {
-                    continue;
-                }
-                let value = base + be.gain_unit(inn);
-                if value > current && best.is_none_or(|(_, _, v)| value > v) {
-                    best = Some((out, inn as u32, value));
-                }
-            }
-            be.fail_unit(out as usize);
-        }
-        match best {
-            Some((out, inn, _)) => {
-                be.unfail_unit(out as usize);
-                be.fail_unit(inn as usize);
-            }
-            None => return,
-        }
-    }
-}
+impl Branch for UnitMoves<'_> {
+    fn prepare(&mut self, _k: u16) {}
 
-/// Per-rung decision record of the unit ladder, consumed by the
-/// certificate prover.
-#[derive(Debug, Default)]
-struct UnitTrace {
-    /// The greedy seed's outcome before any climbing.
-    greedy: Option<DomainWorstCase>,
-    /// Each climb pass's `(failed, leaf witness)`, in restart order.
-    restarts: Vec<(u64, Vec<u16>)>,
-}
-
-/// Greedy seed plus steepest-ascent restarts (the unit analogue of the
-/// node local search, same restart schedule). Expects an empty backend.
-fn local_search_units<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    config: &AdversaryConfig,
-    all: u64,
-) -> DomainWorstCase {
-    local_search_units_traced(be, k, config, all, &mut UnitTrace::default())
-}
-
-/// [`local_search_units`] recording the per-rung decision trace. This
-/// *is* the implementation — the untraced entry point passes a
-/// discarded trace — so certified and uncertified ladders cannot drift.
-/// Restart 0 climbs from the greedy set, restart `t > 0` from a random
-/// unit set drawn from its own stream; every restart runs, and the best
-/// keeps the most failed objects, ties to the smallest unit set.
-fn local_search_units_traced<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    config: &AdversaryConfig,
-    all: u64,
-    trace: &mut UnitTrace,
-) -> DomainWorstCase {
-    let u_count = be.index().len();
-    if usize::from(k) >= u_count {
-        for u in 0..u_count {
-            be.fail_unit(u);
-        }
-        return snapshot(be, false);
-    }
-    let mut best = snapshot(be, false);
-    for t in 0..config.restarts.max(1) as usize {
-        if t == 0 {
-            greedy_units(be, k);
-            trace.greedy = Some(snapshot(be, false));
-        } else {
-            be.clear();
-            let mut perm: Vec<u32> = (0..u_count as u32).collect();
-            perm.shuffle(&mut restart_rng(config.seed, t));
-            for &u in perm.iter().take(usize::from(k)) {
-                be.fail_unit(u as usize);
-            }
-        }
-        if config.restarts > 0 {
-            climb_units(be, config.max_steps, all);
-        }
-        let snap = snapshot(be, false);
-        trace.restarts.push((snap.failed, snap.nodes.clone()));
-        if t == 0 || rank(snap.failed, &snap.units) > rank(best.failed, &best.units) {
-            best = snap;
-        }
-    }
-    best
-}
-
-/// Branch-and-bound DFS over unit subsets (the unit analogue of the
-/// node exact search: incumbent seeding, histogram bound at the unit
-/// hit budget, shallow-depth supply bound + live child re-sorting,
-/// closed-form last level). Returns `None` on budget exhaustion;
-/// `best_units` is empty when no subset beat the incumbent. Expects an
-/// empty backend.
-fn exact_units<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    budget: u64,
-    incumbent: u64,
-    all: u64,
-) -> Option<(u64, Vec<u32>)> {
-    let u_count = be.index().len();
-    if usize::from(k) >= u_count {
-        for u in 0..u_count {
-            be.fail_unit(u);
-        }
-        return Some((be.failed(), be.chosen_units()));
-    }
-    let mut order: Vec<u32> = (0..u_count as u32).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(be.index().weights[u as usize]));
-    let c_max = be.index().max_unit_hits;
-    let mut search = DomainSearch {
-        be,
-        k,
-        best: incumbent,
-        best_units: Vec::new(),
-        expansions: 0,
-        budget,
-        all,
-        c_max,
-        sort_bufs: vec![Vec::new(); usize::from(SORT_DEPTH)],
-        keys: Vec::new(),
-        tops: Vec::new(),
-    };
-    if search.dfs(&order, 0) {
-        Some((search.best, search.best_units))
-    } else {
-        None
-    }
-}
-
-struct DomainSearch<'a, B: DomainBackend> {
-    be: &'a mut B,
-    k: u16,
-    best: u64,
-    best_units: Vec<u32>,
-    expansions: u64,
-    budget: u64,
-    all: u64,
-    c_max: u16,
-    sort_bufs: Vec<Vec<u32>>,
-    keys: Vec<(u64, u64, u32)>,
-    tops: Vec<u64>,
-}
-
-impl<B: DomainBackend> DomainSearch<'_, B> {
-    /// Returns `false` on budget exhaustion.
-    fn dfs(&mut self, cands: &[u32], depth: u16) -> bool {
-        if depth == self.k {
-            // Only reachable for k = 0; positive k closes below.
-            if self.be.failed() > self.best {
-                self.best = self.be.failed();
-                self.best_units = self.be.chosen_units();
-            }
-            return true;
-        }
-        let remaining = self.k - depth;
-        let failed = self.be.failed();
-        if remaining == 1 {
-            if self.best >= self.all {
-                return true;
-            }
-            for &u in cands {
-                self.expansions += 1;
-                if self.expansions > self.budget {
-                    return false;
-                }
-                let total = failed + self.be.gain_unit(u as usize);
-                if total > self.best {
-                    self.best = total;
-                    self.best_units = self.be.chosen_units();
-                    self.best_units.push(u);
-                    self.best_units.sort_unstable();
-                }
-            }
-            return true;
-        }
-        let hits = hits_budget(remaining, self.c_max);
-        let bound = failed + self.be.failable_within_hits(hits);
-        if bound <= self.best || self.best >= self.all {
-            return true;
-        }
-        if depth < SORT_DEPTH {
-            self.be.begin_supply(hits);
-            let supply = self.supply_bound(cands, remaining);
-            if failed + supply <= self.best {
-                return true;
-            }
-            let mut buf = std::mem::take(&mut self.sort_bufs[usize::from(depth)]);
-            self.order_by_live_gain(cands, &mut buf);
-            let ok = self.expand(&buf, depth, remaining);
-            self.sort_bufs[usize::from(depth)] = buf;
-            ok
-        } else {
-            self.expand(cands, depth, remaining)
-        }
+    fn failable(&self, remaining: u16) -> u64 {
+        self.pc.failable_within(self.idx.hits(remaining))
     }
 
-    fn expand(&mut self, cands: &[u32], depth: u16, remaining: u16) -> bool {
-        let last = cands.len() - usize::from(remaining) + 1;
-        for (pos, &u) in cands.iter().enumerate().take(last) {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            self.be.fail_unit(u as usize);
-            let ok = self.dfs(&cands[pos + 1..], depth + 1);
-            self.be.unfail_unit(u as usize);
-            if !ok {
-                return false;
-            }
-        }
-        true
+    fn gain(&mut self, m: u32) -> u64 {
+        Climb::gain(self, m)
     }
 
-    /// Sorts `cands` into `buf` by decreasing `(gain, weight, unit)`
-    /// under the current partial failure set.
-    fn order_by_live_gain(&mut self, cands: &[u32], buf: &mut Vec<u32>) {
-        self.keys.clear();
-        for &u in cands {
-            let gain = self.be.gain_unit(u as usize);
-            self.keys
-                .push((gain, self.be.index().weights[u as usize], u));
-        }
-        self.keys.sort_unstable_by(|a, b| b.cmp(a));
-        buf.clear();
-        buf.extend(self.keys.iter().map(|&(_, _, u)| u));
+    fn begin_supply(&mut self, remaining: u16) {
+        let hits = self.idx.hits(remaining);
+        self.pc.failable_mask_into(hits, &mut self.cov.failable);
     }
 
-    /// Admissible hit-supply bound: at most the sum of the `remaining`
-    /// largest unit supplies among the candidates (each newly failed
-    /// object consumes at least one supplied hit).
-    fn supply_bound(&mut self, cands: &[u32], remaining: u16) -> u64 {
-        let m = usize::from(remaining);
-        self.tops.clear();
-        for &u in cands {
-            let supply = self.be.unit_supply(u as usize);
-            if self.tops.len() < m {
-                let at = self.tops.partition_point(|&t| t < supply);
-                self.tops.insert(at, supply);
-            } else if let Some(&min) = self.tops.first() {
-                if supply > min {
-                    self.tops.remove(0);
-                    let at = self.tops.partition_point(|&t| t < supply);
-                    self.tops.insert(at, supply);
-                }
-            }
-        }
-        self.tops.iter().sum()
+    /// Σ over the unit's uncovered leaves of hosted failable objects.
+    fn supply(&self, m: u32) -> u64 {
+        self.idx
+            .leaves(m)
+            .iter()
+            .filter(|&&nd| self.cov.cover.get(usize::from(nd)) == Some(&0))
+            .map(|&nd| self.pc.and_popcount_row(nd, &self.cov.failable))
+            .sum()
     }
-}
 
-/// The unit-budget driver behind `Ladder::run_domain` (certified or
-/// not) and the scalar oracle: local search seeds the exact rung, whose
-/// verdict stands when it completes within budget. Returns the verdict
-/// and the rungs that led to it. Expects an empty backend.
-fn domain_ladder<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    config: &AdversaryConfig,
-    all: u64,
-) -> (DomainWorstCase, Vec<Rung>) {
-    let u_count = be.index().len();
-    if k == 0 || usize::from(k) >= u_count {
-        // Degenerate budgets need no search: k = 0 fails nothing,
-        // k ≥ units fails every unit. One exact rung.
-        if k > 0 {
-            for u in 0..u_count {
-                be.fail_unit(u);
-            }
-        }
-        let worst = snapshot(be, true);
-        let rungs = vec![rung(
-            RungKind::Exact,
-            worst.failed,
-            &worst.nodes,
-            &worst.units,
-            0,
-        )];
-        return (worst, rungs);
+    fn push(&mut self, m: u32) {
+        self.toggle(m, true);
     }
-    let mut trace = UnitTrace::default();
-    let heuristic = local_search_units_traced(be, k, config, all, &mut trace);
-    be.clear();
-    let exact = exact_units(be, k, config.exact_budget, heuristic.failed, all);
-    let mut rungs = Vec::with_capacity(3);
-    if let Some(g) = trace.greedy {
-        let hash = trace_hash(&[(g.failed, g.nodes.clone())]);
-        rungs.push(rung(RungKind::Greedy, g.failed, &g.nodes, &g.units, hash));
-    }
-    let hash = trace_hash(&trace.restarts);
-    let h = &heuristic;
-    rungs.push(rung(
-        RungKind::LocalSearch,
-        h.failed,
-        &h.nodes,
-        &h.units,
-        hash,
-    ));
-    let worst = match exact {
-        Some((failed, units)) if failed > heuristic.failed => {
-            let nodes = be.index().nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
-        }
-        Some(_) => DomainWorstCase {
-            exact: true,
-            ..heuristic
-        },
-        None => heuristic,
-    };
-    if worst.exact {
-        let w = &worst;
-        rungs.push(rung(RungKind::Exact, w.failed, &w.nodes, &w.units, 0));
-    }
-    (worst, rungs)
-}
 
-fn check_shape(placement: &Placement, topology: &Topology, s: u16, k: u16) {
-    let units = topology.failure_units().len();
-    assert!(
-        usize::from(k) <= units,
-        "k must be ≤ the number of failure units ({units})"
-    );
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
+    fn pop(&mut self, m: u32) {
+        self.toggle(m, false);
+    }
+
+    fn enter_pair(&mut self, x: u32) -> (u64, u64) {
+        self.toggle(x, true);
+        let failed = self.pc.failed();
+        (failed, failed + Branch::failable(self, 1))
+    }
+
+    fn pair_total(&mut self, _x: u32, failed_x: u64, y: u32) -> u64 {
+        failed_x + Climb::gain(self, y)
+    }
+
+    fn leave_pair(&mut self, x: u32) {
+        self.toggle(x, false);
+    }
+
+    /// The chosen units plus those of `extra` not chosen (the pair
+    /// level's first move is failed already).
+    fn witness(&self, extra: &[u32], out: &mut Vec<u32>) {
+        self.members(out);
+        out.extend(extra.iter().filter(|&&u| !self.contains(u)));
+        out.sort_unstable();
+    }
+
+    fn root_key(&mut self, m: u32) -> (u64, u64) {
+        (Climb::gain(self, m), self.weight(m))
+    }
+
+    fn root_bound(&mut self, m: u32, k: u16) -> u64 {
+        self.toggle(m, true);
+        let bound = self.pc.failed() + Branch::failable(self, k - 1);
+        self.toggle(m, false);
+        bound
+    }
 }
 
 /// Greedy domain adversary: repeatedly fails the unit killing the most
@@ -852,13 +398,15 @@ pub fn domain_greedy_worst(
     s: u16,
     k: u16,
 ) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    greedy_units(&mut be, k);
-    snapshot(&be, false)
+    let model = UnitModel::new(placement, s, DomainIndex::new(placement, topology, s, k));
+    domain_worst(
+        &model,
+        search::greedy_moves(&model, k, &mut AdversaryScratch::new()),
+    )
 }
 
-/// Steepest-ascent unit swap search with seeded restarts.
+/// Steepest-ascent unit swap search with seeded restarts, on
+/// `config.parallelism` threads with the same result at any count.
 ///
 /// # Panics
 ///
@@ -871,9 +419,15 @@ pub fn domain_local_search_worst(
     k: u16,
     config: &AdversaryConfig,
 ) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    local_search_units(&mut be, k, config, placement.num_objects() as u64)
+    let model = UnitModel::new(placement, s, DomainIndex::new(placement, topology, s, k));
+    let verdict = crate::parallel::local_search(
+        &model,
+        k,
+        config,
+        &mut AdversaryScratch::new(),
+        &mut LadderTrace::default(),
+    );
+    domain_worst(&model, verdict)
 }
 
 /// Exact worst case over all `k`-subsets of failure units, or `None`
@@ -893,163 +447,9 @@ pub fn domain_exact_worst(
     budget: u64,
     incumbent: u64,
 ) -> Option<DomainWorstCase> {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    let all = placement.num_objects() as u64;
-    exact_units(&mut be, k, budget, incumbent, all).map(|(failed, units)| {
-        let nodes = be.index().nodes_of(&units);
-        DomainWorstCase {
-            failed,
-            units,
-            nodes,
-            exact: true,
-        }
-    })
-}
-
-/// The exact rung's post-hoc bound ledger over failure units: one
-/// admissible bound per root child of the branch-and-bound tree, in the
-/// canonical `(gain, weight, unit)` descending root order (the order
-/// `DomainSearch::order_by_live_gain` derives at the empty set),
-/// covering the `units − k + 1` children the root frame expands. The
-/// bound generalizes the node ledger's: after failing the root unit,
-/// the remaining `k − 1` units add at most `c_max` hits each per
-/// object. Degenerate budgets need no search and get no ledger.
-fn unit_ledger<B: DomainBackend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
-    let u_count = be.index().len();
-    if k == 0 || usize::from(k) >= u_count {
-        return Vec::new();
-    }
-    be.clear();
-    let c_max = be.index().max_unit_hits;
-    let hits = hits_budget(k - 1, c_max);
-    let mut keys: Vec<(u64, u64, u32)> = Vec::with_capacity(u_count);
-    for u in 0..u_count {
-        let gain = be.gain_unit(u);
-        keys.push((gain, be.index().weights[u], u as u32));
-    }
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let roots = u_count - usize::from(k) + 1;
-    let mut ledger = Vec::with_capacity(roots);
-    for &(_, _, u) in keys.iter().take(roots) {
-        be.fail_unit(u as usize);
-        let bound = be.failed() + be.failable_within_hits(hits);
-        be.unfail_unit(u as usize);
-        ledger.push(LedgerEntry { root: u, bound });
-    }
-    ledger
-}
-
-/// Runs the packed unit ladder behind `Ladder::run_domain`, sealing
-/// its certificate when `certified`. The certificate's rung witnesses
-/// carry both the chosen unit ids and their leaf union; the verifier
-/// needs the same [`Topology`] to re-check them.
-///
-/// # Panics
-///
-/// As for [`domain_greedy_worst`].
-pub(crate) fn run_ladder(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    certified: bool,
-) -> DomainLadderOutcome {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    let (worst, rungs) = domain_ladder(&mut be, k, config, placement.num_objects() as u64);
-    let certificate = certified.then(|| Certificate {
-        ledger: if worst.exact {
-            unit_ledger(&mut be, k)
-        } else {
-            Vec::new()
-        },
-        rungs,
-        claimed_failed: worst.failed,
-        exact: worst.exact,
-        ..certify::base_certificate(placement, CertificateKind::Domain, s, k)
-    });
-    DomainLadderOutcome { worst, certificate }
-}
-
-/// The scalar reference ladder over failure units: identical decisions
-/// to the packed entry points, running on [`FailureCounts`] — the
-/// oracle side of `tests/domain_differential.rs`.
-pub mod scalar {
-    use super::{
-        check_shape, domain_ladder, exact_units, greedy_units, local_search_units, snapshot,
-        DomainWorstCase, ScalarDomainBackend,
-    };
-    use crate::AdversaryConfig;
-    use wcp_core::{Placement, Topology};
-
-    /// Scalar mirror of [`super::domain_greedy_worst`].
-    #[must_use]
-    pub fn domain_greedy_worst(
-        placement: &Placement,
-        topology: &Topology,
-        s: u16,
-        k: u16,
-    ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        greedy_units(&mut be, k);
-        snapshot(&be, false)
-    }
-
-    /// Scalar mirror of [`super::domain_local_search_worst`].
-    #[must_use]
-    pub fn domain_local_search_worst(
-        placement: &Placement,
-        topology: &Topology,
-        s: u16,
-        k: u16,
-        config: &AdversaryConfig,
-    ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        local_search_units(&mut be, k, config, placement.num_objects() as u64)
-    }
-
-    /// Scalar mirror of [`super::domain_exact_worst`].
-    #[must_use]
-    pub fn domain_exact_worst(
-        placement: &Placement,
-        topology: &Topology,
-        s: u16,
-        k: u16,
-        budget: u64,
-        incumbent: u64,
-    ) -> Option<DomainWorstCase> {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        let all = placement.num_objects() as u64;
-        exact_units(&mut be, k, budget, incumbent, all).map(|(failed, units)| {
-            let nodes = be.idx.nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
-        })
-    }
-
-    /// Scalar mirror of the packed domain ladder behind
-    /// [`crate::Ladder::run_domain`].
-    #[must_use]
-    pub fn domain_worst_case_failures(
-        placement: &Placement,
-        topology: &Topology,
-        s: u16,
-        k: u16,
-        config: &AdversaryConfig,
-    ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        domain_ladder(&mut be, k, config, placement.num_objects() as u64).0
-    }
+    let model = UnitModel::new(placement, s, DomainIndex::new(placement, topology, s, k));
+    exact::exact_moves(&model, k, budget, incumbent, &mut AdversaryScratch::new())
+        .map(|v| domain_worst(&model, v))
 }
 
 /// An [`wcp_core::engine::Attacker`] spending its budget on failure

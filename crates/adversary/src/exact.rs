@@ -1,34 +1,42 @@
-//! Exact worst-case search: DFS over node combinations with
-//! branch-and-bound pruning, running on the word-parallel kernel.
+//! Exact worst-case search: branch-and-bound DFS over move subsets,
+//! written once for every budget model ([`Branch`]) and running on the
+//! word-parallel kernel.
 //!
 //! Upgrades over the scalar reference DFS
 //! ([`crate::reference::exact_worst`]):
 //!
 //! * the failed count and the histogram bound run on [`PackedCounts`]
 //!   (an add/remove is one ripple-carry pass of `O((b/64)·log r)` word
-//!   operations), while every per-candidate number a frame reads — the
-//!   candidate's gain, its hit supply, what it exposes to a partner —
-//!   comes from **hit-level counts kept along the DFS path**
-//!   ([`PathTables`]): each add/remove shifts them in `O(load·r)` by
-//!   streaming the node's CSR co-host row, so a frame costs `O(1)` per
-//!   candidate instead of a `b/64`-word masked popcount;
-//! * alongside the histogram bound (`failable_within`), shallow depths
-//!   apply a **hit-supply bound**: every newly failed object needs at
-//!   least one more replica hit, and the `m` remaining failures can
-//!   supply at most the sum of the `m` largest `|row(nd) ∩ failable|`
-//!   among the live candidates — an admissible cap that prunes whole
-//!   subtrees the histogram bound cannot;
+//!   operations); the node move set additionally reads every
+//!   per-candidate number a frame needs — the candidate's gain, its hit
+//!   supply, what it exposes to a partner — from **hit-level counts kept
+//!   along the DFS path** ([`PathTables`]): each add/remove shifts them
+//!   in `O(load·r)` by streaming the node's CSR co-host row, so a frame
+//!   costs `O(1)` per candidate instead of a `b/64`-word masked
+//!   popcount;
+//! * alongside the histogram bound, shallow depths apply a **hit-supply
+//!   bound**: every newly failed object needs at least one more replica
+//!   hit, and the `m` remaining moves can supply at most the sum of the
+//!   `m` largest supplies among the live candidates — an admissible cap
+//!   that prunes whole subtrees the histogram bound cannot;
 //! * shallow depths **re-sort their candidate children by live gain**
-//!   (then load), so the incumbent-beating sets are explored first and
+//!   (then weight), so the incumbent-beating sets are explored first and
 //!   the bounds bite sooner. Each frame orders only its own candidate
 //!   slice, which preserves exactly-once subset enumeration;
-//! * the bottom two levels close in one fused sweep over candidate
-//!   pairs, reading the path-maintained pair-correction matrix instead
+//! * the last level closes in one sweep under an `O(1)` ceiling, and the
+//!   bottom two levels in one fused loop over candidate pairs: the node
+//!   move set reads the path-maintained pair-correction matrix instead
 //!   of adding and removing the first node of each pair.
+//!
+//! A failure-unit move deals up to `c_max` hits to one object, so the
+//! unit move set evaluates every bound at `m · c_max` hits; with
+//! `c_max = 1` that is the node bound.
 
 use crate::counts::PackedCounts;
+use crate::ladder::{node, Model, Moves, NodeModel, NodeMoves, Verdict};
 use crate::pool::SharedBound;
 use crate::{AdversaryScratch, WorstCase};
+use std::cmp::Reverse;
 use wcp_core::Placement;
 
 /// Depths at which the DFS re-sorts children by live gain and applies
@@ -36,29 +44,137 @@ use wcp_core::Placement;
 /// choices; deeper frames keep the cheap static order.
 const SORT_DEPTH: u16 = 2;
 
+/// What the exact DFS needs from a move set. Moves are ids
+/// `0..len()`; every query is about the current failed set and moves
+/// outside it.
+pub(crate) trait Branch: Moves {
+    /// Readies the move set for a `k`-move search.
+    fn prepare(&mut self, k: u16);
+    /// Admissible cap on the objects `remaining` more moves can add.
+    fn failable(&self, remaining: u16) -> u64;
+    /// Objects `m` fails if it joins the set.
+    fn gain(&mut self, m: u32) -> u64;
+    /// Readies [`Branch::supply`] for `remaining` more moves.
+    fn begin_supply(&mut self, remaining: u16);
+    /// The hits `m` can supply to objects failable within the
+    /// remaining moves.
+    fn supply(&self, m: u32) -> u64;
+    /// Adds `m` to the set.
+    fn push(&mut self, m: u32);
+    /// Removes `m`, the last move pushed.
+    fn pop(&mut self, m: u32);
+    /// Opens the pair level at `x`: returns the failed count with `x`
+    /// in the set and an admissible ceiling on what one more move can
+    /// reach from there.
+    fn enter_pair(&mut self, x: u32) -> (u64, u64);
+    /// The failed count of the set plus `x` and `y`, given the
+    /// `failed_x` that [`Branch::enter_pair`] returned.
+    fn pair_total(&mut self, x: u32, failed_x: u64, y: u32) -> u64;
+    /// Closes the pair level [`Branch::enter_pair`] opened.
+    fn leave_pair(&mut self, x: u32);
+    /// The sorted union of the current set and `extra` into `out`.
+    fn witness(&self, extra: &[u32], out: &mut Vec<u32>);
+    /// `(gain, weight)` of `m` at the empty set: the root frame's
+    /// order key.
+    fn root_key(&mut self, m: u32) -> (u64, u64);
+    /// The admissible bound on any `k`-set whose first move in root
+    /// order is `m`: `failed({m}) + failable(k − 1)` at `{m}`.
+    fn root_bound(&mut self, m: u32, k: u16) -> u64;
+}
+
 /// Reusable buffers for the exact DFS.
 #[derive(Debug, Default)]
 pub(crate) struct DfsScratch {
     /// Root candidate ordering.
-    order: Vec<u16>,
+    order: Vec<u32>,
     /// Per-shallow-depth candidate buffers for live re-sorting.
-    sort_bufs: Vec<Vec<u16>>,
-    /// `(gain, load, node)` sort keys.
-    keys: Vec<(u64, u32, u16)>,
+    sort_bufs: Vec<Vec<u32>>,
+    /// `(gain, weight, move)` sort keys.
+    keys: Vec<(u64, u64, u32)>,
     /// Top-`m` supply accumulator.
     tops: Vec<u64>,
-    /// The per-node counts every frame reads, kept along the path.
-    path: PathTables,
-    /// Node expansions of the last serial search, read by the tests that
-    /// pin the search's decision sequence.
+    /// Expansions of the last serial search, read by the tests that pin
+    /// the search's decision sequence.
     pub(crate) expansions: u64,
 }
 
-impl DfsScratch {
-    /// Drops the cached root path tables (the kernel is being rebound,
-    /// possibly to a different placement with the same shape).
-    pub(crate) fn invalidate_path_tables(&mut self) {
-        self.path.key = None;
+/// The node fast path: every per-candidate number comes off the path
+/// tables in `O(1)`, and the pair level never touches the kernel.
+impl Branch for NodeMoves<'_> {
+    fn prepare(&mut self, k: u16) {
+        self.path.ensure(self.pc, k >= 2);
+    }
+
+    #[inline]
+    fn failable(&self, remaining: u16) -> u64 {
+        self.pc.failable_within(remaining)
+    }
+
+    #[inline]
+    fn gain(&mut self, m: u32) -> u64 {
+        self.path.gain(node(m))
+    }
+
+    fn begin_supply(&mut self, remaining: u16) {
+        self.supply_within = remaining;
+    }
+
+    fn supply(&self, m: u32) -> u64 {
+        self.path.supply(node(m), self.supply_within)
+    }
+
+    fn push(&mut self, m: u32) {
+        self.path.shift(self.pc, node(m), 1);
+        self.pc.add_node(node(m));
+    }
+
+    fn pop(&mut self, m: u32) {
+        self.pc.remove_node(node(m));
+        self.path.shift(self.pc, node(m), -1);
+    }
+
+    /// The child's eq-ceiling without adding `x`: `x`'s gain leaves the
+    /// `hits = s − 1` set and its level `s − 2` joins it.
+    #[inline]
+    fn enter_pair(&mut self, x: u32) -> (u64, u64) {
+        let gx = self.path.gain(node(x));
+        let failed_x = self.pc.failed() + gx;
+        let eq_count = self.pc.failable_within(1);
+        (
+            failed_x,
+            failed_x + (eq_count - gx + self.path.exposure(node(x))),
+        )
+    }
+
+    /// `gain({x, y}) = gain(x) + gain(y) + correction(x, y)`: three
+    /// reads of the path tables, no add/remove churn.
+    #[inline]
+    fn pair_total(&mut self, x: u32, failed_x: u64, y: u32) -> u64 {
+        let path = &*self.path;
+        (failed_x + path.gain(node(y)))
+            .wrapping_add_signed(i64::from(path.correction(node(x), node(y))))
+    }
+
+    #[inline]
+    fn leave_pair(&mut self, _x: u32) {}
+
+    fn witness(&self, extra: &[u32], out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.pc.members().iter_present().map(u32::from));
+        out.extend_from_slice(extra);
+        out.sort_unstable();
+    }
+
+    /// At the empty set a node's gain is its whole load at `s = 1` and
+    /// nothing otherwise: no kernel query.
+    fn root_key(&mut self, m: u32) -> (u64, u64) {
+        let load = self.weight(m);
+        (if self.pc.threshold() == 1 { load } else { 0 }, load)
+    }
+
+    fn root_bound(&mut self, m: u32, k: u16) -> u64 {
+        let b = self.pc.num_objects() as u64;
+        crate::certify::root_bound(self.weight(m), b, self.pc.threshold(), k)
     }
 }
 
@@ -97,6 +213,12 @@ pub(crate) struct PathTables {
 }
 
 impl PathTables {
+    /// Drops the cached tables (the kernel is being rebound, possibly
+    /// to a different placement with the same shape).
+    pub(crate) fn invalidate(&mut self) {
+        self.key = None;
+    }
+
     /// Resets the tables to the empty failed set of `pc`'s binding
     /// unless they are cached for it already; with `pairs`, also builds
     /// the pair matrix and has `pc` fill the co-host rows the shifts
@@ -292,143 +414,128 @@ pub fn exact_worst_with(
     incumbent: u64,
     scratch: &mut AdversaryScratch,
 ) -> Option<WorstCase> {
-    let n = placement.num_nodes();
-    if k >= n {
-        return Some(degenerate_all_nodes(placement, s, k));
-    }
-    let b = placement.num_objects() as u64;
-    let (pc, _, ds) = scratch.bind_packed(placement, s);
-    run_dfs(pc, ds, k, budget, incumbent, b)
+    let model = NodeModel::new(placement, s);
+    exact_moves(&model, k, budget, incumbent, scratch).map(|v| model.worst(v))
 }
 
-/// The `k ≥ n` degenerate case: every node fails. The returned set
-/// holds all `n` distinct nodes and `failed` is computed over that same
-/// set.
-pub(crate) fn degenerate_all_nodes(placement: &Placement, s: u16, k: u16) -> WorstCase {
-    let n = placement.num_nodes();
-    let nodes: Vec<u16> = (0..n).collect();
-    let failed = placement.failed_objects(&nodes, s);
-    debug_assert_eq!(nodes.len(), usize::from(k.min(n)));
-    WorstCase {
+/// The serial exact search over `model`'s moves on a fresh binding of
+/// `scratch`; `k` at or above the move count fails every move.
+pub(crate) fn exact_moves<M: Model>(
+    model: &M,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+    scratch: &mut AdversaryScratch,
+) -> Option<Verdict> {
+    if usize::from(k) >= model.len() {
+        return Some(model.all_moves());
+    }
+    let all = model.placement().num_objects() as u64;
+    let (mut ms, _, ds) = model.bind(scratch, true);
+    run_dfs(&mut ms, ds, k, budget, incumbent, all).map(|(failed, ids)| Verdict {
         failed,
-        nodes,
+        ids,
         exact: true,
-    }
+    })
 }
 
-/// Runs the branch-and-bound DFS over an empty, bound kernel.
-pub(crate) fn run_dfs(
-    pc: &mut PackedCounts,
-    ds: &mut DfsScratch,
-    k: u16,
-    budget: u64,
-    incumbent: u64,
-    b: u64,
-) -> Option<WorstCase> {
-    debug_assert_eq!(pc.failed(), 0, "DFS requires an empty failed set");
-    let n = pc.num_nodes();
-    // Static fallback order: decreasing load (stable, so equal loads
-    // keep ascending node order).
-    ds.order.clear();
-    ds.order.extend(0..n);
-    ds.order.sort_by_key(|&nd| std::cmp::Reverse(pc.load(nd)));
-    if ds.sort_bufs.len() < usize::from(SORT_DEPTH) {
-        ds.sort_bufs.resize_with(usize::from(SORT_DEPTH), Vec::new);
-    }
-    ds.path.ensure(pc, k >= 2);
-
-    let order = std::mem::take(&mut ds.order);
-    let mut search = Search {
-        pc,
-        ds,
-        k,
-        best: incumbent,
-        best_nodes: Vec::new(),
-        expansions: 0,
-        budget,
-        all_objects: b,
-        shared: None,
-    };
-    let completed = search.dfs(&order, 0);
-    let (best, best_nodes) = (search.best, search.best_nodes);
-    search.ds.expansions = search.expansions;
-    search.ds.order = order;
-    if completed {
-        Some(WorstCase {
-            failed: best,
-            nodes: best_nodes,
-            exact: true,
+/// The canonical root order: every move by decreasing
+/// `(gain, weight, id)` at the empty set — the order the serial root
+/// frame sorts its children by, the frontier split hands out and the
+/// certificate ledger records.
+pub(crate) fn root_order<B: Branch>(ms: &mut B) -> Vec<u32> {
+    let mut keys: Vec<(u64, u64, u32)> = (0..ms.len() as u32)
+        .map(|m| {
+            let (gain, weight) = ms.root_key(m);
+            (gain, weight, m)
         })
-    } else {
-        None
-    }
+        .collect();
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    keys.into_iter().map(|(_, _, m)| m).collect()
 }
 
-/// Explores the subtree rooted at `order[root_pos]` — the unit of work
-/// of the frontier-parallel exact search in [`crate::parallel`]. The
-/// kernel must be empty and bound; the root node is added, its subtree
-/// searched over the strictly-later candidates at depth 1, and the root
-/// removed again. Returns the subtree's `(best, witness)` over the
-/// local incumbent, or `None` on budget exhaustion. Pruning additionally
-/// consults `shared` (strictly below it only — see [`SharedBound`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dfs_rooted(
-    pc: &mut PackedCounts,
+/// Runs the branch-and-bound DFS over an empty move set: the best value
+/// and its witness (empty when nothing beat `incumbent`), or `None` on
+/// budget exhaustion.
+pub(crate) fn run_dfs<B: Branch>(
+    ms: &mut B,
     ds: &mut DfsScratch,
-    order: &[u16],
-    root_pos: usize,
     k: u16,
     budget: u64,
     incumbent: u64,
-    b: u64,
-    shared: &SharedBound,
-) -> Option<(u64, Vec<u16>)> {
-    debug_assert_eq!(pc.failed(), 0, "rooted DFS requires an empty failed set");
-    debug_assert!(k >= 1, "k = 0 has no root to branch on");
+    all: u64,
+) -> Option<(u64, Vec<u32>)> {
+    // Static fallback order: decreasing weight (stable, so equal
+    // weights keep ascending ids).
+    let mut order = std::mem::take(&mut ds.order);
+    order.clear();
+    order.extend(0..ms.len() as u32);
+    order.sort_by_key(|&m| Reverse(ms.weight(m)));
+    let found = dfs_rooted(ms, ds, &order, None, k, budget, incumbent, all, None);
+    ds.order = order;
+    found
+}
+
+/// The DFS over the empty move set's subsets of `order`; with a
+/// `root_pos`, only the subtree rooted at `order[root_pos]` — the unit of
+/// work of the frontier-parallel exact search in [`crate::parallel`],
+/// which pushes the root, searches the strictly-later candidates at
+/// depth 1 and pops it again, pruning additionally against `shared`
+/// (strictly below it only — see [`SharedBound`]). Returns the
+/// `(best, witness)` over the local incumbent, or `None` on budget
+/// exhaustion.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn dfs_rooted<B: Branch>(
+    ms: &mut B,
+    ds: &mut DfsScratch,
+    order: &[u32],
+    root_pos: Option<usize>,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+    all: u64,
+    shared: Option<&SharedBound>,
+) -> Option<(u64, Vec<u32>)> {
+    debug_assert_eq!(ms.failed(), 0, "DFS requires an empty failed set");
     if ds.sort_bufs.len() < usize::from(SORT_DEPTH) {
         ds.sort_bufs.resize_with(usize::from(SORT_DEPTH), Vec::new);
     }
-    let Some(&root) = order.get(root_pos) else {
-        return Some((incumbent, Vec::new()));
+    ms.prepare(k);
+    let mut search = Search::new(ms, ds, k, budget, incumbent, all, shared);
+    let completed = match root_pos {
+        None => search.dfs(order, 0),
+        Some(pos) => {
+            let Some(&root) = order.get(pos) else {
+                return Some((incumbent, Vec::new()));
+            };
+            search.expansions = 1; // the root expansion itself
+            search.ms.push(root);
+            let ok = search.dfs(order.get(pos + 1..).unwrap_or(&[]), 1);
+            search.ms.pop(root);
+            ok
+        }
     };
-    ds.path.ensure(pc, k >= 2);
-    let tail = order.get(root_pos + 1..).unwrap_or(&[]);
-    let mut search = Search {
-        pc,
-        ds,
-        k,
-        best: incumbent,
-        best_nodes: Vec::new(),
-        expansions: 1, // the root expansion itself
-        budget,
-        all_objects: b,
-        shared: Some(shared),
-    };
-    // k = 1 closes at the root itself; any deeper frame reads the
-    // shifted tables.
-    let shifted = k >= 2;
-    if shifted {
-        search.ds.path.shift(search.pc, root, 1);
+    let Search {
+        best,
+        best_ids,
+        expansions,
+        ..
+    } = search;
+    if root_pos.is_none() {
+        ds.expansions = expansions;
     }
-    search.pc.add_node(root);
-    let completed = search.dfs(tail, 1);
-    search.pc.remove_node(root);
-    if shifted {
-        search.ds.path.shift(search.pc, root, -1);
-    }
-    let (best, best_nodes) = (search.best, search.best_nodes);
-    completed.then_some((best, best_nodes))
+    completed.then_some((best, best_ids))
 }
 
-struct Search<'a> {
-    pc: &'a mut PackedCounts,
+struct Search<'a, B> {
+    ms: &'a mut B,
     ds: &'a mut DfsScratch,
     k: u16,
     best: u64,
-    best_nodes: Vec<u16>,
+    best_ids: Vec<u32>,
     expansions: u64,
     budget: u64,
-    all_objects: u64,
+    all: u64,
     /// Cross-worker incumbent for the frontier-parallel search; `None`
     /// on the serial path. Pruning against it is *strictly below* only,
     /// and local recording still uses the local `best`, which is what
@@ -436,94 +543,97 @@ struct Search<'a> {
     shared: Option<&'a SharedBound>,
 }
 
-impl Search<'_> {
+impl<'a, B: Branch> Search<'a, B> {
+    fn new(
+        ms: &'a mut B,
+        ds: &'a mut DfsScratch,
+        k: u16,
+        budget: u64,
+        incumbent: u64,
+        all: u64,
+        shared: Option<&'a SharedBound>,
+    ) -> Self {
+        Self {
+            ms,
+            ds,
+            k,
+            best: incumbent,
+            best_ids: Vec::new(),
+            expansions: 0,
+            budget,
+            all,
+            shared,
+        }
+    }
+
+    /// Whether a frame that can reach at most `ceiling` is closed: it
+    /// cannot beat the incumbent, or sits below every other worker's
+    /// proven value.
+    #[inline]
+    fn closed(&self, ceiling: u64) -> bool {
+        ceiling <= self.best || self.shared.is_some_and(|shared| ceiling < shared.get())
+    }
+
+    /// Records a new best: the current set plus `extra`.
+    fn record(&mut self, total: u64, extra: &[u32]) {
+        self.best = total;
+        self.ms.witness(extra, &mut self.best_ids);
+        if let Some(shared) = self.shared {
+            shared.tighten(total);
+        }
+    }
+
     /// Returns `false` on budget exhaustion. `cands` is this frame's
     /// candidate suffix; children recurse on strictly later candidates,
     /// so every `k`-subset is visited exactly once.
-    fn dfs(&mut self, cands: &[u16], depth: u16) -> bool {
+    fn dfs(&mut self, cands: &[u32], depth: u16) -> bool {
+        let failed = self.ms.failed();
         if depth == self.k {
-            // Only reachable for k = 0 (serial) or k = 1 rooted frames;
-            // positive-k serial search closes at `remaining == 1` below.
-            let failed = self.pc.failed();
+            // Only reachable for k = 0; positive k closes at
+            // `remaining == 1` below.
             if failed > self.best {
-                self.best = failed;
-                self.pc.collect_nodes(&mut self.best_nodes);
-                if let Some(shared) = self.shared {
-                    shared.tighten(failed);
-                }
+                self.record(failed, &[]);
             }
             return true;
         }
         let remaining = self.k - depth;
-        let failed = self.pc.failed();
         if remaining == 1 {
-            // Closed-form last level: adding one more node fails
-            // exactly `gain(nd)` more objects, read off the path
-            // tables — no add/remove churn, and the bottom level is the
-            // bulk of the combination tree.
-            if self.best >= self.all_objects {
+            // Closed-form last level: one more move fails exactly
+            // `gain(m)` more objects — no add/remove churn, and the
+            // bottom level is the bulk of the combination tree. Its
+            // `O(1)` ceiling, `failable(1)`, bounds every candidate's
+            // gain, so a frame that cannot beat the incumbent skips the
+            // sweep.
+            if self.best >= self.all || self.closed(failed + self.ms.failable(1)) {
                 return true;
             }
-            // O(1) level ceiling: gain(nd) ≤ |{hits = s − 1}| for every
-            // candidate, and `failable_within(1)` is exactly that
-            // eq-count. A frame whose ceiling cannot beat the incumbent
-            // skips the whole candidate sweep.
-            let ceiling = failed + self.pc.failable_within(1);
-            if ceiling <= self.best {
-                return true;
-            }
-            if let Some(shared) = self.shared {
-                if ceiling < shared.get() {
-                    return true;
-                }
-            }
-            for &nd in cands {
+            for &m in cands {
                 self.expansions += 1;
                 if self.expansions > self.budget {
                     return false;
                 }
-                let total = failed + self.ds.path.gain(nd);
+                let total = failed + self.ms.gain(m);
                 if total > self.best {
-                    self.best = total;
-                    self.pc.collect_nodes(&mut self.best_nodes);
-                    self.best_nodes.push(nd);
-                    self.best_nodes.sort_unstable();
-                    if let Some(shared) = self.shared {
-                        shared.tighten(total);
-                    }
+                    self.record(total, &[m]);
                 }
             }
             return true;
         }
         // Histogram bound: everything failed plus everything failable
-        // within the remaining failures.
-        let bound = failed + self.pc.failable_within(remaining);
-        if bound <= self.best || self.best >= self.all_objects {
-            return true; // pruned (or already optimal)
-        }
-        if let Some(shared) = self.shared {
-            if bound < shared.get() {
-                return true; // below every other worker's proven value
-            }
-        }
-        if depth >= SORT_DEPTH {
-            return if remaining == 2 {
-                self.expand_pairs(cands)
-            } else {
-                self.expand(cands, depth, remaining)
-            };
-        }
-        // Supply bound: the remaining failures can add at most one hit
-        // per (node, hosted failable object) pair, and each new failure
-        // needs at least one such hit.
-        let supply = self.supply_bound(cands, remaining);
-        if failed + supply <= self.best {
+        // within the remaining moves.
+        if self.best >= self.all || self.closed(failed + self.ms.failable(remaining)) {
             return true;
         }
-        if let Some(shared) = self.shared {
-            if failed + supply < shared.get() {
-                return true;
-            }
+        if depth >= SORT_DEPTH {
+            return self.expand(cands, depth, remaining);
+        }
+        // Supply bound: the remaining moves can add at most one hit per
+        // (leaf, hosted failable object) pair, and each new failure
+        // needs at least one such hit.
+        self.ms.begin_supply(remaining);
+        let supply = self.supply_bound(cands, remaining);
+        if self.closed(failed + supply) {
+            return true;
         }
         let slot = usize::from(depth);
         let mut buf = self
@@ -533,92 +643,29 @@ impl Search<'_> {
             .map(std::mem::take)
             .unwrap_or_default();
         self.order_by_live_gain(cands, &mut buf);
-        let ok = if remaining == 2 {
-            self.expand_pairs(&buf)
-        } else {
-            self.expand(&buf, depth, remaining)
-        };
+        let ok = self.expand(&buf, depth, remaining);
         if let Some(kept) = self.ds.sort_bufs.get_mut(slot) {
             *kept = buf;
         }
         ok
     }
 
-    /// Closes the bottom **two** levels in one fused sweep. A
-    /// `remaining == 2` frame needs `max gain({x, y})` over candidate
-    /// pairs, and `gain({x, y})` decomposes as
-    /// `gain(x) + gain(y) + correction(x, y)` — three reads of the path
-    /// tables per pair, with no add/remove churn at all. Enumeration
-    /// order, pruning ceilings, budget accounting, and recording match
-    /// the unfused recursion exactly, so results (and witnesses) are
-    /// unchanged.
-    fn expand_pairs(&mut self, cands: &[u16]) -> bool {
-        let failed = self.pc.failed();
-        let eq_count = self.pc.failable_within(1);
-        let last = cands.len().saturating_sub(1);
-        for (pos, &x) in cands.iter().enumerate().take(last) {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            if self.best >= self.all_objects {
-                continue;
-            }
-            let gx = self.ds.path.gain(x);
-            let failed_x = failed + gx;
-            // The child's eq-ceiling, identical to the unfused
-            // `failed + failable_within(1)` after adding x: x's gain
-            // leaves the `hits = s − 1` set and its level `s − 2`
-            // joins it.
-            let ceiling = failed_x + (eq_count - gx + self.ds.path.exposure(x));
-            if ceiling <= self.best {
-                continue;
-            }
-            if let Some(shared) = self.shared {
-                if ceiling < shared.get() {
-                    continue;
-                }
-            }
-            let tail = cands.get(pos + 1..).unwrap_or(&[]);
-            for &y in tail {
-                self.expansions += 1;
-                if self.expansions > self.budget {
-                    return false;
-                }
-                let path = &self.ds.path;
-                let total =
-                    (failed_x + path.gain(y)).wrapping_add_signed(i64::from(path.correction(x, y)));
-                if total > self.best {
-                    self.best = total;
-                    self.pc.collect_nodes(&mut self.best_nodes);
-                    self.best_nodes.push(x);
-                    self.best_nodes.push(y);
-                    self.best_nodes.sort_unstable();
-                    if let Some(shared) = self.shared {
-                        shared.tighten(total);
-                    }
-                }
-            }
+    /// Iterates this frame's children in `cands` order; a
+    /// `remaining == 2` frame closes its two levels in
+    /// [`Search::expand_pairs`].
+    fn expand(&mut self, cands: &[u32], depth: u16, remaining: u16) -> bool {
+        if remaining == 2 {
+            return self.expand_pairs(cands);
         }
-        true
-    }
-
-    /// Iterates this frame's children in `cands` order. Only reached
-    /// with `remaining ≥ 3` (the pair level closes in
-    /// [`Search::expand_pairs`]), so every child subtree reads the path
-    /// tables, which are shifted across each add/remove.
-    fn expand(&mut self, cands: &[u16], depth: u16, remaining: u16) -> bool {
-        let last = cands.len() - usize::from(remaining) + 1;
-        for (pos, &nd) in cands.iter().enumerate().take(last) {
+        let last = (cands.len() + 1).saturating_sub(usize::from(remaining));
+        for (pos, &m) in cands.iter().enumerate().take(last) {
             self.expansions += 1;
             if self.expansions > self.budget {
                 return false;
             }
-            self.ds.path.shift(self.pc, nd, 1);
-            self.pc.add_node(nd);
+            self.ms.push(m);
             let ok = self.dfs(cands.get(pos + 1..).unwrap_or(&[]), depth + 1);
-            self.pc.remove_node(nd);
-            self.ds.path.shift(self.pc, nd, -1);
+            self.ms.pop(m);
             if !ok {
                 return false;
             }
@@ -626,27 +673,69 @@ impl Search<'_> {
         true
     }
 
-    /// Sorts `cands` into `buf` by decreasing `(gain, load, node)` under
+    /// Closes the bottom **two** levels in one fused sweep: for each
+    /// first move `x`, the pair level's ceiling, then `total(x, y)` for
+    /// every later candidate `y`. Enumeration order, pruning ceilings,
+    /// budget accounting and recording match the unfused recursion
+    /// exactly, so results (and witnesses) are unchanged.
+    fn expand_pairs(&mut self, cands: &[u32]) -> bool {
+        let last = cands.len().saturating_sub(1);
+        for (pos, &x) in cands.iter().enumerate().take(last) {
+            self.expansions += 1;
+            if self.expansions > self.budget {
+                return false;
+            }
+            if self.best >= self.all {
+                continue;
+            }
+            let (failed_x, ceiling) = self.ms.enter_pair(x);
+            let ok = self.closed(ceiling)
+                || self.close_pairs(x, failed_x, cands.get(pos + 1..).unwrap_or(&[]));
+            self.ms.leave_pair(x);
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The last level under first move `x`: `false` on budget
+    /// exhaustion.
+    fn close_pairs(&mut self, x: u32, failed_x: u64, tail: &[u32]) -> bool {
+        for &y in tail {
+            self.expansions += 1;
+            if self.expansions > self.budget {
+                return false;
+            }
+            let total = self.ms.pair_total(x, failed_x, y);
+            if total > self.best {
+                self.record(total, &[x, y]);
+            }
+        }
+        true
+    }
+
+    /// Sorts `cands` into `buf` by decreasing `(gain, weight, id)` under
     /// the current partial failure set.
-    fn order_by_live_gain(&mut self, cands: &[u16], buf: &mut Vec<u16>) {
-        let (pc, path) = (&*self.pc, &self.ds.path);
+    fn order_by_live_gain(&mut self, cands: &[u32], buf: &mut Vec<u32>) {
         self.ds.keys.clear();
-        self.ds
-            .keys
-            .extend(cands.iter().map(|&nd| (path.gain(nd), pc.load(nd), nd)));
+        for &m in cands {
+            let key = (self.ms.gain(m), self.ms.weight(m), m);
+            self.ds.keys.push(key);
+        }
         self.ds.keys.sort_unstable_by(|a, b| b.cmp(a));
         buf.clear();
-        buf.extend(self.ds.keys.iter().map(|&(_, _, nd)| nd));
+        buf.extend(self.ds.keys.iter().map(|&(_, _, m)| m));
     }
 
     /// Admissible hit-supply bound: at most the sum of the `remaining`
-    /// largest `|row(nd) ∩ failable|` overlaps among the candidates.
-    fn supply_bound(&mut self, cands: &[u16], remaining: u16) -> u64 {
+    /// largest supplies among the candidates.
+    fn supply_bound(&mut self, cands: &[u32], remaining: u16) -> u64 {
         let m = usize::from(remaining);
-        let DfsScratch { tops, path, .. } = &mut *self.ds;
+        let tops = &mut self.ds.tops;
         tops.clear();
-        for &nd in cands {
-            let supply = path.supply(nd, remaining);
+        for &c in cands {
+            let supply = self.ms.supply(c);
             // Keep the m largest supplies (ascending insertion into a
             // tiny buffer; m ≤ k).
             if tops.len() < m {

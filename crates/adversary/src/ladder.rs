@@ -1,4 +1,5 @@
-//! The builder-style entry point to the adversary ladder.
+//! The builder-style entry point to the adversary ladder, and the one
+//! driver both budget models run.
 //!
 //! Historically the ladder was reachable through a 2×2×2 matrix of free
 //! functions — certified or not, caller-supplied scratch or not, node
@@ -13,17 +14,28 @@
 //!     .run_domain(&placement, &topo, s, k) // unit budget -> DomainLadderOutcome
 //! ```
 //!
-//! The builder adds no policy of its own: each budget model has one
-//! driver (greedy → multi-restart local search → exact branch-and-bound)
-//! that runs whether or not a certificate is requested, and certifying
-//! only adds the ledger and the seal afterwards — so the certified and
-//! uncertified answers cannot drift.
+//! Both terminal calls drive the same code: a budget [`Model`] names the
+//! moves one unit of budget buys — a node, or a failure unit of a
+//! topology — and binds the scratch to a move set for the heuristic
+//! rungs ([`Climb`]) and the exact DFS ([`Branch`]). The node move set is
+//! the kernel fast path (gain table, delta-maintained climb, path
+//! tables, fused pair level, closed-form root bounds); the unit move set
+//! (`crate::domain`) adds leaf coverage over the same kernel binding. A
+//! flat topology runs the node move set and only packages its answer
+//! as a domain certificate.
+//!
+//! The builder adds no policy of its own: one driver (greedy →
+//! multi-restart local search → exact branch-and-bound) runs whether or
+//! not a certificate is requested, and certifying only adds the ledger
+//! and the seal afterwards — so the certified and uncertified answers
+//! cannot drift.
 
-use crate::certify::{self, rung, trace_hash};
-use crate::search::LadderTrace;
-use crate::{
-    domain, exact, parallel, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase,
-};
+use crate::certify::{self, trace_hash};
+use crate::counts::PackedCounts;
+use crate::domain::{DomainIndex, UnitModel};
+use crate::exact::{Branch, DfsScratch, PathTables};
+use crate::search::{Climb, ClimbScratch, GainTable, LadderTrace};
+use crate::{parallel, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase};
 use wcp_core::{Certificate, CertificateKind, Placement, Rung, RungKind, Topology};
 
 /// One configured adversary-ladder run. See the module docs for the
@@ -90,8 +102,7 @@ impl<'a> Ladder<'a> {
     }
 
     /// Reuses the caller's [`AdversaryScratch`] so batch callers pay no
-    /// per-evaluation allocation. (Ignored by [`Ladder::run_domain`]:
-    /// the domain backends carry their own per-run state.)
+    /// per-evaluation allocation.
     #[must_use]
     pub fn scratch(mut self, scratch: &'a mut AdversaryScratch) -> Self {
         self.scratch = Some(scratch);
@@ -116,21 +127,14 @@ impl<'a> Ladder<'a> {
     /// Panics if `k > n` or `s > r` (placement shape mismatch).
     #[must_use]
     pub fn run(self, placement: &Placement, s: u16, k: u16) -> LadderOutcome {
-        let mut local = AdversaryScratch::new();
-        let scratch = self.scratch.unwrap_or(&mut local);
-        let (worst, rungs) = node_ladder(placement, s, k, self.config, scratch);
-        let certificate = self.certified.then(|| Certificate {
-            ledger: if worst.exact {
-                certify::node_ledger(placement, s, k, scratch)
-            } else {
-                Vec::new()
-            },
-            rungs,
-            claimed_failed: worst.failed,
-            exact: worst.exact,
-            ..certify::base_certificate(placement, CertificateKind::Node, s, k)
-        });
-        LadderOutcome { worst, certificate }
+        assert!(k <= placement.num_nodes(), "k must be ≤ n");
+        assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
+        let model = NodeModel::new(placement, s);
+        let (worst, certificate) = self.drive(&model, k, CertificateKind::Node);
+        LadderOutcome {
+            worst: model.worst(worst),
+            certificate,
+        }
     }
 
     /// Runs the ladder against correlated failures: the budget is spent
@@ -149,68 +153,323 @@ impl<'a> Ladder<'a> {
         s: u16,
         k: u16,
     ) -> DomainLadderOutcome {
-        domain::run_ladder(placement, topology, s, k, self.config, self.certified)
+        let index = DomainIndex::new(placement, topology, s, k);
+        if index.is_flat() {
+            // Every unit is one leaf: the node move set is the unit move
+            // set without the coverage bookkeeping.
+            self.run_units(&NodeModel::new(placement, s), k)
+        } else {
+            self.run_units(&UnitModel::new(placement, s, index), k)
+        }
+    }
+
+    /// [`Ladder::run_domain`] over `model`, whose moves are the
+    /// topology's failure units.
+    fn run_units<M: Model>(self, model: &M, k: u16) -> DomainLadderOutcome {
+        let (worst, certificate) = self.drive(model, k, CertificateKind::Domain);
+        DomainLadderOutcome {
+            worst: domain_worst(model, worst),
+            certificate,
+        }
+    }
+
+    /// Runs the driver over `model` on the configured scratch and seals
+    /// the certificate of kind `kind` when one was requested (a domain
+    /// certificate records each rung's moves as its units).
+    fn drive<M: Model>(
+        self,
+        model: &M,
+        k: u16,
+        kind: CertificateKind,
+    ) -> (Verdict, Option<Certificate>) {
+        let mut local = AdversaryScratch::new();
+        let scratch = self.scratch.unwrap_or(&mut local);
+        let units = kind == CertificateKind::Domain;
+        let (worst, rungs) = drive(model, k, self.config, scratch, units);
+        let certificate = self.certified.then(|| Certificate {
+            ledger: if worst.exact {
+                certify::ledger(model, scratch, k)
+            } else {
+                Vec::new()
+            },
+            rungs,
+            claimed_failed: worst.failed,
+            exact: worst.exact,
+            ..certify::base_certificate(model.placement(), kind, model.threshold(), k)
+        });
+        (worst, certificate)
     }
 }
 
-/// The node-budget driver behind [`Ladder::run`], certified or not:
-/// local search seeds the exact rung, whose verdict stands when it
-/// completes within budget. Returns the verdict and the rungs that led
-/// to it.
-fn node_ladder(
+/// A verdict over move ids: the damage, the moves that deal it, and
+/// whether it is provably the maximum.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    pub(crate) failed: u64,
+    pub(crate) ids: Vec<u32>,
+    pub(crate) exact: bool,
+}
+
+/// A budget model: the moves one unit of adversary budget buys, and the
+/// move set a scratch binds to for the heuristic rungs and the exact
+/// DFS. Moves are ids `0..len()`.
+pub(crate) trait Model: Sync {
+    /// The move set over a bound scratch.
+    type Set<'a>: Climb + Branch
+    where
+        Self: 'a;
+
+    /// The attacked placement.
+    fn placement(&self) -> &Placement;
+    /// The threshold `s`.
+    fn threshold(&self) -> u16;
+    /// Number of moves.
+    fn len(&self) -> usize;
+    /// The leaf union of moves `ids` (sorted).
+    fn leaves(&self, ids: &[u32]) -> Vec<u16>;
+    /// The empty move set over `scratch` — bound afresh when `rebind`,
+    /// otherwise the binding an earlier stage made, cleared — with the
+    /// climb and DFS buffers.
+    fn bind<'a>(
+        &'a self,
+        scratch: &'a mut AdversaryScratch,
+        rebind: bool,
+    ) -> (Self::Set<'a>, &'a mut ClimbScratch, &'a mut DfsScratch);
+
+    /// Every move failed: the degenerate `k ≥ len` verdict.
+    fn all_moves(&self) -> Verdict {
+        let ids: Vec<u32> = (0..self.len() as u32).collect();
+        Verdict {
+            failed: self
+                .placement()
+                .failed_objects(&self.leaves(&ids), self.threshold()),
+            ids,
+            exact: true,
+        }
+    }
+}
+
+/// What every move set answers about its current failed set.
+pub(crate) trait Moves {
+    /// Number of moves.
+    fn len(&self) -> usize;
+    /// Objects the current set fails.
+    fn failed(&self) -> u64;
+    /// A move's tie-break and static-order weight (its leaves' total
+    /// load).
+    fn weight(&self, m: u32) -> u64;
+}
+
+/// A verdict over failure units as a domain worst case.
+pub(crate) fn domain_worst<M: Model>(model: &M, verdict: Verdict) -> DomainWorstCase {
+    DomainWorstCase {
+        failed: verdict.failed,
+        nodes: model.leaves(&verdict.ids),
+        units: verdict.ids,
+        exact: verdict.exact,
+    }
+}
+
+/// The node budget model: one move per node.
+pub(crate) struct NodeModel<'p> {
+    placement: &'p Placement,
+    s: u16,
+}
+
+impl<'p> NodeModel<'p> {
+    pub(crate) fn new(placement: &'p Placement, s: u16) -> Self {
+        Self { placement, s }
+    }
+
+    /// The verdict as a node worst case.
+    pub(crate) fn worst(&self, verdict: Verdict) -> WorstCase {
+        WorstCase {
+            failed: verdict.failed,
+            nodes: self.leaves(&verdict.ids),
+            exact: verdict.exact,
+        }
+    }
+}
+
+/// The kernel in `packed`, bound to `(placement, s)` afresh when
+/// `rebind` (which also drops `path`'s cached tables: a rebind can
+/// change placement content behind an identical shape) and otherwise
+/// cleared to the empty failed set; a scratch that holds no kernel yet
+/// binds one.
+pub(crate) fn kernel<'a>(
+    packed: &'a mut Option<PackedCounts>,
+    path: &mut PathTables,
     placement: &Placement,
     s: u16,
+    rebind: bool,
+) -> &'a mut PackedCounts {
+    if rebind {
+        path.invalidate();
+    }
+    match packed {
+        Some(pc) => {
+            if rebind {
+                pc.rebind(placement, s);
+            } else {
+                pc.clear();
+            }
+            pc
+        }
+        None => packed.insert(PackedCounts::new(placement, s)),
+    }
+}
+
+impl Model for NodeModel<'_> {
+    type Set<'a>
+        = NodeMoves<'a>
+    where
+        Self: 'a;
+
+    fn placement(&self) -> &Placement {
+        self.placement
+    }
+
+    fn threshold(&self) -> u16 {
+        self.s
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.placement.num_nodes())
+    }
+
+    fn leaves(&self, ids: &[u32]) -> Vec<u16> {
+        ids.iter().map(|&m| node(m)).collect()
+    }
+
+    fn bind<'a>(
+        &'a self,
+        scratch: &'a mut AdversaryScratch,
+        rebind: bool,
+    ) -> (NodeMoves<'a>, &'a mut ClimbScratch, &'a mut DfsScratch) {
+        let AdversaryScratch {
+            packed,
+            path,
+            gains,
+            climb,
+            dfs,
+            ..
+        } = scratch;
+        let pc = kernel(packed, path, self.placement, self.s, rebind);
+        gains.reset(pc);
+        let moves = NodeMoves {
+            pc,
+            gains,
+            path,
+            supply_within: 0,
+        };
+        (moves, climb, dfs)
+    }
+}
+
+/// A node move's id as a node.
+#[inline]
+pub(crate) fn node(m: u32) -> u16 {
+    m as u16
+}
+
+/// The node move set: the kernel, the gain table the heuristic rungs
+/// keep live, and the path tables the exact DFS shifts.
+pub(crate) struct NodeMoves<'a> {
+    pub(crate) pc: &'a mut PackedCounts,
+    pub(crate) gains: &'a mut GainTable,
+    pub(crate) path: &'a mut PathTables,
+    /// Remaining failures of the last `Branch::begin_supply`.
+    pub(crate) supply_within: u16,
+}
+
+impl Moves for NodeMoves<'_> {
+    fn len(&self) -> usize {
+        usize::from(self.pc.num_nodes())
+    }
+
+    fn failed(&self) -> u64 {
+        self.pc.failed()
+    }
+
+    fn weight(&self, m: u32) -> u64 {
+        u64::from(self.pc.load(node(m)))
+    }
+}
+
+/// The one driver behind [`Ladder::run`] and [`Ladder::run_domain`],
+/// certified or not: local search seeds the exact rung, whose verdict
+/// stands when it completes within budget. Returns the verdict and the
+/// rungs that led to it; with `units`, each rung also records its moves
+/// as failure units.
+fn drive<M: Model>(
+    model: &M,
     k: u16,
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
-) -> (WorstCase, Vec<Rung>) {
-    let n = placement.num_nodes();
-    assert!(k <= n, "k must be ≤ n");
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    if k == 0 || k == n {
-        // Degenerate budgets need no search: k = 0 fails nothing, k = n
-        // fails everything reachable. One exact rung.
+    units: bool,
+) -> (Verdict, Vec<Rung>) {
+    let rung = |kind, failed, ids: &[u32], trace| {
+        certify::rung(
+            kind,
+            failed,
+            &model.leaves(ids),
+            if units { ids } else { &[] },
+            trace,
+        )
+    };
+    if k == 0 || usize::from(k) >= model.len() {
+        // Degenerate budgets need no search: k = 0 fails nothing, a
+        // budget covering every move fails everything. One exact rung.
         let worst = if k == 0 {
-            WorstCase {
-                failed: 0,
-                nodes: Vec::new(),
+            Verdict {
                 exact: true,
+                ..Verdict::default()
             }
         } else {
-            exact::degenerate_all_nodes(placement, s, k)
+            model.all_moves()
         };
-        let rungs = vec![rung(RungKind::Exact, worst.failed, &worst.nodes, &[], 0)];
+        let rungs = vec![rung(RungKind::Exact, worst.failed, &worst.ids, 0)];
         return (worst, rungs);
     }
     // Seed the exact search with the local-search incumbent: a strong
     // lower bound tightens pruning dramatically.
     let mut trace = LadderTrace::default();
-    let (heuristic, exact) = parallel::search_rungs(placement, s, k, config, scratch, &mut trace);
+    let (heuristic, exact) = parallel::search_rungs(model, k, config, scratch, &mut trace);
+    let hashed = |entries: &[(u64, Vec<u32>)]| {
+        let leaves: Vec<(u64, Vec<u16>)> = entries
+            .iter()
+            .map(|(failed, ids)| (*failed, model.leaves(ids)))
+            .collect();
+        trace_hash(&leaves)
+    };
     let mut rungs = Vec::with_capacity(3);
     if let Some(greedy) = trace.greedy {
-        let hash = trace_hash(std::slice::from_ref(&greedy));
-        rungs.push(rung(RungKind::Greedy, greedy.0, &greedy.1, &[], hash));
+        let hash = hashed(std::slice::from_ref(&greedy));
+        rungs.push(rung(RungKind::Greedy, greedy.0, &greedy.1, hash));
     }
-    let hash = trace_hash(&trace.restarts);
+    let hash = hashed(&trace.restarts);
     rungs.push(rung(
         RungKind::LocalSearch,
         heuristic.failed,
-        &heuristic.nodes,
-        &[],
+        &heuristic.ids,
         hash,
     ));
     let worst = match exact {
-        // The DFS only returns node sets when it beats the seed; reuse
-        // the heuristic's witness when the incumbent stood.
-        Some(ex) if ex.failed > heuristic.failed => ex,
-        Some(_) => WorstCase {
+        // The DFS only returns a witness when it beats the seed; reuse
+        // the heuristic's when the incumbent stood.
+        Some((failed, ids)) if failed > heuristic.failed => Verdict {
+            failed,
+            ids,
+            exact: true,
+        },
+        Some(_) => Verdict {
             exact: true,
             ..heuristic
         },
         None => heuristic,
     };
     if worst.exact {
-        rungs.push(rung(RungKind::Exact, worst.failed, &worst.nodes, &[], 0));
+        rungs.push(rung(RungKind::Exact, worst.failed, &worst.ids, 0));
     }
     (worst, rungs)
 }

@@ -36,15 +36,17 @@
 //! a CSR inverted index plus bit-sliced hit counters updated 64 objects
 //! per instruction (see the type's docs for the design). The scalar
 //! [`FailureCounts`] backend remains as the reference oracle, and the
-//! pre-kernel ladder survives in [`mod@reference`] for differential testing
-//! and as the benchmark baseline.
+//! scalar ladder in [`mod@reference`] is the differential-testing
+//! oracle and the benchmark baseline for both budget models.
 //!
-//! The [`mod@domain`] module lifts the whole ladder to *hierarchical
-//! failure domains*: [`Ladder::run_domain`] spends the budget on tree
-//! nodes of a `wcp_core::Topology` (leaves, racks, zones — failing an
-//! internal node fails its whole leaf set), degenerating to the
-//! per-node ladder bit for bit on the flat topology; [`DomainAttacker`]
-//! plugs it into the `Engine` pipeline.
+//! The ladder is written once, over a *move set*: one move per node for
+//! [`Ladder::run`], one per failure unit of a `wcp_core::Topology`
+//! (leaves, racks, zones — failing an internal node fails its whole
+//! leaf set) for [`Ladder::run_domain`]. Both run the same greedy seed,
+//! restart schedule, exact DFS, frontier split and ledger; the
+//! [`mod@domain`] module only adds leaf coverage, and a flat topology
+//! runs the node move set itself. [`DomainAttacker`] plugs the domain
+//! ladder into the `Engine` pipeline.
 
 #![forbid(unsafe_code)]
 
@@ -74,11 +76,12 @@ use wcp_core::{Parallelism, Placement};
 
 /// Reusable adversary working memory: the word-parallel
 /// [`PackedCounts`] kernel plus the search/DFS side buffers (gain
-/// tables, swap deltas, candidate orderings), all of whose allocations
-/// survive across evaluations. The `_with` adversary entry points
-/// rebind it to each new placement in place, so a sweep over thousands
-/// of cells of the same `(n, b, r)` shape performs no per-cell
-/// allocation beyond the placement itself.
+/// tables, swap deltas, candidate orderings, leaf coverage), all of
+/// whose allocations survive across evaluations. The `_with` adversary
+/// entry points and [`Ladder::scratch`] rebind it to each new
+/// placement in place — under either budget model — so a sweep over
+/// thousands of cells of the same `(n, b, r)` shape performs no
+/// per-cell allocation beyond the placement itself.
 ///
 /// The scalar [`FailureCounts`] oracle binding ([`AdversaryScratch::bind`])
 /// is kept alongside for the [`mod@reference`] ladder.
@@ -86,6 +89,12 @@ use wcp_core::{Parallelism, Placement};
 pub struct AdversaryScratch {
     fc: Option<FailureCounts>,
     packed: Option<PackedCounts>,
+    /// The node move set's climb gain table.
+    gains: search::GainTable,
+    /// The node move set's DFS path tables.
+    path: exact::PathTables,
+    /// The unit move set's leaf coverage.
+    cover: domain::CoverState,
     climb: search::ClimbScratch,
     dfs: exact::DfsScratch,
 }
@@ -105,52 +114,6 @@ impl AdversaryScratch {
         }
         self.fc
             .get_or_insert_with(|| FailureCounts::new(placement, s))
-    }
-
-    /// Binds the word-parallel kernel to a placement/threshold and
-    /// hands back the kernel plus the search side buffers.
-    pub(crate) fn bind_packed(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (
-        &mut PackedCounts,
-        &mut search::ClimbScratch,
-        &mut exact::DfsScratch,
-    ) {
-        if let Some(pc) = &mut self.packed {
-            pc.rebind(placement, s);
-        }
-        // A rebind can change placement content behind an identical
-        // (n, b, s) shape; the DFS path tables must not survive it.
-        self.dfs.invalidate_path_tables();
-        (
-            self.packed
-                .get_or_insert_with(|| PackedCounts::new(placement, s)),
-            &mut self.climb,
-            &mut self.dfs,
-        )
-    }
-
-    /// The kernel an earlier stage bound to `(placement, s)` and its
-    /// side buffers, cleared to the empty failed set without rebinding
-    /// (the exact rung and the ledger reuse the binding the restarts
-    /// made this way). Callers must guarantee that binding; a scratch
-    /// that holds no kernel yet binds one to `(placement, s)` here.
-    pub(crate) fn cleared_packed(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (
-        &mut PackedCounts,
-        &mut search::ClimbScratch,
-        &mut exact::DfsScratch,
-    ) {
-        let pc = self
-            .packed
-            .get_or_insert_with(|| PackedCounts::new(placement, s));
-        pc.clear();
-        (pc, &mut self.climb, &mut self.dfs)
     }
 }
 

@@ -20,7 +20,7 @@
 //! where the root frame is a single closed-form sweep). At more it
 //! splits the root frontier: task `i` explores the subtree rooted at
 //! the `i`-th child of the deterministic root order — the same
-//! `(gain, load, node)` descending key the serial DFS sorts its root
+//! `(gain, weight, id)` descending key the serial DFS sorts its root
 //! frame by. Workers share the incumbent through a monotone
 //! [`SharedBound`] and prune strictly *below* it, so a subtree whose
 //! bound equals the optimum (and may therefore contain the first
@@ -33,13 +33,17 @@
 //! invariant, so budget-edge aborts should be treated as inexact the
 //! same way the serial rung's are).
 //!
+//! The schedule is generic over the budget model ([`Model`]), so node
+//! and failure-unit ladders fan out the same way.
+//!
 //! The fan-out reuses `wcp_core`'s work-stealing scope and the atomics
 //! live in [`crate::pool`]; this module contains no thread or ordering
 //! code of its own.
 
-use crate::exact;
+use crate::exact::{self, Branch};
+use crate::ladder::{Model, Moves, NodeModel, Verdict};
 use crate::pool::{fan_out, SharedBound};
-use crate::search::{self, LadderTrace};
+use crate::search::{self, Climb, LadderTrace};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,62 +82,57 @@ pub(crate) fn rank<T: Ord>(failed: u64, witness: &[T]) -> (u64, Reverse<&[T]>) {
 }
 
 /// One restart's outcome: the greedy seed (restart 0 only), then the
-/// climbed set's damage and witness.
-type Restart = (Option<(u64, Vec<u16>)>, u64, Vec<u16>);
+/// climbed set's damage and moves.
+type Restart = (Option<(u64, Vec<u32>)>, u64, Vec<u32>);
 
 /// Runs restart `t` on `scratch`, binding it when `*bound` is unset.
-/// The `k ≥ n` degenerate case is the caller's.
-fn restart(
+/// Requires `k` below the move count.
+fn restart<M: Model>(
+    model: &M,
     scratch: &mut AdversaryScratch,
     bound: &mut bool,
-    placement: &Placement,
-    s: u16,
     k: u16,
     config: &AdversaryConfig,
     t: usize,
 ) -> Restart {
     let rebind = !std::mem::replace(bound, true);
-    let b = placement.num_objects() as u64;
-    // restarts = 0 keeps the bare greedy set.
-    let climb = config.restarts > 0;
-    let (pc, cs, _) = if rebind {
-        scratch.bind_packed(placement, s)
-    } else {
-        scratch.cleared_packed(placement, s)
-    };
-    // Restart 0 climbs from the greedy set `greedy_into` leaves in `pc`
-    // (and the live gain table it leaves in `cs`).
+    let all = model.placement().num_objects() as u64;
+    let (mut ms, cs, _) = model.bind(scratch, rebind);
+    // Restart 0 climbs from the greedy set, the rest from a random set
+    // drawn from their own streams.
     let greedy = if t == 0 {
-        let g = search::greedy_into(pc, cs, k);
-        Some((g.failed, g.nodes))
+        search::greedy(&mut ms, k);
+        ms.members(&mut cs.members);
+        Some((ms.failed(), cs.members.clone()))
     } else {
-        search::seed_random_set(pc, cs, k, &mut restart_rng(config.seed, t));
+        search::seed_random(&mut ms, &mut cs.perm, k, &mut restart_rng(config.seed, t));
         None
     };
-    if climb {
-        search::climb(pc, cs, config.max_steps, b);
+    // restarts = 0 keeps the bare greedy set.
+    if config.restarts > 0 {
+        search::climb(&mut ms, &mut cs.members, config.max_steps, all);
     }
-    (greedy, pc.failed(), pc.nodes())
+    ms.members(&mut cs.members);
+    (greedy, ms.failed(), cs.members.clone())
 }
 
-/// Multi-restart local search: restart 0 climbs from the greedy seed,
-/// restarts `1..restarts` from random `k`-sets, run inline on `scratch`
-/// at one thread and fanned across `config.parallelism` workers
-/// otherwise. Records the per-rung decision trace for the certificate
-/// prover; trace entries are keyed by restart index, so the trace —
-/// like the result — is thread-count invariant.
-pub(crate) fn local_search(
-    placement: &Placement,
-    s: u16,
+/// Multi-restart local search over `model`'s moves: restart 0 climbs
+/// from the greedy seed, restarts `1..restarts` from random `k`-sets,
+/// run inline on `scratch` at one thread and fanned across
+/// `config.parallelism` workers otherwise. Records the per-rung decision
+/// trace for the certificate prover; trace entries are keyed by restart
+/// index, so the trace — like the result — is thread-count invariant.
+pub(crate) fn local_search<M: Model>(
+    model: &M,
     k: u16,
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
     trace: &mut LadderTrace,
-) -> WorstCase {
-    if k >= placement.num_nodes() {
-        return WorstCase {
+) -> Verdict {
+    if usize::from(k) >= model.len() {
+        return Verdict {
             exact: false,
-            ..exact::degenerate_all_nodes(placement, s, k)
+            ..model.all_moves()
         };
     }
     let restarts = config.restarts.max(1) as usize;
@@ -141,124 +140,109 @@ pub(crate) fn local_search(
     let results: Vec<Restart> = if threads == 1 {
         let mut bound = false;
         (0..restarts)
-            .map(|t| restart(scratch, &mut bound, placement, s, k, config, t))
+            .map(|t| restart(model, scratch, &mut bound, k, config, t))
             .collect()
     } else {
         fan_out(restarts, threads, Worker::default, |w, t| {
-            restart(&mut w.scratch, &mut w.bound, placement, s, k, config, t)
+            restart(model, &mut w.scratch, &mut w.bound, k, config, t)
         })
     };
-    let mut best = WorstCase {
-        failed: 0,
-        nodes: Vec::new(),
-        exact: false,
-    };
-    for (t, (greedy, failed, nodes)) in results.into_iter().enumerate() {
+    let mut best = Verdict::default();
+    for (t, (greedy, failed, ids)) in results.into_iter().enumerate() {
         if greedy.is_some() {
             trace.greedy = greedy;
         }
-        if t == 0 || rank(failed, &nodes) > rank(best.failed, &best.nodes) {
+        if t == 0 || rank(failed, &ids) > rank(best.failed, &best.ids) {
             best.failed = failed;
-            best.nodes.clone_from(&nodes);
+            best.ids.clone_from(&ids);
         }
-        trace.restarts.push((failed, nodes));
+        trace.restarts.push((failed, ids));
     }
     best
 }
 
-/// The node ladder's two searches: [`local_search`], then the exact
-/// rung seeded with its incumbent on the caller's kernel. Returns the
+/// The ladder's two searches: [`local_search`], then the exact rung
+/// seeded with its incumbent on the caller's kernel. Returns the
 /// heuristic and, when the exact rung completed within budget, its
-/// verdict. Requires `0 < k < n`.
-pub(crate) fn search_rungs(
-    placement: &Placement,
-    s: u16,
+/// `(best, witness)`. Requires `0 < k` below the move count.
+pub(crate) fn search_rungs<M: Model>(
+    model: &M,
     k: u16,
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
     trace: &mut LadderTrace,
-) -> (WorstCase, Option<WorstCase>) {
-    let heuristic = local_search(placement, s, k, config, scratch, trace);
+) -> (Verdict, Option<(u64, Vec<u32>)>) {
+    let heuristic = local_search(model, k, config, scratch, trace);
     // One-thread restarts leave the caller's kernel bound (one index
     // build per evaluation, not two); fanned-out restarts never touch it.
-    if config.parallelism.threads() > 1 {
-        scratch.bind_packed(placement, s);
-    }
+    let rebind = config.parallelism.threads() > 1;
     let exact = exact_rung(
-        placement,
-        s,
+        model,
+        scratch,
+        rebind,
         k,
         config.exact_budget,
         heuristic.failed,
-        scratch,
         config.parallelism,
     );
     (heuristic, exact)
 }
 
-/// The exact rung on `scratch`'s kernel, which an earlier stage bound
-/// to `(placement, s)`: the serial DFS at one thread, the frontier
-/// split across `parallelism` workers otherwise. The root order comes
-/// from the caller's binding, so the split builds one index per worker
-/// and none besides. Requires `k < n`.
-pub(crate) fn exact_rung(
-    placement: &Placement,
-    s: u16,
+/// The exact rung on `scratch`'s kernel — bound afresh when `rebind`,
+/// otherwise the binding an earlier stage made: the serial DFS at one
+/// thread, the frontier split across `parallelism` workers otherwise.
+/// The root order comes from the caller's binding, so the split builds
+/// one index per worker and none besides. Requires `k` below the move
+/// count.
+pub(crate) fn exact_rung<M: Model>(
+    model: &M,
+    scratch: &mut AdversaryScratch,
+    rebind: bool,
     k: u16,
     budget: u64,
     incumbent: u64,
-    scratch: &mut AdversaryScratch,
     parallelism: Parallelism,
-) -> Option<WorstCase> {
-    let b = placement.num_objects() as u64;
-    let (pc, _, ds) = scratch.cleared_packed(placement, s);
-    debug_assert!(
-        pc.num_nodes() == placement.num_nodes() && pc.num_objects() == placement.num_objects(),
-        "scratch not bound to this placement"
-    );
-    debug_assert_eq!(pc.threshold(), s, "scratch not bound to this threshold");
+) -> Option<(u64, Vec<u32>)> {
+    let all = model.placement().num_objects() as u64;
+    let (mut ms, _, ds) = model.bind(scratch, rebind);
     // k = 0 has no root frame to split, and at k = 1 the root frame is
-    // the serial DFS's closed-form bottom level: one O(n) sweep in
-    // static load order, which a split (ordered by live gain) would
-    // resolve to a different witness among tied nodes.
+    // the serial DFS's closed-form bottom level: one sweep in static
+    // weight order, which a split (ordered by live gain) would resolve
+    // to a different witness among tied moves.
     if parallelism.threads() == 1 || k <= 1 {
-        return exact::run_dfs(pc, ds, k, budget, incumbent, b);
+        return exact::run_dfs(&mut ms, ds, k, budget, incumbent, all);
     }
-    let confirmed = WorstCase {
-        failed: incumbent,
-        nodes: Vec::new(),
-        exact: true,
-    };
-    if incumbent >= b || pc.failable_within(k) <= incumbent {
-        return Some(confirmed);
+    if incumbent >= all || ms.failable(k) <= incumbent {
+        return Some((incumbent, Vec::new()));
     }
-    // The deterministic child order under the same `(gain, load, node)`
-    // descending key the serial DFS sorts its root frame by (the key is
-    // a total order — it ends in the node id — so the order is unique
-    // and schedule-free).
-    let n = placement.num_nodes();
-    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let order: Vec<u16> = keys.into_iter().map(|(_, _, nd)| nd).collect();
-    // The serial root frame expands children 0 ..= n − k; one task per
-    // child, each exploring that child's whole subtree.
-    let tasks = usize::from(n - k) + 1;
+    // The serial root frame expands children 0 ..= len − k of the
+    // canonical root order; one task per child, each exploring that
+    // child's whole subtree.
+    let order = exact::root_order(&mut ms);
+    let tasks = ms.len() - usize::from(k) + 1;
     let shared = SharedBound::new(incumbent);
     let results = fan_out(tasks, parallelism.threads(), Worker::default, |w, t| {
-        let (pc, _, ds) = if std::mem::replace(&mut w.bound, true) {
-            w.scratch.cleared_packed(placement, s)
-        } else {
-            w.scratch.bind_packed(placement, s)
-        };
-        exact::dfs_rooted(pc, ds, &order, t, k, budget, incumbent, b, &shared)
+        let rebind = !std::mem::replace(&mut w.bound, true);
+        let (mut ms, _, ds) = model.bind(&mut w.scratch, rebind);
+        let shared = Some(&shared);
+        exact::dfs_rooted(
+            &mut ms,
+            ds,
+            &order,
+            Some(t),
+            k,
+            budget,
+            incumbent,
+            all,
+            shared,
+        )
     });
-    let mut best = confirmed;
+    let mut best = (incumbent, Vec::new());
     for task in results {
         // Any subtree aborting on budget makes the whole search inexact.
-        let (failed, nodes) = task?;
-        if failed > best.failed {
-            best.failed = failed;
-            best.nodes = nodes;
+        let (failed, ids) = task?;
+        if failed > best.0 {
+            best = (failed, ids);
         }
     }
     Some(best)
@@ -295,20 +279,25 @@ pub fn exact_worst_parallel(
     incumbent: u64,
     parallelism: Parallelism,
 ) -> Option<WorstCase> {
+    let model = NodeModel::new(placement, s);
     if k >= placement.num_nodes() {
-        return Some(exact::degenerate_all_nodes(placement, s, k));
+        return Some(model.worst(model.all_moves()));
     }
     let mut scratch = AdversaryScratch::new();
-    scratch.bind_packed(placement, s);
-    exact_rung(
-        placement,
-        s,
+    let (failed, ids) = exact_rung(
+        &model,
+        &mut scratch,
+        true,
         k,
         budget,
         incumbent,
-        &mut scratch,
         parallelism,
-    )
+    )?;
+    Some(model.worst(Verdict {
+        failed,
+        ids,
+        exact: true,
+    }))
 }
 
 #[cfg(test)]

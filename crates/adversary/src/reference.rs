@@ -1,20 +1,332 @@
-//! The scalar reference ladder: the pre-kernel greedy, local-search and
-//! exact-DFS adversaries running on [`FailureCounts`].
+//! The scalar reference ladder: greedy, local search and a plain exact
+//! DFS on [`FailureCounts`], over *leaf-set moves* — a move fails a set
+//! of leaf nodes: one node for the node budget, one failure unit of a
+//! [`Topology`] (a leaf, a rack's leaves, a zone's leaves) for the
+//! domain budget.
 //!
-//! These are the *oracle* implementations the word-parallel kernel is
-//! differentially tested against (`tests/packed_differential.rs`) and
-//! the baseline series recorded in `BENCH_adversary.json`. They are
-//! deliberately kept decision-identical to the production ladder in
-//! `search.rs`: same scan orders, same strict-improvement tie-breaking,
-//! same restart schedule (per-restart RNG streams, every restart run,
-//! ties to the smallest witness) — so the property suite can assert
-//! full `WorstCase` equality, not just equal objective values.
+//! These are the *oracle* implementations the kernel ladder is
+//! differentially tested against (`tests/packed_differential.rs`,
+//! `tests/domain_differential.rs`) and the baseline series recorded in
+//! `BENCH_adversary.json`. The heuristics are deliberately kept
+//! decision-identical to the production ladder: same scan orders, same
+//! strict-improvement tie-breaking, same restart schedule (per-restart
+//! RNG streams, every restart run, ties to the smallest witness) — so
+//! the property suites can assert full equality, not just equal
+//! objective values. The exact DFS keeps only the static weight order
+//! and the histogram bound, so it agrees with the production DFS on the
+//! optimum, not necessarily on the witness.
 
 use crate::counts::FailureCounts;
 use crate::parallel::{rank, restart_rng};
-use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
+use crate::{AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase};
 use rand::seq::SliceRandom;
-use wcp_core::Placement;
+use wcp_core::{Placement, Topology};
+
+/// Leaf-set moves over scalar failure accounting, with leaf coverage so
+/// overlapping moves count each leaf once.
+struct Moves<'a> {
+    fc: &'a mut FailureCounts,
+    leaves: Vec<Vec<u16>>,
+    /// Each move's leaves' total load.
+    weights: Vec<u64>,
+    /// The most hits one move deals an object: `max min(|leaves|, r)`.
+    c_max: u16,
+    /// Objects in the placement.
+    all: u64,
+    chosen: Vec<bool>,
+    cover: Vec<u16>,
+}
+
+/// A search result: the damage and the moves that deal it.
+type Found = (u64, Vec<u32>);
+
+impl<'a> Moves<'a> {
+    /// Moves with the given leaf sets (one per node when `None`) over
+    /// an empty `fc` bound to `placement`.
+    fn new(fc: &'a mut FailureCounts, placement: &Placement, units: Option<&Topology>) -> Self {
+        let leaves: Vec<Vec<u16>> = match units {
+            Some(topology) => {
+                assert_eq!(topology.num_nodes(), placement.num_nodes(), "topology size");
+                topology
+                    .failure_units()
+                    .into_iter()
+                    .map(|u| u.nodes)
+                    .collect()
+            }
+            None => (0..placement.num_nodes()).map(|nd| vec![nd]).collect(),
+        };
+        let loads = placement.cached_loads();
+        let load = |nd: &u16| loads.get(usize::from(*nd)).map_or(0, |&l| u64::from(l));
+        let r = usize::from(placement.replicas_per_object());
+        Self {
+            fc,
+            weights: leaves
+                .iter()
+                .map(|set| set.iter().map(load).sum())
+                .collect(),
+            c_max: leaves.iter().map(|set| set.len().min(r)).max().unwrap_or(0) as u16,
+            all: placement.num_objects() as u64,
+            chosen: vec![false; leaves.len()],
+            cover: vec![0; usize::from(placement.num_nodes())],
+            leaves,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.leaves.len()
+    }
+
+    fn set(&self, m: usize) -> &[u16] {
+        self.leaves.get(m).map_or(&[], Vec::as_slice)
+    }
+
+    fn chosen(&self, m: usize) -> bool {
+        self.chosen.get(m).copied().unwrap_or(false)
+    }
+
+    /// Marks move `m` failed (`on`) or not; a leaf enters the counts on
+    /// its 0 → 1 coverage transition and leaves them on 1 → 0.
+    fn toggle(&mut self, m: usize, on: bool) {
+        if let Some(c) = self.chosen.get_mut(m) {
+            *c = on;
+        }
+        for &nd in self.leaves.get(m).map_or(&[] as &[u16], Vec::as_slice) {
+            let Some(c) = self.cover.get_mut(usize::from(nd)) else {
+                continue;
+            };
+            match (on, *c) {
+                (true, 0) => self.fc.add_node(nd),
+                (false, 1) => self.fc.remove_node(nd),
+                _ => {}
+            }
+            *c = if on { *c + 1 } else { *c - 1 };
+        }
+    }
+
+    /// Additional failures if move `m` joined the set: one uncovered
+    /// leaf is the scalar `gain`, more apply and undo.
+    fn gain(&mut self, m: usize) -> u64 {
+        let open: Vec<u16> = self
+            .set(m)
+            .iter()
+            .copied()
+            .filter(|&nd| self.cover.get(usize::from(nd)) == Some(&0))
+            .collect();
+        match open.as_slice() {
+            [] => 0,
+            &[nd] => self.fc.gain(nd),
+            leaves => {
+                let before = self.fc.failed();
+                leaves.iter().for_each(|&nd| self.fc.add_node(nd));
+                let after = self.fc.failed();
+                leaves.iter().rev().for_each(|&nd| self.fc.remove_node(nd));
+                after - before
+            }
+        }
+    }
+
+    fn weight(&self, m: usize) -> u64 {
+        self.weights.get(m).copied().unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        self.fc.clear();
+        self.chosen.fill(false);
+        self.cover.fill(0);
+    }
+
+    fn found(&self) -> Found {
+        let ids = (0..self.len()).filter(|&m| self.chosen(m));
+        (self.fc.failed(), ids.map(|m| m as u32).collect())
+    }
+
+    fn fail_all(&mut self) -> Found {
+        for m in 0..self.len() {
+            if !self.chosen(m) {
+                self.toggle(m, true);
+            }
+        }
+        self.found()
+    }
+
+    /// The leaf union of moves `ids` (sorted).
+    fn leaves_of(&self, ids: &[u32]) -> Vec<u16> {
+        let mut nodes: Vec<u16> = ids
+            .iter()
+            .flat_map(|&m| self.set(m as usize).iter().copied())
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    fn node_worst(&self, (failed, ids): Found, exact: bool) -> WorstCase {
+        let nodes = self.leaves_of(&ids);
+        WorstCase {
+            failed,
+            nodes,
+            exact,
+        }
+    }
+
+    fn domain_worst(&self, (failed, units): Found, exact: bool) -> DomainWorstCase {
+        let nodes = self.leaves_of(&units);
+        DomainWorstCase {
+            failed,
+            units,
+            nodes,
+            exact,
+        }
+    }
+}
+
+/// Greedy ascent: `k` times, fails the move with the largest
+/// `(gain, weight)`, ties to the lower id.
+fn greedy(ms: &mut Moves, k: u16) -> Found {
+    for _ in 0..usize::from(k).min(ms.len()) {
+        let mut best = None;
+        let mut best_key = (0u64, 0u64);
+        for m in 0..ms.len() {
+            if ms.chosen(m) {
+                continue;
+            }
+            let key = (ms.gain(m), ms.weight(m));
+            if best.is_none() || key > best_key {
+                best_key = key;
+                best = Some(m);
+            }
+        }
+        let Some(m) = best else { break };
+        ms.toggle(m, true);
+    }
+    ms.found()
+}
+
+/// Best-improvement swaps until a local optimum (or step cap) — the
+/// `O(k·len·ℓ)`-per-step full re-scan the kernel's delta-maintained
+/// climb replaces.
+fn climb(ms: &mut Moves, max_steps: u32) {
+    for _ in 0..max_steps {
+        let (current, members) = ms.found();
+        if current == ms.all {
+            return;
+        }
+        let mut best: Option<(usize, usize, u64)> = None; // (out, in, value)
+        for out in members.into_iter().map(|m| m as usize) {
+            ms.toggle(out, false);
+            let base = ms.fc.failed();
+            for inn in 0..ms.len() {
+                if ms.chosen(inn) || inn == out {
+                    continue;
+                }
+                let value = base + ms.gain(inn);
+                if value > current && best.is_none_or(|(_, _, v)| value > v) {
+                    best = Some((out, inn, value));
+                }
+            }
+            ms.toggle(out, true);
+        }
+        let Some((out, inn, _)) = best else { return };
+        ms.toggle(out, false);
+        ms.toggle(inn, true);
+    }
+}
+
+/// Greedy seed plus steepest-ascent restarts: restart 0 climbs from the
+/// greedy set, restart `t > 0` from a random `k`-set drawn from its own
+/// stream; the best keeps the most failed objects, ties to the smallest
+/// move set.
+fn local_search(ms: &mut Moves, k: u16, config: &AdversaryConfig) -> Found {
+    if usize::from(k) >= ms.len() {
+        return ms.fail_all();
+    }
+    let mut best = (0, Vec::new());
+    for t in 0..config.restarts.max(1) as usize {
+        ms.clear();
+        if t == 0 {
+            greedy(ms, k);
+        } else {
+            let mut perm: Vec<u32> = (0..ms.len() as u32).collect();
+            perm.shuffle(&mut restart_rng(config.seed, t));
+            for &m in perm.iter().take(usize::from(k)) {
+                ms.toggle(m as usize, true);
+            }
+        }
+        if config.restarts > 0 {
+            climb(ms, config.max_steps);
+        }
+        let found = ms.found();
+        if t == 0 || rank(found.0, &found.1) > rank(best.0, &best.1) {
+            best = found;
+        }
+    }
+    best
+}
+
+/// Plain exact DFS: children in decreasing weight order, pruned by the
+/// histogram bound at `remaining · c_max` hits only. `None` on budget
+/// exhaustion.
+fn exact(ms: &mut Moves, k: u16, budget: u64, incumbent: u64) -> Option<Found> {
+    if usize::from(k) >= ms.len() {
+        return Some(ms.fail_all());
+    }
+    let mut order: Vec<usize> = (0..ms.len()).collect();
+    order.sort_by_key(|&m| std::cmp::Reverse(ms.weight(m)));
+    let mut best = (incumbent, Vec::new());
+    let mut expansions = 0;
+    dfs(ms, &order, 0, k, &mut best, &mut expansions, budget).then_some(best)
+}
+
+/// One DFS frame over `order[from..]` with `k` moves left to choose;
+/// `false` on budget exhaustion.
+fn dfs(
+    ms: &mut Moves,
+    order: &[usize],
+    from: usize,
+    k: u16,
+    best: &mut Found,
+    expansions: &mut u64,
+    budget: u64,
+) -> bool {
+    if k == 0 {
+        if ms.fc.failed() > best.0 {
+            *best = ms.found();
+        }
+        return true;
+    }
+    let hits = (u32::from(k) * u32::from(ms.c_max)).min(u32::from(u16::MAX)) as u16;
+    if ms.fc.failed() + ms.fc.failable_within(hits) <= best.0 || best.0 >= ms.all {
+        return true;
+    }
+    let last = (order.len() + 1).saturating_sub(usize::from(k));
+    for (pos, &m) in order.iter().enumerate().take(last).skip(from) {
+        *expansions += 1;
+        if *expansions > budget {
+            return false;
+        }
+        ms.toggle(m, true);
+        let ok = dfs(ms, order, pos + 1, k - 1, best, expansions, budget);
+        ms.toggle(m, false);
+        if !ok {
+            return false;
+        }
+    }
+    true
+}
+
+/// The failure units of `topology` as moves, checking the shape.
+fn units<'a>(
+    fc: &'a mut FailureCounts,
+    p: &Placement,
+    topo: &Topology,
+    s: u16,
+    k: u16,
+) -> Moves<'a> {
+    assert!(s <= p.replicas_per_object(), "s must be ≤ r");
+    let ms = Moves::new(fc, p, Some(topo));
+    assert!(usize::from(k) <= ms.len(), "k must be ≤ the unit count");
+    ms
+}
 
 /// Scalar greedy adversary (see [`crate::greedy_worst`] for semantics).
 #[must_use]
@@ -30,35 +342,9 @@ pub fn greedy_worst_with(
     k: u16,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let fc = scratch.bind(placement, s);
-    greedy_into(fc, placement, k)
-}
-
-/// Runs the greedy ascent into `fc` (must be bound to `placement` and
-/// empty); leaves `fc` holding the chosen node set.
-fn greedy_into(fc: &mut FailureCounts, placement: &Placement, k: u16) -> WorstCase {
-    let n = placement.num_nodes();
-    let loads = placement.cached_loads();
-    for _ in 0..k.min(n) {
-        let mut best_node = None;
-        let mut best_key = (0u64, 0u32);
-        for nd in 0..n {
-            if fc.contains(nd) {
-                continue;
-            }
-            let key = (fc.gain(nd), loads[usize::from(nd)]);
-            if best_node.is_none() || key > best_key {
-                best_key = key;
-                best_node = Some(nd);
-            }
-        }
-        fc.add_node(best_node.expect("k ≤ n leaves a choice"));
-    }
-    WorstCase {
-        failed: fc.failed(),
-        nodes: fc.nodes(),
-        exact: false,
-    }
+    let mut ms = Moves::new(scratch.bind(placement, s), placement, None);
+    let found = greedy(&mut ms, k);
+    ms.node_worst(found, false)
 }
 
 /// Scalar local search (see [`crate::local_search_worst`]).
@@ -81,79 +367,9 @@ pub fn local_search_worst_with(
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
-        let nodes: Vec<u16> = (0..n).collect();
-        let failed = placement.failed_objects(&nodes, s);
-        return WorstCase {
-            failed,
-            nodes,
-            exact: false,
-        };
-    }
-    let b = placement.num_objects() as u64;
-    let fc = scratch.bind(placement, s);
-    let mut best = WorstCase {
-        failed: 0,
-        nodes: Vec::new(),
-        exact: false,
-    };
-    for t in 0..config.restarts.max(1) as usize {
-        if t == 0 {
-            greedy_into(fc, placement, k);
-        } else {
-            fc.clear();
-            let mut nodes: Vec<u16> = (0..n).collect();
-            nodes.shuffle(&mut restart_rng(config.seed, t));
-            for &nd in nodes.iter().take(usize::from(k)) {
-                fc.add_node(nd);
-            }
-        }
-        if config.restarts > 0 {
-            climb(fc, n, config.max_steps, b);
-        }
-        let nodes = fc.nodes();
-        if t == 0 || rank(fc.failed(), &nodes) > rank(best.failed, &best.nodes) {
-            best.failed = fc.failed();
-            best.nodes = nodes;
-        }
-    }
-    best
-}
-
-/// Best-improvement swaps until a local optimum (or step cap) — the
-/// `O(k·n·ℓ)`-per-step full re-scan the kernel's delta-maintained climb
-/// replaces.
-fn climb(fc: &mut FailureCounts, n: u16, max_steps: u32, all: u64) {
-    for _ in 0..max_steps {
-        if fc.failed() == all {
-            return;
-        }
-        let current = fc.failed();
-        let members = fc.nodes();
-        let mut best: Option<(u16, u16, u64)> = None; // (out, in, value)
-        for &out in &members {
-            fc.remove_node(out);
-            let base = fc.failed();
-            for inn in 0..n {
-                if fc.contains(inn) || inn == out {
-                    continue;
-                }
-                let value = base + fc.gain(inn);
-                if value > current && best.is_none_or(|(_, _, v)| value > v) {
-                    best = Some((out, inn, value));
-                }
-            }
-            fc.add_node(out);
-        }
-        match best {
-            Some((out, inn, _)) => {
-                fc.remove_node(out);
-                fc.add_node(inn);
-            }
-            None => return,
-        }
-    }
+    let mut ms = Moves::new(scratch.bind(placement, s), placement, None);
+    let found = local_search(&mut ms, k, config);
+    ms.node_worst(found, false)
 }
 
 /// Scalar exact DFS with the load-ordered children and the
@@ -167,84 +383,51 @@ pub fn exact_worst(
     budget: u64,
     incumbent: u64,
 ) -> Option<WorstCase> {
-    let n = placement.num_nodes();
-    if k >= n {
-        let nodes: Vec<u16> = (0..n).collect();
-        let failed = placement.failed_objects(&nodes, s);
-        return Some(WorstCase {
-            failed,
-            nodes,
-            exact: true,
-        });
-    }
-    let loads = placement.cached_loads();
-    let mut order: Vec<u16> = (0..n).collect();
-    order.sort_by_key(|&nd| std::cmp::Reverse(loads[usize::from(nd)]));
-
     let mut fc = FailureCounts::new(placement, s);
-    let b = placement.num_objects() as u64;
-    let mut search = Search {
-        fc: &mut fc,
-        order: &order,
-        k,
-        best: incumbent,
-        best_nodes: Vec::new(),
-        expansions: 0,
-        budget,
-        all_objects: b,
-    };
-    if search.dfs(0, 0) {
-        let (best, best_nodes) = (search.best, search.best_nodes);
-        Some(WorstCase {
-            failed: best,
-            nodes: best_nodes,
-            exact: true,
-        })
-    } else {
-        None
-    }
+    let mut ms = Moves::new(&mut fc, placement, None);
+    let found = exact(&mut ms, k, budget, incumbent)?;
+    Some(ms.node_worst(found, true))
 }
 
-struct Search<'a> {
-    fc: &'a mut FailureCounts,
-    order: &'a [u16],
+/// Scalar greedy over failure units (see [`crate::domain_greedy_worst`]).
+#[must_use]
+pub fn domain_greedy_worst(p: &Placement, topo: &Topology, s: u16, k: u16) -> DomainWorstCase {
+    let mut fc = FailureCounts::new(p, s);
+    let mut ms = units(&mut fc, p, topo, s, k);
+    let found = greedy(&mut ms, k);
+    ms.domain_worst(found, false)
+}
+
+/// Scalar local search over failure units (see
+/// [`crate::domain_local_search_worst`]).
+#[must_use]
+pub fn domain_local_search_worst(
+    p: &Placement,
+    topo: &Topology,
+    s: u16,
     k: u16,
-    best: u64,
-    best_nodes: Vec<u16>,
-    expansions: u64,
-    budget: u64,
-    all_objects: u64,
+    config: &AdversaryConfig,
+) -> DomainWorstCase {
+    let mut fc = FailureCounts::new(p, s);
+    let mut ms = units(&mut fc, p, topo, s, k);
+    let found = local_search(&mut ms, k, config);
+    ms.domain_worst(found, false)
 }
 
-impl Search<'_> {
-    /// Returns `false` on budget exhaustion.
-    fn dfs(&mut self, from: usize, depth: u16) -> bool {
-        if depth == self.k {
-            if self.fc.failed() > self.best {
-                self.best = self.fc.failed();
-                self.best_nodes = self.fc.nodes();
-            }
-            return true;
-        }
-        let remaining = self.k - depth;
-        let bound = self.fc.failed() + self.fc.failable_within(remaining);
-        if bound <= self.best || self.best >= self.all_objects {
-            return true;
-        }
-        let last = self.order.len() - usize::from(remaining) + 1;
-        for pos in from..last {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            let nd = self.order[pos];
-            self.fc.add_node(nd);
-            let ok = self.dfs(pos + 1, depth + 1);
-            self.fc.remove_node(nd);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
+/// Scalar exact DFS over failure units (see
+/// [`crate::domain_exact_worst`]): the same optimum, not necessarily
+/// the same witness.
+#[must_use]
+pub fn domain_exact_worst(
+    p: &Placement,
+    topo: &Topology,
+    s: u16,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+) -> Option<DomainWorstCase> {
+    let mut fc = FailureCounts::new(p, s);
+    let mut ms = units(&mut fc, p, topo, s, k);
+    let found = exact(&mut ms, k, budget, incumbent)?;
+    Some(ms.domain_worst(found, true))
 }

@@ -1,5 +1,5 @@
-//! Heuristic adversaries on the word-parallel kernel: greedy and
-//! steepest-ascent swap local search.
+//! The heuristic rungs, written once for every budget model
+//! ([`Climb`]): greedy and steepest-ascent swap local search.
 //!
 //! Both are available in two forms: the plain entry points
 //! ([`greedy_worst`], [`local_search_worst`]) that allocate their own
@@ -8,26 +8,58 @@
 //! back (the sweep and churn subsystems) reuse the buffers instead of
 //! reallocating per evaluation. The restart schedule itself — per-restart
 //! RNG streams, run inline or fanned across threads — lives in
-//! [`crate::parallel`]; this module holds its kernel-level primitives.
+//! [`crate::parallel`]; this module holds its loops and the node move
+//! set's fast path.
 //!
 //! Decision-making is identical to the scalar ladder preserved in
 //! [`crate::reference`] — same scan orders, same strict-improvement
 //! tie-breaks, same restart schedule — so the two produce the same
-//! [`WorstCase`], just at very different speeds: gains come from the
-//! maintained `hits = s − 1` bitmap (`O(b/64)` per query), and the swap
-//! search keeps an incremental gain table that is delta-updated from the
-//! two swapped nodes' CSR rows instead of re-deriving every `(out, in)`
-//! pair from scratch each step.
+//! [`WorstCase`], just at very different speeds: node gains come from
+//! the maintained `hits = s − 1` bitmap, and the node swap search keeps
+//! an incremental gain table that is delta-updated from the two swapped
+//! nodes' CSR rows instead of re-deriving every `(out, in)` pair from
+//! scratch each step.
 
 use crate::counts::PackedCounts;
+use crate::ladder::{node, Model, Moves, NodeModel, NodeMoves, Verdict};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use wcp_core::Placement;
 
-/// Reusable buffers for the delta-maintained swap search.
+/// What the heuristic rungs need from a move set.
+pub(crate) trait Climb: Moves {
+    /// Whether `m` is in the set.
+    fn contains(&self, m: u32) -> bool;
+    /// Objects `m` fails if it joins the set.
+    fn gain(&mut self, m: u32) -> u64;
+    /// Adds `m` to the set.
+    fn add(&mut self, m: u32);
+    /// The set's moves, ascending, into `out`.
+    fn members(&self, out: &mut Vec<u32>);
+    /// Readies one swap step of [`climb`].
+    fn begin_step(&mut self);
+    /// The best move to swap in for member `out`: the first outside the
+    /// set (ascending, `out` excluded) whose failed count after the swap
+    /// is the largest above `floor`, with that count. Leaves the set as
+    /// it found it.
+    fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)>;
+    /// Replaces member `out` by `inn`.
+    fn swap(&mut self, out: u32, inn: u32);
+}
+
+/// Reusable buffers of the heuristic rungs, for any move set.
 #[derive(Debug, Default)]
 pub(crate) struct ClimbScratch {
+    /// Members buffer (one per climb step, never reallocated).
+    pub(crate) members: Vec<u32>,
+    /// Shuffle buffer for random restarts.
+    pub(crate) perm: Vec<u32>,
+}
+
+/// The node move set's delta-maintained gain table.
+#[derive(Debug, Default)]
+pub(crate) struct GainTable {
     /// `gains[nd] = |row(nd) ∩ {hits = s − 1}|` for every node,
     /// maintained across swaps (`i64` so the hot value scan adds it to
     /// the sparse corrections without casts; always non-negative).
@@ -39,10 +71,6 @@ pub(crate) struct ClimbScratch {
     eq_prev: Vec<u64>,
     /// The `hits = s` bitmap of the current step (loss mask).
     eq_s: Vec<u64>,
-    /// Members buffer (replaces a `fc.nodes()` allocation per step).
-    members: Vec<u16>,
-    /// Shuffle buffer for random restarts.
-    perm: Vec<u16>,
 }
 
 /// Per-rung decision record the certificate prover consumes: the greedy
@@ -51,10 +79,218 @@ pub(crate) struct ClimbScratch {
 /// are keyed by restart index and so are the same at any thread count.
 #[derive(Debug, Default)]
 pub(crate) struct LadderTrace {
-    /// `(failed, witness)` of the greedy seed before any climbing.
-    pub greedy: Option<(u64, Vec<u16>)>,
-    /// `(failed, witness)` after each climb pass, in restart order.
-    pub restarts: Vec<(u64, Vec<u16>)>,
+    /// `(failed, moves)` of the greedy seed before any climbing.
+    pub greedy: Option<(u64, Vec<u32>)>,
+    /// `(failed, moves)` after each climb pass, in restart order.
+    pub restarts: Vec<(u64, Vec<u32>)>,
+}
+
+/// Greedy ascent into an empty move set: `k` times, adds the move that
+/// fails the most additional objects, ties toward the heavier move,
+/// then the lower id.
+pub(crate) fn greedy<C: Climb>(ms: &mut C, k: u16) {
+    let len = ms.len() as u32;
+    for _ in 0..usize::from(k).min(ms.len()) {
+        let mut best = None;
+        let mut best_key = (0u64, 0u64);
+        for m in 0..len {
+            if ms.contains(m) {
+                continue;
+            }
+            let key = (ms.gain(m), ms.weight(m));
+            if best.is_none() || key > best_key {
+                best_key = key;
+                best = Some(m);
+            }
+        }
+        let Some(m) = best else { return };
+        ms.add(m);
+    }
+}
+
+/// Seeds a random `k`-set into an empty move set: the first `k` entries
+/// of a shuffled move permutation — the random-restart primitive of the
+/// schedule in [`crate::parallel`].
+pub(crate) fn seed_random<C: Climb>(ms: &mut C, perm: &mut Vec<u32>, k: u16, rng: &mut StdRng) {
+    perm.clear();
+    perm.extend(0..ms.len() as u32);
+    perm.shuffle(rng);
+    for &m in perm.iter().take(usize::from(k)) {
+        ms.add(m);
+    }
+}
+
+/// Applies best-improvement swaps until a local optimum (or step cap):
+/// each step values every `(out, in)` pair and applies the strictly best
+/// one, ties to the earliest `out`, then the lowest `in`.
+pub(crate) fn climb<C: Climb>(ms: &mut C, members: &mut Vec<u32>, max_steps: u32, all: u64) {
+    for _ in 0..max_steps {
+        let current = ms.failed();
+        if current == all {
+            return;
+        }
+        ms.begin_step();
+        ms.members(members);
+        let mut best: Option<(u32, u32, u64)> = None; // (out, in, value)
+        for &out in members.iter() {
+            let floor = best.map_or(current, |(_, _, value)| value);
+            if let Some((inn, value)) = ms.best_swap(out, floor) {
+                best = Some((out, inn, value));
+            }
+        }
+        let Some((out, inn, value)) = best else {
+            return;
+        };
+        ms.swap(out, inn);
+        debug_assert_eq!(ms.failed(), value, "swap value drifted");
+    }
+}
+
+impl GainTable {
+    /// Resets the table to an *empty* kernel's: at `s = 1` every object
+    /// sits one hit from failing, so a node's gain is its load;
+    /// otherwise no object does, so all gains are zero. `O(n)` — no
+    /// bitmap scan.
+    pub(crate) fn reset(&mut self, pc: &PackedCounts) {
+        debug_assert_eq!(pc.failed(), 0, "gain table reset requires an empty set");
+        let n = pc.num_nodes();
+        self.gains.clear();
+        if pc.threshold() == 1 {
+            self.gains.extend((0..n).map(|nd| i64::from(pc.load(nd))));
+        } else {
+            self.gains.resize(usize::from(n), 0);
+        }
+        self.delta.clear();
+        self.delta.resize(usize::from(n), 0);
+    }
+}
+
+impl NodeMoves<'_> {
+    /// Copies the current `hits = s − 1` mask into the swap snapshot.
+    fn snapshot_eq(&mut self) {
+        self.gains.eq_prev.clear();
+        self.gains.eq_prev.extend_from_slice(self.pc.eq_sm1_words());
+    }
+
+    /// Folds the XOR between the snapshot and the live `hits = s − 1`
+    /// mask into the gain table: each flipped object adjusts the gain of
+    /// its `r` hosts by ±1. After any single add/remove/swap the diff is
+    /// confined to the touched nodes' rows, so this is a handful of
+    /// popcount-sparse words.
+    fn fold_eq_flips(&mut self) {
+        let (pc, t) = (&*self.pc, &mut *self.gains);
+        for (w, (&prev, &now)) in t.eq_prev.iter().zip(pc.eq_sm1_words()).enumerate() {
+            let mut diff = prev ^ now;
+            while diff != 0 {
+                let bit = diff.trailing_zeros() as usize;
+                diff &= diff - 1;
+                let d: i64 = if now >> bit & 1 == 1 { 1 } else { -1 };
+                bump(&mut t.gains, pc.hosts_of(w * 64 + bit), d);
+            }
+        }
+        #[cfg(debug_assertions)]
+        for (nd, &gain) in (0..pc.num_nodes()).zip(&t.gains) {
+            let live = pc.and_popcount_row(nd, pc.eq_sm1_words()) as i64;
+            assert_eq!(gain, live, "gain table drifted at node {nd}");
+        }
+    }
+}
+
+/// Adds `d` to the table entries of `hosts`.
+#[inline]
+fn bump(table: &mut [i64], hosts: &[u16], d: i64) {
+    for &host in hosts {
+        if let Some(g) = table.get_mut(usize::from(host)) {
+            *g += d;
+        }
+    }
+}
+
+/// The node fast path: gains come off the delta-maintained table, and a
+/// swap is valued without touching the kernel.
+impl Climb for NodeMoves<'_> {
+    fn contains(&self, m: u32) -> bool {
+        self.pc.contains(node(m))
+    }
+
+    fn gain(&mut self, m: u32) -> u64 {
+        self.gains.gains.get(m as usize).map_or(0, |&g| g as u64)
+    }
+
+    /// Adds the node while keeping the gain table live: snapshot the
+    /// `hits = s − 1` mask, apply the kernel update, then fold the
+    /// mask's flipped bits (all within the node's row) into the gains.
+    fn add(&mut self, m: u32) {
+        self.snapshot_eq();
+        self.pc.add_node(node(m));
+        self.fold_eq_flips();
+    }
+
+    fn members(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.pc.members().iter_present().map(u32::from));
+    }
+
+    fn begin_step(&mut self) {
+        self.pc.eq_s_into(&mut self.gains.eq_s);
+    }
+
+    /// The loss of removing `out` is one popcount of
+    /// `row(out) ∩ {hits = s}`; removing it shifts a candidate's gain
+    /// only on objects the two rows share, so one sparse walk of
+    /// `row(out) ∩ {hits = s}` and `row(out) ∩ {hits = s − 1}` collects
+    /// the exact correction of every candidate at once. The candidate
+    /// scan is an inlined complement-bitmap walk (`out` is still a
+    /// member, so the walk skips it), so its inner loop is loads, adds
+    /// and compares only.
+    fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)> {
+        let (pc, t) = (&*self.pc, &mut *self.gains);
+        let out = node(out);
+        let base = (pc.failed() - pc.and_popcount_row(out, &t.eq_s)) as i64;
+        // Objects at s hits drop to s − 1 (candidates hosting them gain
+        // on them), objects at s − 1 drop to s − 2 (they stop gaining).
+        let words = pc.row_words(out).iter().zip(&t.eq_s).zip(pc.eq_sm1_words());
+        for (w, ((&row, &eq_s), &eq_sm1)) in words.enumerate() {
+            for (mut bits, d) in [(row & eq_s, 1), (row & eq_sm1, -1)] {
+                while bits != 0 {
+                    let obj = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    bump(&mut t.delta, pc.hosts_of(obj), d);
+                }
+            }
+        }
+        let (member_words, limit) = pc.member_words();
+        let mut best_value = floor as i64;
+        let mut best = None;
+        let last_w = member_words.len().wrapping_sub(1);
+        for (wi, &mw) in member_words.iter().enumerate() {
+            let mut bits = !mw;
+            if wi == last_w {
+                bits &= limit;
+            }
+            while bits != 0 {
+                let inn = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (Some(&g), Some(&d)) = (t.gains.get(inn), t.delta.get(inn)) else {
+                    continue;
+                };
+                let value = base + g + d;
+                if value > best_value {
+                    best_value = value;
+                    best = Some((inn as u32, value as u64));
+                }
+            }
+        }
+        t.delta.fill(0);
+        best
+    }
+
+    fn swap(&mut self, out: u32, inn: u32) {
+        self.snapshot_eq();
+        self.pc.remove_node(node(out));
+        self.pc.add_node(node(inn));
+        self.fold_eq_flips();
+    }
 }
 
 /// Greedy adversary: repeatedly fails the node that kills the most
@@ -86,102 +322,20 @@ pub fn greedy_worst_with(
     k: u16,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let (pc, cs, _) = scratch.bind_packed(placement, s);
-    greedy_into(pc, cs, k)
+    let model = NodeModel::new(placement, s);
+    model.worst(greedy_moves(&model, k, scratch))
 }
 
-/// Runs the greedy ascent into `pc` (must be bound and empty); leaves
-/// `pc` holding the chosen node set and `cs` holding a live gain table
-/// so callers can keep climbing from it. Loads come straight from the
-/// kernel's CSR offsets — no per-call `placement.loads()` allocation —
-/// and candidate scans walk the non-member bitmap instead of testing
-/// `contains` per node.
-pub(crate) fn greedy_into(pc: &mut PackedCounts, cs: &mut ClimbScratch, k: u16) -> WorstCase {
-    let n = pc.num_nodes();
-    reset_gains(pc, cs);
-    for _ in 0..k.min(n) {
-        let mut best_node = None;
-        let mut best_key = (0u64, 0u32);
-        for nd in pc.iter_absent() {
-            let key = (cs.gains[usize::from(nd)] as u64, pc.load(nd));
-            if best_node.is_none() || key > best_key {
-                best_key = key;
-                best_node = Some(nd);
-            }
-        }
-        add_tracked(pc, cs, best_node.expect("k ≤ n leaves a choice"));
-    }
-    WorstCase {
-        failed: pc.failed(),
-        nodes: pc.nodes(),
+/// The greedy rung over `model`'s moves on a fresh binding of
+/// `scratch`.
+pub(crate) fn greedy_moves<M: Model>(model: &M, k: u16, scratch: &mut AdversaryScratch) -> Verdict {
+    let (mut ms, cs, _) = model.bind(scratch, true);
+    greedy(&mut ms, k);
+    ms.members(&mut cs.members);
+    Verdict {
+        failed: ms.failed(),
+        ids: cs.members.clone(),
         exact: false,
-    }
-}
-
-/// (Re)initializes the gain table for an *empty* failed set: at `s = 1`
-/// every object sits one hit from failing, so a node's gain is its
-/// load; otherwise no object does, so all gains are zero. `O(n)` —
-/// no bitmap scan needed.
-fn reset_gains(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    debug_assert_eq!(pc.failed(), 0, "gain table reset requires an empty set");
-    let n = usize::from(pc.num_nodes());
-    cs.gains.clear();
-    if pc.threshold() == 1 {
-        cs.gains
-            .extend((0..n as u16).map(|nd| i64::from(pc.load(nd))));
-    } else {
-        cs.gains.resize(n, 0);
-    }
-    cs.delta.clear();
-    cs.delta.resize(n, 0);
-}
-
-/// Adds `nd` to the failed set while keeping the gain table live:
-/// snapshot the `hits = s − 1` mask, apply the kernel update, then fold
-/// the mask's flipped bits (all within `nd`'s row) into the gains of
-/// each flipped object's hosts.
-fn add_tracked(pc: &mut PackedCounts, cs: &mut ClimbScratch, nd: u16) {
-    snapshot_eq(pc, cs);
-    pc.add_node(nd);
-    fold_eq_flips(pc, cs);
-}
-
-/// Copies the current `hits = s − 1` mask into the scratch snapshot.
-fn snapshot_eq(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    cs.eq_prev.clear();
-    cs.eq_prev.extend_from_slice(pc.eq_sm1_words());
-}
-
-/// Folds the XOR between the snapshot and the live `hits = s − 1` mask
-/// into the gain table: each flipped object adjusts the gain of its `r`
-/// hosts by ±1. After any single add/remove/swap the diff is confined
-/// to the touched nodes' rows, so this is a handful of popcount-sparse
-/// words.
-fn fold_eq_flips(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    let eq_now = pc.eq_sm1_words();
-    for (w, (&prev, &now)) in cs.eq_prev.iter().zip(eq_now).enumerate() {
-        let mut diff = prev ^ now;
-        while diff != 0 {
-            let bit = diff.trailing_zeros() as usize;
-            diff &= diff - 1;
-            let obj = w * 64 + bit;
-            let d: i64 = if now >> bit & 1 == 1 { 1 } else { -1 };
-            for &host in pc.hosts_of(obj) {
-                cs.gains[usize::from(host)] += d;
-            }
-        }
-    }
-}
-
-/// Debug-only invariant: `gains[nd] = |row(nd) ∩ {hits = s − 1}|`.
-#[cfg(debug_assertions)]
-fn assert_gains_live(pc: &PackedCounts, cs: &ClimbScratch) {
-    for nd in 0..pc.num_nodes() {
-        assert_eq!(
-            cs.gains[usize::from(nd)],
-            pc.and_popcount_row(nd, pc.eq_sm1_words()) as i64,
-            "gain table drifted at node {nd}"
-        );
     }
 }
 
@@ -227,128 +381,10 @@ pub fn local_search_worst_with(
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    crate::parallel::local_search(
-        placement,
-        s,
-        k,
-        config,
-        scratch,
-        &mut LadderTrace::default(),
-    )
-}
-
-/// Seeds a random `k`-set into an *empty* `pc` (a fresh gain table, a
-/// shuffled node permutation, the first `k` entries failed) — the
-/// random-restart primitive of the schedule in [`crate::parallel`].
-pub(crate) fn seed_random_set(
-    pc: &mut PackedCounts,
-    cs: &mut ClimbScratch,
-    k: u16,
-    rng: &mut StdRng,
-) {
-    reset_gains(pc, cs);
-    cs.perm.clear();
-    cs.perm.extend(0..pc.num_nodes());
-    cs.perm.shuffle(rng);
-    for i in 0..usize::from(k) {
-        let nd = cs.perm[i];
-        add_tracked(pc, cs, nd);
-    }
-}
-
-/// Applies best-improvement swaps until a local optimum (or step cap).
-///
-/// Instead of the reference implementation's full re-scan — remove each
-/// member, re-derive every candidate's gain with an `O(ℓ)` walk, add the
-/// member back, `O(k·n·ℓ)` per step — this works entirely off the
-/// incremental gain table maintained since the seed set was built
-/// (delta-updated after every applied swap from the two swapped nodes'
-/// rows via [`fold_eq_flips`]), plus per-`out` corrections:
-///
-/// * the loss of removing `out` is one popcount of
-///   `row(out) ∩ {hits = s}`;
-/// * removing `out` shifts a candidate `inn`'s gain only on objects the
-///   two rows share, so one sparse walk of `row(out) ∩ {hits = s}` and
-///   `row(out) ∩ {hits = s − 1}` accumulates the exact correction for
-///   every candidate at once.
-pub(crate) fn climb(pc: &mut PackedCounts, cs: &mut ClimbScratch, max_steps: u32, all: u64) {
-    #[cfg(debug_assertions)]
-    assert_gains_live(pc, cs);
-    for _ in 0..max_steps {
-        let current = pc.failed();
-        if current == all {
-            return;
-        }
-        pc.eq_s_into(&mut cs.eq_s);
-        pc.collect_nodes(&mut cs.members);
-        let mut best: Option<(u16, u16, u64)> = None; // (out, in, value)
-        for idx in 0..cs.members.len() {
-            let out = cs.members[idx];
-            // Objects at exactly s hits drop below threshold when `out`
-            // is removed iff `out` hosts them.
-            let loss = pc.and_popcount_row(out, &cs.eq_s);
-            let base = current - loss;
-            // Corrections: removing `out` lowers counts on row(out) by
-            // one, so candidates hosting an object there gain on it iff
-            // it sat at s hits (now s − 1) and stop gaining iff it sat
-            // at s − 1 (now s − 2).
-            let row = pc.row_words(out);
-            let eq_sm1 = pc.eq_sm1_words();
-            for w in 0..row.len() {
-                let mut plus = row[w] & cs.eq_s[w];
-                while plus != 0 {
-                    let obj = w * 64 + plus.trailing_zeros() as usize;
-                    plus &= plus - 1;
-                    for &host in pc.hosts_of(obj) {
-                        cs.delta[usize::from(host)] += 1;
-                    }
-                }
-                let mut minus = row[w] & eq_sm1[w];
-                while minus != 0 {
-                    let obj = w * 64 + minus.trailing_zeros() as usize;
-                    minus &= minus - 1;
-                    for &host in pc.hosts_of(obj) {
-                        cs.delta[usize::from(host)] -= 1;
-                    }
-                }
-            }
-            // Candidate scan: inlined complement-bitmap walk so the
-            // inner loop is loads + adds + compares only.
-            let (member_words, limit) = pc.member_words();
-            let gains = cs.gains.as_slice();
-            let delta = cs.delta.as_slice();
-            let base_i = base as i64;
-            let current_i = current as i64;
-            let mut best_value = best.map_or(current_i, |(_, _, v)| v as i64);
-            let last_w = member_words.len().wrapping_sub(1);
-            for (wi, &mw) in member_words.iter().enumerate() {
-                let mut bits = !mw;
-                if wi == last_w {
-                    bits &= limit;
-                }
-                while bits != 0 {
-                    let inn = (wi << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let value = base_i + gains[inn] + delta[inn];
-                    if value > current_i && value > best_value {
-                        best_value = value;
-                        best = Some((out, inn as u16, value as u64));
-                    }
-                }
-            }
-            cs.delta.fill(0);
-        }
-        let Some((out, inn, value)) = best else {
-            return;
-        };
-        snapshot_eq(pc, cs);
-        pc.remove_node(out);
-        pc.add_node(inn);
-        debug_assert_eq!(pc.failed(), value, "delta-maintained swap value drifted");
-        fold_eq_flips(pc, cs);
-        #[cfg(debug_assertions)]
-        assert_gains_live(pc, cs);
-    }
+    let model = NodeModel::new(placement, s);
+    let verdict =
+        crate::parallel::local_search(&model, k, config, scratch, &mut LadderTrace::default());
+    model.worst(verdict)
 }
 
 #[cfg(test)]

@@ -252,9 +252,9 @@ fn main() -> ExitCode {
             topology: Some(topo.clone()),
             ..PlannerContext::default()
         };
-        // The node ladder fans out on WCP_THREADS (the domain ladder
-        // runs on one); results are bit-identical at any thread count
-        // (the CI determinism matrix diffs this CSV).
+        // Both ladders fan out on WCP_THREADS; results are
+        // bit-identical at any thread count (the CI determinism matrix
+        // diffs this CSV).
         let adv = AdversaryConfig {
             parallelism: Parallelism::from_env(),
             ..AdversaryConfig::default()
