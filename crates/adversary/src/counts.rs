@@ -264,10 +264,11 @@ pub(crate) const REBIND_BUFFERS: u32 = 3;
 ///   array plus one flat array holding, for every (node, hosted object)
 ///   entry, the object's *other* `r − 1` hosts (`u16`; the same 12 B
 ///   per object as a `u32` object id at `r = 3`). A node's row is one
-///   contiguous slice that the exact DFS streams to shift its path
-///   tables (the object ids themselves are never needed), filled on the
-///   DFS's first use after a rebind since no other caller reads it;
-///   per-node loads fall out of the offsets for free;
+///   contiguous slice that the node move set's exact DFS streams to
+///   shift its path tables (the object ids themselves are never
+///   needed); no other caller reads it, so it is filled on that DFS's
+///   first use after a rebind, in one fixed-width pass over the
+///   placement's rows. Per-node loads fall out of the offsets for free;
 /// * the forward map (object → hosts) is not copied: the kernel holds
 ///   an O(1) clone of the bound [`Placement`] and reads its rows;
 /// * every node additionally carries a **dense object bitmap**
@@ -439,8 +440,8 @@ impl PackedCounts {
     /// Fills the CSR co-hosts for the bound placement unless they are
     /// filled already (the exact DFS calls this before it searches;
     /// nothing else reads them). One pass over the placement's rows,
-    /// dispatched once on the co-hosts per entry so the common
-    /// replication factors fill with a constant row width.
+    /// dispatched once on `r` so the common replication factors fill
+    /// with a constant row width.
     pub(crate) fn ensure_cohosts(&mut self) {
         if self.cohosts_ready {
             return;
@@ -451,43 +452,41 @@ impl PackedCounts {
             self.csr_off.last().copied().unwrap_or(0) as usize * width,
             0,
         );
-        match width {
-            1 => self.fill_cohosts(1),
+        match self.r {
+            0 | 1 => {} // no co-hosts
             2 => self.fill_cohosts(2),
             3 => self.fill_cohosts(3),
-            width => self.fill_cohosts(width),
+            4 => self.fill_cohosts(4),
+            r => self.fill_cohosts(usize::from(r)),
         }
         self.cohosts_ready = true;
     }
 
-    /// [`PackedCounts::ensure_cohosts`] at `width = r − 1`: each
+    /// [`PackedCounts::ensure_cohosts`] for rows of `r ≥ 2` hosts: each
     /// entry's slots get the object's row without the entry's node,
     /// `csr_off[nd]` doubling as the cursor (rows come out in ascending
     /// object order because objects are visited in order) and shifted
     /// back to row starts afterwards. Always inlined, so each constant
-    /// `width` of the dispatch gets its own unrolled copy.
+    /// `r` of the dispatch gets its own unrolled copy.
     #[inline(always)]
-    fn fill_cohosts(&mut self, width: usize) {
+    fn fill_cohosts(&mut self, r: usize) {
         let Some(placement) = self.placement.as_ref() else {
             return;
         };
-        for hosts in placement.rows() {
-            // `0..=width` rather than the row's own length, so that a
-            // constant width unrolls into constant host indices.
-            for i in 0..=width {
-                let Some(cursor) = hosts
-                    .get(i)
-                    .and_then(|&nd| self.csr_off.get_mut(usize::from(nd)))
-                else {
+        let width = r - 1;
+        for row in placement.rows() {
+            let Some(hosts) = row.get(..r) else { continue };
+            for (i, &nd) in hosts.iter().enumerate() {
+                let Some(cursor) = self.csr_off.get_mut(usize::from(nd)) else {
                     continue;
                 };
                 let at = *cursor as usize * width;
                 *cursor += 1;
-                let slots = self.csr_cohosts.get_mut(at..at + width).unwrap_or(&mut []);
-                // Slot j holds host j, or j + 1 from the node's position
-                // on: the row without the node.
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = hosts.get(j + usize::from(j >= i)).copied().unwrap_or(0);
+                if let Some(slots) = self.csr_cohosts.get_mut(at..at + width) {
+                    let others = hosts.iter().enumerate().filter(|&(j, _)| j != i);
+                    for (slot, (_, &c)) in slots.iter_mut().zip(others) {
+                        *slot = c;
+                    }
                 }
             }
         }
@@ -613,6 +612,13 @@ impl PackedCounts {
         self.row_words(node)
             .get(obj / WORD_BITS)
             .is_some_and(|&w| w >> (obj % WORD_BITS) & 1 == 1)
+    }
+
+    /// The bound placement's rows, in object order.
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u16> {
+        self.placement
+            .as_ref()
+            .map_or_else(|| [].chunks_exact(1), Placement::rows)
     }
 
     /// The nodes hosting `obj`: its row of the bound placement.

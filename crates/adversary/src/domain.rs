@@ -245,16 +245,16 @@ impl Moves for UnitMoves<'_> {
         self.idx.units.len()
     }
 
-    fn failed(&self) -> u64 {
-        self.pc.failed()
-    }
-
     fn weight(&self, m: u32) -> u64 {
         self.idx.weights.get(m as usize).copied().unwrap_or(0)
     }
 }
 
 impl Climb for UnitMoves<'_> {
+    fn failed(&self) -> u64 {
+        self.pc.failed()
+    }
+
     fn contains(&self, m: u32) -> bool {
         self.cov.chosen.get(m as usize).copied().unwrap_or(false)
     }
@@ -318,6 +318,10 @@ impl Climb for UnitMoves<'_> {
 
 impl Branch for UnitMoves<'_> {
     fn prepare(&mut self, _k: u16) {}
+
+    fn failed(&self) -> u64 {
+        self.pc.failed()
+    }
 
     fn failable(&self, remaining: u16) -> u64 {
         self.pc.failable_within(self.idx.hits(remaining))

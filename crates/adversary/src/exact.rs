@@ -1,19 +1,22 @@
 //! Exact worst-case search: branch-and-bound DFS over move subsets,
-//! written once for every budget model ([`Branch`]) and running on the
-//! word-parallel kernel.
+//! written once for every budget model ([`Branch`]).
 //!
 //! Upgrades over the scalar reference DFS
 //! ([`crate::reference::exact_worst`]):
 //!
-//! * the failed count and the histogram bound run on [`PackedCounts`]
-//!   (an add/remove is one ripple-carry pass of `O((b/64)·log r)` word
-//!   operations); the node move set additionally reads every
-//!   per-candidate number a frame needs — the candidate's gain, its hit
-//!   supply, what it exposes to a partner — from **hit-level counts kept
-//!   along the DFS path** ([`PathTables`]): each add/remove shifts them
-//!   in `O(load·r)` by streaming the node's CSR co-host row, so a frame
-//!   costs `O(1)` per candidate instead of a `b/64`-word masked
-//!   popcount;
+//! * the node move set keeps the search's whole failure accounting in
+//!   **hit-level counts kept along the DFS path** ([`PathTables`]): its
+//!   failed set, a histogram of objects by hit count (the failed count
+//!   and the histogram bound), and per node the counts every
+//!   per-candidate number a frame needs comes from — the candidate's
+//!   gain, its hit supply, what it exposes to a partner. Each add/remove
+//!   shifts them in `O(load·r)` by streaming the node's CSR co-host row,
+//!   and a remove that empties the set resets them (the pair matrix from
+//!   a kept copy) instead when that writes fewer words, so a frame costs
+//!   `O(1)` per candidate and the bit-sliced kernel is never touched. The unit move set runs the
+//!   failed count and the histogram bound on [`PackedCounts`] (an
+//!   add/remove is one ripple-carry pass of `O((b/64)·log r)` word
+//!   operations);
 //! * alongside the histogram bound, shallow depths apply a **hit-supply
 //!   bound**: every newly failed object needs at least one more replica
 //!   hit, and the `m` remaining moves can supply at most the sum of the
@@ -32,6 +35,7 @@
 //! unit move set evaluates every bound at `m · c_max` hits; with
 //! `c_max = 1` that is the node bound.
 
+use crate::bitmap::NodeSet;
 use crate::counts::PackedCounts;
 use crate::ladder::{node, Model, Moves, NodeModel, NodeMoves, Verdict};
 use crate::pool::SharedBound;
@@ -50,6 +54,8 @@ const SORT_DEPTH: u16 = 2;
 pub(crate) trait Branch: Moves {
     /// Readies the move set for a `k`-move search.
     fn prepare(&mut self, k: u16);
+    /// Objects the current set fails.
+    fn failed(&self) -> u64;
     /// Admissible cap on the objects `remaining` more moves can add.
     fn failable(&self, remaining: u16) -> u64;
     /// Objects `m` fails if it joins the set.
@@ -98,16 +104,21 @@ pub(crate) struct DfsScratch {
     pub(crate) expansions: u64,
 }
 
-/// The node fast path: every per-candidate number comes off the path
-/// tables in `O(1)`, and the pair level never touches the kernel.
+/// The node fast path: the DFS's failed set and every number a frame
+/// reads live in the path tables; the kernel stays cleared.
 impl Branch for NodeMoves<'_> {
     fn prepare(&mut self, k: u16) {
         self.path.ensure(self.pc, k >= 2);
     }
 
     #[inline]
+    fn failed(&self) -> u64 {
+        self.path.failed()
+    }
+
+    #[inline]
     fn failable(&self, remaining: u16) -> u64 {
-        self.pc.failable_within(remaining)
+        self.path.failable(remaining)
     }
 
     #[inline]
@@ -124,25 +135,23 @@ impl Branch for NodeMoves<'_> {
     }
 
     fn push(&mut self, m: u32) {
-        self.path.shift(self.pc, node(m), 1);
-        self.pc.add_node(node(m));
+        self.path.push(self.pc, node(m));
     }
 
     fn pop(&mut self, m: u32) {
-        self.pc.remove_node(node(m));
-        self.path.shift(self.pc, node(m), -1);
+        self.path.pop(self.pc, node(m));
     }
 
     /// The child's eq-ceiling without adding `x`: `x`'s gain leaves the
     /// `hits = s − 1` set and its level `s − 2` joins it.
     #[inline]
     fn enter_pair(&mut self, x: u32) -> (u64, u64) {
-        let gx = self.path.gain(node(x));
-        let failed_x = self.pc.failed() + gx;
-        let eq_count = self.pc.failable_within(1);
+        let path = &*self.path;
+        let gx = path.gain(node(x));
+        let failed_x = path.failed() + gx;
         (
             failed_x,
-            failed_x + (eq_count - gx + self.path.exposure(node(x))),
+            failed_x + (path.failable(1) - gx + path.exposure(node(x))),
         )
     }
 
@@ -160,7 +169,7 @@ impl Branch for NodeMoves<'_> {
 
     fn witness(&self, extra: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.pc.members().iter_present().map(u32::from));
+        out.extend(self.path.members.iter_present().map(u32::from));
         out.extend_from_slice(extra);
         out.sort_unstable();
     }
@@ -178,9 +187,14 @@ impl Branch for NodeMoves<'_> {
     }
 }
 
-/// Per-node counts kept along the DFS path, so that a frame reads every
-/// per-candidate number in `O(1)`:
+/// The node DFS's own failure accounting, kept along the DFS path so
+/// that a frame reads every number in `O(1)`:
 ///
+/// * `members`, the failed set, and `hist[h]`, the objects at `h` hits
+///   (`h = 0..=r`): the failed count is the histogram's tail from `s`
+///   and the objects failable within `m` more failures its levels
+///   `s − m ..= s − 1`, clamped to `0..=r` like the kernel's
+///   comparators;
 /// * `levels[nd·(r+1) + h] = |row(nd) ∩ {hits = h}|` — a candidate's
 ///   gain is its level `s − 1`, its hit supply within `m` more failures
 ///   the sum of levels `s − m ..= s − 1`, and what it exposes to a pair
@@ -190,17 +204,26 @@ impl Branch for NodeMoves<'_> {
 ///   hosted by both — exactly the difference between `gain({x, y})` and
 ///   `gain(x) + gain(y)`.
 ///
-/// Both start at the empty failed set (every object at level 0), are
-/// cached per binding under one key, and are shifted by every add and
-/// remove of the search ([`PathTables::shift`]). A shift leaves the
-/// shifted node's own row and pairs alone, and it updates failed
-/// co-hosts' rows off by one level; neither is read while that node is
-/// failed, and because the DFS removes nodes in reverse order of adding
-/// them, the balanced shifts restore every entry exactly.
+/// All of it starts at the empty failed set (every object at level 0),
+/// is cached per binding under one key, and is shifted by every add and
+/// remove of the search ([`PathTables::push`], [`PathTables::pop`]). A
+/// shift leaves the shifted node's own row and pairs alone, and it
+/// updates failed co-hosts' rows off by one level; neither is read
+/// while that node is failed, and because the DFS removes nodes in
+/// reverse order of adding them, the balanced shifts restore every
+/// entry exactly. A pop that empties the set instead resets the tables,
+/// the pair matrix from the copy `ensure` keeps, whenever that writes
+/// fewer words than the reverse shift would update.
 #[derive(Debug, Default)]
 pub(crate) struct PathTables {
     levels: Vec<u32>,
     pair: Vec<i32>,
+    hist: Vec<u64>,
+    members: NodeSet,
+    /// Nodes in `members`.
+    depth: usize,
+    /// `pair` at the empty failed set.
+    empty_pair: Vec<i32>,
     /// Levels per node (`r + 1`).
     stride: usize,
     /// Nodes `n` (the pair matrix's row length).
@@ -224,20 +247,17 @@ impl PathTables {
     /// the pair matrix and has `pc` fill the co-host rows the shifts
     /// stream (only searches with `k ≥ 2` read the matrix or shift).
     /// Must be called with an empty failed set.
-    fn ensure(&mut self, pc: &mut PackedCounts, pairs: bool) {
+    pub(crate) fn ensure(&mut self, pc: &mut PackedCounts, pairs: bool) {
         let key = (pc.num_nodes(), pc.num_objects(), pc.threshold());
         if self.key != Some(key) {
             self.n = usize::from(pc.num_nodes());
             self.stride = usize::from(pc.replicas_per_object()) + 1;
             self.s = usize::from(pc.threshold());
-            self.levels.clear();
-            self.levels.resize(self.n * self.stride, 0);
-            for (nd, row) in (0..pc.num_nodes()).zip(self.levels.chunks_exact_mut(self.stride)) {
-                if let Some(level0) = row.first_mut() {
-                    *level0 = pc.load(nd);
-                }
-            }
+            self.reset_levels(pc);
+            self.members.reset(self.n);
+            self.depth = 0;
             self.pair.clear();
+            self.empty_pair.clear();
             self.key = Some(key);
         }
         if pairs {
@@ -246,21 +266,68 @@ impl PathTables {
         if pairs && self.pair.is_empty() {
             self.pair.resize(self.n * self.n, 0);
             let w0 = pair_weight(0, self.s);
-            if w0 != 0 {
-                for obj in 0..pc.num_objects() {
-                    // Rows are ascending: `a < b` is the canonical order.
-                    let hosts = pc.hosts_of(obj);
-                    for (i, &a) in hosts.iter().enumerate() {
-                        let row = usize::from(a) * self.n;
-                        for &b in hosts.get(i + 1..).unwrap_or(&[]) {
-                            if let Some(slot) = self.pair.get_mut(row + usize::from(b)) {
-                                *slot += w0;
-                            }
-                        }
+            match self.stride - 1 {
+                2 => self.count_pairs(pc, w0, 2),
+                3 => self.count_pairs(pc, w0, 3),
+                4 => self.count_pairs(pc, w0, 4),
+                r => self.count_pairs(pc, w0, r),
+            }
+            self.empty_pair.clone_from(&self.pair);
+        }
+    }
+
+    /// Adds `w0` to the pair entry of every two hosts sharing an object:
+    /// one pass over the placement's rows of `r` hosts. Always inlined,
+    /// so each constant `r` of [`PathTables::ensure`] gets its own
+    /// unrolled copy.
+    #[inline(always)]
+    fn count_pairs(&mut self, pc: &PackedCounts, w0: i32, r: usize) {
+        if w0 == 0 {
+            return;
+        }
+        for row in pc.rows() {
+            // Rows are ascending: `a < b` is the canonical order.
+            let Some(hosts) = row.get(..r) else { continue };
+            for (i, &a) in hosts.iter().enumerate() {
+                let at = usize::from(a) * self.n;
+                for &b in hosts.get(i + 1..).unwrap_or(&[]) {
+                    if let Some(slot) = self.pair.get_mut(at + usize::from(b)) {
+                        *slot += w0;
                     }
                 }
             }
         }
+    }
+
+    /// Resets `levels` and `hist` to the empty failed set: every object
+    /// at level 0.
+    fn reset_levels(&mut self, pc: &PackedCounts) {
+        self.levels.clear();
+        self.levels.resize(self.n * self.stride, 0);
+        for (nd, row) in (0..pc.num_nodes()).zip(self.levels.chunks_exact_mut(self.stride)) {
+            if let Some(level0) = row.first_mut() {
+                *level0 = pc.load(nd);
+            }
+        }
+        self.hist.clear();
+        self.hist.resize(self.stride, 0);
+        if let Some(h0) = self.hist.first_mut() {
+            *h0 = pc.num_objects() as u64;
+        }
+    }
+
+    /// Objects the failed set fails.
+    fn failed(&self) -> u64 {
+        self.hist.get(self.s..).map_or(0, |t| t.iter().sum())
+    }
+
+    /// Objects failable within `m` more failures: levels
+    /// `s − m ..= s − 1`, clamped to `0..=r`.
+    fn failable(&self, m: u16) -> u64 {
+        let lo = self.s.saturating_sub(usize::from(m));
+        self.hist
+            .get(lo..self.s.min(self.stride))
+            .map_or(0, |t| t.iter().sum())
     }
 
     /// `|row(nd) ∩ {hits = h}|` for a node outside the failed set; `0`
@@ -302,11 +369,46 @@ impl PathTables {
             .unwrap_or(0)
     }
 
+    /// Adds `nd` to the failed set.
+    fn push(&mut self, pc: &PackedCounts, nd: u16) {
+        self.shift(pc, nd, 1);
+        self.members.insert(nd);
+        self.depth += 1;
+    }
+
+    /// Removes `nd`, the last node pushed. A pop that empties the set
+    /// resets the tables when that is cheaper: `n·(n + r + 1)` words
+    /// against the `load(nd)·((r − 1) + C(r − 1, 2)) = load(nd)·C(r, 2)`
+    /// level and pair updates of the reverse shift.
+    fn pop(&mut self, pc: &PackedCounts, nd: u16) {
+        self.members.remove(nd);
+        self.depth -= 1;
+        let r = self.stride - 1;
+        let stream = pc.load(nd) as usize * r * r.saturating_sub(1) / 2;
+        if self.depth == 0 && self.n * (self.n + self.stride) < stream {
+            self.reset_levels(pc);
+            self.pair.clone_from(&self.empty_pair);
+        } else {
+            self.shift(pc, nd, -1);
+        }
+    }
+
     /// Shifts the tables for `nd` joining (`dir = 1`) or having left
     /// (`dir = −1`) the failed set; both calls happen with `nd` outside
-    /// the set. Dispatches on the co-hosts per object (`r − 1`) so the
-    /// common replication factors stream with a constant row width.
+    /// the set. `nd`'s own row counts its objects by hit level, so the
+    /// histogram moves by that row; the rest dispatches on the co-hosts
+    /// per object (`r − 1`) so the common replication factors stream
+    /// with a constant row width.
     fn shift(&mut self, pc: &PackedCounts, nd: u16, dir: i32) {
+        let at = usize::from(nd) * self.stride;
+        let row = self.levels.get(at..at + self.stride).unwrap_or(&[]);
+        for (h, &moved) in row.iter().enumerate() {
+            let d = i64::from(dir) * i64::from(moved);
+            if let Some([from, to]) = self.hist.get_mut(h..h + 2) {
+                *from = from.wrapping_add_signed(-d);
+                *to = to.wrapping_add_signed(d);
+            }
+        }
         match self.stride.saturating_sub(2) {
             0 => {} // r = 1: objects have no co-hosts
             1 => self.shift_rows(pc, nd, dir, 1),
@@ -325,7 +427,7 @@ impl PathTables {
     /// of [`PathTables::shift`] gets its own unrolled copy.
     #[inline(always)]
     fn shift_rows(&mut self, pc: &PackedCounts, nd: u16, dir: i32, width: usize) {
-        let members = pc.members();
+        let members = &self.members;
         let (stride, n, s) = (self.stride, self.n, self.s);
         // Two's-complement ±1 for the unsigned level counts.
         let step = dir as u32;
@@ -756,8 +858,18 @@ impl<'a, B: Branch> Search<'a, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FailureCounts;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use wcp_combin::KSubsets;
     use wcp_core::{Placement, RandomStrategy, RandomVariant, SystemParams};
+
+    fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
+        let params = SystemParams::new(n, b, r, 1, 1).unwrap();
+        RandomStrategy::new(seed, RandomVariant::LoadBalanced)
+            .place(&params)
+            .unwrap()
+    }
 
     fn brute_force(p: &Placement, s: u16, k: u16) -> u64 {
         KSubsets::new(p.num_nodes(), k)
@@ -773,14 +885,119 @@ mod tests {
             let p = RandomStrategy::new(seed, RandomVariant::LoadBalanced)
                 .place(&params)
                 .unwrap();
-            for s in 1..=3u16 {
-                for k in s..=6u16 {
+            // s = 4 exceeds r: nothing can fail.
+            for s in 1..=4u16 {
+                for k in s.min(3)..=6u16 {
                     let wc = exact_worst(&p, s, k, u64::MAX, 0).unwrap();
                     assert_eq!(wc.failed, brute_force(&p, s, k), "seed={seed} s={s} k={k}");
                     assert_eq!(p.failed_objects(&wc.nodes, s), wc.failed, "witness");
                 }
             }
         }
+    }
+
+    /// Every path-table answer against the scalar oracle replaying the
+    /// same failed set (exposure and supply straight from the
+    /// placement's rows).
+    fn assert_path_matches(ms: &NodeMoves<'_>, fc: &mut FailureCounts, p: &Placement, ctx: &str) {
+        let path = &*ms.path;
+        let s = path.s as u16;
+        let members: Vec<u16> = path.members.iter_present().collect();
+        assert_eq!(members, fc.nodes(), "{ctx}: members");
+        assert_eq!(Branch::failed(ms), fc.failed(), "{ctx}: failed");
+        for m in 0..=6u16 {
+            assert_eq!(
+                path.failable(m),
+                fc.failable_within(m),
+                "{ctx}: failable({m})"
+            );
+        }
+        let outside: Vec<u16> = (0..p.num_nodes()).filter(|&nd| !fc.contains(nd)).collect();
+        for &x in &outside {
+            assert_eq!(path.gain(x), fc.gain(x), "{ctx}: gain({x})");
+            let hits: Vec<u16> = (fc.objects_on(x).iter())
+                .map(|&obj| {
+                    let row = p.replicas(obj as usize);
+                    row.iter().filter(|&&c| fc.contains(c)).count() as u16
+                })
+                .collect();
+            let at = |lo: u16| hits.iter().filter(|&&h| lo <= h && h < s).count() as u64;
+            let exposure = hits.iter().filter(|&&h| h + 2 == s).count() as u64;
+            assert_eq!(path.exposure(x), exposure, "{ctx}: exposure({x})");
+            for m in 1..=s {
+                assert_eq!(path.supply(x, m), at(s - m), "{ctx}: supply({x}, {m})");
+            }
+            fc.add_node(x);
+            for &y in outside.iter().filter(|&&y| y > x) {
+                let pair = fc.gain(y) as i64;
+                fc.remove_node(x);
+                let alone = fc.gain(y) as i64;
+                fc.add_node(x);
+                let got = i64::from(path.correction(x, y));
+                assert_eq!(got, pair - alone, "{ctx}: correction({x}, {y})");
+            }
+            fc.remove_node(x);
+        }
+    }
+
+    #[test]
+    fn path_tables_match_the_scalar_oracle_on_seeded_walks() {
+        // n = 8: b = 400 puts every root pop at r ≥ 2 on the copy side
+        // of `n·(n + r + 1)` against `load·C(r, 2)`, and b = 16 every
+        // root pop on the reverse-shift side.
+        let n = 8u16;
+        let mut pops = [0u32; 2];
+        for r in 1..=5u16 {
+            for b in [16u64, 400] {
+                let p = random_placement(n, b, r, u64::from(r) * 31 + b);
+                for s in 1..=r {
+                    let model = NodeModel::new(&p, s);
+                    let mut scratch = AdversaryScratch::new();
+                    let (mut ms, _, _) = model.bind(&mut scratch, true);
+                    ms.prepare(4);
+                    let mut fc = FailureCounts::new(&p, s);
+                    let mut rng = StdRng::seed_from_u64(u64::from(r * 10 + s) ^ b);
+                    let mut stack: Vec<u16> = Vec::new();
+                    for step in 0..40 {
+                        let grow = stack.is_empty() || (stack.len() < 5 && rng.gen_bool(0.6));
+                        let ctx = format!("r={r} s={s} b={b} step={step}");
+                        if grow {
+                            let free: Vec<u16> = (0..n).filter(|&nd| !fc.contains(nd)).collect();
+                            let nd = free[rng.gen_range(0..free.len())];
+                            ms.push(u32::from(nd));
+                            fc.add_node(nd);
+                            stack.push(nd);
+                        } else if let Some(nd) = stack.pop() {
+                            if stack.is_empty() {
+                                let (r, n) = (usize::from(r), usize::from(n));
+                                let stream = ms.pc.load(nd) as usize * r * (r - 1) / 2;
+                                let copy = n * (n + r + 1);
+                                pops[usize::from(copy < stream)] += 1;
+                            }
+                            ms.pop(u32::from(nd));
+                            fc.remove_node(nd);
+                        }
+                        assert_path_matches(&ms, &mut fc, &p, &ctx);
+                    }
+                    while let Some(nd) = stack.pop() {
+                        ms.pop(u32::from(nd));
+                        fc.remove_node(nd);
+                    }
+                    // Unwound, the tables equal a fresh binding's.
+                    let mut fresh = AdversaryScratch::new();
+                    let (mut clean, _, _) = model.bind(&mut fresh, true);
+                    clean.prepare(4);
+                    let (got, want) = (&*ms.path, &*clean.path);
+                    assert_eq!(got.levels, want.levels, "r={r} s={s} b={b}");
+                    assert_eq!(got.pair, want.pair, "r={r} s={s} b={b}");
+                    assert_eq!(got.hist, want.hist, "r={r} s={s} b={b}");
+                }
+            }
+        }
+        assert!(
+            pops.iter().all(|&count| count > 0),
+            "both root-pop paths ran: {pops:?}"
+        );
     }
 
     #[test]

@@ -249,12 +249,12 @@ pub(crate) trait Model: Sync {
     }
 }
 
-/// What every move set answers about its current failed set.
+/// What every move set answers about its moves. Its failed count
+/// belongs to the accounting that holds the set: [`Climb::failed`] for
+/// the heuristic rungs, [`Branch::failed`] for the exact DFS.
 pub(crate) trait Moves {
     /// Number of moves.
     fn len(&self) -> usize;
-    /// Objects the current set fails.
-    fn failed(&self) -> u64;
     /// A move's tie-break and static-order weight (its leaves' total
     /// load).
     fn weight(&self, m: u32) -> u64;
@@ -356,6 +356,7 @@ impl Model for NodeModel<'_> {
         } = scratch;
         let pc = kernel(packed, path, self.placement, self.s, rebind);
         gains.reset(pc);
+        path.ensure(pc, false);
         let moves = NodeMoves {
             pc,
             gains,
@@ -372,8 +373,9 @@ pub(crate) fn node(m: u32) -> u16 {
     m as u16
 }
 
-/// The node move set: the kernel, the gain table the heuristic rungs
-/// keep live, and the path tables the exact DFS shifts.
+/// The node move set: the kernel and the gain table the heuristic rungs
+/// keep live, and the path tables that hold the exact DFS's own failed
+/// set.
 pub(crate) struct NodeMoves<'a> {
     pub(crate) pc: &'a mut PackedCounts,
     pub(crate) gains: &'a mut GainTable,
@@ -385,10 +387,6 @@ pub(crate) struct NodeMoves<'a> {
 impl Moves for NodeMoves<'_> {
     fn len(&self) -> usize {
         usize::from(self.pc.num_nodes())
-    }
-
-    fn failed(&self) -> u64 {
-        self.pc.failed()
     }
 
     fn weight(&self, m: u32) -> u64 {

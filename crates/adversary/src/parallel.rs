@@ -103,7 +103,7 @@ fn restart<M: Model>(
     let greedy = if t == 0 {
         search::greedy(&mut ms, k);
         ms.members(&mut cs.members);
-        Some((ms.failed(), cs.members.clone()))
+        Some((Climb::failed(&ms), cs.members.clone()))
     } else {
         search::seed_random(&mut ms, &mut cs.perm, k, &mut restart_rng(config.seed, t));
         None
@@ -113,7 +113,7 @@ fn restart<M: Model>(
         search::climb(&mut ms, &mut cs.members, config.max_steps, all);
     }
     ms.members(&mut cs.members);
-    (greedy, ms.failed(), cs.members.clone())
+    (greedy, Climb::failed(&ms), cs.members.clone())
 }
 
 /// Multi-restart local search over `model`'s moves: restart 0 climbs
@@ -322,15 +322,24 @@ mod tests {
 
     #[test]
     fn exact_matches_serial_including_witness() {
-        for seed in 0..3u64 {
-            let p = random_placement(14, 60, 3, seed);
-            for (s, k) in [(1u16, 3u16), (2, 4), (2, 5), (3, 4)] {
-                let serial = exact_worst(&p, s, k, u64::MAX, 0).unwrap();
-                for threads in [1usize, 2, 3, 8] {
-                    let par =
-                        exact_worst_parallel(&p, s, k, u64::MAX, 0, Parallelism::new(threads))
+        // b = 2,000 on 12 nodes puts the root pops on the copy side of
+        // the path tables' restore rule; s = 4 exceeds r.
+        for (n, b, seeds, threads) in [
+            (14, 60, 0..3u64, &[1usize, 2, 3, 8][..]),
+            (12, 2_000, 0..2, &[1, 2, 8]),
+        ] {
+            for seed in seeds {
+                let p = random_placement(n, b, 3, seed);
+                for (s, k) in [(1u16, 3u16), (2, 4), (2, 5), (3, 4), (4, 3)] {
+                    let serial = exact_worst(&p, s, k, u64::MAX, 0).unwrap();
+                    for &t in threads {
+                        let par = exact_worst_parallel(&p, s, k, u64::MAX, 0, Parallelism::new(t))
                             .unwrap();
-                    assert_eq!(par, serial, "seed={seed} s={s} k={k} threads={threads}");
+                        assert_eq!(
+                            par, serial,
+                            "n={n} b={b} seed={seed} s={s} k={k} threads={t}"
+                        );
+                    }
                 }
             }
         }

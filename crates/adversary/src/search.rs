@@ -29,6 +29,8 @@ use wcp_core::Placement;
 
 /// What the heuristic rungs need from a move set.
 pub(crate) trait Climb: Moves {
+    /// Objects the current set fails.
+    fn failed(&self) -> u64;
     /// Whether `m` is in the set.
     fn contains(&self, m: u32) -> bool;
     /// Objects `m` fails if it joins the set.
@@ -209,6 +211,10 @@ fn bump(table: &mut [i64], hosts: &[u16], d: i64) {
 /// The node fast path: gains come off the delta-maintained table, and a
 /// swap is valued without touching the kernel.
 impl Climb for NodeMoves<'_> {
+    fn failed(&self) -> u64 {
+        self.pc.failed()
+    }
+
     fn contains(&self, m: u32) -> bool {
         self.pc.contains(node(m))
     }
@@ -333,7 +339,7 @@ pub(crate) fn greedy_moves<M: Model>(model: &M, k: u16, scratch: &mut AdversaryS
     greedy(&mut ms, k);
     ms.members(&mut cs.members);
     Verdict {
-        failed: ms.failed(),
+        failed: Climb::failed(&ms),
         ids: cs.members.clone(),
         exact: false,
     }

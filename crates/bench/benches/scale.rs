@@ -1,6 +1,8 @@
 //! Million-object regime throughput: the full auto adversary ladder
 //! (every rung on the packed kernel) on the n = 71-derived shape at
-//! b = 10⁵ and b = 10⁶, with peak RSS recorded per shape.
+//! b = 10⁵ and b = 10⁶, with peak RSS recorded per shape, plus the
+//! certified ladder at b = 10⁵ — what the certified scratch adversary
+//! runs twice per churn event on the write path.
 //!
 //! Besides the criterion measurement (b = 10⁵ only — a b = 10⁶ build
 //! dominates criterion's warmup budget), the run writes a
@@ -50,17 +52,20 @@ fn write_snapshot(s: u16, k: u16, config: &AdversaryConfig) {
         ("s", s.into()),
         ("k", k.into()),
     ]);
-    for (name, b, seconds_scale) in [
-        ("ladder_b100k", 100_000u64, false),
-        ("ladder_b1m", 1_000_000, true),
+    for (name, b, seconds_scale, certified) in [
+        ("ladder_b100k", 100_000u64, false, false),
+        ("certified_b100k", 100_000, false, true),
+        ("ladder_b1m", 1_000_000, true, false),
     ] {
         let placement = fixture_placement(71, b, 3);
         let one = || {
-            Ladder::new(config)
-                .scratch(&mut scratch)
-                .run(&placement, s, k)
-                .worst
-                .failed
+            let ladder = Ladder::new(config).scratch(&mut scratch);
+            let ladder = if certified {
+                ladder.certified()
+            } else {
+                ladder
+            };
+            ladder.run(&placement, s, k).worst.failed
         };
         let ns = if seconds_scale {
             median3_ns(one)

@@ -39,6 +39,22 @@ use wcp_sim::json::Value;
 /// Schema version written into every certificate.
 pub const CERTIFICATE_VERSION: u64 = 1;
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^i` for `i = 0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = [
+    1,
+    FNV_PRIME,
+    FNV_PRIME.wrapping_pow(2),
+    FNV_PRIME.wrapping_pow(3),
+    FNV_PRIME.wrapping_pow(4),
+    FNV_PRIME.wrapping_pow(5),
+    FNV_PRIME.wrapping_pow(6),
+    FNV_PRIME.wrapping_pow(7),
+    FNV_PRIME.wrapping_pow(8),
+];
+
 /// Streaming FNV-1a (64-bit) — the workspace's stable non-cryptographic
 /// hash, used for placement binding, decision traces and the
 /// certificate seal. Not collision-resistant against adversaries; the
@@ -63,13 +79,24 @@ impl Fnv {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
-    /// Folds one little-endian `u64` into the state.
+    /// Folds one little-endian `u64` into the state: the same value as
+    /// [`Fnv::write_bytes`] over its eight bytes. XOR with a zero byte
+    /// is the identity, so the zero bytes above the highest nonzero one
+    /// fold into a single multiply by a power of the prime, together
+    /// with that byte's own multiply.
     pub fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
+        let len = (8 - value.leading_zeros() as usize / 8).max(1);
+        let mut rest = value;
+        for _ in 1..len {
+            self.0 = (self.0 ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        let power = FNV_PRIME_POWERS.get(9 - len).copied().unwrap_or(FNV_PRIME);
+        self.0 = (self.0 ^ rest).wrapping_mul(power);
     }
 
     /// The current hash value.
@@ -536,6 +563,37 @@ mod tests {
             .replace("\"kind\": \"node\"", "\"kind\": \"ufo\"");
         let err = Certificate::from_json(&text).unwrap_err();
         assert!(err.contains("certificate kind"), "{err}");
+    }
+
+    #[test]
+    fn write_u64_matches_the_bytewise_fold() {
+        let bytewise = |value: u64| {
+            let mut h = Fnv::new();
+            h.write_bytes(&value.to_le_bytes());
+            h.finish()
+        };
+        let mut values = vec![0, 1, 255, 256, 65_535, 1 << 56, u64::MAX];
+        // Seeded values of every byte length (xorshift64, then a shift).
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..4_096u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(x >> (i % 64));
+        }
+        for value in values {
+            let mut h = Fnv::new();
+            h.write_u64(value);
+            assert_eq!(h.finish(), bytewise(value), "value {value:#x}");
+        }
+        // Chained writes fold the same way as one byte stream.
+        let mut chained = Fnv::new();
+        let mut stream = Fnv::new();
+        for value in [3u64, 0, 1 << 40, 70] {
+            chained.write_u64(value);
+            stream.write_bytes(&value.to_le_bytes());
+        }
+        assert_eq!(chained.finish(), stream.finish());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Golden decision record of the dynamic engine's write path.
 //!
-//! Four engines replay a seeded churn trace under the certified
+//! Engines replay a seeded churn trace under the certified
 //! `ScratchAdversary`, and after every event the test folds the whole
 //! `StepReport` (event, action, membership, movement, both
 //! availabilities, both exactness flags, the oracle's lower bound), the
@@ -16,7 +16,10 @@
 //!   `Random` at the sizes it cannot construct;
 //! * `DomainSpread` on a four-rack split with `threshold = -1`, so every
 //!   event adopts the oracle and the placement digests show how the
-//!   oracle was planned against the projected topology.
+//!   oracle was planned against the projected topology;
+//! * in release builds only, `Random` on the band walk at the end-to-end
+//!   benchmark's `b = 10⁵` over 75 slots for 20 events, the one record
+//!   whose exact searches restore the DFS's path tables by copy.
 
 use worst_case_placement::core::{placement_digest, Certificate, Fnv};
 use worst_case_placement::prelude::*;
@@ -29,6 +32,13 @@ const B: u64 = 3_000;
 
 /// Events per trace.
 const EVENTS: usize = 40;
+
+/// Objects of the release-only record at the end-to-end benchmark's
+/// scale.
+const BENCH_B: u64 = 100_000;
+
+/// Events of the release-only record.
+const BENCH_EVENTS: usize = 20;
 
 /// One event's decision record, folded.
 fn step_digest(step: &StepReport, placement: &Placement) -> u64 {
@@ -80,16 +90,16 @@ type Totals = (u64, u64, u64, u64);
 impl Recorded {
     /// Asserts the movement totals and every event's record against
     /// the golden pair, naming the first event that diverges.
-    fn check(&self, name: &str, (totals, golden): (Totals, [u64; EVENTS])) {
+    fn check<const N: usize>(&self, name: &str, (totals, golden): (Totals, [u64; N])) {
         let digests: Vec<u64> = self.steps.iter().map(|&(_, d)| d).collect();
         let m = &self.movement;
-        assert_eq!(m.events, EVENTS as u64, "{name}");
+        assert_eq!(m.events, N as u64, "{name}");
         assert_eq!(
             (m.repairs, m.replans, m.moved, m.replan_moved),
             totals,
             "{name}: movement totals"
         );
-        if let Some(i) = (0..EVENTS).find(|&i| digests.get(i) != golden.get(i)) {
+        if let Some(i) = (0..N).find(|&i| digests.get(i) != golden.get(i)) {
             let listed: Vec<String> = digests.iter().map(|d| format!("{d:#018x}")).collect();
             panic!(
                 "{name}: event {i} diverges from the golden record; this run recorded [{}]",
@@ -134,6 +144,21 @@ fn random_on_a_one_node_band_matches_the_golden_record() {
     .generate();
     let recorded = record(engine(71, B, random(), 72, 0.02), &trace);
     recorded.check("random band", BAND);
+}
+
+/// The band trace at the end-to-end benchmark's scale: `b = 10⁵` over
+/// 75 slots, where the exact DFS's root pops restore the path tables
+/// from their kept copy instead of shifting them back.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "b = 10⁵; run with --release")]
+fn random_on_a_one_node_band_at_bench_scale_matches_the_golden_record() {
+    let trace = ChurnSpec {
+        min_active: 70,
+        ..ChurnSpec::new("golden-band", 72, 71, BENCH_EVENTS)
+    }
+    .generate();
+    let recorded = record(engine(71, BENCH_B, random(), 75, 0.02), &trace);
+    recorded.check("random band at b = 10⁵", BENCH_BAND);
 }
 
 #[test]
@@ -212,6 +237,33 @@ const BAND: (Totals, [u64; EVENTS]) = (
         0xf6b2_e06a_40b0_8ef4,
         0xc477_94d0_7ec1_0a2d,
         0xf7ce_0655_29d7_46eb,
+    ],
+);
+
+/// `random band at b = 10⁵`: movement totals and the per-event records.
+const BENCH_BAND: (Totals, [u64; BENCH_EVENTS]) = (
+    (15, 5, 960_342, 4_035_110),
+    [
+        0x1f79_04c9_49d6_9e06,
+        0x85ea_b8a4_bd99_bd38,
+        0x4e94_0252_f664_47e2,
+        0xd873_9a66_2a13_f37b,
+        0x23e1_b08b_cf18_606c,
+        0x45d6_a976_764d_d4e0,
+        0x7c81_9b3a_42f3_fc89,
+        0xce20_2090_7e1e_bd46,
+        0x530b_c8f1_1342_53e8,
+        0xe5c0_a0d8_9f6d_26c7,
+        0x0144_6406_81c1_a792,
+        0x1c1b_ef98_d7cd_8152,
+        0x28e9_a1aa_8ae0_7428,
+        0x9500_4fc1_faf3_de07,
+        0x8e6a_6137_1a4b_4f10,
+        0x2549_cce7_d903_9288,
+        0x2653_19da_f6b6_4c26,
+        0x6cc3_7f6c_4eb3_cd7e,
+        0xd9ef_7a9e_1fa6_71fb,
+        0x34c7_3407_8e7d_2365,
     ],
 );
 
