@@ -534,8 +534,18 @@ mod tests {
     /// One certified run on a fresh scratch: the certificate digest, the
     /// exact rung's node expansions and whether it completed.
     fn decision_record(p: &Placement, s: u16, k: u16) -> (u64, u64, bool) {
+        decision_record_with(&AdversaryConfig::default(), p, s, k)
+    }
+
+    /// [`decision_record`] under `config`.
+    fn decision_record_with(
+        config: &AdversaryConfig,
+        p: &Placement,
+        s: u16,
+        k: u16,
+    ) -> (u64, u64, bool) {
         let mut scratch = AdversaryScratch::new();
-        let out = Ladder::new(&AdversaryConfig::default())
+        let out = Ladder::new(config)
             .scratch(&mut scratch)
             .certified()
             .run(p, s, k);
@@ -602,6 +612,39 @@ mod tests {
         assert_eq!(churn, (0xb0c1_e642_bcc5_16ce, 70_283, true));
         let million = decision_record(&random_placement(71, 1_000_000, 3, 10), 2, 3);
         assert_eq!(million, (0xacb6_5eff_dc89_fbf4, 59_639, true));
+    }
+
+    /// Shapes that pin many climbs: each certificate's local-search
+    /// trace hash folds every restart's outcome, so 32 restarts at
+    /// `r ∈ {4, 5}` record 32 climbs per run. The digest must also come
+    /// out of the fanned-out restarts at two workers.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "32 restarts at b ≥ 5,000; run with --release"
+    )]
+    fn climb_shapes_match_the_golden_record() {
+        let config = AdversaryConfig {
+            restarts: 32,
+            ..AdversaryConfig::default()
+        };
+        let two = AdversaryConfig {
+            parallelism: wcp_core::Parallelism::new(2),
+            ..config.clone()
+        };
+        let shapes: [(GoldenShape, (u64, u64)); 2] = [
+            ((30, 5_000, 4, 21, 2, 4), (0x3c6e_5383_9e71_3409, 31_464)),
+            ((22, 5_000, 5, 25, 4, 5), (0xc573_ae00_a322_e13e, 33_648)),
+        ];
+        for ((n, b, r, seed, s, k), want) in shapes {
+            let p = random_placement(n, b, r, seed);
+            let (digest, expansions, exact) = decision_record_with(&config, &p, s, k);
+            assert!(exact, "n={n} b={b} r={r} s={s} k={k}");
+            assert_eq!((digest, expansions), want, "n={n} b={b} r={r} s={s} k={k}");
+            let (split, _, exact) = decision_record_with(&two, &p, s, k);
+            assert!(exact, "two workers: n={n} b={b} r={r} s={s} k={k}");
+            assert_eq!(split, digest, "two workers: n={n} b={b} r={r} s={s} k={k}");
+        }
     }
 
     #[test]
