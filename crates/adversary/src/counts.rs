@@ -1,10 +1,8 @@
 //! Incremental failure accounting shared by all adversaries: the scalar
-//! reference backend ([`FailureCounts`]) and the word-parallel
-//! bit-packed kernel ([`PackedCounts`]) the production ladder runs on.
+//! reference backend ([`FailureCounts`]) and the hit-level tables
+//! ([`PackedCounts`]) every rung of the production ladder runs on.
 
-use crate::bitmap::{
-    and_popcount, eq_word, ge_word, tail_mask, words_for, NodeSet, BLOCK_WORDS, LANES, WORD_BITS,
-};
+use crate::bitmap::NodeSet;
 use wcp_core::Placement;
 
 /// Tracks, for a mutable set of failed nodes, how many replicas of each
@@ -228,73 +226,61 @@ impl FailureCounts {
     }
 }
 
-/// Objects streamed per chunk of the CSR/bitmap construction pass: at
-/// 32 K objects a chunk covers a 4 KiB window of every row bitmap, so
-/// the per-chunk working set (`n` row windows + the CSR cursors) stays
-/// cache-resident even at `b = 10⁶`, where the full row matrix alone
-/// is ~9 MB.
-pub(crate) const OBJ_CHUNK: usize = 1 << 15;
-
 /// Telemetry from the last [`PackedCounts::rebind`], exposed so tests
-/// can pin the streaming-build contract: the pass is chunked, and the
-/// build writes into a constant number of heap buffers — never a
-/// per-node vector-of-vectors.
+/// can pin the build contract: the build writes into a constant number
+/// of heap buffers — never a per-node vector-of-vectors.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BuildStats {
-    /// Cache-sized object chunks the streaming CSR pass ran.
-    pub chunks: u32,
-    /// Distinct heap buffers the build wrote (arena, CSR offsets,
-    /// membership words) — a constant independent of `n` and `b`. The
-    /// forward map is the bound placement's own table, and the CSR
-    /// co-hosts are filled on first use by the exact DFS.
+    /// Distinct heap buffers the build wrote (CSR offsets, co-hosts,
+    /// level rows, histogram, membership words) — a constant
+    /// independent of `n` and `b`. The forward map is the bound
+    /// placement's own table, and the pair matrix waits for the exact
+    /// DFS's first use.
     pub buffers: u32,
 }
 
 /// The number of heap buffers behind a [`PackedCounts`] build; see
 /// [`BuildStats::buffers`].
-pub(crate) const REBIND_BUFFERS: u32 = 3;
+pub(crate) const REBIND_BUFFERS: u32 = 5;
 
-/// The word-parallel failure-accounting kernel.
+/// The failure accounting every rung of the production ladder runs on:
+/// per node, how many of its objects sit at each hit level.
 ///
 /// Observationally identical to [`FailureCounts`] (the scalar backend
-/// stays as the differential-test oracle) but organised for streaming
-/// word operations instead of per-object scalar updates:
+/// stays as the differential-test oracle), but it never stores a hit
+/// count per object. It holds the paper's own quantities instead:
 ///
-/// * the inverted index is stored in **CSR form** — an `n + 1` offset
-///   array plus one flat array holding, for every (node, hosted object)
-///   entry, the object's *other* `r − 1` hosts (`u16`; the same 12 B
-///   per object as a `u32` object id at `r = 3`). A node's row is one
-///   contiguous slice that the node move set's exact DFS streams to
-///   shift its path tables (the object ids themselves are never
-///   needed); no other caller reads it, so it is filled on that DFS's
-///   first use after a rebind, in one fixed-width pass over the
-///   placement's rows. Per-node loads fall out of the offsets for free;
-/// * the forward map (object → hosts) is not copied: the kernel holds
-///   an O(1) clone of the bound [`Placement`] and reads its rows;
-/// * every node additionally carries a **dense object bitmap**
-///   (`⌈b/64⌉` words), and per-object hit counters are **bit-sliced**
-///   across `u64` planes (plane `j` holds bit `j` of every object's
-///   counter), so [`PackedCounts::add_node`] / `remove_node` are a
-///   ripple-carry add / borrow-subtract of the node bitmap across the
-///   planes — 64 objects per instruction;
-/// * the planes, both derived masks and all per-node row bitmaps live
-///   in **one arena allocation** (offset-sliced), and the update pass
-///   is **cache-blocked**: ripple-carry adds, XOR-diff folds and
-///   masked popcounts complete for one `BLOCK_WORDS` block of the
-///   bit-sliced planes before the pass moves to the next, so the
-///   million-object regime — where a single plane outgrows the LLC —
-///   still touches each block's streams exactly once per update;
-/// * the derived sets `hits ≥ s` (failed) and `hits = s − 1` (one hit
-///   from failing) are maintained as bitmaps on every update, so
-///   [`PackedCounts::failed`] is a counter read and
-///   [`PackedCounts::gain`] is an AND + popcount over the node's bitmap
-///   — `O(b/64)` instead of the scalar `O(ℓ)` with its random accesses.
+/// * the inverted index in **CSR form** — an `n + 1` offset array plus
+///   one flat array holding, for every (node, hosted object) entry, the
+///   object's *other* `r − 1` hosts (`u16`; at `r = 3` about 12 B per
+///   object). A node's *co-host row* is one contiguous slice, and an
+///   object's hit count is the number of its failed co-hosts plus one
+///   if the row's node is failed, so every update streams one row and
+///   never needs an object id. Per-node loads fall out of the offsets;
+/// * the failed set (a `NodeSet`), and `hist[h]`, the objects at `h`
+///   hits (`h = 0..=r`): the failed count is the histogram's tail from
+///   `s`, and the objects failable within `m` more failures are its
+///   levels `s − m ..= s − 1`, clamped to `0..=r`;
+/// * the **level rows** `levels[nd·(r+1) + h] = |row(nd) ∩ {hits = h}|`
+///   for every node outside the failed set — a node's gain is its level
+///   `s − 1`, its hit supply within `m` more failures the sum of its
+///   levels `s − m ..= s − 1`, and what it exposes to a pair partner
+///   its level `s − 2`;
+/// * for the exact DFS only, the **pair matrix** `pair[lo·n + hi]` for
+///   node pair `lo < hi`: `+1` per object at `hits = s − 2` hosted by
+///   both, `−1` per object at `hits = s − 1` hosted by both — exactly
+///   `gain({x, y}) − gain(x) − gain(y)`.
 ///
-/// The regimes the paper's figures live in get dedicated fast paths:
-/// at `s = 1` the failed set is simply the OR of the planes and at
-/// `s = 2` it is the OR of the planes above bit 0, with the matching
-/// one-term `hits = s − 1` masks; general `s` uses the magnitude
-/// comparator circuit.
+/// [`PackedCounts::add_node`] streams the node's co-host row once,
+/// moving each object's co-hosts one level up, and moves the histogram
+/// by the node's own row. [`PackedCounts::remove_node`] is valid in any
+/// order: a failed node's own row drifts while later adds shift it, so
+/// the remove rebuilds that row in the same pass that moves the
+/// co-hosts and the histogram down. Both cost `O(load·r)`; a remove
+/// that empties the set resets the tables instead when that writes
+/// fewer words. Only the exact DFS moves the pair matrix, and it
+/// removes nodes in reverse order of adding them, so the balanced
+/// shifts restore it exactly.
 ///
 /// # Examples
 ///
@@ -314,49 +300,40 @@ pub(crate) const REBIND_BUFFERS: u32 = 3;
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct PackedCounts {
-    s: u16,
-    r: u16,
+    /// The threshold `s`.
+    s: usize,
+    /// Levels per node (`r + 1`).
+    stride: usize,
     /// Objects.
     b: usize,
-    /// Words per object bitmap (`⌈b/64⌉`).
-    words: usize,
-    /// Plane count: bits needed to represent counts up to `r`.
-    p: usize,
-    /// The single arena allocation backing, in order: the `p` counter
-    /// planes (plane-major), the maintained `hits ≥ s` mask, the
-    /// maintained `hits = s − 1` mask, and the `n` per-node object
-    /// bitmaps (row-major).
-    arena: Vec<u64>,
-    /// Arena offset of the `hits ≥ s` mask (`p · words`).
-    ge_off: usize,
-    /// Arena offset of the `hits = s − 1` mask.
-    eq_off: usize,
-    /// Arena offset of the per-node rows.
-    rows_off: usize,
-    /// Popcount of `hits ≥ s`, maintained incrementally.
-    failed: u64,
-    /// Popcount of `hits = s − 1`, maintained incrementally (gives the
-    /// `failable_within(1)` histogram bound in O(1)).
-    eq_count: u64,
+    /// Nodes (the pair matrix's row length).
+    n: usize,
     /// CSR inverted index: offsets (`n + 1`, in objects) and, per
     /// entry, the object's other `r − 1` hosts in row order.
     csr_off: Vec<u32>,
     csr_cohosts: Vec<u16>,
-    /// Whether `csr_cohosts` describes the bound placement.
-    cohosts_ready: bool,
-    /// The bound placement (an O(1) clone sharing its rows): the
-    /// forward map the delta walks read.
+    /// The bound placement (an O(1) clone sharing its rows), read by
+    /// the pair-matrix build.
     placement: Option<Placement>,
-    /// Failed-node membership.
+    levels: Vec<u32>,
+    hist: Vec<u64>,
     members: NodeSet,
-    /// Valid-bit mask for the last word.
-    tail: u64,
+    /// Nodes in `members`.
+    depth: usize,
+    /// The pair matrix, empty until [`PackedCounts::ensure_pairs`].
+    pair: Vec<i32>,
+    /// `pair` at the empty failed set.
+    empty_pair: Vec<i32>,
     /// Telemetry from the last rebind.
     stats: BuildStats,
 }
 
 impl PackedCounts {
-    /// Builds the kernel for a placement at threshold `s`.
+    /// Builds the accounting for a placement at threshold `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s = 0`.
     #[must_use]
     pub fn new(placement: &Placement, s: u16) -> Self {
         let mut pc = Self::default();
@@ -364,30 +341,29 @@ impl PackedCounts {
         pc
     }
 
-    /// Rebinds to another placement/threshold, reusing every allocation
-    /// (CSR arrays, the arena). The packed analogue of
+    /// Rebinds to another placement/threshold at the empty failed set,
+    /// reusing every allocation. The packed analogue of
     /// [`FailureCounts::rebind`].
     ///
-    /// The build streams over the placement's flat rows: pass 1 only
-    /// counts objects per node (the CSR offsets), then pass 2 runs in
-    /// `OBJ_CHUNK`-sized object chunks, filling each chunk's row-bitmap
-    /// windows before moving on — no intermediate `Vec<Vec<u32>>` is
-    /// ever materialized, and every bitmap lands in the single arena.
-    /// The CSR co-hosts wait for the exact DFS's first use.
+    /// Two passes over the placement's flat rows: the first counts
+    /// objects per node (the CSR offsets), the second writes each
+    /// entry's co-hosts, dispatched once on `r` so the common
+    /// replication factors fill with a constant row width. No
+    /// intermediate `Vec<Vec<u32>>` is ever materialized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s = 0`: no accounting defines a failure at zero hits.
     pub fn rebind(&mut self, placement: &Placement, s: u16) {
+        assert!(s >= 1, "s must be ≥ 1");
         let n = usize::from(placement.num_nodes());
-        let b = placement.num_objects();
-        let r = placement.replicas_per_object();
-        self.s = s;
-        self.r = r;
-        self.b = b;
-        self.words = words_for(b);
-        self.p = usize::from(u16::BITS as u16 - r.leading_zeros() as u16);
-        self.tail = tail_mask(b);
-        self.ge_off = self.p * self.words;
-        self.eq_off = self.ge_off + self.words;
-        self.rows_off = self.eq_off + self.words;
-        // Pass 1: objects per node.
+        let r = usize::from(placement.replicas_per_object());
+        self.s = usize::from(s);
+        self.stride = r + 1;
+        self.b = placement.num_objects();
+        self.n = n;
+        self.placement = Some(placement.clone());
+        // Pass 1: objects per node, prefix-summed into row starts.
         self.csr_off.clear();
         self.csr_off.resize(n + 1, 0);
         for set in placement.rows() {
@@ -397,77 +373,37 @@ impl PackedCounts {
                 }
             }
         }
-        // Prefix sum: csr_off[i] = start offset of node i's row.
         let mut acc = 0u32;
         for slot in self.csr_off.iter_mut() {
             acc += *slot;
             *slot = acc;
         }
-        // Every slot now holds its row's start (csr_off[0] = 0).
-        self.cohosts_ready = false;
-        self.arena.clear();
-        self.arena.resize(self.rows_off + n * self.words, 0);
-        // Pass 2 (streaming): objects in cache-sized chunks straight off
-        // the placement's rows, ORing each chunk's bits into a 4 KiB
-        // window of every row bitmap before the next chunk starts, with
-        // the object's word/mask amortized over its `r` hosts.
-        let words = self.words;
-        let rows = self.arena.get_mut(self.rows_off..).unwrap_or(&mut []);
-        let mut chunks = 0u32;
-        for chunk_start in (0..b).step_by(OBJ_CHUNK) {
-            chunks += 1;
-            let chunk_end = (chunk_start + OBJ_CHUNK).min(b);
-            for obj in chunk_start..chunk_end {
-                let word = obj / WORD_BITS;
-                let mask = 1u64 << (obj % WORD_BITS);
-                for &nd in placement.row(obj).unwrap_or(&[]) {
-                    if let Some(w) = rows.get_mut(usize::from(nd) * words + word) {
-                        *w |= mask;
-                    }
-                }
-            }
-        }
-        self.stats = BuildStats {
-            chunks,
-            buffers: REBIND_BUFFERS,
-        };
-        self.placement = Some(placement.clone());
-        self.members.reset(n);
-        self.failed = 0;
-        self.reset_eq_sm1();
-    }
-
-    /// Fills the CSR co-hosts for the bound placement unless they are
-    /// filled already (the exact DFS calls this before it searches;
-    /// nothing else reads them). One pass over the placement's rows,
-    /// dispatched once on `r` so the common replication factors fill
-    /// with a constant row width.
-    pub(crate) fn ensure_cohosts(&mut self) {
-        if self.cohosts_ready {
-            return;
-        }
-        let width = usize::from(self.r.saturating_sub(1));
+        // Pass 2: the co-host rows.
         self.csr_cohosts.clear();
-        self.csr_cohosts.resize(
-            self.csr_off.last().copied().unwrap_or(0) as usize * width,
-            0,
-        );
-        match self.r {
+        self.csr_cohosts
+            .resize(acc as usize * r.saturating_sub(1), 0);
+        match r {
             0 | 1 => {} // no co-hosts
             2 => self.fill_cohosts(2),
             3 => self.fill_cohosts(3),
             4 => self.fill_cohosts(4),
-            r => self.fill_cohosts(usize::from(r)),
+            r => self.fill_cohosts(r),
         }
-        self.cohosts_ready = true;
+        self.members.reset(n);
+        self.reset();
+        self.pair.clear();
+        self.empty_pair.clear();
+        self.stats = BuildStats {
+            buffers: REBIND_BUFFERS,
+        };
     }
 
-    /// [`PackedCounts::ensure_cohosts`] for rows of `r ≥ 2` hosts: each
-    /// entry's slots get the object's row without the entry's node,
-    /// `csr_off[nd]` doubling as the cursor (rows come out in ascending
-    /// object order because objects are visited in order) and shifted
-    /// back to row starts afterwards. Always inlined, so each constant
-    /// `r` of the dispatch gets its own unrolled copy.
+    /// The co-host pass of [`PackedCounts::rebind`] for rows of
+    /// `r ≥ 2` hosts: each entry's slots get the object's row without
+    /// the entry's node, `csr_off[nd]` doubling as the cursor (rows come
+    /// out in ascending object order because objects are visited in
+    /// order) and shifted back to row starts afterwards. Always inlined,
+    /// so each constant `r` of the dispatch gets its own unrolled copy.
     #[inline(always)]
     fn fill_cohosts(&mut self, r: usize) {
         let Some(placement) = self.placement.as_ref() else {
@@ -497,61 +433,89 @@ impl PackedCounts {
         }
     }
 
-    /// Empties the failed set without touching the placement binding
-    /// (`O(b/64)`).
-    pub fn clear(&mut self) {
-        let rows_off = self.rows_off;
-        if let Some(front) = self.arena.get_mut(..rows_off) {
-            front.fill(0);
+    /// Resets the level rows and the histogram to the empty failed set
+    /// (every object at level 0) and empties the set; the pair matrix,
+    /// which only the exact DFS moves and restores, is left alone.
+    fn reset(&mut self) {
+        self.levels.clear();
+        self.levels.resize(self.n * self.stride, 0);
+        for (i, row) in self.levels.chunks_exact_mut(self.stride).enumerate() {
+            if let (Some(level0), Some(&[lo, hi])) = (row.first_mut(), self.csr_off.get(i..i + 2)) {
+                *level0 = hi - lo;
+            }
+        }
+        self.hist.clear();
+        self.hist.resize(self.stride, 0);
+        if let Some(h0) = self.hist.first_mut() {
+            *h0 = self.b as u64;
         }
         self.members.clear();
-        self.failed = 0;
-        self.reset_eq_sm1();
+        self.depth = 0;
     }
 
-    /// Initializes the `hits = s − 1` bitmap for all-zero counters.
-    fn reset_eq_sm1(&mut self) {
-        let all = self.b as u64;
-        let tail = self.tail;
-        let eq = self
-            .arena
-            .get_mut(self.eq_off..self.rows_off)
-            .unwrap_or(&mut []);
-        if self.s == 1 {
-            // Every object has 0 = s − 1 hits.
-            eq.fill(!0u64);
-            if let Some(last) = eq.last_mut() {
-                *last &= tail;
+    /// Builds the pair matrix of the empty failed set unless it is
+    /// built already for this binding (only searches with `k ≥ 2` read
+    /// it). Must be called with an empty failed set.
+    pub(crate) fn ensure_pairs(&mut self) {
+        debug_assert_eq!(self.depth, 0, "pair matrix built off the empty set");
+        if !self.pair.is_empty() {
+            return;
+        }
+        self.pair.resize(self.n * self.n, 0);
+        let w0 = pair_weight(0, self.s);
+        match self.stride - 1 {
+            2 => self.count_pairs(w0, 2),
+            3 => self.count_pairs(w0, 3),
+            4 => self.count_pairs(w0, 4),
+            r => self.count_pairs(w0, r),
+        }
+        self.empty_pair.clone_from(&self.pair);
+    }
+
+    /// Adds `w0` to the pair entry of every two hosts sharing an object:
+    /// one pass over the placement's rows of `r` hosts. Always inlined,
+    /// so each constant `r` of [`PackedCounts::ensure_pairs`] gets its
+    /// own unrolled copy.
+    #[inline(always)]
+    fn count_pairs(&mut self, w0: i32, r: usize) {
+        let Some(placement) = self.placement.as_ref() else {
+            return;
+        };
+        if w0 == 0 {
+            return;
+        }
+        for row in placement.rows() {
+            // Rows are ascending: `a < b` is the canonical order.
+            let Some(hosts) = row.get(..r) else { continue };
+            for (i, &a) in hosts.iter().enumerate() {
+                let at = usize::from(a) * self.n;
+                for &b in hosts.get(i + 1..).unwrap_or(&[]) {
+                    if let Some(slot) = self.pair.get_mut(at + usize::from(b)) {
+                        *slot += w0;
+                    }
+                }
             }
-            self.eq_count = all;
-        } else {
-            eq.fill(0);
-            self.eq_count = 0;
         }
     }
 
-    /// The counter planes (`p × words`, plane-major) within the arena.
-    #[inline]
-    fn planes(&self) -> &[u64] {
-        self.arena.get(..self.ge_off).unwrap_or(&[])
-    }
-
-    /// The maintained `hits ≥ s` mask within the arena.
-    #[inline]
-    fn ge_words(&self) -> &[u64] {
-        self.arena.get(self.ge_off..self.eq_off).unwrap_or(&[])
+    /// Empties the failed set without touching the placement binding
+    /// (`O(n·r)`; free when the set is empty already).
+    pub fn clear(&mut self) {
+        if self.depth > 0 {
+            self.reset();
+        }
     }
 
     /// Number of currently failed objects.
     #[must_use]
     pub fn failed(&self) -> u64 {
-        self.failed
+        self.hist.get(self.s..).map_or(0, |t| t.iter().sum())
     }
 
     /// The accounting threshold `s`.
     #[must_use]
     pub fn threshold(&self) -> u16 {
-        self.s
+        self.s as u16
     }
 
     /// Objects in the bound placement.
@@ -563,7 +527,7 @@ impl PackedCounts {
     /// Nodes in the bound placement.
     #[must_use]
     pub fn num_nodes(&self) -> u16 {
-        (self.csr_off.len().saturating_sub(1)) as u16
+        self.n as u16
     }
 
     /// Telemetry from the last rebind (see [`BuildStats`]).
@@ -590,115 +554,9 @@ impl PackedCounts {
     /// The node's CSR row of co-hosts: for every object with a replica
     /// on `node` (ascending object order), that object's other `r − 1`
     /// hosts in ascending node order — `load(node) · (r − 1)` ids in
-    /// one contiguous slice (empty at `r = 1`). Requires
-    /// [`PackedCounts::ensure_cohosts`] since the last rebind.
+    /// one contiguous slice (empty at `r = 1`).
     pub(crate) fn cohost_row(&self, node: u16) -> &[u16] {
-        debug_assert!(self.cohosts_ready, "co-hosts read before ensure_cohosts");
-        let stride = usize::from(self.r.saturating_sub(1));
-        let i = usize::from(node);
-        let lo = self.csr_off.get(i).copied().unwrap_or(0) as usize * stride;
-        let hi = self.csr_off.get(i + 1).copied().unwrap_or(0) as usize * stride;
-        self.csr_cohosts.get(lo..hi).unwrap_or(&[])
-    }
-
-    /// Replicas per object `r` of the bound placement.
-    pub(crate) fn replicas_per_object(&self) -> u16 {
-        self.r
-    }
-
-    /// Whether `obj` has a replica on `node` (bitmap probe, `O(1)`).
-    #[must_use]
-    pub fn node_hosts(&self, node: u16, obj: usize) -> bool {
-        self.row_words(node)
-            .get(obj / WORD_BITS)
-            .is_some_and(|&w| w >> (obj % WORD_BITS) & 1 == 1)
-    }
-
-    /// The bound placement's rows, in object order.
-    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u16> {
-        self.placement
-            .as_ref()
-            .map_or_else(|| [].chunks_exact(1), Placement::rows)
-    }
-
-    /// The nodes hosting `obj`: its row of the bound placement.
-    pub(crate) fn hosts_of(&self, obj: usize) -> &[u16] {
-        self.placement
-            .as_ref()
-            .and_then(|p| p.row(obj))
-            .unwrap_or(&[])
-    }
-
-    /// The node's object bitmap: one row slice of the arena.
-    pub(crate) fn row_words(&self, node: u16) -> &[u64] {
-        let start = self.rows_off + usize::from(node) * self.words;
-        self.arena.get(start..start + self.words).unwrap_or(&[])
-    }
-
-    /// Current hit count of one object, gathered from the bit planes.
-    #[must_use]
-    pub fn hit_count(&self, obj: usize) -> u16 {
-        let (w, sh) = (obj / WORD_BITS, obj % WORD_BITS);
-        let mut v = 0u16;
-        if self.words == 0 {
-            return 0;
-        }
-        for (j, plane) in self.planes().chunks_exact(self.words).enumerate() {
-            let bit = plane.get(w).map_or(0, |&x| x >> sh & 1);
-            v |= (bit as u16) << j;
-        }
-        v
-    }
-
-    /// The maintained `hits = s − 1` bitmap (the gain mask).
-    pub(crate) fn eq_sm1_words(&self) -> &[u64] {
-        self.arena.get(self.eq_off..self.rows_off).unwrap_or(&[])
-    }
-
-    /// Writes the `hits = s` bitmap (objects that unfail if one of
-    /// their failed hosts recovers) into `out`.
-    pub(crate) fn eq_s_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.words, 0);
-        if self.s > self.r {
-            return; // no object can reach s hits
-        }
-        let planes = self.planes();
-        for (w, slot) in out.iter_mut().enumerate() {
-            let mut eq = eq_word(planes, self.words, w, u64::from(self.s));
-            if w + 1 == self.words {
-                eq &= self.tail;
-            }
-            *slot = eq;
-        }
-    }
-
-    /// Writes the "failable within `m` more failures" mask — objects
-    /// with `s − m ≤ hits < s` — into `out`.
-    pub(crate) fn failable_mask_into(&self, m: u16, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.words, 0);
-        if m == 0 {
-            return;
-        }
-        let lo = self.s.saturating_sub(m);
-        let planes = self.planes();
-        for ((w, slot), &ge) in out.iter_mut().enumerate().zip(self.ge_words()) {
-            let reachable = if lo == 0 {
-                self.tail_masked(!0, w)
-            } else if lo > self.r {
-                0
-            } else {
-                ge_word(planes, self.words, w, u64::from(lo))
-            };
-            *slot = reachable & !ge;
-        }
-    }
-
-    /// Popcount of `row(node) ∩ mask` — the workhorse of gain and loss
-    /// queries (`O(b/64)`).
-    pub(crate) fn and_popcount_row(&self, node: u16, mask: &[u64]) -> u64 {
-        and_popcount(self.row_words(node), mask)
+        cohost_row(&self.csr_off, &self.csr_cohosts, self.stride, node)
     }
 
     /// Raw membership words plus the valid-bit mask of the last word,
@@ -707,179 +565,66 @@ impl PackedCounts {
         (self.members.words(), self.members.limit_mask())
     }
 
-    /// The failed-node set itself, for branch-free membership reads
-    /// ([`NodeSet::bit`]).
+    /// The failed-node set itself.
     pub(crate) fn members(&self) -> &NodeSet {
         &self.members
     }
 
-    /// Applies the tail mask when `w` is the last word.
-    fn tail_masked(&self, word: u64, w: usize) -> u64 {
-        if w + 1 == self.words {
-            word & self.tail
-        } else {
-            word
+    /// `|row(nd) ∩ {hits = h}|` for a node outside the failed set; `0`
+    /// for levels above `r`.
+    #[inline]
+    pub(crate) fn level(&self, nd: u16, h: usize) -> u64 {
+        if h >= self.stride {
+            return 0;
         }
+        self.levels
+            .get(usize::from(nd) * self.stride + h)
+            .map_or(0, |&c| u64::from(c))
     }
 
-    /// Marks `node` failed: a ripple-carry add of its object bitmap
-    /// into the counter planes, refreshing the derived masks block by
-    /// block.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the node is already failed.
-    pub fn add_node(&mut self, node: u16) {
-        debug_assert!(!self.members.contains(node), "node already failed");
-        self.members.insert(node);
-        self.apply_node::<false>(node);
-    }
-
-    /// Unmarks `node`: a ripple-borrow subtract of its object bitmap.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the node is not currently failed.
-    pub fn remove_node(&mut self, node: u16) {
-        debug_assert!(self.members.contains(node), "node not failed");
-        self.members.remove(node);
-        self.apply_node::<true>(node);
-    }
-
-    /// The shared add/remove kernel: ripple-carry add (`SUB = false`)
-    /// or borrow-subtract (`SUB = true`) of the node's object bitmap
-    /// into the counter planes, refreshing the derived `hits ≥ s` /
-    /// `hits = s − 1` masks and their maintained popcounts.
-    ///
-    /// Cache-blocked two-level loop: the outer level walks
-    /// [`BLOCK_WORDS`]-word blocks — completing the carry propagation,
-    /// mask derivation and popcount fold for one block of every
-    /// plane/mask stream before moving on, and skipping blocks whose
-    /// row window is all zero with a single streaming scan — while the
-    /// inner level runs [`LANES`]-word groups whose plane updates lower
-    /// to wide ops and whose popcount streams pipeline on independent
-    /// accumulators.
-    fn apply_node<const SUB: bool>(&mut self, node: u16) {
-        let words = self.words;
-        let s = self.s;
-        let r = self.r;
-        let tail = self.tail;
-        let (ge_off, eq_off, rows_off) = (self.ge_off, self.eq_off, self.rows_off);
-        let row_at = usize::from(node) * words;
-        let mut failed = self.failed;
-        let mut eq_count = self.eq_count;
-        // One arena backs everything: split it into the mutable
-        // planes-and-masks front and the read-only row region.
-        let (front, rows) = self.arena.split_at_mut(rows_off);
-        let row = rows.get(row_at..row_at + words).unwrap_or(&[]);
-        let (planes, masks) = front.split_at_mut(ge_off);
-        let (ge_s, eq_sm1) = masks.split_at_mut(eq_off - ge_off);
-        for block_start in (0..words).step_by(BLOCK_WORDS) {
-            let block_len = BLOCK_WORDS.min(words - block_start);
-            let row_block = row.get(block_start..block_start + block_len).unwrap_or(&[]);
-            // Whole-block sparsity skip: one sequential scan of the row
-            // block is far cheaper than touching `p + 2` plane/mask
-            // streams for a block the node hosts nothing in.
-            if row_block.iter().all(|&x| x == 0) {
-                continue;
-            }
-            let mut next = block_start;
-            for bw in row_block.chunks(LANES) {
-                let len = bw.len();
-                let start = next;
-                next += len;
-                if bw.iter().all(|&x| x == 0) {
-                    continue;
-                }
-                let mut carry = [0u64; LANES];
-                for (c, &x) in carry.iter_mut().zip(bw) {
-                    *c = x;
-                }
-                for plane in planes.chunks_exact_mut(words) {
-                    let block = plane.get_mut(start..start + len).unwrap_or(&mut []);
-                    for (t, c) in block.iter_mut().zip(carry.iter_mut()) {
-                        let old = *t;
-                        *t = old ^ *c;
-                        *c &= if SUB { !old } else { old };
-                    }
-                }
-                debug_assert!(
-                    carry.iter().all(|&c| c == 0),
-                    "hit counter escaped the 0..=r plane range"
-                );
-                let mut ge_block = [0u64; LANES];
-                let mut eq_block = [0u64; LANES];
-                derive_block(
-                    planes,
-                    words,
-                    s,
-                    r,
-                    start,
-                    len,
-                    &mut ge_block,
-                    &mut eq_block,
-                );
-                if start + len == words {
-                    if let (Some(ge), Some(eq)) =
-                        (ge_block.get_mut(len - 1), eq_block.get_mut(len - 1))
-                    {
-                        *ge &= tail;
-                        *eq &= tail;
-                    }
-                }
-                let ge_old = ge_s.get_mut(start..start + len).unwrap_or(&mut []);
-                let eq_old = eq_sm1.get_mut(start..start + len).unwrap_or(&mut []);
-                for (((go, eo), &gn), &en) in ge_old
-                    .iter_mut()
-                    .zip(eq_old.iter_mut())
-                    .zip(ge_block.iter())
-                    .zip(eq_block.iter())
-                {
-                    failed = failed + u64::from(gn.count_ones()) - u64::from(go.count_ones());
-                    eq_count = eq_count + u64::from(en.count_ones()) - u64::from(eo.count_ones());
-                    *go = gn;
-                    *eo = en;
-                }
-            }
-        }
-        self.failed = failed;
-        self.eq_count = eq_count;
-    }
-
-    /// Failed objects if `node` were added, without mutating: one AND +
-    /// popcount pass over the maintained `hits = s − 1` mask.
+    /// Failed objects if `node` were added, without mutating: its level
+    /// `s − 1`.
     #[must_use]
+    #[inline]
     pub fn gain(&self, node: u16) -> u64 {
         debug_assert!(!self.members.contains(node));
-        self.and_popcount_row(node, self.eq_sm1_words())
+        self.s.checked_sub(1).map_or(0, |h| self.level(node, h))
+    }
+
+    /// Objects `nd` would move into the gain set (level `s − 2`), the
+    /// most it can add to a pair partner's gain.
+    #[inline]
+    pub(crate) fn exposure(&self, nd: u16) -> u64 {
+        self.s.checked_sub(2).map_or(0, |h| self.level(nd, h))
+    }
+
+    /// `|row(nd) ∩ {s − m ≤ hits < s}|`: the hits `nd` can supply to
+    /// objects still failable within `m` more failures.
+    pub(crate) fn supply(&self, nd: u16, m: u16) -> u64 {
+        let lo = self.s.saturating_sub(usize::from(m));
+        (lo..self.s).map(|h| self.level(nd, h)).sum()
+    }
+
+    /// `gain({x, y}) − gain(x) − gain(y)` for two distinct nodes outside
+    /// the failed set (requires [`PackedCounts::ensure_pairs`]).
+    #[inline]
+    pub(crate) fn correction(&self, x: u16, y: u16) -> i32 {
+        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+        self.pair
+            .get(usize::from(lo) * self.n + usize::from(hi))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Admissible upper bound on the number of *additional* objects
     /// that could fail if `m` more nodes fail: objects needing at most
-    /// `m` more replica hits (a comparator sweep over the planes).
+    /// `m` more replica hits — histogram levels `s − m ..= s − 1`.
     #[must_use]
     pub fn failable_within(&self, m: u16) -> u64 {
-        if m == 0 {
-            return 0;
-        }
-        let lo = self.s.saturating_sub(m);
-        if lo == 0 {
-            return self.b as u64 - self.failed;
-        }
-        if m == 1 {
-            // hist[s − 1] is the maintained eq-count: O(1), the case
-            // the exact DFS hits on every pair and bottom frame.
-            return self.eq_count;
-        }
-        if lo > self.r {
-            return 0;
-        }
-        let planes = self.planes();
-        let mut reach = 0u64;
-        for w in 0..self.words {
-            reach += u64::from(ge_word(planes, self.words, w, u64::from(lo)).count_ones());
-        }
-        reach - self.failed
+        let lo = self.s.saturating_sub(usize::from(m));
+        self.hist
+            .get(lo..self.s.min(self.stride))
+            .map_or(0, |t| t.iter().sum())
     }
 
     /// The current failed-node set (sorted).
@@ -887,83 +632,303 @@ impl PackedCounts {
     pub fn nodes(&self) -> Vec<u16> {
         self.members.iter_present().collect()
     }
-}
 
-/// Derives the `(hits ≥ s, hits = s − 1)` masks for `len ≤ LANES` words
-/// starting at `start`, lane-parallel through the `s = 1` / `s = 2` fast
-/// paths and word-at-a-time through the general comparator circuit.
-/// Only the first `len` lanes of the outputs are meaningful, and tail
-/// masking of the final word is the caller's job.
-#[allow(clippy::too_many_arguments)]
-fn derive_block(
-    planes: &[u64],
-    words: usize,
-    s: u16,
-    r: u16,
-    start: usize,
-    len: usize,
-    ge_out: &mut [u64; LANES],
-    eq_out: &mut [u64; LANES],
-) {
-    match s {
-        1 => {
-            let mut any = [0u64; LANES];
-            for plane in planes.chunks_exact(words) {
-                let block = plane.get(start..start + len).unwrap_or(&[]);
-                for (a, &x) in any.iter_mut().zip(block) {
-                    *a |= x;
-                }
-            }
-            for ((ge, eq), &a) in ge_out.iter_mut().zip(eq_out.iter_mut()).zip(any.iter()) {
-                *ge = a;
-                *eq = !a;
-            }
-        }
-        2 => {
-            let mut chunks = planes.chunks_exact(words);
-            let x0 = chunks
-                .next()
-                .and_then(|plane| plane.get(start..start + len))
-                .unwrap_or(&[]);
-            let mut hi = [0u64; LANES];
-            for plane in chunks {
-                let block = plane.get(start..start + len).unwrap_or(&[]);
-                for (h, &x) in hi.iter_mut().zip(block) {
-                    *h |= x;
-                }
-            }
-            for (((ge, eq), &h), &x) in ge_out
-                .iter_mut()
-                .zip(eq_out.iter_mut())
-                .zip(hi.iter())
-                .zip(x0)
-            {
-                *ge = h;
-                *eq = x & !h;
+    /// Marks `node` failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the node is already failed.
+    pub fn add_node(&mut self, node: u16) {
+        self.push::<false>(node);
+    }
+
+    /// Unmarks `node`, whichever member it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the node is not currently failed.
+    pub fn remove_node(&mut self, node: u16) {
+        self.remove::<false>(node);
+    }
+
+    /// Adds `nd` to the failed set: the histogram moves by `nd`'s own
+    /// row (exact, since `nd` is outside the set), and one pass over its
+    /// co-host row moves every co-host one level up — and, with
+    /// `PAIRS`, every co-host pair's correction by the weight change.
+    pub(crate) fn push<const PAIRS: bool>(&mut self, nd: u16) {
+        debug_assert!(!self.members.contains(nd), "node already failed");
+        let at = usize::from(nd) * self.stride;
+        for h in 0..self.stride.saturating_sub(1) {
+            let moved = self.levels.get(at + h).map_or(0, |&c| u64::from(c));
+            if let Some([from, to]) = self.hist.get_mut(h..h + 2) {
+                *from -= moved;
+                *to += moved;
             }
         }
-        s => {
-            let sv = u64::from(s);
-            for (i, (ge, eq)) in ge_out
-                .iter_mut()
-                .zip(eq_out.iter_mut())
-                .take(len)
-                .enumerate()
-            {
-                let w = start + i;
-                *ge = if u64::from(r) < sv {
-                    0
-                } else {
-                    ge_word(planes, words, w, sv)
-                };
-                *eq = if u64::from(r) < sv - 1 {
-                    0
-                } else {
-                    eq_word(planes, words, w, sv - 1)
-                };
+        match self.stride.saturating_sub(2) {
+            0 => {} // r = 1: objects have no co-hosts
+            1 => self.shift_up::<PAIRS>(nd, 1),
+            2 => self.shift_up::<PAIRS>(nd, 2),
+            3 => self.shift_up::<PAIRS>(nd, 3),
+            width => self.shift_up::<PAIRS>(nd, width),
+        }
+        self.members.insert(nd);
+        self.depth += 1;
+    }
+
+    /// [`PackedCounts::push`]'s pass over co-host rows of
+    /// `width = r − 1`: an object's hit level is the number of its failed
+    /// co-hosts, each co-host's count moves from that level to the next,
+    /// and each co-host pair's correction moves by the weight difference
+    /// of the two levels — one branch-free pass. Co-host rows of failed
+    /// nodes drift (wrapping) and are rebuilt when those nodes leave.
+    /// Always inlined, so each constant `width` gets its own unrolled
+    /// copy.
+    #[inline(always)]
+    fn shift_up<const PAIRS: bool>(&mut self, nd: u16, width: usize) {
+        let Self {
+            stride,
+            n,
+            s,
+            csr_off,
+            csr_cohosts,
+            levels,
+            members,
+            pair,
+            ..
+        } = self;
+        let (stride, n, s) = (*stride, *n, *s);
+        for co in cohost_row(csr_off, csr_cohosts, stride, nd).chunks_exact(width) {
+            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            for &c in co {
+                let at = usize::from(c) * stride + h;
+                if let Some([from, to]) = levels.get_mut(at..at + 2) {
+                    *from = from.wrapping_sub(1);
+                    *to = to.wrapping_add(1);
+                }
+            }
+            if PAIRS {
+                shift_pairs(pair, n, co, pair_weight(h + 1, s) - pair_weight(h, s));
             }
         }
     }
+
+    /// Removes `nd` from the failed set, in any order. A remove that
+    /// empties the set resets the tables — the pair matrix from the copy
+    /// [`PackedCounts::ensure_pairs`] keeps — when that writes fewer
+    /// words than the pass would update: `n·(r + 1)` (plus `n²` with
+    /// `PAIRS`) against `load·(r − 1)` level updates (plus
+    /// `load·C(r − 1, 2)` pair updates).
+    pub(crate) fn remove<const PAIRS: bool>(&mut self, nd: u16) {
+        debug_assert!(self.members.contains(nd), "node not failed");
+        self.members.remove(nd);
+        self.depth -= 1;
+        let width = self.stride.saturating_sub(2);
+        let load = self.load(nd) as usize;
+        let (reset, pass) = if PAIRS {
+            let pairs = !self.pair.is_empty();
+            (
+                self.n * (self.stride + usize::from(pairs) * self.n),
+                load * (width + usize::from(pairs) * width * width.saturating_sub(1) / 2),
+            )
+        } else {
+            (self.n * self.stride, load * width)
+        };
+        if self.depth == 0 && reset < pass {
+            self.reset();
+            if PAIRS {
+                self.pair.clone_from(&self.empty_pair);
+            }
+            return;
+        }
+        match width {
+            // r = 1: every object on `nd` drops back to level 0.
+            0 => {
+                let at = usize::from(nd) * self.stride;
+                if let Some(row) = self.levels.get_mut(at..at + 2) {
+                    row.copy_from_slice(&[load as u32, 0]);
+                }
+            }
+            1 => self.shift_down::<PAIRS>(nd, 1),
+            2 => self.shift_down::<PAIRS>(nd, 2),
+            3 => self.shift_down::<PAIRS>(nd, 3),
+            width => self.shift_down::<PAIRS>(nd, width),
+        }
+        // The rebuilt row counts `nd`'s objects by their new level `h`;
+        // each had `h + 1` hits.
+        let at = usize::from(nd) * self.stride;
+        for h in 0..self.stride.saturating_sub(1) {
+            let moved = self.levels.get(at + h).map_or(0, |&c| u64::from(c));
+            if let Some([to, from]) = self.hist.get_mut(h..h + 2) {
+                *from -= moved;
+                *to += moved;
+            }
+        }
+    }
+
+    /// [`PackedCounts::remove`]'s pass over co-host rows of
+    /// `width = r − 1`, with `nd` already out of the set: each object
+    /// drops from `h + 1` hits to `h`, its failed co-host count, in
+    /// every co-host's row and (with `PAIRS`) in every co-host pair's
+    /// correction, and `nd`'s own row is rebuilt from the `h`s.
+    #[inline(always)]
+    fn shift_down<const PAIRS: bool>(&mut self, nd: u16, width: usize) {
+        let Self {
+            stride,
+            n,
+            s,
+            csr_off,
+            csr_cohosts,
+            levels,
+            members,
+            pair,
+            ..
+        } = self;
+        let (stride, n, s) = (*stride, *n, *s);
+        let own = usize::from(nd) * stride;
+        if let Some(row) = levels.get_mut(own..own + stride) {
+            row.fill(0);
+        }
+        for co in cohost_row(csr_off, csr_cohosts, stride, nd).chunks_exact(width) {
+            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            for &c in co {
+                let at = usize::from(c) * stride + h;
+                if let Some([to, from]) = levels.get_mut(at..at + 2) {
+                    *from = from.wrapping_sub(1);
+                    *to = to.wrapping_add(1);
+                }
+            }
+            if let Some(slot) = levels.get_mut(own + h) {
+                *slot += 1;
+            }
+            if PAIRS {
+                shift_pairs(pair, n, co, pair_weight(h, s) - pair_weight(h + 1, s));
+            }
+        }
+    }
+
+    /// Objects the uncovered `leaves` (outside the failed set, marked in
+    /// `open`) fail if they join the set together, without mutating: an
+    /// object on one of them that has not failed yet fails once its
+    /// failed co-hosts plus the leaves hosting it reach `s`. Each object
+    /// is counted at its lowest-numbered host among `leaves`.
+    pub(crate) fn gain_of(&self, leaves: &[u16], open: &NodeSet) -> u64 {
+        match self.stride.saturating_sub(2) {
+            0 => {
+                // r = 1: an object fails with its one host iff s = 1.
+                let loads = leaves.iter().map(|&nd| u64::from(self.load(nd)));
+                if self.s == 1 {
+                    loads.sum()
+                } else {
+                    0
+                }
+            }
+            1 => self.joint_gain(leaves, open, 1),
+            2 => self.joint_gain(leaves, open, 2),
+            3 => self.joint_gain(leaves, open, 3),
+            width => self.joint_gain(leaves, open, width),
+        }
+    }
+
+    /// [`PackedCounts::gain_of`] over co-host rows of `width = r − 1`.
+    #[inline(always)]
+    fn joint_gain(&self, leaves: &[u16], open: &NodeSet, width: usize) -> u64 {
+        let (members, s) = (&self.members, self.s as u64);
+        let mut gain = 0;
+        for &leaf in leaves {
+            for co in self.cohost_row(leaf).chunks_exact(width) {
+                let (mut h, mut joined, mut earlier) = (0, 1, 0);
+                for &c in co {
+                    let inside = open.bit(c);
+                    h += members.bit(c);
+                    joined += inside;
+                    earlier += inside & u64::from(c < leaf);
+                }
+                gain += u64::from(earlier == 0 && h < s && h + joined >= s);
+            }
+        }
+        gain
+    }
+
+    /// The climb's swap valuation for member `out`: returns the objects
+    /// that recover if `out` leaves the set (those at exactly `s`
+    /// hits), and adds to `delta[c]` for every co-host `c` how its gain
+    /// changes when `out` leaves — `+1` per shared object at `s` hits,
+    /// `−1` per shared object at `s − 1`. One pass over `out`'s co-host
+    /// row.
+    pub(crate) fn swap_deltas(&self, out: u16, delta: &mut [i64]) -> u64 {
+        match self.stride.saturating_sub(2) {
+            // r = 1: `out`'s objects sit at one hit and share no host.
+            0 => {
+                if self.s == 1 {
+                    u64::from(self.load(out))
+                } else {
+                    0
+                }
+            }
+            1 => self.scan_swap(out, delta, 1),
+            2 => self.scan_swap(out, delta, 2),
+            3 => self.scan_swap(out, delta, 3),
+            width => self.scan_swap(out, delta, width),
+        }
+    }
+
+    /// [`PackedCounts::swap_deltas`] over co-host rows of
+    /// `width = r − 1`: `h` counts an object's failed co-hosts, so it sits
+    /// at `h + 1` hits now and at `h` once `out` leaves.
+    #[inline(always)]
+    fn scan_swap(&self, out: u16, delta: &mut [i64], width: usize) -> u64 {
+        let (members, s) = (&self.members, self.s);
+        let mut loss = 0;
+        for co in self.cohost_row(out).chunks_exact(width) {
+            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            let at_s = h + 1 == s;
+            loss += u64::from(at_s);
+            let d = i64::from(at_s) - i64::from(h + 2 == s);
+            if d != 0 {
+                for &c in co {
+                    if let Some(slot) = delta.get_mut(usize::from(c)) {
+                        *slot += d;
+                    }
+                }
+            }
+        }
+        loss
+    }
+}
+
+/// `node`'s slice of the CSR co-host array (see
+/// [`PackedCounts::cohost_row`]), for callers that hold the other
+/// fields mutably.
+#[inline]
+fn cohost_row<'a>(csr_off: &[u32], cohosts: &'a [u16], stride: usize, node: u16) -> &'a [u16] {
+    let width = stride.saturating_sub(2);
+    let i = usize::from(node);
+    let lo = csr_off.get(i).copied().unwrap_or(0) as usize * width;
+    let hi = csr_off.get(i + 1).copied().unwrap_or(0) as usize * width;
+    cohosts.get(lo..hi).unwrap_or(&[])
+}
+
+/// Adds `delta` to the pair correction of every two hosts in `co` (an
+/// ascending co-host row entry, so `a < b` is already the canonical
+/// pair order).
+#[inline(always)]
+fn shift_pairs(pair: &mut [i32], n: usize, co: &[u16], delta: i32) {
+    for (i, &a) in co.iter().enumerate() {
+        let row = usize::from(a) * n;
+        for &b in co.get(i + 1..).unwrap_or(&[]) {
+            if let Some(slot) = pair.get_mut(row + usize::from(b)) {
+                *slot += delta;
+            }
+        }
+    }
+}
+
+/// An object's weight in the pair-correction matrix at hit count `h`:
+/// `+1` one hit below the gain set (`h = s − 2`), `−1` inside it
+/// (`h = s − 1`), `0` elsewhere.
+fn pair_weight(h: usize, s: usize) -> i32 {
+    i32::from(h + 2 == s) - i32::from(h + 1 == s)
 }
 
 #[cfg(test)]
@@ -1155,8 +1120,8 @@ mod tests {
         assert_eq!(pc.num_nodes(), 6);
         assert_eq!(pc.num_objects(), 4);
         assert_eq!(pc.threshold(), 2);
-        // A rebind to another placement of the same shape must refill
-        // the co-hosts on their next use.
+        // A rebind to another placement of the same shape refills the
+        // co-hosts.
         let q = Placement::new(
             6,
             3,
@@ -1165,7 +1130,6 @@ mod tests {
         .unwrap();
         for placement in [&p, &q, &p] {
             pc.rebind(placement, 2);
-            pc.ensure_cohosts();
             let loads = placement.cached_loads();
             let nested = placement.objects_by_node();
             for nd in 0..6u16 {
@@ -1178,13 +1142,6 @@ mod tests {
                     .filter(|&c| c != nd)
                     .collect();
                 assert_eq!(pc.cohost_row(nd), expected.as_slice(), "cohosts({nd})");
-                for obj in 0..4 {
-                    assert_eq!(
-                        pc.node_hosts(nd, obj),
-                        placement.replicas(obj).contains(&nd),
-                        "hosts({nd}, {obj})"
-                    );
-                }
             }
         }
     }
@@ -1192,8 +1149,7 @@ mod tests {
     #[test]
     fn cohost_rows_are_empty_at_one_replica() {
         let p = Placement::new(3, 1, vec![vec![0], vec![2], vec![0]]).unwrap();
-        let mut pc = PackedCounts::new(&p, 1);
-        pc.ensure_cohosts();
+        let pc = PackedCounts::new(&p, 1);
         assert_eq!(pc.load(0), 2);
         for nd in 0..3u16 {
             assert!(pc.cohost_row(nd).is_empty(), "cohosts({nd})");
@@ -1201,41 +1157,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_hit_counts_are_exact() {
-        // Spans a word boundary: 70 objects on 7 nodes.
-        let sets: Vec<Vec<u16>> = (0..70u16).map(|o| vec![o % 7, 7 + o % 3]).collect();
-        let sets = sets
-            .into_iter()
-            .map(|mut s| {
-                s.sort_unstable();
-                s
-            })
-            .collect();
-        let p = Placement::new(10, 2, sets).unwrap();
-        let mut pc = PackedCounts::new(&p, 2);
-        let mut fc = FailureCounts::new(&p, 2);
-        for nd in [0u16, 7, 3, 8] {
-            pc.add_node(nd);
-            fc.add_node(nd);
-        }
-        assert_backends_agree(&fc, &pc, &p, "word-boundary");
-        for obj in 0..70usize {
-            let expected = p
-                .replicas(obj)
-                .iter()
-                .filter(|&&nd| pc.contains(nd))
-                .count() as u16;
-            assert_eq!(pc.hit_count(obj), expected, "hit_count({obj})");
-        }
-    }
-
-    #[test]
-    fn streaming_build_uses_chunks_and_constant_buffers() {
-        // The streaming CSR contract: pass 2 runs in ⌈b / OBJ_CHUNK⌉
-        // chunks, and the number of heap buffers behind the build is a
-        // constant — independent of both n and b, i.e. never the
-        // per-node vector-of-vectors a naive inverted-index build
-        // materializes.
+    fn build_uses_constant_buffers() {
+        // The build writes a constant number of heap buffers —
+        // independent of both n and b, i.e. never the per-node
+        // vector-of-vectors a naive inverted-index build materializes.
         let shapes = [(8u16, 70u64), (64, 500), (640, 40_000)];
         let mut stats = Vec::new();
         for &(n, b) in &shapes {
@@ -1247,14 +1172,7 @@ mod tests {
                 })
                 .collect();
             let p = Placement::new(n, 2, sets).unwrap();
-            let pc = PackedCounts::new(&p, 2);
-            let st = pc.build_stats();
-            assert_eq!(
-                st.chunks,
-                (b as usize).div_ceil(OBJ_CHUNK) as u32,
-                "n={n} b={b}"
-            );
-            stats.push(st.buffers);
+            stats.push(PackedCounts::new(&p, 2).build_stats().buffers);
         }
         // Same buffer count at n = 8 and n = 640: O(1), not O(n).
         assert!(stats.windows(2).all(|w| w[0] == w[1]));
@@ -1262,10 +1180,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_updates_match_scalar_across_block_boundary() {
-        // A shape wider than one LANES group with loads concentrated so
-        // whole-block skips trigger: packed must still mirror scalar.
-        let b = 9 * 64 + 7; // 583 objects, 10 words
+    fn out_of_order_removes_match_scalar() {
+        // Removes that are not the last add: the removed node's own row
+        // has drifted under later adds and must be rebuilt.
+        let b = 9 * 64 + 7;
         let sets: Vec<Vec<u16>> = (0..b as u64)
             .map(|o| {
                 let lo = (o % 5) as u16;
@@ -1292,5 +1210,161 @@ mod tests {
                 assert_backends_agree(&fc, &pc, &p, &format!("s={s} remove {nd}"));
             }
         }
+    }
+
+    /// Hit counts of the objects on `nd` under `fc`'s failed set, `nd`
+    /// itself not counted.
+    fn hits_on(fc: &FailureCounts, p: &Placement, nd: u16) -> Vec<usize> {
+        (fc.objects_on(nd).iter())
+            .map(|&obj| {
+                let row = p.replicas(obj as usize);
+                row.iter().filter(|&&c| c != nd && fc.contains(c)).count()
+            })
+            .collect()
+    }
+
+    /// Every table answer against the scalar oracle replaying the same
+    /// failed set — members, failed count, histogram bound, and for
+    /// every node outside the set its whole level row, gain, exposure
+    /// and supply (straight from the placement's rows) and, with
+    /// `pairs`, every pair correction.
+    fn assert_tables_match(
+        pc: &PackedCounts,
+        fc: &mut FailureCounts,
+        p: &Placement,
+        pairs: bool,
+        ctx: &str,
+    ) {
+        let s = pc.threshold();
+        assert_eq!(pc.nodes(), fc.nodes(), "{ctx}: members");
+        assert_eq!(pc.failed(), fc.failed(), "{ctx}: failed");
+        for m in 0..=6u16 {
+            assert_eq!(
+                pc.failable_within(m),
+                fc.failable_within(m),
+                "{ctx}: failable({m})"
+            );
+        }
+        let outside: Vec<u16> = (0..p.num_nodes()).filter(|&nd| !fc.contains(nd)).collect();
+        for &x in &outside {
+            let hits = hits_on(fc, p, x);
+            for h in 0..=usize::from(p.replicas_per_object()) + 1 {
+                let want = hits.iter().filter(|&&at| at == h).count() as u64;
+                assert_eq!(pc.level(x, h), want, "{ctx}: level({x}, {h})");
+            }
+            assert_eq!(pc.gain(x), fc.gain(x), "{ctx}: gain({x})");
+            let s = usize::from(s);
+            let exposure = hits.iter().filter(|&&h| h + 2 == s).count() as u64;
+            assert_eq!(pc.exposure(x), exposure, "{ctx}: exposure({x})");
+            for m in 1..=s {
+                let want = hits.iter().filter(|&&h| s - m <= h && h < s).count() as u64;
+                assert_eq!(pc.supply(x, m as u16), want, "{ctx}: supply({x}, {m})");
+            }
+            if !pairs {
+                continue;
+            }
+            fc.add_node(x);
+            for &y in outside.iter().filter(|&&y| y > x) {
+                let pair = fc.gain(y) as i64;
+                fc.remove_node(x);
+                let alone = fc.gain(y) as i64;
+                fc.add_node(x);
+                let got = i64::from(pc.correction(x, y));
+                assert_eq!(got, pair - alone, "{ctx}: correction({x}, {y})");
+            }
+            fc.remove_node(x);
+        }
+    }
+
+    fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
+        let params = wcp_core::SystemParams::new(n, b, r, 1, 1).unwrap();
+        wcp_core::RandomStrategy::new(seed, wcp_core::RandomVariant::LoadBalanced)
+            .place(&params)
+            .unwrap()
+    }
+
+    #[test]
+    fn tables_match_the_scalar_oracle_on_seeded_walks() {
+        // Two walks per shape, checked after every move against a
+        // `FailureCounts` replay: the exact DFS's (last-in first-out,
+        // pair matrix moving) and the climb's (any member removed, pair
+        // matrix untouched). n = 8: b = 400 puts every DFS root pop at
+        // r ≥ 2 on the reset side of `n·(n + r + 1)` against
+        // `load·C(r, 2)`, and b = 16 every root pop on the pass side.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 8u16;
+        let mut pops = [0u32; 2];
+        for r in 1..=5u16 {
+            for b in [16u64, 400] {
+                let p = random_placement(n, b, r, u64::from(r) * 31 + b);
+                for s in 1..=r + 1 {
+                    let mut pc = PackedCounts::new(&p, s);
+                    pc.ensure_pairs();
+                    let mut fc = FailureCounts::new(&p, s);
+                    let mut rng = StdRng::seed_from_u64(u64::from(r * 10 + s) ^ b);
+                    let mut stack: Vec<u16> = Vec::new();
+                    for step in 0..40 {
+                        let grow = stack.is_empty() || (stack.len() < 5 && rng.gen_bool(0.6));
+                        let ctx = format!("lifo r={r} s={s} b={b} step={step}");
+                        if grow {
+                            let free: Vec<u16> = (0..n).filter(|&nd| !fc.contains(nd)).collect();
+                            let nd = free[rng.gen_range(0..free.len())];
+                            pc.push::<true>(nd);
+                            fc.add_node(nd);
+                            stack.push(nd);
+                        } else if let Some(nd) = stack.pop() {
+                            if stack.is_empty() {
+                                let (r, n) = (usize::from(r), usize::from(n));
+                                let stream = pc.load(nd) as usize * r * (r - 1) / 2;
+                                let copy = n * (n + r + 1);
+                                pops[usize::from(copy < stream)] += 1;
+                            }
+                            pc.remove::<true>(nd);
+                            fc.remove_node(nd);
+                        }
+                        assert_tables_match(&pc, &mut fc, &p, true, &ctx);
+                    }
+                    while let Some(nd) = stack.pop() {
+                        pc.remove::<true>(nd);
+                        fc.remove_node(nd);
+                    }
+                    // Unwound, the tables equal a fresh binding's.
+                    let mut fresh = PackedCounts::new(&p, s);
+                    fresh.ensure_pairs();
+                    assert_eq!(pc.levels, fresh.levels, "r={r} s={s} b={b}");
+                    assert_eq!(pc.pair, fresh.pair, "r={r} s={s} b={b}");
+                    assert_eq!(pc.hist, fresh.hist, "r={r} s={s} b={b}");
+                    // Any member removed, in any order.
+                    let mut members: Vec<u16> = Vec::new();
+                    for step in 0..40 {
+                        let grow = members.is_empty() || (members.len() < 6 && rng.gen_bool(0.55));
+                        let ctx = format!("any r={r} s={s} b={b} step={step}");
+                        if grow {
+                            let free: Vec<u16> = (0..n).filter(|&nd| !fc.contains(nd)).collect();
+                            let nd = free[rng.gen_range(0..free.len())];
+                            pc.add_node(nd);
+                            fc.add_node(nd);
+                            members.push(nd);
+                        } else {
+                            let nd = members.swap_remove(rng.gen_range(0..members.len()));
+                            pc.remove_node(nd);
+                            fc.remove_node(nd);
+                        }
+                        assert_tables_match(&pc, &mut fc, &p, false, &ctx);
+                    }
+                    // A clear returns to the empty set, the pair matrix
+                    // never having moved.
+                    pc.clear();
+                    assert_eq!(pc.levels, fresh.levels, "r={r} s={s} b={b}");
+                    assert_eq!(pc.pair, fresh.pair, "r={r} s={s} b={b}");
+                    assert_eq!(pc.hist, fresh.hist, "r={r} s={s} b={b}");
+                }
+            }
+        }
+        assert!(
+            pops.iter().all(|&count| count > 0),
+            "both root-pop paths ran: {pops:?}"
+        );
     }
 }

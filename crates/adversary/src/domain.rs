@@ -10,8 +10,11 @@
 //!
 //! This module holds only what is specific to that budget model: the
 //! unit move set (`UnitModel`) — a unit index plus leaf coverage over
-//! the node ladder's [`PackedCounts`] binding, where a leaf enters the
-//! kernel on its 0 → 1 coverage transition and leaves it on 1 → 0. The
+//! the node ladder's [`PackedCounts`] binding, where a leaf joins the
+//! failed set on its 0 → 1 coverage transition and leaves it on 1 → 0.
+//! A unit's gain, hit supply and failable bound are read off its
+//! uncovered leaves' hit-level rows and the hit-level histogram, without
+//! adding the leaves. The
 //! greedy seed, the restart schedule and climb, the exact DFS with its
 //! frontier split, the rungs and the ledger are the node ladder's own
 //! code (`Ladder::run_domain` drives it), so the domain ladder honours
@@ -26,6 +29,7 @@
 //! hits; for flat topologies `c_max = 1` recovers the node bounds
 //! exactly.
 
+use crate::bitmap::NodeSet;
 use crate::counts::PackedCounts;
 use crate::exact::{self, Branch, DfsScratch};
 use crate::ladder::{domain_worst, kernel, Model, Moves};
@@ -69,7 +73,7 @@ impl DomainIndex {
     /// # Panics
     ///
     /// When the topology's node universe does not match the placement's,
-    /// `k` exceeds the unit count, or `s > r`.
+    /// `k` exceeds the unit count, `s = 0` or `s > r`.
     pub(crate) fn new(placement: &Placement, topology: &Topology, s: u16, k: u16) -> Self {
         assert_eq!(
             topology.num_nodes(),
@@ -90,6 +94,7 @@ impl DomainIndex {
             "k must be ≤ the number of failure units ({})",
             units.len()
         );
+        assert!(s >= 1, "s must be ≥ 1");
         assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
         let weights = units
             .iter()
@@ -125,8 +130,8 @@ impl DomainIndex {
     }
 }
 
-/// Chosen-unit and leaf-coverage bookkeeping: a leaf is failed in the
-/// kernel iff its coverage is positive, so overlapping units never
+/// Chosen-unit and leaf-coverage bookkeeping: a leaf is in the failed
+/// set iff its coverage is positive, so overlapping units never
 /// double-count a node.
 #[derive(Debug, Default)]
 pub(crate) struct CoverState {
@@ -134,8 +139,10 @@ pub(crate) struct CoverState {
     cover: Vec<u16>,
     /// Uncovered-leaf buffer of the unit gain.
     tmp: Vec<u16>,
-    /// The failable mask of the last [`Branch::begin_supply`].
-    failable: Vec<u64>,
+    /// The leaves in `tmp`, as a set.
+    open: NodeSet,
+    /// The hit budget of the last [`Branch::begin_supply`].
+    supply_hits: u16,
 }
 
 /// The failure-unit budget model over one placement and topology.
@@ -190,17 +197,17 @@ impl Model for UnitModel<'_> {
     ) -> (UnitMoves<'a>, &'a mut ClimbScratch, &'a mut DfsScratch) {
         let AdversaryScratch {
             packed,
-            path,
             cover,
             climb,
             dfs,
             ..
         } = scratch;
-        let pc = kernel(packed, path, self.placement, self.s, rebind);
+        let pc = kernel(packed, self.placement, self.s, rebind);
         cover.chosen.clear();
         cover.chosen.resize(self.index.units.len(), false);
         cover.cover.clear();
         cover.cover.resize(usize::from(self.index.n), 0);
+        cover.open.reset(usize::from(self.index.n));
         let moves = UnitMoves {
             pc,
             idx: &self.index,
@@ -210,7 +217,7 @@ impl Model for UnitModel<'_> {
     }
 }
 
-/// The unit move set: leaf coverage over a kernel binding.
+/// The unit move set: leaf coverage over an accounting binding.
 pub(crate) struct UnitMoves<'a> {
     pc: &'a mut PackedCounts,
     idx: &'a DomainIndex,
@@ -218,8 +225,8 @@ pub(crate) struct UnitMoves<'a> {
 }
 
 impl UnitMoves<'_> {
-    /// Marks unit `u` failed (`on`) or not: a leaf enters the kernel on
-    /// its 0 → 1 coverage transition and leaves it on 1 → 0, so
+    /// Marks unit `u` failed (`on`) or not: a leaf joins the failed set
+    /// on its 0 → 1 coverage transition and leaves it on 1 → 0, so
     /// overlapping units never double-count a node.
     fn toggle(&mut self, u: u32, on: bool) {
         if let Some(chosen) = self.cov.chosen.get_mut(u as usize) {
@@ -231,8 +238,8 @@ impl UnitMoves<'_> {
                 continue;
             };
             match (on, *c) {
-                (true, 0) => self.pc.add_node(nd),
-                (false, 1) => self.pc.remove_node(nd),
+                (true, 0) => self.pc.push::<false>(nd),
+                (false, 1) => self.pc.remove::<false>(nd),
                 _ => {}
             }
             *c = if on { *c + 1 } else { *c - 1 };
@@ -248,20 +255,13 @@ impl Moves for UnitMoves<'_> {
     fn weight(&self, m: u32) -> u64 {
         self.idx.weights.get(m as usize).copied().unwrap_or(0)
     }
-}
 
-impl Climb for UnitMoves<'_> {
     fn failed(&self) -> u64 {
         self.pc.failed()
     }
 
-    fn contains(&self, m: u32) -> bool {
-        self.cov.chosen.get(m as usize).copied().unwrap_or(false)
-    }
-
-    /// One uncovered leaf is the kernel's maintained `gain` (a mask
-    /// popcount, no add/remove churn); the general case applies and
-    /// undoes.
+    /// One uncovered leaf is its level `s − 1`; more are one pass over
+    /// their co-host rows with the leaves marked, no add/remove churn.
     fn gain(&mut self, m: u32) -> u64 {
         let UnitMoves { pc, idx, cov } = self;
         cov.tmp.clear();
@@ -271,13 +271,18 @@ impl Climb for UnitMoves<'_> {
             [] => 0,
             &[nd] => pc.gain(nd),
             leaves => {
-                let before = pc.failed();
-                leaves.iter().for_each(|&nd| pc.add_node(nd));
-                let after = pc.failed();
-                leaves.iter().rev().for_each(|&nd| pc.remove_node(nd));
-                after - before
+                leaves.iter().for_each(|&nd| cov.open.insert(nd));
+                let gain = pc.gain_of(leaves, &cov.open);
+                leaves.iter().for_each(|&nd| cov.open.remove(nd));
+                gain
             }
         }
+    }
+}
+
+impl Climb for UnitMoves<'_> {
+    fn contains(&self, m: u32) -> bool {
+        self.cov.chosen.get(m as usize).copied().unwrap_or(false)
     }
 
     fn add(&mut self, m: u32) {
@@ -289,8 +294,6 @@ impl Climb for UnitMoves<'_> {
         out.extend((0..self.idx.units.len() as u32).filter(|&u| self.contains(u)));
     }
 
-    fn begin_step(&mut self) {}
-
     fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)> {
         self.toggle(out, false);
         let base = self.pc.failed();
@@ -300,7 +303,7 @@ impl Climb for UnitMoves<'_> {
             if inn == out || self.contains(inn) {
                 continue;
             }
-            let value = base + Climb::gain(self, inn);
+            let value = base + self.gain(inn);
             if value > best_value {
                 best_value = value;
                 best = Some((inn, value));
@@ -319,21 +322,12 @@ impl Climb for UnitMoves<'_> {
 impl Branch for UnitMoves<'_> {
     fn prepare(&mut self, _k: u16) {}
 
-    fn failed(&self) -> u64 {
-        self.pc.failed()
-    }
-
     fn failable(&self, remaining: u16) -> u64 {
         self.pc.failable_within(self.idx.hits(remaining))
     }
 
-    fn gain(&mut self, m: u32) -> u64 {
-        Climb::gain(self, m)
-    }
-
     fn begin_supply(&mut self, remaining: u16) {
-        let hits = self.idx.hits(remaining);
-        self.pc.failable_mask_into(hits, &mut self.cov.failable);
+        self.cov.supply_hits = self.idx.hits(remaining);
     }
 
     /// Σ over the unit's uncovered leaves of hosted failable objects.
@@ -342,7 +336,7 @@ impl Branch for UnitMoves<'_> {
             .leaves(m)
             .iter()
             .filter(|&&nd| self.cov.cover.get(usize::from(nd)) == Some(&0))
-            .map(|&nd| self.pc.and_popcount_row(nd, &self.cov.failable))
+            .map(|&nd| self.pc.supply(nd, self.cov.supply_hits))
             .sum()
     }
 
@@ -361,7 +355,7 @@ impl Branch for UnitMoves<'_> {
     }
 
     fn pair_total(&mut self, _x: u32, failed_x: u64, y: u32) -> u64 {
-        failed_x + Climb::gain(self, y)
+        failed_x + self.gain(y)
     }
 
     fn leave_pair(&mut self, x: u32) {
@@ -377,7 +371,7 @@ impl Branch for UnitMoves<'_> {
     }
 
     fn root_key(&mut self, m: u32) -> (u64, u64) {
-        (Climb::gain(self, m), self.weight(m))
+        (self.gain(m), self.weight(m))
     }
 
     fn root_bound(&mut self, m: u32, k: u16) -> u64 {
@@ -393,8 +387,8 @@ impl Branch for UnitMoves<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `k` exceeds the unit count, `s > r`, or the topology's
-/// node universe mismatches the placement's.
+/// Panics if `k` exceeds the unit count, `s = 0`, `s > r`, or the
+/// topology's node universe mismatches the placement's.
 #[must_use]
 pub fn domain_greedy_worst(
     placement: &Placement,
@@ -468,7 +462,7 @@ pub fn domain_exact_worst(
 /// [`attack`](wcp_core::engine::Attacker::attack) panics — the
 /// `Attacker` contract has no error channel — when the topology's node
 /// universe does not match the attacked placement's, when `k` exceeds
-/// the unit count, or when `s > r`. Note the contrast with *planning*:
+/// the unit count, or when `s = 0` or `s > r`. Note the contrast with *planning*:
 /// a [`wcp_core::PlannerContext`] topology sized for a different `n` is
 /// silently ignored (flat fallback), but attacking with a mismatched
 /// topology is a hard configuration error, not a degradable one —

@@ -17,10 +17,11 @@
 //! Both terminal calls drive the same code: a budget [`Model`] names the
 //! moves one unit of budget buys — a node, or a failure unit of a
 //! topology — and binds the scratch to a move set for the heuristic
-//! rungs ([`Climb`]) and the exact DFS ([`Branch`]). The node move set is
-//! the kernel fast path (gain table, delta-maintained climb, path
-//! tables, fused pair level, closed-form root bounds); the unit move set
-//! (`crate::domain`) adds leaf coverage over the same kernel binding. A
+//! rungs ([`Climb`]) and the exact DFS ([`Branch`]). Both move sets run
+//! on one failure accounting, [`PackedCounts`]' hit-level tables. The
+//! node move set is the fast path (one-pass swap values, the DFS's pair
+//! matrix and fused pair level, closed-form root bounds); the unit move
+//! set (`crate::domain`) adds leaf coverage over the same binding. A
 //! flat topology runs the node move set and only packages its answer
 //! as a domain certificate.
 //!
@@ -33,8 +34,8 @@
 use crate::certify::{self, trace_hash};
 use crate::counts::PackedCounts;
 use crate::domain::{DomainIndex, UnitModel};
-use crate::exact::{Branch, DfsScratch, PathTables};
-use crate::search::{Climb, ClimbScratch, GainTable, LadderTrace};
+use crate::exact::{Branch, DfsScratch};
+use crate::search::{Climb, ClimbScratch, LadderTrace};
 use crate::{parallel, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase};
 use wcp_core::{Certificate, CertificateKind, Placement, Rung, RungKind, Topology};
 
@@ -124,7 +125,7 @@ impl<'a> Ladder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `k > n` or `s > r` (placement shape mismatch).
+    /// Panics if `k > n`, `s = 0` or `s > r` (placement shape mismatch).
     #[must_use]
     pub fn run(self, placement: &Placement, s: u16, k: u16) -> LadderOutcome {
         assert!(k <= placement.num_nodes(), "k must be ≤ n");
@@ -144,7 +145,8 @@ impl<'a> Ladder<'a> {
     /// # Panics
     ///
     /// Panics when the topology's node universe does not match the
-    /// placement's, when `k` exceeds the unit count, or when `s > r`.
+    /// placement's, when `k` exceeds the unit count, or when `s = 0` or
+    /// `s > r`.
     #[must_use]
     pub fn run_domain(
         self,
@@ -249,15 +251,17 @@ pub(crate) trait Model: Sync {
     }
 }
 
-/// What every move set answers about its moves. Its failed count
-/// belongs to the accounting that holds the set: [`Climb::failed`] for
-/// the heuristic rungs, [`Branch::failed`] for the exact DFS.
+/// What every move set answers about its moves and the current set.
 pub(crate) trait Moves {
     /// Number of moves.
     fn len(&self) -> usize;
     /// A move's tie-break and static-order weight (its leaves' total
     /// load).
     fn weight(&self, m: u32) -> u64;
+    /// Objects the current set fails.
+    fn failed(&self) -> u64;
+    /// Objects `m` fails if it joins the set.
+    fn gain(&mut self, m: u32) -> u64;
 }
 
 /// A verdict over failure units as a domain worst case.
@@ -277,7 +281,14 @@ pub(crate) struct NodeModel<'p> {
 }
 
 impl<'p> NodeModel<'p> {
+    /// The node budget model of `placement` at threshold `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s = 0`: no object fails at zero hits, and the
+    /// accountings need not agree on a threshold no caller can ask for.
     pub(crate) fn new(placement: &'p Placement, s: u16) -> Self {
+        assert!(s >= 1, "s must be ≥ 1");
         Self { placement, s }
     }
 
@@ -291,21 +302,15 @@ impl<'p> NodeModel<'p> {
     }
 }
 
-/// The kernel in `packed`, bound to `(placement, s)` afresh when
-/// `rebind` (which also drops `path`'s cached tables: a rebind can
-/// change placement content behind an identical shape) and otherwise
-/// cleared to the empty failed set; a scratch that holds no kernel yet
-/// binds one.
+/// The accounting in `packed`, bound to `(placement, s)` afresh when
+/// `rebind` and otherwise cleared to the empty failed set; a scratch
+/// that holds no accounting yet binds one.
 pub(crate) fn kernel<'a>(
     packed: &'a mut Option<PackedCounts>,
-    path: &mut PathTables,
     placement: &Placement,
     s: u16,
     rebind: bool,
 ) -> &'a mut PackedCounts {
-    if rebind {
-        path.invalidate();
-    }
     match packed {
         Some(pc) => {
             if rebind {
@@ -348,19 +353,17 @@ impl Model for NodeModel<'_> {
     ) -> (NodeMoves<'a>, &'a mut ClimbScratch, &'a mut DfsScratch) {
         let AdversaryScratch {
             packed,
-            path,
-            gains,
+            deltas,
             climb,
             dfs,
             ..
         } = scratch;
-        let pc = kernel(packed, path, self.placement, self.s, rebind);
-        gains.reset(pc);
-        path.ensure(pc, false);
+        let pc = kernel(packed, self.placement, self.s, rebind);
+        deltas.clear();
+        deltas.resize(usize::from(pc.num_nodes()), 0);
         let moves = NodeMoves {
             pc,
-            gains,
-            path,
+            deltas,
             supply_within: 0,
         };
         (moves, climb, dfs)
@@ -373,13 +376,11 @@ pub(crate) fn node(m: u32) -> u16 {
     m as u16
 }
 
-/// The node move set: the kernel and the gain table the heuristic rungs
-/// keep live, and the path tables that hold the exact DFS's own failed
-/// set.
+/// The node move set: the accounting, and the climb's per-candidate
+/// swap corrections (all zero between swap valuations).
 pub(crate) struct NodeMoves<'a> {
     pub(crate) pc: &'a mut PackedCounts,
-    pub(crate) gains: &'a mut GainTable,
-    pub(crate) path: &'a mut PathTables,
+    pub(crate) deltas: &'a mut Vec<i64>,
     /// Remaining failures of the last `Branch::begin_supply`.
     pub(crate) supply_within: u16,
 }
@@ -391,6 +392,16 @@ impl Moves for NodeMoves<'_> {
 
     fn weight(&self, m: u32) -> u64 {
         u64::from(self.pc.load(node(m)))
+    }
+
+    #[inline]
+    fn failed(&self) -> u64 {
+        self.pc.failed()
+    }
+
+    #[inline]
+    fn gain(&mut self, m: u32) -> u64 {
+        self.pc.gain(node(m))
     }
 }
 

@@ -74,10 +74,10 @@ pub use search::{greedy_worst, greedy_worst_with, local_search_worst, local_sear
 use wcp_core::sweep::{AdversarySpec, CellAttacker, SweepCell};
 use wcp_core::{Parallelism, Placement};
 
-/// Reusable adversary working memory: the word-parallel
-/// [`PackedCounts`] kernel plus the search/DFS side buffers (gain
-/// tables, swap deltas, candidate orderings, leaf coverage), all of
-/// whose allocations survive across evaluations. The `_with` adversary
+/// Reusable adversary working memory: the [`PackedCounts`] failure
+/// accounting plus the search/DFS side buffers (swap corrections,
+/// candidate orderings, leaf coverage), all of whose allocations
+/// survive across evaluations. The `_with` adversary
 /// entry points and [`Ladder::scratch`] rebind it to each new
 /// placement in place — under either budget model — so a sweep over
 /// thousands of cells of the same `(n, b, r)` shape performs no
@@ -89,10 +89,8 @@ use wcp_core::{Parallelism, Placement};
 pub struct AdversaryScratch {
     fc: Option<FailureCounts>,
     packed: Option<PackedCounts>,
-    /// The node move set's climb gain table.
-    gains: search::GainTable,
-    /// The node move set's DFS path tables.
-    path: exact::PathTables,
+    /// The node move set's per-candidate swap corrections.
+    deltas: Vec<i64>,
     /// The unit move set's leaf coverage.
     cover: domain::CoverState,
     climb: search::ClimbScratch,
@@ -418,6 +416,68 @@ mod tests {
         let p = random_placement(8, 20, 3, 1);
         let wc = Ladder::new(&AdversaryConfig::default()).run(&p, 1, 8).worst;
         assert_eq!(wc.failed, 20); // everything dies
+    }
+
+    /// The placement the s = 0 checks attack (the accountings disagreed
+    /// on it before s = 0 was rejected).
+    fn three_objects() -> Placement {
+        Placement::new(5, 2, vec![vec![0, 1], vec![0, 2], vec![3, 4]]).unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn ladder_rejects_s_zero() {
+        let _ = Ladder::new(&AdversaryConfig::default()).run(&three_objects(), 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn domain_ladder_rejects_s_zero() {
+        let topo = wcp_core::Topology::split(5, &[2]).unwrap();
+        let _ = Ladder::new(&AdversaryConfig::default()).run_domain(&three_objects(), &topo, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn exact_rejects_s_zero() {
+        let _ = exact_worst(&three_objects(), 0, 2, u64::MAX, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn parallel_exact_rejects_s_zero() {
+        let _ = exact_worst_parallel(&three_objects(), 0, 2, u64::MAX, 0, Parallelism::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn greedy_rejects_s_zero() {
+        let _ = greedy_worst(&three_objects(), 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn local_search_rejects_s_zero() {
+        let _ = local_search_worst(&three_objects(), 0, 2, &AdversaryConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn domain_functions_reject_s_zero() {
+        let topo = wcp_core::Topology::split(5, &[2]).unwrap();
+        let _ = domain_exact_worst(&three_objects(), &topo, 0, 2, u64::MAX, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn reference_ladder_rejects_s_zero() {
+        let _ = reference::exact_worst(&three_objects(), 0, 2, u64::MAX, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "s must be ≥ 1")]
+    fn accounting_rejects_s_zero() {
+        let _ = PackedCounts::new(&three_objects(), 0);
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn restart<M: Model>(
     let greedy = if t == 0 {
         search::greedy(&mut ms, k);
         ms.members(&mut cs.members);
-        Some((Climb::failed(&ms), cs.members.clone()))
+        Some((ms.failed(), cs.members.clone()))
     } else {
         search::seed_random(&mut ms, &mut cs.perm, k, &mut restart_rng(config.seed, t));
         None
@@ -113,7 +113,7 @@ fn restart<M: Model>(
         search::climb(&mut ms, &mut cs.members, config.max_steps, all);
     }
     ms.members(&mut cs.members);
-    (greedy, Climb::failed(&ms), cs.members.clone())
+    (greedy, ms.failed(), cs.members.clone())
 }
 
 /// Multi-restart local search over `model`'s moves: restart 0 climbs
@@ -270,6 +270,10 @@ pub(crate) fn exact_rung<M: Model>(
 /// assert_eq!(par, serial); // optimum AND witness
 /// # Ok::<(), wcp_core::PlacementError>(())
 /// ```
+///
+/// # Panics
+///
+/// Panics if `s = 0`.
 #[must_use]
 pub fn exact_worst_parallel(
     placement: &Placement,

@@ -42,8 +42,18 @@ type Found = (u64, Vec<u32>);
 
 impl<'a> Moves<'a> {
     /// Moves with the given leaf sets (one per node when `None`) over
-    /// an empty `fc` bound to `placement`.
-    fn new(fc: &'a mut FailureCounts, placement: &Placement, units: Option<&Topology>) -> Self {
+    /// an empty `fc` bound to `placement` at threshold `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s = 0`, as the production ladder does.
+    fn new(
+        fc: &'a mut FailureCounts,
+        placement: &Placement,
+        s: u16,
+        units: Option<&Topology>,
+    ) -> Self {
+        assert!(s >= 1, "s must be ≥ 1");
         let leaves: Vec<Vec<u16>> = match units {
             Some(topology) => {
                 assert_eq!(topology.num_nodes(), placement.num_nodes(), "topology size");
@@ -323,18 +333,26 @@ fn units<'a>(
     k: u16,
 ) -> Moves<'a> {
     assert!(s <= p.replicas_per_object(), "s must be ≤ r");
-    let ms = Moves::new(fc, p, Some(topo));
+    let ms = Moves::new(fc, p, s, Some(topo));
     assert!(usize::from(k) <= ms.len(), "k must be ≤ the unit count");
     ms
 }
 
 /// Scalar greedy adversary (see [`crate::greedy_worst`] for semantics).
+///
+/// # Panics
+///
+/// Panics if `s = 0`, as the production ladder does.
 #[must_use]
 pub fn greedy_worst(placement: &Placement, s: u16, k: u16) -> WorstCase {
     greedy_worst_with(placement, s, k, &mut AdversaryScratch::new())
 }
 
 /// [`greedy_worst`] reusing the caller's scratch (scalar backend).
+///
+/// # Panics
+///
+/// As for [`greedy_worst`].
 #[must_use]
 pub fn greedy_worst_with(
     placement: &Placement,
@@ -342,12 +360,16 @@ pub fn greedy_worst_with(
     k: u16,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let mut ms = Moves::new(scratch.bind(placement, s), placement, None);
+    let mut ms = Moves::new(scratch.bind(placement, s), placement, s, None);
     let found = greedy(&mut ms, k);
     ms.node_worst(found, false)
 }
 
 /// Scalar local search (see [`crate::local_search_worst`]).
+///
+/// # Panics
+///
+/// As for [`greedy_worst`].
 #[must_use]
 pub fn local_search_worst(
     placement: &Placement,
@@ -359,6 +381,10 @@ pub fn local_search_worst(
 }
 
 /// [`local_search_worst`] reusing the caller's scratch (scalar backend).
+///
+/// # Panics
+///
+/// As for [`greedy_worst`].
 #[must_use]
 pub fn local_search_worst_with(
     placement: &Placement,
@@ -367,7 +393,7 @@ pub fn local_search_worst_with(
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let mut ms = Moves::new(scratch.bind(placement, s), placement, None);
+    let mut ms = Moves::new(scratch.bind(placement, s), placement, s, None);
     let found = local_search(&mut ms, k, config);
     ms.node_worst(found, false)
 }
@@ -375,6 +401,10 @@ pub fn local_search_worst_with(
 /// Scalar exact DFS with the load-ordered children and the
 /// `failable_within` bound only (no supply bound, no live re-sorting) —
 /// see [`crate::exact_worst`].
+///
+/// # Panics
+///
+/// As for [`greedy_worst`].
 #[must_use]
 pub fn exact_worst(
     placement: &Placement,
@@ -384,12 +414,17 @@ pub fn exact_worst(
     incumbent: u64,
 ) -> Option<WorstCase> {
     let mut fc = FailureCounts::new(placement, s);
-    let mut ms = Moves::new(&mut fc, placement, None);
+    let mut ms = Moves::new(&mut fc, placement, s, None);
     let found = exact(&mut ms, k, budget, incumbent)?;
     Some(ms.node_worst(found, true))
 }
 
 /// Scalar greedy over failure units (see [`crate::domain_greedy_worst`]).
+///
+/// # Panics
+///
+/// Panics if `s = 0`, `s > r`, `k` exceeds the unit count, or the
+/// topology's node universe mismatches the placement's.
 #[must_use]
 pub fn domain_greedy_worst(p: &Placement, topo: &Topology, s: u16, k: u16) -> DomainWorstCase {
     let mut fc = FailureCounts::new(p, s);
@@ -400,6 +435,11 @@ pub fn domain_greedy_worst(p: &Placement, topo: &Topology, s: u16, k: u16) -> Do
 
 /// Scalar local search over failure units (see
 /// [`crate::domain_local_search_worst`]).
+///
+/// # Panics
+///
+/// Panics if `s = 0`, `s > r`, `k` exceeds the unit count, or the
+/// topology's node universe mismatches the placement's.
 #[must_use]
 pub fn domain_local_search_worst(
     p: &Placement,
@@ -417,6 +457,11 @@ pub fn domain_local_search_worst(
 /// Scalar exact DFS over failure units (see
 /// [`crate::domain_exact_worst`]): the same optimum, not necessarily
 /// the same witness.
+///
+/// # Panics
+///
+/// Panics if `s = 0`, `s > r`, `k` exceeds the unit count, or the
+/// topology's node universe mismatches the placement's.
 #[must_use]
 pub fn domain_exact_worst(
     p: &Placement,

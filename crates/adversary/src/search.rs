@@ -14,13 +14,12 @@
 //! Decision-making is identical to the scalar ladder preserved in
 //! [`crate::reference`] — same scan orders, same strict-improvement
 //! tie-breaks, same restart schedule — so the two produce the same
-//! [`WorstCase`], just at very different speeds: node gains come from
-//! the maintained `hits = s − 1` bitmap, and the node swap search keeps
-//! an incremental gain table that is delta-updated from the two swapped
-//! nodes' CSR rows instead of re-deriving every `(out, in)` pair from
-//! scratch each step.
+//! [`WorstCase`], just at very different speeds: a node's gain is one
+//! read of its hit-level row in [`crate::PackedCounts`], and the node
+//! swap search values every `(out, in)` pair of a step from one pass
+//! over each member's co-host row instead of re-deriving each pair
+//! from scratch.
 
-use crate::counts::PackedCounts;
 use crate::ladder::{node, Model, Moves, NodeModel, NodeMoves, Verdict};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
@@ -29,18 +28,12 @@ use wcp_core::Placement;
 
 /// What the heuristic rungs need from a move set.
 pub(crate) trait Climb: Moves {
-    /// Objects the current set fails.
-    fn failed(&self) -> u64;
     /// Whether `m` is in the set.
     fn contains(&self, m: u32) -> bool;
-    /// Objects `m` fails if it joins the set.
-    fn gain(&mut self, m: u32) -> u64;
     /// Adds `m` to the set.
     fn add(&mut self, m: u32);
     /// The set's moves, ascending, into `out`.
     fn members(&self, out: &mut Vec<u32>);
-    /// Readies one swap step of [`climb`].
-    fn begin_step(&mut self);
     /// The best move to swap in for member `out`: the first outside the
     /// set (ascending, `out` excluded) whose failed count after the swap
     /// is the largest above `floor`, with that count. Leaves the set as
@@ -57,22 +50,6 @@ pub(crate) struct ClimbScratch {
     pub(crate) members: Vec<u32>,
     /// Shuffle buffer for random restarts.
     pub(crate) perm: Vec<u32>,
-}
-
-/// The node move set's delta-maintained gain table.
-#[derive(Debug, Default)]
-pub(crate) struct GainTable {
-    /// `gains[nd] = |row(nd) ∩ {hits = s − 1}|` for every node,
-    /// maintained across swaps (`i64` so the hot value scan adds it to
-    /// the sparse corrections without casts; always non-negative).
-    gains: Vec<i64>,
-    /// Per-`out` gain corrections, sparse (bulk-zeroed per candidate —
-    /// a few hundred bytes, cheaper than tracking dirty entries).
-    delta: Vec<i64>,
-    /// Snapshot of the `hits = s − 1` bitmap across a swap.
-    eq_prev: Vec<u64>,
-    /// The `hits = s` bitmap of the current step (loss mask).
-    eq_s: Vec<u64>,
 }
 
 /// Per-rung decision record the certificate prover consumes: the greedy
@@ -131,7 +108,6 @@ pub(crate) fn climb<C: Climb>(ms: &mut C, members: &mut Vec<u32>, max_steps: u32
         if current == all {
             return;
         }
-        ms.begin_step();
         ms.members(members);
         let mut best: Option<(u32, u32, u64)> = None; // (out, in, value)
         for &out in members.iter() {
@@ -148,88 +124,15 @@ pub(crate) fn climb<C: Climb>(ms: &mut C, members: &mut Vec<u32>, max_steps: u32
     }
 }
 
-impl GainTable {
-    /// Resets the table to an *empty* kernel's: at `s = 1` every object
-    /// sits one hit from failing, so a node's gain is its load;
-    /// otherwise no object does, so all gains are zero. `O(n)` — no
-    /// bitmap scan.
-    pub(crate) fn reset(&mut self, pc: &PackedCounts) {
-        debug_assert_eq!(pc.failed(), 0, "gain table reset requires an empty set");
-        let n = pc.num_nodes();
-        self.gains.clear();
-        if pc.threshold() == 1 {
-            self.gains.extend((0..n).map(|nd| i64::from(pc.load(nd))));
-        } else {
-            self.gains.resize(usize::from(n), 0);
-        }
-        self.delta.clear();
-        self.delta.resize(usize::from(n), 0);
-    }
-}
-
-impl NodeMoves<'_> {
-    /// Copies the current `hits = s − 1` mask into the swap snapshot.
-    fn snapshot_eq(&mut self) {
-        self.gains.eq_prev.clear();
-        self.gains.eq_prev.extend_from_slice(self.pc.eq_sm1_words());
-    }
-
-    /// Folds the XOR between the snapshot and the live `hits = s − 1`
-    /// mask into the gain table: each flipped object adjusts the gain of
-    /// its `r` hosts by ±1. After any single add/remove/swap the diff is
-    /// confined to the touched nodes' rows, so this is a handful of
-    /// popcount-sparse words.
-    fn fold_eq_flips(&mut self) {
-        let (pc, t) = (&*self.pc, &mut *self.gains);
-        for (w, (&prev, &now)) in t.eq_prev.iter().zip(pc.eq_sm1_words()).enumerate() {
-            let mut diff = prev ^ now;
-            while diff != 0 {
-                let bit = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let d: i64 = if now >> bit & 1 == 1 { 1 } else { -1 };
-                bump(&mut t.gains, pc.hosts_of(w * 64 + bit), d);
-            }
-        }
-        #[cfg(debug_assertions)]
-        for (nd, &gain) in (0..pc.num_nodes()).zip(&t.gains) {
-            let live = pc.and_popcount_row(nd, pc.eq_sm1_words()) as i64;
-            assert_eq!(gain, live, "gain table drifted at node {nd}");
-        }
-    }
-}
-
-/// Adds `d` to the table entries of `hosts`.
-#[inline]
-fn bump(table: &mut [i64], hosts: &[u16], d: i64) {
-    for &host in hosts {
-        if let Some(g) = table.get_mut(usize::from(host)) {
-            *g += d;
-        }
-    }
-}
-
-/// The node fast path: gains come off the delta-maintained table, and a
-/// swap is valued without touching the kernel.
+/// The node fast path: gains are level reads, and a swap is valued
+/// from one pass over the outgoing node's co-host row.
 impl Climb for NodeMoves<'_> {
-    fn failed(&self) -> u64 {
-        self.pc.failed()
-    }
-
     fn contains(&self, m: u32) -> bool {
         self.pc.contains(node(m))
     }
 
-    fn gain(&mut self, m: u32) -> u64 {
-        self.gains.gains.get(m as usize).map_or(0, |&g| g as u64)
-    }
-
-    /// Adds the node while keeping the gain table live: snapshot the
-    /// `hits = s − 1` mask, apply the kernel update, then fold the
-    /// mask's flipped bits (all within the node's row) into the gains.
     fn add(&mut self, m: u32) {
-        self.snapshot_eq();
-        self.pc.add_node(node(m));
-        self.fold_eq_flips();
+        self.pc.push::<false>(node(m));
     }
 
     fn members(&self, out: &mut Vec<u32>) {
@@ -237,34 +140,17 @@ impl Climb for NodeMoves<'_> {
         out.extend(self.pc.members().iter_present().map(u32::from));
     }
 
-    fn begin_step(&mut self) {
-        self.pc.eq_s_into(&mut self.gains.eq_s);
-    }
-
-    /// The loss of removing `out` is one popcount of
-    /// `row(out) ∩ {hits = s}`; removing it shifts a candidate's gain
-    /// only on objects the two rows share, so one sparse walk of
-    /// `row(out) ∩ {hits = s}` and `row(out) ∩ {hits = s − 1}` collects
-    /// the exact correction of every candidate at once. The candidate
-    /// scan is an inlined complement-bitmap walk (`out` is still a
-    /// member, so the walk skips it), so its inner loop is loads, adds
-    /// and compares only.
+    /// Removing `out` recovers its objects at exactly `s` hits, and it
+    /// changes a candidate's gain only on objects the two share, so one
+    /// pass over `out`'s co-host row yields the value of every
+    /// candidate: `failed − loss(out) + gain(in) + delta[in]`. The
+    /// candidate scan is an inlined complement-bitmap walk (`out` is
+    /// still a member, so the walk skips it), so its inner loop is
+    /// loads, adds and compares only.
     fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)> {
-        let (pc, t) = (&*self.pc, &mut *self.gains);
-        let out = node(out);
-        let base = (pc.failed() - pc.and_popcount_row(out, &t.eq_s)) as i64;
-        // Objects at s hits drop to s − 1 (candidates hosting them gain
-        // on them), objects at s − 1 drop to s − 2 (they stop gaining).
-        let words = pc.row_words(out).iter().zip(&t.eq_s).zip(pc.eq_sm1_words());
-        for (w, ((&row, &eq_s), &eq_sm1)) in words.enumerate() {
-            for (mut bits, d) in [(row & eq_s, 1), (row & eq_sm1, -1)] {
-                while bits != 0 {
-                    let obj = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    bump(&mut t.delta, pc.hosts_of(obj), d);
-                }
-            }
-        }
+        let (pc, delta) = (&*self.pc, &mut **self.deltas);
+        let loss = pc.swap_deltas(node(out), delta);
+        let base = (pc.failed() - loss) as i64;
         let (member_words, limit) = pc.member_words();
         let mut best_value = floor as i64;
         let mut best = None;
@@ -277,25 +163,23 @@ impl Climb for NodeMoves<'_> {
             while bits != 0 {
                 let inn = (wi << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (Some(&g), Some(&d)) = (t.gains.get(inn), t.delta.get(inn)) else {
+                let Some(&d) = delta.get(inn) else {
                     continue;
                 };
-                let value = base + g + d;
+                let value = base + pc.gain(inn as u16) as i64 + d;
                 if value > best_value {
                     best_value = value;
                     best = Some((inn as u32, value as u64));
                 }
             }
         }
-        t.delta.fill(0);
+        delta.fill(0);
         best
     }
 
     fn swap(&mut self, out: u32, inn: u32) {
-        self.snapshot_eq();
-        self.pc.remove_node(node(out));
-        self.pc.add_node(node(inn));
-        self.fold_eq_flips();
+        self.pc.remove::<false>(node(out));
+        self.pc.push::<false>(node(inn));
     }
 }
 
@@ -315,12 +199,20 @@ impl Climb for NodeMoves<'_> {
 /// assert_eq!(wc.failed, 3);
 /// # Ok::<(), wcp_core::PlacementError>(())
 /// ```
+///
+/// # Panics
+///
+/// Panics if `s = 0`.
 #[must_use]
 pub fn greedy_worst(placement: &Placement, s: u16, k: u16) -> WorstCase {
     greedy_worst_with(placement, s, k, &mut AdversaryScratch::new())
 }
 
 /// [`greedy_worst`] reusing the caller's scratch buffers.
+///
+/// # Panics
+///
+/// Panics if `s = 0`.
 #[must_use]
 pub fn greedy_worst_with(
     placement: &Placement,
@@ -339,7 +231,7 @@ pub(crate) fn greedy_moves<M: Model>(model: &M, k: u16, scratch: &mut AdversaryS
     greedy(&mut ms, k);
     ms.members(&mut cs.members);
     Verdict {
-        failed: Climb::failed(&ms),
+        failed: ms.failed(),
         ids: cs.members.clone(),
         exact: false,
     }
@@ -365,6 +257,10 @@ pub(crate) fn greedy_moves<M: Model>(model: &M, k: u16, scratch: &mut AdversaryS
 /// assert_eq!(local_search_worst(&p, 2, 2, &four), wc); // bit-identical at any thread count
 /// # Ok::<(), wcp_core::PlacementError>(())
 /// ```
+///
+/// # Panics
+///
+/// Panics if `s = 0`.
 #[must_use]
 pub fn local_search_worst(
     placement: &Placement,
@@ -376,9 +272,13 @@ pub fn local_search_worst(
 }
 
 /// [`local_search_worst`] reusing the caller's scratch buffers: at one
-/// thread a single kernel binding serves the greedy seed and every
-/// restart (cleared in place between them, `O(b/64)` instead of a fresh
-/// index build), and one gain table rides along the whole way.
+/// thread a single binding serves the greedy seed and every restart
+/// (cleared in place between them, `O(n·r)` instead of a fresh index
+/// build).
+///
+/// # Panics
+///
+/// Panics if `s = 0`.
 #[must_use]
 pub fn local_search_worst_with(
     placement: &Placement,
@@ -473,23 +373,51 @@ mod tests {
     }
 
     #[test]
-    fn gain_based_swap_value_is_consistent() {
-        // Verify the swap valuation by comparing a full recompute.
-        let p = random_placement(15, 80, 3, 3);
-        let mut pc = PackedCounts::new(&p, 2);
-        for nd in [0u16, 3, 7, 11] {
-            pc.add_node(nd);
-        }
-        pc.remove_node(3);
-        let base = pc.failed();
-        for inn in 0..15u16 {
-            if pc.contains(inn) {
-                continue;
+    fn swap_values_match_the_scalar_oracle() {
+        // Every (out, in) value the climb composes — failed − loss(out)
+        // + gain(in) + delta[in] — against a scalar replay of the
+        // swapped set, on sets reached by adds and out-of-order removes
+        // (so the members' own level rows have drifted).
+        use crate::FailureCounts;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 12u16;
+        for r in 1..=5u16 {
+            let p = random_placement(n, 300, r, u64::from(r) * 7);
+            for s in 1..=r + 1 {
+                let model = NodeModel::new(&p, s);
+                let mut scratch = AdversaryScratch::new();
+                let (ms, _, _) = model.bind(&mut scratch, true);
+                let mut rng = StdRng::seed_from_u64(u64::from(r * 10 + s));
+                let mut members: Vec<u16> = Vec::new();
+                for round in 0..12 {
+                    let grow = members.len() < 2 || (members.len() < 6 && rng.gen_bool(0.6));
+                    if grow {
+                        let free: Vec<u16> = (0..n).filter(|nd| !members.contains(nd)).collect();
+                        let nd = free[rng.gen_range(0..free.len())];
+                        ms.pc.add_node(nd);
+                        members.push(nd);
+                    } else {
+                        let nd = members.swap_remove(rng.gen_range(0..members.len()));
+                        ms.pc.remove_node(nd);
+                    }
+                    for &out in &members {
+                        let loss = ms.pc.swap_deltas(out, ms.deltas);
+                        for inn in (0..n).filter(|nd| !members.contains(nd)) {
+                            let value = (ms.pc.failed() - loss + ms.pc.gain(inn)) as i64
+                                + ms.deltas[usize::from(inn)];
+                            let mut fc = FailureCounts::new(&p, s);
+                            for &nd in members.iter().filter(|&&nd| nd != out) {
+                                fc.add_node(nd);
+                            }
+                            fc.add_node(inn);
+                            let ctx = format!("r={r} s={s} round={round} out={out} in={inn}");
+                            assert_eq!(value, fc.failed() as i64, "{ctx}");
+                        }
+                        ms.deltas.fill(0);
+                    }
+                }
             }
-            let predicted = base + pc.gain(inn);
-            pc.add_node(inn);
-            assert_eq!(pc.failed(), predicted, "node {inn}");
-            pc.remove_node(inn);
         }
     }
 
