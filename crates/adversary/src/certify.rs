@@ -9,7 +9,7 @@
 //! **bound ledger** for the branch-and-bound tree, and the seal binding
 //! the claim to the placement.
 //!
-//! The ledger is computed *post hoc* on the kernel binding the exact
+//! The ledger is computed *post hoc* on the accounting binding the exact
 //! rung just searched. Both the serial DFS root frame (depth 0 is below
 //! its re-sort depth) and the parallel frontier split order root
 //! children by the same total key — `(gain, weight, id)` descending at
@@ -26,15 +26,15 @@
 //! hits, and with `x` alone failed exactly the objects on `x` sit at
 //! one, so both the root key and `bound(x)` are functions of `load(x)`,
 //! `b`, `s` and `k` ([`root_bound`]): the whole ledger costs
-//! `O(n log n)`, with no kernel update per root. A failure unit is
-//! failed and restored on the kernel once per root, and its
+//! `O(n log n)`, with no accounting update per root. A failure unit is
+//! failed and restored on the accounting once per root, and its
 //! `failable_within` counts `(k − 1) · c_max` hits.
 //!
 //! No attack whose set contains `x` as its first element (in root
 //! order) can fail more than `bound(x)` objects: the remaining `k − 1`
 //! moves add at most one hit each (a unit at most `c_max`) per object.
 //! The verifier recomputes both the order and every bound on the scalar
-//! [`crate::FailureCounts`] oracle, so a kernel bug skewing either turns
+//! [`crate::FailureCounts`] oracle, so an accounting bug skewing either turns
 //! into a certificate rejection instead of a silently wrong verdict.
 //!
 //! Every bound is also ≤ the root-level bound `failable_within(k)` at
@@ -107,7 +107,7 @@ pub(crate) fn base_certificate(
 /// The exact rung's post-hoc bound ledger: one admissible bound per
 /// root child of the branch-and-bound tree, in the canonical
 /// `(gain, weight, id)` descending root order, covering exactly the
-/// `len − k + 1` children the root frame expands. Reads the kernel
+/// `len − k + 1` children the root frame expands. Reads the accounting
 /// binding the exact rung searched on, cleared; degenerate budgets
 /// (`k = 0` or every move) need no search and get no ledger.
 pub(crate) fn ledger<M: Model>(

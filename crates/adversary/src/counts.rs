@@ -725,15 +725,9 @@ impl PackedCounts {
         self.depth -= 1;
         let width = self.stride.saturating_sub(2);
         let load = self.load(nd) as usize;
-        let (reset, pass) = if PAIRS {
-            let pairs = !self.pair.is_empty();
-            (
-                self.n * (self.stride + usize::from(pairs) * self.n),
-                load * (width + usize::from(pairs) * width * width.saturating_sub(1) / 2),
-            )
-        } else {
-            (self.n * self.stride, load * width)
-        };
+        let pairs = usize::from(PAIRS && !self.pair.is_empty());
+        let reset = self.n * (self.stride + pairs * self.n);
+        let pass = load * (width + pairs * width * width.saturating_sub(1) / 2);
         if self.depth == 0 && reset < pass {
             self.reset();
             if PAIRS {

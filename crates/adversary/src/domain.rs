@@ -663,4 +663,83 @@ mod tests {
         assert_eq!(outcome.failed, wc.failed);
         assert_eq!(outcome.nodes, wc.nodes);
     }
+
+    #[test]
+    fn unit_gains_match_the_scalar_oracle() {
+        // On the golden record's rack, zone and irregular topologies:
+        // after every move of a walk that adds units and removes them in
+        // any order, each unit outside the set reports the gain, hit
+        // supply and failable bound of a `FailureCounts` replay of its
+        // uncovered leaves.
+        use crate::FailureCounts;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let groups: Vec<Vec<u16>> = vec![
+            vec![0],
+            vec![1, 2],
+            vec![3, 4, 5],
+            (6..11).collect(),
+            (11..20).collect(),
+        ];
+        let shapes = [
+            (Topology::split(71, &[12]).unwrap(), 1_200u64, 2u64),
+            (Topology::split(24, &[6, 2]).unwrap(), 600, 3),
+            (Topology::from_groups(20, &groups).unwrap(), 400, 4),
+        ];
+        for (topo, b, seed) in shapes {
+            let p = random_placement(topo.num_nodes(), b, 3, seed);
+            let units = topo.failure_units().len() as u32;
+            for s in 1..=3u16 {
+                let model = UnitModel::new(&p, s, DomainIndex::new(&p, &topo, s, 3));
+                let mut scratch = AdversaryScratch::new();
+                let (mut ms, _, _) = model.bind(&mut scratch, true);
+                let mut rng = StdRng::seed_from_u64(seed * 10 + u64::from(s));
+                let mut chosen: Vec<u32> = Vec::new();
+                for step in 0..16 {
+                    if chosen.len() < 2 || (chosen.len() < 4 && rng.gen_bool(0.6)) {
+                        let free: Vec<u32> = (0..units).filter(|u| !chosen.contains(u)).collect();
+                        let u = free[rng.gen_range(0..free.len())];
+                        ms.add(u);
+                        chosen.push(u);
+                    } else {
+                        let u = chosen.swap_remove(rng.gen_range(0..chosen.len()));
+                        Branch::pop(&mut ms, u);
+                    }
+                    let covered = model.leaves(&chosen);
+                    let mut fc = FailureCounts::new(&p, s);
+                    covered.iter().for_each(|&nd| fc.add_node(nd));
+                    let before = fc.failed();
+                    for remaining in 1..=3u16 {
+                        let hits = model.index.hits(remaining);
+                        let ctx = format!("s={s} step={step} remaining={remaining}");
+                        assert_eq!(ms.failable(remaining), fc.failable_within(hits), "{ctx}");
+                    }
+                    for m in (0..units).filter(|u| !chosen.contains(u)) {
+                        let ctx = format!("n={} s={s} step={step} unit={m}", p.num_nodes());
+                        let open: Vec<u16> = (model.index.leaves(m).iter().copied())
+                            .filter(|nd| !covered.contains(nd))
+                            .collect();
+                        open.iter().for_each(|&nd| fc.add_node(nd));
+                        let gain = fc.failed() - before;
+                        open.iter().for_each(|&nd| fc.remove_node(nd));
+                        assert_eq!(ms.gain(m), gain, "{ctx}: gain");
+                        for remaining in 1..=3u16 {
+                            let hits = model.index.hits(remaining);
+                            let lo = s.saturating_sub(hits);
+                            let supply: u64 = (open.iter())
+                                .flat_map(|&nd| fc.objects_on(nd).iter())
+                                .filter(|&&obj| {
+                                    let row = p.replicas(obj as usize);
+                                    let h = row.iter().filter(|&&c| fc.contains(c)).count() as u16;
+                                    lo <= h && h < s
+                                })
+                                .count() as u64;
+                            ms.begin_supply(remaining);
+                            assert_eq!(ms.supply(m), supply, "{ctx}: supply({remaining})");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -32,9 +32,11 @@
 //! buffers across evaluations; [`SweepAdversary`] packages that as the
 //! per-worker attacker of `wcp_core`'s parallel sweep subsystem.
 //!
-//! The whole ladder runs on the word-parallel [`PackedCounts`] kernel —
-//! a CSR inverted index plus bit-sliced hit counters updated 64 objects
-//! per instruction (see the type's docs for the design). The scalar
+//! Every rung of the ladder runs on one failure accounting,
+//! [`PackedCounts`]: a CSR index of each node's co-host rows plus, per
+//! node, how many of its objects sit at each hit level, and a
+//! histogram of objects by hit level (see the type's docs for the
+//! design). The scalar
 //! [`FailureCounts`] backend remains as the reference oracle, and the
 //! scalar ladder in [`mod@reference`] is the differential-testing
 //! oracle and the benchmark baseline for both budget models.

@@ -162,7 +162,7 @@ pub(crate) fn local_search<M: Model>(
 }
 
 /// The ladder's two searches: [`local_search`], then the exact rung
-/// seeded with its incumbent on the caller's kernel. Returns the
+/// seeded with its incumbent on the caller's accounting. Returns the
 /// heuristic and, when the exact rung completed within budget, its
 /// `(best, witness)`. Requires `0 < k` below the move count.
 pub(crate) fn search_rungs<M: Model>(
@@ -173,7 +173,7 @@ pub(crate) fn search_rungs<M: Model>(
     trace: &mut LadderTrace,
 ) -> (Verdict, Option<(u64, Vec<u32>)>) {
     let heuristic = local_search(model, k, config, scratch, trace);
-    // One-thread restarts leave the caller's kernel bound (one index
+    // One-thread restarts leave the caller's accounting bound (one index
     // build per evaluation, not two); fanned-out restarts never touch it.
     let rebind = config.parallelism.threads() > 1;
     let exact = exact_rung(
@@ -188,7 +188,7 @@ pub(crate) fn search_rungs<M: Model>(
     (heuristic, exact)
 }
 
-/// The exact rung on `scratch`'s kernel — bound afresh when `rebind`,
+/// The exact rung on `scratch`'s accounting — bound afresh when `rebind`,
 /// otherwise the binding an earlier stage made: the serial DFS at one
 /// thread, the frontier split across `parallelism` workers otherwise.
 /// The root order comes from the caller's binding, so the split builds

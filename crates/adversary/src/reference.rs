@@ -213,8 +213,8 @@ fn greedy(ms: &mut Moves, k: u16) -> Found {
 }
 
 /// Best-improvement swaps until a local optimum (or step cap) — the
-/// `O(k·len·ℓ)`-per-step full re-scan the kernel's delta-maintained
-/// climb replaces.
+/// `O(k·len·ℓ)`-per-step full re-scan the production climb's one-pass
+/// swap values replace.
 fn climb(ms: &mut Moves, max_steps: u32) {
     for _ in 0..max_steps {
         let (current, members) = ms.found();

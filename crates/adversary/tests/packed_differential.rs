@@ -1,10 +1,10 @@
-//! Differential property suite: the word-parallel [`PackedCounts`]
-//! kernel must be observationally identical to the scalar
+//! Differential property suite: the [`PackedCounts`] hit-level
+//! accounting must be observationally identical to the scalar
 //! [`FailureCounts`] oracle — on every accounting observable
 //! (`add_node`/`remove_node`/`gain`/`failable_within`/`failed`/`nodes`/
 //! `contains`) across random placements, shapes, and operation walks,
 //! including scratch-style rebind reuse across mismatched
-//! `(n, b, r, s)` — and the kernel-backed search ladder must reproduce
+//! `(n, b, r, s)` — and the production search ladder must reproduce
 //! the scalar reference ladder's results.
 
 use proptest::prelude::*;
@@ -192,9 +192,8 @@ proptest! {
     }
 }
 
-/// Catalog scale: at b = 70,000 the kernel spans three 32,768-object
-/// chunks, and its greedy, local-search and full-ladder rungs must
-/// still reproduce the scalar reference ladder — same greedy and
+/// Catalog scale: at b = 70,000 the production greedy, local-search
+/// and full-ladder rungs must still reproduce the scalar reference ladder — same greedy and
 /// local-search `WorstCase`, the exact optimum — with every witness
 /// recounting to its claim.
 #[test]

@@ -1,4 +1,4 @@
-//! Adversary-evaluation throughput: the word-parallel kernel ladder vs
+//! Adversary-evaluation throughput: the production ladder vs
 //! the scalar reference ladder on the churn acceptance shape
 //! (n=71, b=1200, r=3, s=2, k=3), plus the historical Fig. 7-scale
 //! ladder group and the quality ablation.

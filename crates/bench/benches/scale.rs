@@ -1,8 +1,8 @@
 //! Million-object regime throughput: the full auto adversary ladder
-//! (every rung on the packed kernel) on the n = 71-derived shape at
-//! b = 10⁵ and b = 10⁶, with peak RSS recorded per shape, plus the
-//! certified ladder at b = 10⁵ — what the certified scratch adversary
-//! runs twice per churn event on the write path.
+//! (every rung on the one failure accounting) on the n = 71-derived
+//! shape at b = 10⁵ and b = 10⁶, with peak RSS recorded per shape, plus
+//! the certified ladder at both sizes — what the certified scratch
+//! adversary runs twice per churn event on the write path.
 //!
 //! Besides the criterion measurement (b = 10⁵ only — a b = 10⁶ build
 //! dominates criterion's warmup budget), the run writes a
@@ -56,6 +56,7 @@ fn write_snapshot(s: u16, k: u16, config: &AdversaryConfig) {
         ("ladder_b100k", 100_000u64, false, false),
         ("certified_b100k", 100_000, false, true),
         ("ladder_b1m", 1_000_000, true, false),
+        ("certified_b1m", 1_000_000, true, true),
     ] {
         let placement = fixture_placement(71, b, 3);
         let one = || {

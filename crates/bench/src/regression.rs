@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn committed_adversary_snapshot_records_the_kernel_speedup() {
-        // Both series present, word-parallel ladder ≥ 5× over the scalar
+        // Both series present, production ladder ≥ 5× over the scalar
         // baseline on the acceptance shape.
         let fams = family_means(&committed(include_str!("../BENCH_adversary.json")));
         assert!(ns_of(&fams, "packed_local_search") > 0.0);

@@ -21,9 +21,9 @@
 //!   post-processes *any* strategy's placement, re-homing replicas that
 //!   collide inside one failure domain.
 //!
-//! The domain-level adversary itself (budget-`k` over failure units on
-//! the word-parallel kernel) lives in `wcp-adversary`; the single-level
-//! projection view of the same idea is [`crate::domains`].
+//! The domain-level adversary itself (budget-`k` over failure units)
+//! lives in `wcp-adversary`; the single-level projection view of the
+//! same idea is [`crate::domains`].
 
 use crate::strategy::PlacementStrategy;
 use crate::{Placement, PlacementError, SystemParams};

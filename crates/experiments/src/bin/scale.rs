@@ -1,6 +1,7 @@
 //! Million-object scale smoke: runs the full auto adversary ladder
-//! (every rung on the packed kernel) on the n = 71-derived shape at
-//! catalog-scale object counts, reporting wall time and peak RSS.
+//! (every rung on the one failure accounting) on the n = 71-derived
+//! shape at catalog-scale object counts, reporting wall time and peak
+//! RSS.
 //!
 //! ```text
 //! scale            # b = 100 000 and 1 000 000 (the acceptance shape)

@@ -9,13 +9,13 @@
 //!
 //! # What is proven, and what is trusted
 //!
-//! Deliberately, nothing here touches the word-parallel
-//! [`PackedCounts`](wcp_adversary::PackedCounts) kernel the prover ran
-//! on. Every witness is re-scored through
-//! [`Placement::failed_objects`] — the definitional scalar path — and
-//! every ledger bound is recomputed on the scalar
-//! [`FailureCounts`] oracle. A kernel bug that skewed a count, a gain
-//! or a histogram bound therefore surfaces as a certificate
+//! Deliberately, nothing here touches the hit-level tables of
+//! [`PackedCounts`](wcp_adversary::PackedCounts), the one failure
+//! accounting every rung of the prover ran on. Every witness is
+//! re-scored through [`Placement::failed_objects`] — the definitional
+//! scalar path — and every ledger bound is recomputed on the scalar
+//! [`FailureCounts`] oracle. An accounting bug that skewed a count, a
+//! gain or a histogram bound therefore surfaces as a certificate
 //! *rejection* here instead of a silently wrong verdict; the
 //! prover/verifier split is only worth having because the two sides do
 //! not share the fast path.
