@@ -13,15 +13,15 @@
 //! the node ladder's [`PackedCounts`] binding, where a leaf joins the
 //! failed set on its 0 → 1 coverage transition and leaves it on 1 → 0.
 //! A unit's gain, hit supply and failable bound are read off its
-//! uncovered leaves' hit-level rows and the hit-level histogram, without
-//! adding the leaves. The
-//! greedy seed, the restart schedule and climb, the exact DFS with its
-//! frontier split, the rungs and the ledger are the node ladder's own
-//! code (`Ladder::run_domain` drives it), so the domain ladder honours
-//! `parallelism` and `Ladder::scratch` exactly as `Ladder::run` does. A
-//! flat topology, where every unit is one leaf, runs the node move set
-//! itself. The scalar oracle is the leaf-set ladder in
-//! [`crate::reference`] (`tests/domain_differential.rs`).
+//! uncovered leaves' hit-level rows and the hit-level histogram,
+//! without adding the leaves. The greedy seed, the restart schedule and
+//! climb, the exact DFS with its frontier split, the rungs and the
+//! ledger are the node ladder's own code (`Ladder::run_domain` drives
+//! it), so the domain ladder honours `parallelism` and
+//! `Ladder::scratch` exactly as `Ladder::run` does. A flat topology,
+//! where every unit is one leaf, runs the node move set itself. The
+//! scalar oracle is the leaf-set ladder in [`crate::reference`]
+//! (`tests/domain_differential.rs`).
 //!
 //! The bounds generalize admissibly: with `m` unit failures left, one
 //! unit can add at most `c_max = max_u min(|leaves(u)|, r)` hits to one
