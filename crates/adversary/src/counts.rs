@@ -2,7 +2,6 @@
 //! reference backend ([`FailureCounts`]) and the hit-level tables
 //! ([`PackedCounts`]) every rung of the production ladder runs on.
 
-use crate::bitmap::NodeSet;
 use wcp_core::Placement;
 
 /// Tracks, for a mutable set of failed nodes, how many replicas of each
@@ -232,7 +231,7 @@ impl FailureCounts {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BuildStats {
     /// Distinct heap buffers the build wrote (CSR offsets, co-hosts,
-    /// level rows, histogram, membership words) — a constant
+    /// level rows, histogram, membership bytes) — a constant
     /// independent of `n` and `b`. The forward map is the bound
     /// placement's own table, and the pair matrix waits for the exact
     /// DFS's first use.
@@ -257,7 +256,8 @@ pub(crate) const REBIND_BUFFERS: u32 = 5;
 ///   object's hit count is the number of its failed co-hosts plus one
 ///   if the row's node is failed, so every update streams one row and
 ///   never needs an object id. Per-node loads fall out of the offsets;
-/// * the failed set (a `NodeSet`), and `hist[h]`, the objects at `h`
+/// * the failed set (one `0`/`1` byte per node, summed straight into
+///   hit counts by the row passes), and `hist[h]`, the objects at `h`
 ///   hits (`h = 0..=r`): the failed count is the histogram's tail from
 ///   `s`, and the objects failable within `m` more failures are its
 ///   levels `s − m ..= s − 1`, clamped to `0..=r`;
@@ -317,7 +317,8 @@ pub struct PackedCounts {
     placement: Option<Placement>,
     levels: Vec<u32>,
     hist: Vec<u64>,
-    members: NodeSet,
+    /// `1` per failed node, `0` otherwise.
+    members: Vec<u8>,
     /// Nodes in `members`.
     depth: usize,
     /// The pair matrix, empty until [`PackedCounts::ensure_pairs`].
@@ -389,7 +390,6 @@ impl PackedCounts {
             4 => self.fill_cohosts(4),
             r => self.fill_cohosts(r),
         }
-        self.members.reset(n);
         self.reset();
         self.pair.clear();
         self.empty_pair.clear();
@@ -450,6 +450,7 @@ impl PackedCounts {
             *h0 = self.b as u64;
         }
         self.members.clear();
+        self.members.resize(self.n, 0);
         self.depth = 0;
     }
 
@@ -548,7 +549,7 @@ impl PackedCounts {
     /// True if the node is currently in the failed set.
     #[must_use]
     pub fn contains(&self, node: u16) -> bool {
-        self.members.contains(node)
+        flag(&self.members, node) == 1
     }
 
     /// The node's CSR row of co-hosts: for every object with a replica
@@ -559,15 +560,15 @@ impl PackedCounts {
         cohost_row(&self.csr_off, &self.csr_cohosts, self.stride, node)
     }
 
-    /// Raw membership words plus the valid-bit mask of the last word,
-    /// for fully inlined complement scans in the hot search loops.
-    pub(crate) fn member_words(&self) -> (&[u64], u64) {
-        (self.members.words(), self.members.limit_mask())
+    /// The failed set as one `0`/`1` byte per node, for inlined
+    /// complement scans in the hot search loops.
+    pub(crate) fn members(&self) -> &[u8] {
+        &self.members
     }
 
-    /// The failed-node set itself.
-    pub(crate) fn members(&self) -> &NodeSet {
-        &self.members
+    /// The failed nodes, ascending.
+    pub(crate) fn iter_members(&self) -> impl Iterator<Item = u16> + '_ {
+        (self.members.iter().enumerate()).filter_map(|(nd, &f)| (f == 1).then_some(nd as u16))
     }
 
     /// `|row(nd) ∩ {hits = h}|` for a node outside the failed set; `0`
@@ -587,7 +588,7 @@ impl PackedCounts {
     #[must_use]
     #[inline]
     pub fn gain(&self, node: u16) -> u64 {
-        debug_assert!(!self.members.contains(node));
+        debug_assert!(!self.contains(node));
         self.s.checked_sub(1).map_or(0, |h| self.level(node, h))
     }
 
@@ -630,7 +631,7 @@ impl PackedCounts {
     /// The current failed-node set (sorted).
     #[must_use]
     pub fn nodes(&self) -> Vec<u16> {
-        self.members.iter_present().collect()
+        self.iter_members().collect()
     }
 
     /// Marks `node` failed.
@@ -656,7 +657,7 @@ impl PackedCounts {
     /// co-host row moves every co-host one level up — and, with
     /// `PAIRS`, every co-host pair's correction by the weight change.
     pub(crate) fn push<const PAIRS: bool>(&mut self, nd: u16) {
-        debug_assert!(!self.members.contains(nd), "node already failed");
+        debug_assert!(!self.contains(nd), "node already failed");
         let at = usize::from(nd) * self.stride;
         for h in 0..self.stride.saturating_sub(1) {
             let moved = self.levels.get(at + h).map_or(0, |&c| u64::from(c));
@@ -672,7 +673,9 @@ impl PackedCounts {
             3 => self.shift_up::<PAIRS>(nd, 3),
             width => self.shift_up::<PAIRS>(nd, width),
         }
-        self.members.insert(nd);
+        if let Some(f) = self.members.get_mut(usize::from(nd)) {
+            *f = 1;
+        }
         self.depth += 1;
     }
 
@@ -699,7 +702,7 @@ impl PackedCounts {
         } = self;
         let (stride, n, s) = (*stride, *n, *s);
         for co in cohost_row(csr_off, csr_cohosts, stride, nd).chunks_exact(width) {
-            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            let h = co.iter().map(|&c| flag(members, c)).sum::<usize>();
             for &c in co {
                 let at = usize::from(c) * stride + h;
                 if let Some([from, to]) = levels.get_mut(at..at + 2) {
@@ -720,8 +723,10 @@ impl PackedCounts {
     /// `PAIRS`) against `load·(r − 1)` level updates (plus
     /// `load·C(r − 1, 2)` pair updates).
     pub(crate) fn remove<const PAIRS: bool>(&mut self, nd: u16) {
-        debug_assert!(self.members.contains(nd), "node not failed");
-        self.members.remove(nd);
+        debug_assert!(self.contains(nd), "node not failed");
+        if let Some(f) = self.members.get_mut(usize::from(nd)) {
+            *f = 0;
+        }
         self.depth -= 1;
         let width = self.stride.saturating_sub(2);
         let load = self.load(nd) as usize;
@@ -784,7 +789,7 @@ impl PackedCounts {
             row.fill(0);
         }
         for co in cohost_row(csr_off, csr_cohosts, stride, nd).chunks_exact(width) {
-            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            let h = co.iter().map(|&c| flag(members, c)).sum::<usize>();
             for &c in co {
                 let at = usize::from(c) * stride + h;
                 if let Some([to, from]) = levels.get_mut(at..at + 2) {
@@ -801,12 +806,12 @@ impl PackedCounts {
         }
     }
 
-    /// Objects the uncovered `leaves` (outside the failed set, marked in
-    /// `open`) fail if they join the set together, without mutating: an
+    /// Objects the uncovered `leaves` (outside the failed set, marked `1`
+    /// in `open`) fail if they join the set together, without mutating: an
     /// object on one of them that has not failed yet fails once its
     /// failed co-hosts plus the leaves hosting it reach `s`. Each object
     /// is counted at its lowest-numbered host among `leaves`.
-    pub(crate) fn gain_of(&self, leaves: &[u16], open: &NodeSet) -> u64 {
+    pub(crate) fn gain_of(&self, leaves: &[u16], open: &[u8]) -> u64 {
         match self.stride.saturating_sub(2) {
             0 => {
                 // r = 1: an object fails with its one host iff s = 1.
@@ -826,17 +831,17 @@ impl PackedCounts {
 
     /// [`PackedCounts::gain_of`] over co-host rows of `width = r − 1`.
     #[inline(always)]
-    fn joint_gain(&self, leaves: &[u16], open: &NodeSet, width: usize) -> u64 {
-        let (members, s) = (&self.members, self.s as u64);
+    fn joint_gain(&self, leaves: &[u16], open: &[u8], width: usize) -> u64 {
+        let (members, s) = (&self.members, self.s);
         let mut gain = 0;
         for &leaf in leaves {
             for co in self.cohost_row(leaf).chunks_exact(width) {
                 let (mut h, mut joined, mut earlier) = (0, 1, 0);
                 for &c in co {
-                    let inside = open.bit(c);
-                    h += members.bit(c);
+                    let inside = flag(open, c);
+                    h += flag(members, c);
                     joined += inside;
-                    earlier += inside & u64::from(c < leaf);
+                    earlier += inside & usize::from(c < leaf);
                 }
                 gain += u64::from(earlier == 0 && h < s && h + joined >= s);
             }
@@ -875,7 +880,7 @@ impl PackedCounts {
         let (members, s) = (&self.members, self.s);
         let mut loss = 0;
         for co in self.cohost_row(out).chunks_exact(width) {
-            let h = co.iter().map(|&c| members.bit(c)).sum::<u64>() as usize;
+            let h = co.iter().map(|&c| flag(members, c)).sum::<usize>();
             let at_s = h + 1 == s;
             loss += u64::from(at_s);
             let d = i64::from(at_s) - i64::from(h + 2 == s);
@@ -889,6 +894,13 @@ impl PackedCounts {
         }
         loss
     }
+}
+
+/// `set`'s `0`/`1` byte for `node` (`0` outside the universe), summed
+/// straight into hit counts.
+#[inline(always)]
+fn flag(set: &[u8], node: u16) -> usize {
+    usize::from(set.get(usize::from(node)).copied().unwrap_or(0))
 }
 
 /// `node`'s slice of the CSR co-host array (see

@@ -29,7 +29,6 @@
 //! hits; for flat topologies `c_max = 1` recovers the node bounds
 //! exactly.
 
-use crate::bitmap::NodeSet;
 use crate::counts::PackedCounts;
 use crate::exact::{self, Branch, DfsScratch};
 use crate::ladder::{domain_worst, kernel, Model, Moves};
@@ -139,8 +138,8 @@ pub(crate) struct CoverState {
     cover: Vec<u16>,
     /// Uncovered-leaf buffer of the unit gain.
     tmp: Vec<u16>,
-    /// The leaves in `tmp`, as a set.
-    open: NodeSet,
+    /// The leaves in `tmp`: `1` per node, `0` otherwise.
+    open: Vec<u8>,
     /// The hit budget of the last [`Branch::begin_supply`].
     supply_hits: u16,
 }
@@ -207,7 +206,8 @@ impl Model for UnitModel<'_> {
         cover.chosen.resize(self.index.units.len(), false);
         cover.cover.clear();
         cover.cover.resize(usize::from(self.index.n), 0);
-        cover.open.reset(usize::from(self.index.n));
+        cover.open.clear();
+        cover.open.resize(usize::from(self.index.n), 0);
         let moves = UnitMoves {
             pc,
             idx: &self.index,
@@ -271,9 +271,16 @@ impl Moves for UnitMoves<'_> {
             [] => 0,
             &[nd] => pc.gain(nd),
             leaves => {
-                leaves.iter().for_each(|&nd| cov.open.insert(nd));
+                let mark = |open: &mut [u8], on: u8| {
+                    for &nd in leaves {
+                        if let Some(f) = open.get_mut(usize::from(nd)) {
+                            *f = on;
+                        }
+                    }
+                };
+                mark(&mut cov.open, 1);
                 let gain = pc.gain_of(leaves, &cov.open);
-                leaves.iter().for_each(|&nd| cov.open.remove(nd));
+                mark(&mut cov.open, 0);
                 gain
             }
         }

@@ -149,7 +149,7 @@ impl Branch for NodeMoves<'_> {
 
     fn witness(&self, extra: &[u32], out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.pc.members().iter_present().map(u32::from));
+        out.extend(self.pc.iter_members().map(u32::from));
         out.extend_from_slice(extra);
         out.sort_unstable();
     }

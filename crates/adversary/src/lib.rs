@@ -52,7 +52,6 @@
 
 #![forbid(unsafe_code)]
 
-mod bitmap;
 mod certify;
 mod counts;
 pub mod domain;

@@ -137,40 +137,29 @@ impl Climb for NodeMoves<'_> {
 
     fn members(&self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.pc.members().iter_present().map(u32::from));
+        out.extend(self.pc.iter_members().map(u32::from));
     }
 
     /// Removing `out` recovers its objects at exactly `s` hits, and it
     /// changes a candidate's gain only on objects the two share, so one
     /// pass over `out`'s co-host row yields the value of every
     /// candidate: `failed − loss(out) + gain(in) + delta[in]`. The
-    /// candidate scan is an inlined complement-bitmap walk (`out` is
-    /// still a member, so the walk skips it), so its inner loop is
-    /// loads, adds and compares only.
+    /// candidate scan walks the membership bytes in node order (`out`
+    /// is still a member, so the walk skips it).
     fn best_swap(&mut self, out: u32, floor: u64) -> Option<(u32, u64)> {
         let (pc, delta) = (&*self.pc, &mut **self.deltas);
         let loss = pc.swap_deltas(node(out), delta);
         let base = (pc.failed() - loss) as i64;
-        let (member_words, limit) = pc.member_words();
         let mut best_value = floor as i64;
         let mut best = None;
-        let last_w = member_words.len().wrapping_sub(1);
-        for (wi, &mw) in member_words.iter().enumerate() {
-            let mut bits = !mw;
-            if wi == last_w {
-                bits &= limit;
+        for (inn, (&member, &d)) in pc.members().iter().zip(delta.iter()).enumerate() {
+            if member == 1 {
+                continue;
             }
-            while bits != 0 {
-                let inn = (wi << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let Some(&d) = delta.get(inn) else {
-                    continue;
-                };
-                let value = base + pc.gain(inn as u16) as i64 + d;
-                if value > best_value {
-                    best_value = value;
-                    best = Some((inn as u32, value as u64));
-                }
+            let value = base + pc.gain(inn as u16) as i64 + d;
+            if value > best_value {
+                best_value = value;
+                best = Some((inn as u32, value as u64));
             }
         }
         delta.fill(0);
