@@ -4,10 +4,10 @@
 //! requested: the driver returns its verdict together with the rungs
 //! that led to it — each rung's witness with a replayable
 //! decision-trace hash — so `Ladder::certified()` only adds what the
-//! `wcp-verify` crate needs beyond them to re-check the verdict in
-//! `O(witness)`: when the exact rung completed, a per-root-child
-//! **bound ledger** for the branch-and-bound tree, and the seal binding
-//! the claim to the placement.
+//! `wcp-verify` crate needs beyond them to re-check the verdict
+//! without re-running the search: when the exact rung completed, a
+//! per-root-child **bound ledger** for the branch-and-bound tree, and
+//! the seal binding the claim to the placement.
 //!
 //! The ledger is computed *post hoc* on the accounting binding the exact
 //! rung just searched. Both the serial DFS root frame (depth 0 is below

@@ -225,23 +225,6 @@ impl FailureCounts {
     }
 }
 
-/// Telemetry from the last [`PackedCounts::rebind`], exposed so tests
-/// can pin the build contract: the build writes into a constant number
-/// of heap buffers — never a per-node vector-of-vectors.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BuildStats {
-    /// Distinct heap buffers the build wrote (CSR offsets, co-hosts,
-    /// level rows, histogram, membership bytes) — a constant
-    /// independent of `n` and `b`. The forward map is the bound
-    /// placement's own table, and the pair matrix waits for the exact
-    /// DFS's first use.
-    pub buffers: u32,
-}
-
-/// The number of heap buffers behind a [`PackedCounts`] build; see
-/// [`BuildStats::buffers`].
-pub(crate) const REBIND_BUFFERS: u32 = 5;
-
 /// The failure accounting every rung of the production ladder runs on:
 /// per node, how many of its objects sit at each hit level.
 ///
@@ -325,8 +308,6 @@ pub struct PackedCounts {
     pair: Vec<i32>,
     /// `pair` at the empty failed set.
     empty_pair: Vec<i32>,
-    /// Telemetry from the last rebind.
-    stats: BuildStats,
 }
 
 impl PackedCounts {
@@ -393,9 +374,6 @@ impl PackedCounts {
         self.reset();
         self.pair.clear();
         self.empty_pair.clear();
-        self.stats = BuildStats {
-            buffers: REBIND_BUFFERS,
-        };
     }
 
     /// The co-host pass of [`PackedCounts::rebind`] for rows of
@@ -529,12 +507,6 @@ impl PackedCounts {
     #[must_use]
     pub fn num_nodes(&self) -> u16 {
         self.n as u16
-    }
-
-    /// Telemetry from the last rebind (see [`BuildStats`]).
-    #[must_use]
-    pub fn build_stats(&self) -> BuildStats {
-        self.stats
     }
 
     /// Load of `node` (CSR row length — no allocation, no scan).
@@ -1160,29 +1132,6 @@ mod tests {
         for nd in 0..3u16 {
             assert!(pc.cohost_row(nd).is_empty(), "cohosts({nd})");
         }
-    }
-
-    #[test]
-    fn build_uses_constant_buffers() {
-        // The build writes a constant number of heap buffers —
-        // independent of both n and b, i.e. never the per-node
-        // vector-of-vectors a naive inverted-index build materializes.
-        let shapes = [(8u16, 70u64), (64, 500), (640, 40_000)];
-        let mut stats = Vec::new();
-        for &(n, b) in &shapes {
-            let sets: Vec<Vec<u16>> = (0..b)
-                .map(|o| {
-                    let mut s = vec![(o % u64::from(n)) as u16, ((o + 1) % u64::from(n)) as u16];
-                    s.sort_unstable();
-                    s
-                })
-                .collect();
-            let p = Placement::new(n, 2, sets).unwrap();
-            stats.push(PackedCounts::new(&p, 2).build_stats().buffers);
-        }
-        // Same buffer count at n = 8 and n = 640: O(1), not O(n).
-        assert!(stats.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(stats[0], REBIND_BUFFERS);
     }
 
     #[test]

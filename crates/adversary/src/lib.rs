@@ -62,7 +62,7 @@ mod pool;
 pub mod reference;
 mod search;
 
-pub use counts::{BuildStats, FailureCounts, PackedCounts};
+pub use counts::{FailureCounts, PackedCounts};
 pub use domain::{
     domain_exact_worst, domain_greedy_worst, domain_local_search_worst, DomainAttacker,
     DomainWorstCase,

@@ -8,7 +8,7 @@
 //! exact rung completed — a **bound ledger** with one admissible
 //! upper bound per root child of the branch-and-bound tree, in the
 //! tree's canonical root order. The `wcp-verify` crate re-checks all of
-//! it against the scalar oracle in `O(witness)` without re-running
+//! it against the scalar oracle in `O(b·r)` without re-running the
 //! search.
 //!
 //! What a certificate *proves* (checkable from the placement alone):

@@ -160,23 +160,6 @@ pub struct ComboStrategy {
 }
 
 impl ComboStrategy {
-    /// Plans against the paper's Fig. 4 profile (arithmetic capacities).
-    ///
-    /// The resulting strategy reproduces the paper's `lbAvail_co` values
-    /// exactly but can only [`build`](Self::build) when the profile's
-    /// designs are constructible; use
-    /// [`plan_constructive`](Self::plan_constructive) for guaranteed
-    /// materialization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profile and DP errors.
-    pub fn plan_paper(params: &SystemParams) -> Result<Self, PlacementError> {
-        let profile = PackingProfile::paper(params)?;
-        let plan = combo_plan(&profile, params)?;
-        Ok(Self { profile, plan })
-    }
-
     /// Plans against the constructive registry profile.
     ///
     /// # Errors
@@ -187,19 +170,6 @@ impl ComboStrategy {
         config: &wcp_designs::registry::RegistryConfig,
     ) -> Result<Self, PlacementError> {
         let profile = PackingProfile::constructive(params, config)?;
-        let plan = combo_plan(&profile, params)?;
-        Ok(Self { profile, plan })
-    }
-
-    /// Plans against an explicit profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DP errors.
-    pub fn plan_with_profile(
-        profile: PackingProfile,
-        params: &SystemParams,
-    ) -> Result<Self, PlacementError> {
         let plan = combo_plan(&profile, params)?;
         Ok(Self { profile, plan })
     }

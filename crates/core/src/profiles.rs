@@ -226,13 +226,6 @@ impl PackingProfile {
     pub fn specs(&self) -> &[UnitSpec] {
         &self.specs
     }
-
-    /// Total capacity with one index unit per slot (a quick feasibility
-    /// signal; the DP decides the real mix).
-    #[must_use]
-    pub fn unit_capacity_total(&self) -> u64 {
-        self.specs.iter().map(|sp| sp.capacity(1)).sum()
-    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 use crate::strategy::PlacementStrategy;
 use crate::{Placement, PlacementError, SystemParams};
+use wcp_sim::json::Value;
 
 /// A hierarchical failure-domain tree over nodes `0..n`.
 ///
@@ -251,13 +252,51 @@ impl Topology {
         self.maps.len() as u16
     }
 
-    /// The raw bottom-up parent maps ([`Topology::new`]'s input):
-    /// `parent_maps()[0][node]` is the node's level-1 domain,
-    /// `parent_maps()[i][d]` is level-`i` domain `d`'s parent. Lets
-    /// experiment records embed the exact topology for re-verification.
+    /// The one wire form of a topology, as experiment records embed it:
+    /// `{"maps": [[…], …]}`, the exact bottom-up parent maps
+    /// ([`Topology::new`]'s input), so a reader rebuilds the tree even
+    /// when its racks are irregular.
     #[must_use]
-    pub fn parent_maps(&self) -> &[Vec<u16>] {
-        &self.maps
+    pub fn to_value(&self) -> Value {
+        let levels = self
+            .maps
+            .iter()
+            .map(|map| Value::Array(map.iter().map(|&p| p.into()).collect()))
+            .collect();
+        Value::object([("maps", Value::Array(levels))])
+    }
+
+    /// Reads [`Topology::to_value`]'s form back as a tree over `n`
+    /// leaves. A `{"racks": …, "zones": …}` display label, which sweep
+    /// records attach, carries no exact tree and reads as `Ok(None)`.
+    ///
+    /// # Errors
+    ///
+    /// A message when the value is neither form, or when its maps are
+    /// not a valid tree over `n` leaves.
+    pub fn from_value(value: &Value, n: u16) -> Result<Option<Self>, String> {
+        if let Some(levels) = value.get("maps").and_then(Value::as_array) {
+            let maps: Vec<Vec<u16>> = levels
+                .iter()
+                .map(|level| {
+                    level
+                        .as_array()
+                        .ok_or("topology map levels must be arrays")?
+                        .iter()
+                        .map(|v| {
+                            v.as_u64()
+                                .and_then(|d| u16::try_from(d).ok())
+                                .ok_or("topology map entries must be u16 integers")
+                        })
+                        .collect()
+                })
+                .collect::<Result<_, _>>()?;
+            return Self::new(n, maps).map(Some).map_err(|e| e.to_string());
+        }
+        if value.get("racks").is_some() {
+            return Ok(None);
+        }
+        Err("topology must carry a \"maps\" or \"racks\" field".into())
     }
 
     /// True when the topology has no internal levels.
@@ -651,6 +690,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wire_form_round_trips() {
+        let irregular = Topology::new(7, vec![vec![0, 0, 1, 2, 2, 2, 1], vec![0, 1, 1]]).unwrap();
+        for topo in [
+            irregular,
+            Topology::split(12, &[4, 2]).unwrap(),
+            Topology::flat(5),
+        ] {
+            let n = topo.num_nodes();
+            let read = Topology::from_value(&Value::parse(&topo.to_value().to_json()).unwrap(), n);
+            assert_eq!(read, Ok(Some(topo)));
+        }
+        let label = Value::object([("racks", 4u64.into()), ("zones", 0u64.into())]);
+        assert_eq!(Topology::from_value(&label, 12), Ok(None));
+        let split = Value::object([("split", Value::Array(vec![4u64.into()]))]);
+        assert!(Topology::from_value(&split, 12).is_err());
+        let short = Topology::split(12, &[4]).unwrap().to_value();
+        assert!(Topology::from_value(&short, 13).is_err());
     }
 
     #[test]

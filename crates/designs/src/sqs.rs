@@ -153,20 +153,6 @@ pub fn double(base: &BlockDesign) -> Result<BlockDesign, DesignError> {
     BlockDesign::new(2 * v, 4, blocks)
 }
 
-/// SQS sizes reachable by this module alone (Boolean + doubling closure of
-/// Boolean roots), within `≤ max_v`. The registry extends this with Möbius
-/// `3-(3^d+1, 4, 1)` roots.
-#[must_use]
-pub fn boolean_doubling_sizes(max_v: u16) -> Vec<u16> {
-    let mut out: Vec<u16> = Vec::new();
-    let mut p = 4u32;
-    while p <= u32::from(max_v) {
-        out.push(p as u16);
-        p *= 2;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,9 @@ use std::process::ExitCode;
 use wcp_adversary::{AdversaryConfig, ScratchAdversary};
 use wcp_core::dynamic::{DynamicConfig, DynamicEngine, MovementReport, StepReport};
 use wcp_core::engine::{Attacker, ExhaustiveAttacker};
+use wcp_core::sweep::AdversarySpec;
 use wcp_core::{Parallelism, StrategyKind, SystemParams};
+use wcp_experiments::{parse_adversary, parse_list};
 use wcp_sim::churn::{ChurnSpec, ChurnTrace};
 use wcp_sim::record::Record;
 use wcp_sim::{csv_safe, results_dir, Csv, JsonLines, Table};
@@ -41,50 +43,6 @@ fn usage() -> String {
     .to_string()
 }
 
-#[derive(Debug, Clone)]
-enum AdversaryChoice {
-    Auto { exact_budget: Option<u64> },
-    Exhaustive { budget: Option<u64> },
-}
-
-impl AdversaryChoice {
-    fn label(&self) -> String {
-        match self {
-            AdversaryChoice::Auto { exact_budget } => {
-                format!(
-                    "auto({})",
-                    exact_budget.unwrap_or_else(|| AdversaryConfig::default().exact_budget)
-                )
-            }
-            AdversaryChoice::Exhaustive { budget } => {
-                format!("exhaustive({})", budget.unwrap_or(2_000_000))
-            }
-        }
-    }
-}
-
-fn parse_adversary(value: &str) -> Result<AdversaryChoice, String> {
-    let (kind, budget) = match value.split_once(':') {
-        Some((kind, raw)) => (
-            kind,
-            Some(
-                raw.parse::<u64>()
-                    .map_err(|_| format!("invalid adversary budget '{raw}'"))?,
-            ),
-        ),
-        None => (value, None),
-    };
-    match kind {
-        "auto" => Ok(AdversaryChoice::Auto {
-            exact_budget: budget,
-        }),
-        "exhaustive" => Ok(AdversaryChoice::Exhaustive { budget }),
-        other => Err(format!(
-            "unknown adversary '{other}' (expected auto or exhaustive)"
-        )),
-    }
-}
-
 struct Cli {
     capacity: u16,
     initial: u16,
@@ -94,24 +52,12 @@ struct Cli {
     k: u16,
     lengths: Vec<usize>,
     strategies: Vec<StrategyKind>,
-    adversary: AdversaryChoice,
+    adversary: AdversarySpec,
     threshold: f64,
     seed: u64,
     trace: Option<ChurnTrace>,
     csv_path: Option<String>,
     json_path: Option<String>,
-}
-
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
-    value
-        .split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid {flag} entry '{part}'"))
-        })
-        .collect()
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -128,7 +74,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             StrategyKind::Ring,
             StrategyKind::parse_spec("random").expect("builtin spec"),
         ],
-        adversary: AdversaryChoice::Auto { exact_budget: None },
+        adversary: AdversarySpec::default(),
         threshold: 0.02,
         seed: 0,
         trace: None,
@@ -312,19 +258,23 @@ fn main() -> ExitCode {
         }
         for kind in &cli.strategies {
             let adversary_label = cli.adversary.label();
-            let outcome = match &cli.adversary {
-                AdversaryChoice::Auto { exact_budget } => {
+            let outcome = match cli.adversary {
+                AdversarySpec::Auto {
+                    exact_budget,
+                    restarts,
+                    max_steps,
+                } => {
                     // The ladder is bit-identical at any thread count,
                     // so honoring WCP_THREADS here keeps the replay
                     // byte-for-byte reproducible (the CI determinism
                     // matrix diffs exactly this output).
-                    let mut adv = AdversaryConfig {
+                    let adv = AdversaryConfig {
+                        exact_budget,
+                        restarts,
+                        max_steps,
                         parallelism: Parallelism::from_env(),
                         ..AdversaryConfig::default()
                     };
-                    if let Some(budget) = exact_budget {
-                        adv.exact_budget = *budget;
-                    }
                     run_one(
                         params,
                         kind,
@@ -334,14 +284,12 @@ fn main() -> ExitCode {
                         trace,
                     )
                 }
-                AdversaryChoice::Exhaustive { budget } => run_one(
+                AdversarySpec::Exhaustive { budget } => run_one(
                     params,
                     kind,
                     trace.capacity,
                     config.clone(),
-                    ExhaustiveAttacker {
-                        budget: budget.unwrap_or_else(|| ExhaustiveAttacker::default().budget),
-                    },
+                    ExhaustiveAttacker { budget },
                     trace,
                 ),
             };

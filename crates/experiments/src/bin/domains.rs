@@ -27,7 +27,7 @@ use wcp_core::{
     repair_domain_collisions, Engine, Parallelism, PlannerContext, StrategyKind, SystemParams,
     Topology,
 };
-use wcp_sim::json::Value;
+use wcp_experiments::parse_list;
 use wcp_sim::record::Record;
 use wcp_sim::{csv_safe, results_dir, Csv, JsonLines, Table};
 
@@ -98,11 +98,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--quick" => quick = true,
             "--racks" => {
-                cli.racks = value("--racks")?
-                    .split(',')
-                    .filter(|part| !part.is_empty())
-                    .map(|part| parse_num("--racks", part.trim()))
-                    .collect::<Result<_, String>>()?;
+                cli.racks = parse_list("--racks", value("--racks")?)?;
                 have_grid = true;
             }
             "--rack-size" => {
@@ -152,17 +148,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         return Err("rack counts and --rack-size must be positive".to_string());
     }
     Ok(cli)
-}
-
-/// The topology as a JSONL-embeddable object: the exact bottom-up
-/// parent maps, so `wcp-verify` can rebuild it even under jitter.
-fn topology_value(topo: &Topology) -> Value {
-    let levels = topo
-        .parent_maps()
-        .iter()
-        .map(|map| Value::Array(map.iter().map(|&p| p.into()).collect()))
-        .collect();
-    Value::object([("maps", Value::Array(levels))])
 }
 
 fn main() -> ExitCode {
@@ -312,7 +297,7 @@ fn main() -> ExitCode {
             // certificates against the exact failure-unit tree. The
             // repaired placement is not spec-rebuildable, so its record
             // carries the certificate alone.
-            let topo_value = topology_value(topo);
+            let topo_value = topo.to_value();
             for (adversary, report) in [("node", &node), ("domain", &domain)] {
                 let record = Record::new("domains")
                     .strategy(kind.label())

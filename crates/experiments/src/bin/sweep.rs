@@ -23,9 +23,10 @@
 
 use std::process::ExitCode;
 use wcp_adversary::SweepAdversary;
-use wcp_core::sweep::{sweep_with, AdversarySpec, SweepOptions, SweepRecord, SweepSpec};
+use wcp_core::sweep::{sweep_with, SweepOptions, SweepRecord, SweepSpec};
 use wcp_core::StrategyKind;
 use wcp_experiments::spec::parse_sweep_spec;
+use wcp_experiments::{parse_adversary, parse_list};
 use wcp_sim::{csv_safe, results_dir, Csv, JsonLines, Table};
 
 fn usage() -> String {
@@ -44,47 +45,6 @@ fn usage() -> String {
         "count (default: all cores); records are identical either way.\n",
     )
     .to_string()
-}
-
-/// Parses `--flag a,b,c` integer lists.
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
-    value
-        .split(',')
-        .filter(|part| !part.is_empty())
-        .map(|part| {
-            part.trim()
-                .parse()
-                .map_err(|_| format!("invalid {flag} entry '{part}'"))
-        })
-        .collect()
-}
-
-fn parse_adversary(value: &str) -> Result<AdversarySpec, String> {
-    let (kind, budget) = match value.split_once(':') {
-        Some((kind, raw)) => (
-            kind,
-            Some(
-                raw.parse::<u64>()
-                    .map_err(|_| format!("invalid adversary budget '{raw}'"))?,
-            ),
-        ),
-        None => (value, None),
-    };
-    match kind {
-        "auto" => {
-            let mut spec = AdversarySpec::default();
-            if let (AdversarySpec::Auto { exact_budget, .. }, Some(b)) = (&mut spec, budget) {
-                *exact_budget = b;
-            }
-            Ok(spec)
-        }
-        "exhaustive" => Ok(AdversarySpec::Exhaustive {
-            budget: budget.unwrap_or(2_000_000),
-        }),
-        other => Err(format!(
-            "unknown adversary '{other}' (expected auto or exhaustive)"
-        )),
-    }
 }
 
 struct Cli {

@@ -12,7 +12,62 @@
 pub mod spec;
 
 use wcp_analysis::theorem2::VulnTable;
+use wcp_core::sweep::AdversarySpec;
 use wcp_core::{combo_plan, lb_avail_co, PackingProfile, SystemParams};
+
+/// Parses a comma-separated `--flag a,b,c` list, skipping empty
+/// entries.
+///
+/// # Errors
+///
+/// Names the flag and the first entry that does not parse.
+pub fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
+    value
+        .split(',')
+        .filter(|part| !part.is_empty())
+        .map(|part| {
+            part.trim()
+                .parse()
+                .map_err(|_| format!("invalid {flag} entry '{part}'"))
+        })
+        .collect()
+}
+
+/// Parses the `--adversary` flag every experiment CLI takes:
+/// `auto[:EXACT_BUDGET]` is [`AdversarySpec::default`] with its DFS
+/// budget replaced when given, and `exhaustive[:BUDGET]` enumerates up
+/// to `BUDGET` subsets (2,000,000 by default).
+///
+/// # Errors
+///
+/// An unknown adversary name or a budget that is not an integer.
+pub fn parse_adversary(value: &str) -> Result<AdversarySpec, String> {
+    let (kind, budget) = match value.split_once(':') {
+        Some((kind, raw)) => (
+            kind,
+            Some(
+                raw.parse::<u64>()
+                    .map_err(|_| format!("invalid adversary budget '{raw}'"))?,
+            ),
+        ),
+        None => (value, None),
+    };
+    match kind {
+        "auto" => {
+            let mut spec = AdversarySpec::default();
+            if let (AdversarySpec::Auto { exact_budget, .. }, Some(b)) = (&mut spec, budget) {
+                *exact_budget = b;
+            }
+            Ok(spec)
+        }
+        "exhaustive" => Ok(AdversarySpec::Exhaustive {
+            budget: budget.unwrap_or(2_000_000),
+        }),
+        other => Err(format!(
+            "unknown adversary '{other}' (expected auto or exhaustive)"
+        )),
+    }
+}
 
 /// The paper's object-count series: 600 doubling to `max` (38 400 in
 /// Fig. 9, 9 600 in Fig. 2).

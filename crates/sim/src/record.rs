@@ -40,9 +40,9 @@ pub struct Record {
     /// Experiment-specific scalars (cell index, seed, step number,
     /// racks/zones, …), in emission order.
     pub extras: Vec<(String, Value)>,
-    /// The failure-domain tree of the run: `{"maps": [[…], …]}` (exact
-    /// parent maps), `{"split": […]}`, or a `{"racks": …, "zones": …}`
-    /// label for display-only use.
+    /// The failure-domain tree of the run, in `wcp_core::Topology`'s
+    /// wire form (`Topology::to_value` / `Topology::from_value`), or a
+    /// `{"racks": …, "zones": …}` label for display-only use.
     pub topology: Option<Value>,
     /// The measurement payload (evaluation or step report), verbatim.
     pub report: Option<Value>,

@@ -2,10 +2,24 @@
 //!
 //! `wcp-adversary`'s certified ladder entry points emit a compact
 //! [`Certificate`] alongside every worst-case verdict; this crate
-//! re-checks such a certificate **without re-running the search**, in
-//! time linear in the certificate itself (`O(n)` for the bound ledger,
-//! `O(witness)` per rung — never the exponential search the prover
-//! paid for).
+//! re-checks such a certificate **without re-running the search**. The
+//! check costs `O(b·r)` whatever the certificate's size: one placement
+//! digest for the binding, one re-score per rung, and one
+//! [`FailureCounts`] build for the bound ledger — never the exponential
+//! search the prover paid for.
+//!
+//! # One check for both budget models
+//!
+//! A node is the failure unit of one leaf, so a node certificate is a
+//! failure-unit certificate over the `n` one-leaf units
+//! `[0], [1], …, [n − 1]`. [`verify_node`] reads a rung's moves off its
+//! witness; [`verify_domain`] reads them off the rung's unit ids over
+//! [`Topology::failure_units`]. Both hand their units and moves to one
+//! private check, which holds every rule once: the per-rung budget;
+//! distinct, in-range moves; the witness as the sorted leaf union of
+//! the moves; the `k = 0` and every-unit budgets; the ledger's length,
+//! its canonical `(gain, weight, id)` root order, and each root's
+//! recomputed bound.
 //!
 //! # What is proven, and what is trusted
 //!
@@ -39,14 +53,17 @@
 //! some root's bound exceeds the claim, closing that subtree relied on
 //! the prover's deeper exploration; such roots are counted in
 //! [`VerifyReport::trusted_roots`] rather than re-searched (that would
-//! defeat the `O(witness)` contract). The heuristic rungs' `trace`
-//! hashes are replay anchors for a determinism audit, not something a
-//! linear-time verifier can recompute; they are carried, not checked.
+//! re-run the search the split exists to avoid). The heuristic rungs'
+//! `trace` hashes are replay anchors for a determinism audit, not
+//! something the verifier can recompute without re-running the prover;
+//! they are carried, not checked.
 
 #![forbid(unsafe_code)]
 
 use wcp_adversary::FailureCounts;
-use wcp_core::{placement_digest, Certificate, CertificateKind, Placement, RungKind, Topology};
+use wcp_core::{
+    placement_digest, Certificate, CertificateKind, Placement, Rung, RungKind, Topology,
+};
 
 /// What a successful verification established.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +123,7 @@ pub fn verify_structure(cert: &Certificate) -> Result<(), String> {
         RungKind::LocalSearch => 1,
         RungKind::Exact => 2,
     };
-    let mut prev: Option<&wcp_core::Rung> = None;
+    let mut prev: Option<&Rung> = None;
     for (i, rung) in cert.rungs.iter().enumerate() {
         if rung.failed > cert.b {
             return fail(format!(
@@ -201,33 +218,105 @@ fn check_rung_scores(cert: &Certificate, placement: &Placement) -> Result<(), St
 }
 
 /// Verifies a node-adversary certificate against the placement it was
-/// issued for, in `O(n + witness)` time.
+/// issued for: the one failure-unit check over the `n` one-leaf units,
+/// with each rung's moves read off its witness. Costs `O(b·r)`.
 ///
 /// # Errors
 ///
 /// A description of the first check that failed: structural invariants,
-/// placement binding, a witness re-scoring to a different count, or a
-/// ledger whose roots or bounds disagree with their scalar
-/// recomputation.
+/// placement binding, a witness re-scoring to a different count, a
+/// witness over budget or not sorted, or a ledger whose roots or bounds
+/// disagree with their scalar recomputation.
 pub fn verify_node(cert: &Certificate, placement: &Placement) -> Result<VerifyReport, String> {
+    let units: Vec<[u16; 1]> = (0..placement.num_nodes()).map(|nd| [nd]).collect();
+    verify_units(cert, CertificateKind::Node, placement, &units, |rung| {
+        rung.witness.iter().map(|&nd| u32::from(nd)).collect()
+    })
+}
+
+/// Verifies a domain-adversary certificate against the placement *and*
+/// the topology it was issued for: the one failure-unit check over
+/// [`Topology::failure_units`], with each rung's moves read off its unit
+/// ids. Costs `O(b·r)`.
+///
+/// # Errors
+///
+/// As for [`verify_node`], plus a topology that spans a different node
+/// count, a budget above the unit count, and unit ids out of range,
+/// repeated, or whose leaf union is not the rung's witness.
+pub fn verify_domain(
+    cert: &Certificate,
+    placement: &Placement,
+    topology: &Topology,
+) -> Result<VerifyReport, String> {
+    if topology.num_nodes() != placement.num_nodes() {
+        return Err(format!(
+            "topology spans {} nodes, placement has {}",
+            topology.num_nodes(),
+            placement.num_nodes()
+        ));
+    }
+    let units: Vec<Vec<u16>> = topology
+        .failure_units()
+        .into_iter()
+        .map(|u| u.nodes)
+        .collect();
+    verify_units(cert, CertificateKind::Domain, placement, &units, |rung| {
+        rung.units.clone()
+    })
+}
+
+/// The one certificate check behind both budget models: `units[u]` is
+/// failure unit `u`'s sorted leaf set, and `moves` reads the unit ids a
+/// rung spent its budget on.
+fn verify_units<L: AsRef<[u16]>>(
+    cert: &Certificate,
+    kind: CertificateKind,
+    placement: &Placement,
+    units: &[L],
+    moves: impl Fn(&Rung) -> Vec<u32>,
+) -> Result<VerifyReport, String> {
     verify_structure(cert)?;
-    if cert.kind != CertificateKind::Node {
-        return Err("expected a node certificate".into());
+    if cert.kind != kind {
+        return Err(format!("expected a {} certificate", kind.label()));
     }
     check_binding(cert, placement)?;
     check_rung_scores(cert, placement)?;
-    let n = cert.n;
     let k = cert.k;
+    let all = units.len();
+    if usize::from(k) > all {
+        return Err(format!("budget k={k} exceeds the {all} failure units"));
+    }
+    let leaves = |u: u32| units.get(u as usize).map(AsRef::as_ref);
     for (i, rung) in cert.rungs.iter().enumerate() {
-        if rung.witness.len() > usize::from(k) {
+        let chosen = moves(rung);
+        if chosen.len() > usize::from(k) {
             return Err(format!(
-                "rung {i} witness uses {} nodes, budget is {k}",
-                rung.witness.len()
+                "rung {i} fails {} units, budget is {k}",
+                chosen.len()
+            ));
+        }
+        let mut seen = vec![false; all];
+        let mut union: Vec<u16> = Vec::new();
+        for &u in &chosen {
+            let (Some(slot), Some(set)) = (seen.get_mut(u as usize), leaves(u)) else {
+                return Err(format!("rung {i} names unit {u} outside 0..{all}"));
+            };
+            if std::mem::replace(slot, true) {
+                return Err(format!("rung {i} repeats unit {u}"));
+            }
+            union.extend_from_slice(set);
+        }
+        union.sort_unstable();
+        union.dedup();
+        if union != rung.witness {
+            return Err(format!(
+                "rung {i} witness is not the sorted leaf union of its units"
             ));
         }
     }
     let mut report = VerifyReport {
-        kind: CertificateKind::Node,
+        kind,
         claimed_failed: cert.claimed_failed,
         exact: cert.exact,
         proven_optimal: false,
@@ -238,229 +327,59 @@ pub fn verify_node(cert: &Certificate, placement: &Placement) -> Result<VerifyRe
         return Ok(report);
     }
     // Degenerate budgets prove themselves: k = 0 admits only the empty
-    // set, and failing every node dominates any other choice (failure
-    // is monotone in the failed set).
-    if k == 0 {
-        if cert.claimed_failed != 0 || cert.rungs.first().is_some_and(|r| !r.witness.is_empty()) {
-            return Err("k = 0 certificate must claim the empty attack".into());
-        }
-        if !cert.ledger.is_empty() {
-            return Err("k = 0 certificate needs no ledger".into());
-        }
-        report.proven_optimal = true;
-        return Ok(report);
-    }
-    if k >= n {
-        let all_down = cert
-            .rungs
-            .last()
-            .is_some_and(|last| last.witness.len() == usize::from(n));
-        if !all_down {
+    // attack, and failing every unit dominates any other choice
+    // (failure is monotone in the failed set).
+    if k == 0 || usize::from(k) >= all {
+        let want = if k == 0 { 0 } else { all };
+        let last = cert.rungs.last().map_or(0, |last| moves(last).len());
+        if last != want || (k == 0 && cert.claimed_failed != 0) {
             return Err(format!(
-                "k = {k} ≥ n = {n} certificate must witness all nodes down"
+                "k = {k} certificate over {all} units must fail {want} of them"
             ));
         }
         if !cert.ledger.is_empty() {
-            return Err("all-nodes certificate needs no ledger".into());
+            return Err(format!(
+                "k = {k} certificate over {all} units needs no ledger"
+            ));
         }
         report.proven_optimal = true;
         return Ok(report);
     }
-    // The canonical root frontier: every k-set's first element (in
-    // (gain, load, node) descending order at the empty set) lies within
-    // the first n − k + 1 positions, so these entries cover all
-    // attacks. Order and bounds are recomputed from scratch on the
+    // The canonical root frontier: every k-set's first unit (in
+    // (gain, weight, id) descending order at the empty set) lies within
+    // the first `all − k + 1` positions, so these entries cover every
+    // attack. Order and bounds are recomputed from scratch on the
     // scalar oracle — equality with the recorded ledger is the
     // cross-kernel check.
-    let roots = usize::from(n - k) + 1;
+    let roots = all - usize::from(k) + 1;
     if cert.ledger.len() != roots {
         return Err(format!(
             "ledger covers {} roots, the frontier has {roots}",
             cert.ledger.len()
         ));
     }
-    let mut fc = FailureCounts::new(placement, cert.s);
-    let loads = placement.cached_loads();
-    let mut keys: Vec<(u64, u32, u16)> = (0..n)
-        .map(|nd| {
-            (
-                fc.gain(nd),
-                loads.get(usize::from(nd)).copied().unwrap_or(0),
-                nd,
-            )
-        })
-        .collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    for (i, (&(_, _, nd), entry)) in keys.iter().take(roots).zip(&cert.ledger).enumerate() {
-        if entry.root != u32::from(nd) {
-            return Err(format!(
-                "ledger entry {i} roots at node {}, canonical order expects {nd}",
-                entry.root
-            ));
-        }
-        fc.add_node(nd);
-        let bound = fc.failed() + fc.failable_within(k - 1);
-        fc.remove_node(nd);
-        if bound != entry.bound {
-            return Err(format!(
-                "ledger bound for root {nd} recomputes to {bound}, certificate \
-                 records {} (kernel divergence or tampering)",
-                entry.bound
-            ));
-        }
-        if bound > cert.claimed_failed {
-            report.trusted_roots += 1;
-        }
-    }
-    report.proven_optimal = report.trusted_roots == 0;
-    Ok(report)
-}
-
-/// Verifies a domain-adversary certificate against the placement *and*
-/// the topology it was issued for, in `O(units · leaves + witness)`
-/// time.
-///
-/// # Errors
-///
-/// As for [`verify_node`], plus unit-specific checks: every rung's
-/// witness must be exactly the leaf union of its chosen units, and the
-/// ledger's canonical order and bounds are recomputed over the
-/// topology's failure units.
-pub fn verify_domain(
-    cert: &Certificate,
-    placement: &Placement,
-    topology: &Topology,
-) -> Result<VerifyReport, String> {
-    verify_structure(cert)?;
-    if cert.kind != CertificateKind::Domain {
-        return Err("expected a domain certificate".into());
-    }
-    if topology.num_nodes() != placement.num_nodes() {
-        return Err(format!(
-            "topology spans {} nodes, placement has {}",
-            topology.num_nodes(),
-            placement.num_nodes()
-        ));
-    }
-    check_binding(cert, placement)?;
-    check_rung_scores(cert, placement)?;
-    let units: Vec<Vec<u16>> = topology
-        .failure_units()
-        .into_iter()
-        .map(|u| u.nodes)
-        .collect();
-    let u_count = units.len();
-    let k = cert.k;
-    if usize::from(k) > u_count {
-        return Err(format!(
-            "unit budget k={k} exceeds the topology's {u_count} failure units"
-        ));
-    }
-    for (i, rung) in cert.rungs.iter().enumerate() {
-        if rung.units.len() > usize::from(k) {
-            return Err(format!(
-                "rung {i} fails {} units, budget is {k}",
-                rung.units.len()
-            ));
-        }
-        let mut seen = vec![false; u_count];
-        let mut union: Vec<u16> = Vec::new();
-        for &u in &rung.units {
-            let (Some(slot), Some(leaves)) = (seen.get_mut(u as usize), units.get(u as usize))
-            else {
-                return Err(format!("rung {i} names unit {u} outside 0..{u_count}"));
-            };
-            if std::mem::replace(slot, true) {
-                return Err(format!("rung {i} repeats unit {u}"));
-            }
-            union.extend_from_slice(leaves);
-        }
-        union.sort_unstable();
-        union.dedup();
-        if union != rung.witness {
-            return Err(format!(
-                "rung {i} witness is not the leaf union of its units"
-            ));
-        }
-    }
-    let mut report = VerifyReport {
-        kind: CertificateKind::Domain,
-        claimed_failed: cert.claimed_failed,
-        exact: cert.exact,
-        proven_optimal: false,
-        trusted_roots: 0,
-        rungs: cert.rungs.len(),
-    };
-    if !cert.exact {
-        return Ok(report);
-    }
-    if k == 0 {
-        if cert.claimed_failed != 0 || cert.rungs.first().is_some_and(|r| !r.units.is_empty()) {
-            return Err("k = 0 certificate must claim the empty attack".into());
-        }
-        if !cert.ledger.is_empty() {
-            return Err("k = 0 certificate needs no ledger".into());
-        }
-        report.proven_optimal = true;
-        return Ok(report);
-    }
-    if usize::from(k) >= u_count {
-        let all_down = cert
-            .rungs
-            .last()
-            .is_some_and(|last| last.units.len() == u_count);
-        if !all_down {
-            return Err(format!(
-                "k = {k} ≥ {u_count} units: certificate must witness all units down"
-            ));
-        }
-        if !cert.ledger.is_empty() {
-            return Err("all-units certificate needs no ledger".into());
-        }
-        report.proven_optimal = true;
-        return Ok(report);
-    }
-    let roots = u_count - usize::from(k) + 1;
-    if cert.ledger.len() != roots {
-        return Err(format!(
-            "ledger covers {} roots, the unit frontier has {roots}",
-            cert.ledger.len()
-        ));
-    }
     // Scalar mirror of the prover's unit index: weights are leaf-load
-    // sums, the admissible per-unit hit cap is max_u min(|leaves|, r),
-    // and a unit's gain/damage at the empty set is the plain failure
-    // delta of downing its leaves.
+    // sums, a unit's gain is the failure delta of downing its leaves,
+    // and the admissible per-unit hit cap is c_max = max min(|leaves|, r)
+    // — 1 when every unit is one leaf.
     let loads = placement.cached_loads();
-    let weights: Vec<u64> = units
-        .iter()
-        .map(|leaves| {
-            leaves
-                .iter()
-                .map(|&nd| u64::from(loads.get(usize::from(nd)).copied().unwrap_or(0)))
-                .sum()
-        })
-        .collect();
+    let load = |nd: u16| u64::from(loads.get(usize::from(nd)).copied().unwrap_or(0));
     let r = usize::from(cert.r);
-    let c_max = units.iter().map(|u| u.len().min(r)).max().unwrap_or(0) as u16;
+    let c_max = units
+        .iter()
+        .map(|u| u.as_ref().len().min(r))
+        .max()
+        .unwrap_or(0) as u16;
     let hits = (u32::from(k - 1) * u32::from(c_max)).min(u32::from(u16::MAX)) as u16;
-    fn down(fc: &mut FailureCounts, leaves: &[u16]) {
-        for &nd in leaves {
-            fc.add_node(nd);
-        }
-    }
-    fn up(fc: &mut FailureCounts, leaves: &[u16]) {
-        for &nd in leaves.iter().rev() {
-            fc.remove_node(nd);
-        }
-    }
     let mut fc = FailureCounts::new(placement, cert.s);
-    let mut keys: Vec<(u64, u64, u32)> = Vec::with_capacity(u_count);
-    for ((u, leaves), &weight) in units.iter().enumerate().zip(&weights) {
-        down(&mut fc, leaves);
-        let gain = fc.failed();
-        up(&mut fc, leaves);
-        keys.push((gain, weight, u as u32));
+    let mut keys: Vec<(u64, u64, u32)> = Vec::with_capacity(all);
+    for (u, set) in units.iter().enumerate() {
+        let set = set.as_ref();
+        let gain = match set {
+            &[nd] => fc.gain(nd),
+            _ => with_down(&mut fc, set, FailureCounts::failed),
+        };
+        keys.push((gain, set.iter().map(|&nd| load(nd)).sum(), u as u32));
     }
     keys.sort_unstable_by(|a, b| b.cmp(a));
     for (i, (&(_, _, u), entry)) in keys.iter().take(roots).zip(&cert.ledger).enumerate() {
@@ -470,14 +389,8 @@ pub fn verify_domain(
                 entry.root
             ));
         }
-        let Some(leaves) = units.get(u as usize) else {
-            return Err(format!(
-                "ledger entry {i} roots at unit {u} outside 0..{u_count}"
-            ));
-        };
-        down(&mut fc, leaves);
-        let bound = fc.failed() + fc.failable_within(hits);
-        up(&mut fc, leaves);
+        let set = leaves(u).unwrap_or_default();
+        let bound = with_down(&mut fc, set, |fc| fc.failed() + fc.failable_within(hits));
         if bound != entry.bound {
             return Err(format!(
                 "ledger bound for unit {u} recomputes to {bound}, certificate \
@@ -491,6 +404,14 @@ pub fn verify_domain(
     }
     report.proven_optimal = report.trusted_roots == 0;
     Ok(report)
+}
+
+/// Downs `leaves`, reads `f` off the counts, and brings them back up.
+fn with_down<T>(fc: &mut FailureCounts, leaves: &[u16], f: impl Fn(&FailureCounts) -> T) -> T {
+    leaves.iter().for_each(|&nd| fc.add_node(nd));
+    let out = f(fc);
+    leaves.iter().rev().for_each(|&nd| fc.remove_node(nd));
+    out
 }
 
 #[cfg(test)]

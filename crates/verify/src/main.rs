@@ -106,10 +106,10 @@ fn check_record(line: &str, tally: &mut Tally) -> Result<(), String> {
         return Ok(());
     };
     let cert = Certificate::from_value(cert_value).map_err(|e| format!("certificate: {e}"))?;
-    // A `{"racks": …, "zones": …}` display label parses to `None` —
-    // only exact `maps`/`split` encodings support domain verification.
+    // A `{"racks": …, "zones": …}` display label reads as `None` —
+    // only the exact `maps` form supports domain verification.
     let topology = match &record.topology {
-        Some(t) => parse_topology(t, cert.n)?,
+        Some(t) => Topology::from_value(t, cert.n)?,
         None => None,
     };
     let Some(placement) = rebuild_placement(&record, &cert, topology.as_ref())? else {
@@ -187,48 +187,4 @@ fn rebuild_placement(
         ));
     }
     Ok(Some(placement))
-}
-
-/// Reads a record's embedded topology: `{"maps": [[...], ...]}` (the
-/// exact bottom-up parent maps, as the `domains` binary emits) or
-/// `{"split": [d1, d2, ...]}` (the balanced contiguous splits of
-/// [`Topology::split`]). A `{"racks": …, "zones": …}` display label —
-/// what axis sweeps attach — carries no exact tree and parses to
-/// `None`.
-fn parse_topology(value: &Value, n: u16) -> Result<Option<Topology>, String> {
-    if let Some(levels) = value.get("maps").and_then(Value::as_array) {
-        let maps: Vec<Vec<u16>> = levels
-            .iter()
-            .map(|level| {
-                level
-                    .as_array()
-                    .ok_or("topology map levels must be arrays")?
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .and_then(|d| u16::try_from(d).ok())
-                            .ok_or("topology map entries must be u16 integers")
-                    })
-                    .collect()
-            })
-            .collect::<Result<_, _>>()?;
-        return Topology::new(n, maps).map(Some).map_err(|e| e.to_string());
-    }
-    if let Some(counts) = value.get("split").and_then(Value::as_array) {
-        let counts: Vec<u16> = counts
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|d| u16::try_from(d).ok())
-                    .ok_or("topology split entries must be u16 integers")
-            })
-            .collect::<Result<_, _>>()?;
-        return Topology::split(n, &counts)
-            .map(Some)
-            .map_err(|e| e.to_string());
-    }
-    if value.get("racks").is_some() {
-        return Ok(None);
-    }
-    Err("topology must carry a \"maps\", \"split\", or \"racks\" field".into())
 }

@@ -224,8 +224,8 @@ fn resealed_domain_unit_swap_is_rejected() {
 }
 
 /// The acceptance shape (n=71, b=1200, r=3, s=2, k ≤ 5): the full
-/// ladder's certificate for every budget verifies in O(witness) after
-/// a JSON round trip, and the canonical tamper moves are all rejected.
+/// ladder's certificate for every budget verifies after a JSON round
+/// trip, and the canonical tamper moves are all rejected.
 /// The exact budget is trimmed so the debug-mode DFS either closes
 /// fast or falls back to a (still verifiable) heuristic certificate.
 #[test]
@@ -314,4 +314,123 @@ fn acceptance_shape_certificates_verify_and_tampering_fails() {
     let cert = roundtrip(&cert);
     let report = verify_domain(&cert, &p, &topo).expect("domain certificate verifies");
     assert_eq!(report.claimed_failed, wc.failed);
+}
+
+type Edit = fn(&mut Certificate, &Placement, Option<&Topology>);
+
+/// Every tamper move, applied to one exact certificate of each budget
+/// model: ledger edits, claim inflation, and edits to the last rung's
+/// moves (a domain rung's unit ids, a node rung's witness nodes) and
+/// witness.
+const EDITS: [(&str, Edit); 8] = [
+    ("raise one ledger bound", |cert, _, _| {
+        cert.ledger[0].bound += 1
+    }),
+    ("drop the last ledger entry", |cert, _, _| {
+        cert.ledger.pop();
+    }),
+    ("swap two ledger roots", |cert, _, _| cert.ledger.swap(0, 1)),
+    ("inflate the claim and the last rung", |cert, _, _| {
+        cert.claimed_failed += 1;
+        cert.rungs.last_mut().unwrap().failed += 1;
+    }),
+    ("empty the last rung's moves", |cert, _, topo| {
+        let last = cert.rungs.last_mut().unwrap();
+        match topo {
+            Some(_) => last.units.clear(),
+            None => last.witness.clear(),
+        }
+    }),
+    ("add a move beyond k", |cert, p, topo| {
+        // A consistent extra move: the witness is the new leaf union
+        // and every claim re-scores, so only the budget can object.
+        let last = cert.rungs.last_mut().unwrap();
+        match topo {
+            Some(topo) => {
+                let units = topo.failure_units();
+                let extra = (0..).find(|u| !last.units.contains(u)).unwrap();
+                last.units.push(extra);
+                last.units.sort_unstable();
+                last.witness = last
+                    .units
+                    .iter()
+                    .flat_map(|&u| units[u as usize].nodes.iter().copied())
+                    .collect();
+                last.witness.sort_unstable();
+                last.witness.dedup();
+            }
+            None => {
+                let extra = (0..).find(|nd| !last.witness.contains(nd)).unwrap();
+                last.witness.push(extra);
+                last.witness.sort_unstable();
+            }
+        }
+        last.failed = p.failed_objects(&last.witness, cert.s);
+        cert.claimed_failed = last.failed;
+    }),
+    ("repeat a move", |cert, _, topo| {
+        let last = cert.rungs.last_mut().unwrap();
+        match topo {
+            Some(_) => {
+                let first = last.units[0];
+                *last.units.last_mut().unwrap() = first;
+            }
+            None => {
+                let first = last.witness[0];
+                *last.witness.last_mut().unwrap() = first;
+            }
+        }
+    }),
+    ("reverse the last rung's witness", |cert, _, _| {
+        cert.rungs.last_mut().unwrap().witness.reverse();
+    }),
+];
+
+/// The tamper matrix over both budget models: every edit in [`EDITS`],
+/// re-sealed through JSON, is rejected on an exact node certificate
+/// and on an exact domain certificate, and so is each certificate
+/// checked against the wrong placement; the untampered certificates
+/// verify.
+#[test]
+fn tamper_matrix_rejects_every_edit_in_both_budget_models() {
+    let node_p = placement(14, 50, 3, 0x7a7);
+    let domain_p = placement(12, 40, 3, 0x7a8);
+    let topo = Topology::split(12, &[4]).unwrap();
+    let config = AdversaryConfig::default();
+    let node = Ladder::new(&config).certified().run(&node_p, 2, 3);
+    let domain = Ladder::new(&config)
+        .certified()
+        .run_domain(&domain_p, &topo, 2, 2);
+    let cases = [
+        (node.certificate.unwrap(), node_p, None),
+        (domain.certificate.unwrap(), domain_p, Some(&topo)),
+    ];
+    for (cert, p, topo) in &cases {
+        let topo = *topo;
+        let check = |cert: &Certificate, p: &Placement| match topo {
+            Some(topo) => verify_domain(cert, p, topo),
+            None => verify_node(cert, p),
+        };
+        let model = cert.kind.label();
+        let last = cert.rungs.last().unwrap();
+        assert!(
+            cert.exact && cert.ledger.len() >= 2 && last.witness.len() >= 2,
+            "{model}: the matrix needs an exact certificate with a ledger and a wide witness"
+        );
+        check(&roundtrip(cert), p)
+            .unwrap_or_else(|e| panic!("{model}: untampered certificate rejected: {e}"));
+        for (name, edit) in EDITS {
+            let mut tampered = cert.clone();
+            edit(&mut tampered, p, topo);
+            assert_ne!(
+                &tampered, cert,
+                "{model}: '{name}' must change the certificate"
+            );
+            let verdict = check(&roundtrip(&tampered), p);
+            assert!(verdict.is_err(), "{model}: '{name}' verified: {verdict:?}");
+        }
+        let other = placement(p.num_nodes(), p.num_objects() as u64, 3, 0x7a9);
+        let err = check(&roundtrip(cert), &other).unwrap_err();
+        assert!(err.contains("digest"), "{model}: wrong placement: {err}");
+    }
 }
