@@ -72,6 +72,7 @@ pub use ladder::{DomainLadderOutcome, Ladder, LadderOutcome};
 pub use parallel::exact_worst_parallel;
 pub use search::{greedy_worst, greedy_worst_with, local_search_worst, local_search_worst_with};
 
+use wcp_core::engine::{Attacker, ExhaustiveAttacker};
 use wcp_core::sweep::{AdversarySpec, CellAttacker, SweepCell};
 use wcp_core::{Parallelism, Placement};
 
@@ -270,9 +271,11 @@ pub fn availability(
     (placement.num_objects() as u64 - wc.failed, wc)
 }
 
-/// The per-worker sweep adversary: resolves each cell's
-/// [`AdversarySpec`] to the full exact-with-fallback ladder and reuses
-/// one [`AdversaryScratch`] across every cell the worker evaluates.
+/// The per-worker sweep adversary: resolves an [`AdversarySpec::Auto`]
+/// cell to the full exact-with-fallback ladder, reusing one
+/// [`AdversaryScratch`] across every cell the worker evaluates, and an
+/// [`AdversarySpec::Exhaustive`] cell to the engine's plain subset
+/// enumeration ([`ExhaustiveAttacker`]), as `churn` does.
 ///
 /// Heuristic stages are seeded with the cell's stable seed, so sweep
 /// results are byte-identical for any thread count.
@@ -313,14 +316,9 @@ impl CellAttacker for SweepAdversary {
         k: u16,
     ) -> wcp_core::engine::AttackOutcome {
         let config = match cell.adversary {
-            // An "exhaustive" cell still benefits from the ladder: the
-            // incumbent-seeded DFS visits at most as many states as the
-            // plain enumeration it replaces.
-            AdversarySpec::Exhaustive { budget } => AdversaryConfig {
-                exact_budget: budget,
-                seed: cell.seed,
-                ..AdversaryConfig::default()
-            },
+            AdversarySpec::Exhaustive { budget } => {
+                return ExhaustiveAttacker { budget }.attack(placement, s, k);
+            }
             AdversarySpec::Auto {
                 exact_budget,
                 restarts,
@@ -490,5 +488,26 @@ mod tests {
         assert_eq!(wc.failed, 1);
         let wc = Ladder::new(&AdversaryConfig::default()).run(&p, 2, 4).worst;
         assert_eq!(wc.failed, 2);
+    }
+
+    #[test]
+    fn exhaustive_sweep_cells_enumerate_plainly() {
+        // `exhaustive:B` means the engine's plain subset enumeration in
+        // a sweep cell too, within budget and beyond it.
+        let p = random_placement(14, 60, 3, 5);
+        let (s, k) = (2, 3); // C(14, 3) = 364 subsets
+        for (budget, exact) in [(1_000, true), (100, false)] {
+            let cell = SweepCell {
+                index: 0,
+                params: SystemParams::new(14, 60, 3, s, k).unwrap(),
+                kind: wcp_core::StrategyKind::Ring,
+                adversary: AdversarySpec::Exhaustive { budget },
+                seed: 1,
+            };
+            let outcome = SweepAdversary::new().attack_cell(&cell, &p, s, k);
+            assert_eq!(outcome, ExhaustiveAttacker { budget }.attack(&p, s, k));
+            assert_eq!(outcome.exact, exact, "budget {budget}");
+            assert!(outcome.certificate.is_none());
+        }
     }
 }

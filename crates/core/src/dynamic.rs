@@ -15,7 +15,9 @@
 //! * [`ClusterEvent`] — the membership event model
 //!   ([`Join`](ClusterEvent::Join) / [`Leave`](ClusterEvent::Leave) /
 //!   [`Fail`](ClusterEvent::Fail) / [`Recover`](ClusterEvent::Recover)),
-//!   convertible from `wcp_sim::churn` trace events;
+//!   re-exported from `wcp_sim::churn`, whose traces hold it and whose
+//!   [`ClusterEvent::transition`] is the slot state machine
+//!   [`DynamicEngine::apply`] checks events against;
 //! * [`DynamicEngine`] — wraps the static planning/attack pipeline of
 //!   [`crate::Engine`] and keeps a live [`Placement`] valid across an
 //!   event stream by **incremental repair**: on a departure it re-homes
@@ -94,85 +96,10 @@ use crate::strategy::{PlacementStrategy, PlannerContext, StrategyKind};
 use crate::topology::Topology;
 use crate::{Placement, PlacementError, RandomVariant, SystemParams};
 use std::sync::Arc;
+use wcp_sim::churn::Slot;
 use wcp_sim::json::Value;
 
-/// A cluster-membership event (the dynamic half of the model; the
-/// static half — what the adversary does between events — is Definition
-/// 1 unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterEvent {
-    /// A drained or never-provisioned slot comes up.
-    Join {
-        /// The slot that joins.
-        node: u16,
-    },
-    /// An up node drains and leaves in a planned fashion. Its replicas
-    /// are re-homed just like a crash; the distinction is kept because
-    /// operators schedule leaves but not failures.
-    Leave {
-        /// The node that leaves.
-        node: u16,
-    },
-    /// An up node crashes.
-    Fail {
-        /// The node that fails.
-        node: u16,
-    },
-    /// A crashed node comes back up.
-    Recover {
-        /// The node that recovers.
-        node: u16,
-    },
-}
-
-impl ClusterEvent {
-    /// The slot the event touches.
-    #[must_use]
-    pub fn node(&self) -> u16 {
-        match *self {
-            ClusterEvent::Join { node }
-            | ClusterEvent::Leave { node }
-            | ClusterEvent::Fail { node }
-            | ClusterEvent::Recover { node } => node,
-        }
-    }
-
-    /// Stable lowercase label (matches `wcp_sim::churn` encoding).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ClusterEvent::Join { .. } => "join",
-            ClusterEvent::Leave { .. } => "leave",
-            ClusterEvent::Fail { .. } => "fail",
-            ClusterEvent::Recover { .. } => "recover",
-        }
-    }
-
-    /// True when the event takes a node down (and repair must re-home
-    /// replicas).
-    #[must_use]
-    pub fn is_departure(&self) -> bool {
-        matches!(self, ClusterEvent::Leave { .. } | ClusterEvent::Fail { .. })
-    }
-}
-
-impl From<wcp_sim::churn::ChurnEvent> for ClusterEvent {
-    fn from(e: wcp_sim::churn::ChurnEvent) -> Self {
-        use wcp_sim::churn::ChurnEventKind;
-        match e.kind {
-            ChurnEventKind::Join => ClusterEvent::Join { node: e.node },
-            ChurnEventKind::Leave => ClusterEvent::Leave { node: e.node },
-            ChurnEventKind::Fail => ClusterEvent::Fail { node: e.node },
-            ChurnEventKind::Recover => ClusterEvent::Recover { node: e.node },
-        }
-    }
-}
-
-impl From<&wcp_sim::churn::ChurnEvent> for ClusterEvent {
-    fn from(e: &wcp_sim::churn::ChurnEvent) -> Self {
-        ClusterEvent::from(*e)
-    }
-}
+pub use wcp_sim::churn::ClusterEvent;
 
 /// Errors of the dynamic subsystem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,22 +150,11 @@ pub struct DynamicConfig {
     /// `threshold · b` objects of the from-scratch replan's; beyond
     /// that, the engine adopts the replan.
     pub threshold: f64,
-    /// Planner context shared by initial planning and every replan.
-    pub ctx: PlannerContext,
-    /// Seed of the load-balanced `Random` strategy the engine falls back
-    /// to when the configured strategy kind is not constructible at the
-    /// current membership size (e.g. a packing slot that only exists at
-    /// certain `n`).
-    pub fallback_seed: u64,
 }
 
 impl Default for DynamicConfig {
     fn default() -> Self {
-        Self {
-            threshold: 0.02,
-            ctx: PlannerContext::default(),
-            fallback_seed: 0xd15c,
-        }
+        Self { threshold: 0.02 }
     }
 }
 
@@ -300,13 +216,7 @@ impl StepReport {
     #[must_use]
     pub fn to_value(&self) -> Value {
         Value::object([
-            (
-                "event",
-                Value::object([
-                    ("kind", self.event.label().into()),
-                    ("node", self.event.node().into()),
-                ]),
-            ),
+            ("event", self.event.to_value()),
             ("action", self.action.label().into()),
             ("active", self.active.into()),
             ("moved", self.moved.into()),
@@ -355,15 +265,6 @@ impl MovementReport {
         }
         self.moved as f64 / self.replan_moved as f64
     }
-}
-
-/// Internal per-slot membership state ([`ClusterEvent::Join`] targets
-/// drained slots, [`ClusterEvent::Recover`] failed ones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Up,
-    Failed,
-    Drained,
 }
 
 /// The dynamic counterpart of [`crate::Engine`]: a live placement
@@ -619,22 +520,13 @@ impl<A: Attacker> DynamicEngine<A> {
                 self.capacity
             )));
         };
-        let legal = match event {
-            ClusterEvent::Join { .. } => state == Slot::Drained,
-            ClusterEvent::Recover { .. } => state == Slot::Failed,
-            ClusterEvent::Leave { .. } | ClusterEvent::Fail { .. } => state == Slot::Up,
-        };
-        if !legal {
+        let (before, after) = event.transition();
+        if state != before {
             return Err(DynamicError::InvalidEvent(format!(
                 "{} on slot {v} in state {state:?}",
                 event.label()
             )));
         }
-        let after = match event {
-            ClusterEvent::Join { .. } | ClusterEvent::Recover { .. } => Slot::Up,
-            ClusterEvent::Leave { .. } => Slot::Drained,
-            ClusterEvent::Fail { .. } => Slot::Failed,
-        };
         // The up slots once the event lands, ascending.
         let active: Vec<u16> = (0..self.capacity)
             .zip(&self.slots)
@@ -861,11 +753,10 @@ impl<A: Attacker> DynamicEngine<A> {
     /// every replan silently degrades to the flat topology.
     ///
     /// The compact plan is a pure function of the membership size and
-    /// the projected topology (the kind, the planner context and the
-    /// fallback seed are fixed for the engine's life), so the plans of
-    /// the last [`ORACLE_PLANS`] keys are kept, most recent last, and a
-    /// kept plan is widened instead of built again. A plan or build that
-    /// fails keeps nothing.
+    /// the projected topology (the kind is fixed for the engine's life),
+    /// so the plans of the last [`ORACLE_PLANS`] keys are kept, most
+    /// recent last, and a kept plan is widened instead of built again. A
+    /// plan or build that fails keeps nothing.
     fn replan(&mut self, active: &[u16]) -> Result<(Placement, i64, bool), DynamicError> {
         let m = active.len() as u16;
         let topology = match &self.topology {
@@ -901,8 +792,9 @@ impl<A: Attacker> DynamicEngine<A> {
 
     /// Plans the configured kind at a compact membership of `m` nodes
     /// over `topology` (the projected slot-universe topology, if any),
-    /// falling back to load-balanced `Random` when the kind is not
-    /// constructible there.
+    /// falling back to load-balanced `Random` (seed `0xd15c`) when the
+    /// kind is not constructible there (e.g. a packing slot that only
+    /// exists at certain `n`).
     fn plan_for(
         &self,
         m: u16,
@@ -919,18 +811,12 @@ impl<A: Attacker> DynamicEngine<A> {
             self.base.s(),
             self.base.k(),
         )?;
-        let ctx = match topology {
-            Some(topology) => PlannerContext {
-                topology: Some(topology),
-                ..self.config.ctx.clone()
-            },
-            None => self.config.ctx.clone(),
-        };
+        let ctx = PlannerContext { topology };
         match self.kind.plan(&compact, &ctx) {
             Ok(strategy) => Ok((strategy, compact)),
             Err(PlacementError::Design(_) | PlacementError::InsufficientCapacity { .. }) => {
                 let fallback = StrategyKind::Random {
-                    seed: self.config.fallback_seed,
+                    seed: 0xd15c,
                     variant: RandomVariant::LoadBalanced,
                 };
                 Ok((fallback.plan(&compact, &ctx)?, compact))
@@ -1203,10 +1089,7 @@ mod tests {
         // the oracle's planning observable through the placement.
         let topo = Topology::split(12, &[4]).unwrap();
         let p = params(12, 24, 3, 2, 2);
-        let config = DynamicConfig {
-            threshold: -1.0,
-            ..DynamicConfig::default()
-        };
+        let config = DynamicConfig { threshold: -1.0 };
         let mk = || {
             DynamicEngine::new(p, StrategyKind::DomainSpread, 12, config.clone())
                 .expect("constructs")
@@ -1458,8 +1341,11 @@ mod tests {
     #[test]
     fn step_reports_serialize() {
         let mut engine = ring_engine();
-        let step = engine.apply(ClusterEvent::Fail { node: 0 }).unwrap();
-        let json = step.to_value().to_json();
+        let event = ClusterEvent::Fail { node: 0 };
+        let step = engine.apply(event).unwrap();
+        let value = step.to_value();
+        assert_eq!(value.get("event"), Some(&event.to_value()));
+        let json = value.to_json();
         assert!(json.contains("\"kind\": \"fail\""));
         assert!(json.contains("\"action\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

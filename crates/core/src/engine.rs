@@ -5,7 +5,9 @@
 //! [`Placement`], subject it to a worst-case adversary, and collect the
 //! guarantee, the measurement, the witness and the costs in one
 //! serializable record. [`Engine::evaluate`] is that pipeline;
-//! [`EvaluationReport`] is the record.
+//! [`EvaluationReport`] is the record. Sweep cells
+//! ([`crate::sweep`]) run the same build → attack → report stage with
+//! a per-worker attacker, so a cell's report is the engine's report.
 //!
 //! The adversary is pluggable through the [`Attacker`] trait so this
 //! crate stays free of a dependency cycle: `wcp-adversary` implements
@@ -351,41 +353,55 @@ impl<A: Attacker> Engine<A> {
         strategy: &dyn PlacementStrategy,
         plan_ns: u64,
     ) -> Result<EvaluationReport, PlacementError> {
-        // lint:allow(determinism, wall-clock timings are telemetry; they never feed a decision)
-        let t = Instant::now();
-        let placement = strategy.build(&self.params)?;
-        let build_ns = t.elapsed().as_nanos() as u64;
-        if placement.num_objects() as u64 != self.params.b() {
-            return Err(PlacementError::InvalidPlacement(format!(
-                "strategy '{}' built {} objects, expected {}",
-                strategy.name(),
-                placement.num_objects(),
-                self.params.b()
-            )));
-        }
-        // lint:allow(determinism, wall-clock timings are telemetry; they never feed a decision)
-        let t = Instant::now();
-        let outcome = self
-            .attacker
-            .attack(&placement, self.params.s(), self.params.k());
-        let attack_ns = t.elapsed().as_nanos() as u64;
-        Ok(EvaluationReport {
-            strategy: strategy.name().to_string(),
-            params: self.params,
-            lower_bound: strategy.lower_bound(&self.params),
-            measured_availability: self.params.b() - outcome.failed,
-            worst_failed: outcome.failed,
-            witness: outcome.nodes,
-            exact: outcome.exact,
-            load_stats: LoadStats::of(&placement),
-            timings: Timings {
-                plan_ns,
-                build_ns,
-                attack_ns,
-            },
-            certificate: outcome.certificate,
+        evaluate_planned(&self.params, strategy, plan_ns, |placement, s, k| {
+            self.attacker.attack(placement, s, k)
         })
     }
+}
+
+/// Build → object-count check → attack → report for a planned strategy:
+/// the one pipeline behind [`Engine`] and every sweep cell
+/// ([`crate::sweep`]). `attack(placement, s, k)` is the attack stage, so
+/// the engine passes its [`Attacker`] and a sweep worker its
+/// [`CellAttacker`](crate::sweep::CellAttacker).
+pub(crate) fn evaluate_planned(
+    params: &SystemParams,
+    strategy: &dyn PlacementStrategy,
+    plan_ns: u64,
+    attack: impl FnOnce(&Placement, u16, u16) -> AttackOutcome,
+) -> Result<EvaluationReport, PlacementError> {
+    // lint:allow(determinism, wall-clock timings are telemetry; they never feed a decision)
+    let t = Instant::now();
+    let placement = strategy.build(params)?;
+    let build_ns = t.elapsed().as_nanos() as u64;
+    if placement.num_objects() as u64 != params.b() {
+        return Err(PlacementError::InvalidPlacement(format!(
+            "strategy '{}' built {} objects, expected {}",
+            strategy.name(),
+            placement.num_objects(),
+            params.b()
+        )));
+    }
+    // lint:allow(determinism, wall-clock timings are telemetry; they never feed a decision)
+    let t = Instant::now();
+    let outcome = attack(&placement, params.s(), params.k());
+    let attack_ns = t.elapsed().as_nanos() as u64;
+    Ok(EvaluationReport {
+        strategy: strategy.name().to_string(),
+        params: *params,
+        lower_bound: strategy.lower_bound(params),
+        measured_availability: params.b() - outcome.failed,
+        worst_failed: outcome.failed,
+        witness: outcome.nodes,
+        exact: outcome.exact,
+        load_stats: LoadStats::of(&placement),
+        timings: Timings {
+            plan_ns,
+            build_ns,
+            attack_ns,
+        },
+        certificate: outcome.certificate,
+    })
 }
 
 #[cfg(test)]

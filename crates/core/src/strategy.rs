@@ -16,8 +16,8 @@
 //! * [`StrategyKind`] — a declarative registry of the strategy families,
 //!   whose [`plan`](StrategyKind::plan) turns `(params, context)` into a
 //!   boxed [`PlacementStrategy`];
-//! * [`PlannerContext`] — the planning-time knobs shared by every
-//!   family (design registry configuration, adaptive re-plan threshold).
+//! * [`PlannerContext`] — the planning-time input shared by every
+//!   family (the failure-domain tree topology-aware kinds plan against).
 //!
 //! The [`crate::engine`] module drives the full plan → build → attack →
 //! report pipeline on top of this trait.
@@ -60,30 +60,16 @@ pub trait PlacementStrategy {
     fn build(&self, params: &SystemParams) -> Result<Placement, PlacementError>;
 }
 
-/// Planning-time configuration shared by every strategy family.
-#[derive(Debug, Clone)]
+/// Planning-time configuration shared by every strategy family (the
+/// packing families always plan with the default [`RegistryConfig`]).
+#[derive(Debug, Clone, Default)]
 pub struct PlannerContext {
-    /// Configuration of the constructive design registry.
-    pub registry: RegistryConfig,
-    /// Tolerated relative regret before an adaptive placer asks for a
-    /// re-plan (see [`crate::adaptive::AdaptivePlacer::new`]).
-    pub replan_threshold: f64,
     /// The failure-domain tree topology-aware strategies plan against.
     /// `None` — or a topology sized for a different node count than the
     /// planned parameters (e.g. a dynamic replan at churned membership)
     /// — falls back to the flat topology, which reproduces the
     /// topology-oblivious behavior exactly.
     pub topology: Option<Topology>,
-}
-
-impl Default for PlannerContext {
-    fn default() -> Self {
-        Self {
-            registry: RegistryConfig::default(),
-            replan_threshold: 0.05,
-            topology: None,
-        }
-    }
 }
 
 /// The registry of strategy families, i.e. *how to obtain* a
@@ -293,25 +279,20 @@ impl StrategyKind {
         params: &SystemParams,
         ctx: &PlannerContext,
     ) -> Result<Box<dyn PlacementStrategy>, PlacementError> {
+        let registry = RegistryConfig::default();
         Ok(match self {
-            StrategyKind::Simple { x } => Box::new(SimpleStrategy::plan_constructive(
-                *x,
-                params,
-                &ctx.registry,
-            )?),
-            StrategyKind::Combo => {
-                Box::new(ComboStrategy::plan_constructive(params, &ctx.registry)?)
+            StrategyKind::Simple { x } => {
+                Box::new(SimpleStrategy::plan_constructive(*x, params, &registry)?)
             }
+            StrategyKind::Combo => Box::new(ComboStrategy::plan_constructive(params, &registry)?),
             StrategyKind::Random { seed, variant } => {
                 Box::new(RandomStrategy::new(*seed, *variant))
             }
             StrategyKind::Ring => Box::new(RingStrategy),
             StrategyKind::Group => Box::new(GroupStrategy),
-            StrategyKind::Adaptive => Box::new(AdaptiveSnapshot::plan(
-                params,
-                &ctx.registry,
-                ctx.replan_threshold,
-            )?),
+            // The snapshot is boxed frozen, so the placer's re-plan
+            // threshold is never read.
+            StrategyKind::Adaptive => Box::new(AdaptiveSnapshot::plan(params, &registry, 0.05)?),
             StrategyKind::DomainSpread => {
                 let topology = ctx
                     .topology
@@ -446,13 +427,13 @@ mod tests {
     #[test]
     fn trait_bound_matches_inherent_bounds() {
         let p = params(71, 900, 3, 2, 4);
-        let ctx = PlannerContext::default();
-        let combo = ComboStrategy::plan_constructive(&p, &ctx.registry).unwrap();
+        let registry = RegistryConfig::default();
+        let combo = ComboStrategy::plan_constructive(&p, &registry).unwrap();
         assert_eq!(
             PlacementStrategy::lower_bound(&combo, &p),
             combo.lower_bound() as i64
         );
-        let simple = SimpleStrategy::plan_constructive(1, &p, &ctx.registry).unwrap();
+        let simple = SimpleStrategy::plan_constructive(1, &p, &registry).unwrap();
         assert_eq!(
             PlacementStrategy::lower_bound(&simple, &p),
             simple.lower_bound(p.b(), p.k(), p.s())

@@ -9,6 +9,14 @@
 //! worker threads via [`std::thread::scope`] with work-stealing chunk
 //! claiming.
 //!
+//! Every cell runs [`Engine`]'s pipeline: it plans its strategy with the
+//! default [`PlannerContext`], then the engine's one build → attack →
+//! report stage runs with the worker's [`CellAttacker`], so a cell's
+//! [`EvaluationReport`] (and its error) is exactly what
+//! [`Engine::evaluate`] returns with that attacker. Topology-aware
+//! studies, which plan every cell against its own failure-domain tree,
+//! drive [`Engine`] directly (see the `domains` experiment binary).
+//!
 //! # Determinism
 //!
 //! Cell enumeration order is fixed by the spec, every cell carries a
@@ -29,9 +37,9 @@
 //! `wcp-adversary` crate provides the full
 //! exact-with-heuristic-fallback ladder with buffer reuse.
 
-use crate::engine::{AttackOutcome, Attacker, ExhaustiveAttacker, LoadStats, Timings};
+use crate::engine::{evaluate_planned, AttackOutcome, Attacker, ExhaustiveAttacker, Timings};
 use crate::strategy::{PlannerContext, StrategyKind};
-use crate::{Engine, EvaluationReport, SystemParams, Topology};
+use crate::{Engine, EvaluationReport, Placement, SystemParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -129,100 +137,6 @@ impl ParamGrid {
     }
 }
 
-/// Rack/zone fan-out axis of a sweep: one seeded zone → rack → node
-/// tree (via [`wcp_sim::topo::TopoSpec`]) per listed rack count.
-///
-/// When a [`SweepSpec`] carries an axis, its cells are enumerated per
-/// topology point with `n` taken from the generated tree's leaf count
-/// (the grid's `n` list is ignored), each cell carries its
-/// [`TopologyPoint`], and the sweep plans topology-aware strategies
-/// against it. The `domains` experiment binary drives its whole grid
-/// through this instead of hand-rolling rack loops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyAxis {
-    /// Spec-label prefix: each point's generator label is
-    /// `"{label}-{racks}"`, so trees are reproducible per rack count.
-    pub label: String,
-    /// Rack fan-outs to enumerate (one topology point each).
-    pub racks: Vec<u16>,
-    /// Nodes per rack (before jitter).
-    pub rack_size: u16,
-    /// Zone fan-out above the racks; `0` means a single rack level.
-    pub zones: u16,
-    /// Per-rack size jitter forwarded to the generator.
-    pub jitter: u16,
-    /// Seed index mixed into the generator's per-label stream.
-    pub seed_index: u64,
-}
-
-impl TopologyAxis {
-    /// A flat single-level axis over `racks` of `rack_size` nodes.
-    #[must_use]
-    pub fn new(label: impl Into<String>, racks: Vec<u16>, rack_size: u16) -> Self {
-        Self {
-            label: label.into(),
-            racks,
-            rack_size,
-            zones: 0,
-            jitter: 0,
-            seed_index: 0,
-        }
-    }
-
-    /// Generates the axis's topology points, one per rack count, in
-    /// listed order. Deterministic: the same axis always expands to the
-    /// same trees.
-    ///
-    /// # Errors
-    ///
-    /// A message when `rack_size` or a rack count is zero, or when
-    /// `zones` does not divide a rack count evenly.
-    pub fn expand(&self) -> Result<Vec<TopologyPoint>, String> {
-        if self.rack_size == 0 || self.racks.contains(&0) {
-            return Err("rack counts and rack size must be positive".to_string());
-        }
-        let mut out = Vec::with_capacity(self.racks.len());
-        for &racks in &self.racks {
-            let fanouts = if self.zones > 0 {
-                if !racks.is_multiple_of(self.zones) {
-                    return Err(format!(
-                        "zone fan-out {} does not divide rack count {racks}",
-                        self.zones
-                    ));
-                }
-                vec![self.zones, racks / self.zones, self.rack_size]
-            } else {
-                vec![racks, self.rack_size]
-            };
-            let layout = wcp_sim::topo::TopoSpec {
-                seed_index: self.seed_index,
-                ..wcp_sim::topo::TopoSpec::new(format!("{}-{racks}", self.label), fanouts)
-            }
-            .with_jitter(self.jitter)
-            .generate();
-            let topology = Topology::new(layout.n, layout.maps).map_err(|e| e.to_string())?;
-            out.push(TopologyPoint {
-                racks,
-                zones: self.zones,
-                topology,
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// One generated point of a [`TopologyAxis`]: the tree plus the axis
-/// coordinates it came from (for reporting).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyPoint {
-    /// Rack count this point was generated for.
-    pub racks: u16,
-    /// Zone fan-out of the axis (`0` = no zone level).
-    pub zones: u16,
-    /// The failure-domain tree.
-    pub topology: Topology,
-}
-
 /// A declarative sweep: parameter grids times strategies times
 /// adversaries, plus fully explicit cells for irregular shapes.
 ///
@@ -258,13 +172,6 @@ pub struct SweepSpec {
     /// Fully explicit cells appended after the grid-generated ones
     /// (irregular shapes such as per-draw random seeds).
     pub explicit_cells: Vec<(SystemParams, StrategyKind, AdversarySpec)>,
-    /// Optional rack/zone fan-out axis. When set, grid cells are
-    /// enumerated per topology point (outermost) with `n` taken from
-    /// each generated tree — the grid's `n` list is ignored — and every
-    /// grid cell carries its [`TopologyPoint`]. An axis that fails to
-    /// expand (see [`TopologyAxis::expand`]) contributes no cells;
-    /// validate it up front when the error message matters.
-    pub topology: Option<TopologyAxis>,
 }
 
 impl SweepSpec {
@@ -278,65 +185,34 @@ impl SweepSpec {
             strategies: Vec::new(),
             adversaries: vec![AdversarySpec::default()],
             explicit_cells: Vec::new(),
-            topology: None,
         }
     }
 
     /// Enumerates the sweep's cells in their canonical order: grid
-    /// parameters (topology points outermost when an axis is set, then
-    /// explicit parameters) × strategies × adversaries, followed by the
-    /// explicit cells. Each cell's seed is `seed_for(label, index)`.
+    /// parameters, then explicit parameters, × strategies ×
+    /// adversaries, followed by the explicit cells. Each cell's seed is
+    /// `seed_for(label, index)`.
     #[must_use]
     pub fn cells(&self) -> Vec<SweepCell> {
-        // Parameter points, each optionally pinned to a topology. With
-        // an axis, `n` comes from each generated tree and the grid
-        // contributes only (b, r, s, k); invalid combinations are
-        // skipped exactly as in `ParamGrid::expand`.
-        let mut params: Vec<(SystemParams, Option<TopologyPoint>)> = Vec::new();
-        match self.topology.as_ref().map(TopologyAxis::expand) {
-            Some(Ok(points)) => {
-                for point in points {
-                    let n = point.topology.num_nodes();
-                    for &b in &self.grid.b {
-                        for &r in &self.grid.r {
-                            for &s in &self.grid.s {
-                                for &k in &self.grid.k {
-                                    if let Ok(p) = SystemParams::new(n, b, r, s, k) {
-                                        params.push((p, Some(point.clone())));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Some(Err(_)) => {}
-            None => params.extend(self.grid.expand().into_iter().map(|p| (p, None))),
-        }
-        params.extend(self.explicit_params.iter().map(|&p| (p, None)));
+        let params = self.grid.expand().into_iter();
         let mut cells = Vec::new();
-        for (p, point) in &params {
+        for p in params.chain(self.explicit_params.iter().copied()) {
             for kind in &self.strategies {
                 for adversary in &self.adversaries {
-                    cells.push((*p, kind.clone(), adversary.clone(), point.clone()));
+                    cells.push((p, kind.clone(), adversary.clone()));
                 }
             }
         }
-        cells.extend(
-            self.explicit_cells
-                .iter()
-                .map(|(p, kind, adversary)| (*p, kind.clone(), adversary.clone(), None)),
-        );
+        cells.extend(self.explicit_cells.iter().cloned());
         cells
             .into_iter()
             .enumerate()
-            .map(|(index, (params, kind, adversary, topology))| SweepCell {
+            .map(|(index, (params, kind, adversary))| SweepCell {
                 index,
                 seed: wcp_sim::seed_for(&self.label, index as u64),
                 params,
                 kind,
                 adversary,
-                topology,
             })
             .collect()
     }
@@ -356,10 +232,6 @@ pub struct SweepCell {
     /// Stable per-cell seed (`seed_for(spec.label, index)`), for
     /// heuristic adversaries and any other cell-local randomness.
     pub seed: u64,
-    /// The cell's failure-domain tree when the spec carries a
-    /// [`TopologyAxis`]; planning uses it as the planner context's
-    /// topology.
-    pub topology: Option<TopologyPoint>,
 }
 
 /// The outcome of one sweep cell: the full [`EvaluationReport`], or the
@@ -381,20 +253,12 @@ impl SweepRecord {
     pub fn to_json(&self) -> String {
         use wcp_sim::json::Value;
         use wcp_sim::record::Record;
-        let mut record = Record::new("sweep")
+        let record = Record::new("sweep")
             .strategy(self.cell.kind.label())
             .spec(self.cell.kind.spec())
             .adversary(self.cell.adversary.label())
             .extra_u64("index", self.cell.index as u64)
             .extra_u64("seed", self.cell.seed);
-        // The topology key appears only for axis cells, so sweeps
-        // without an axis stay as terse as plain-grid ones.
-        if let Some(t) = &self.cell.topology {
-            record = record.topology(Value::object([
-                ("racks", t.racks.into()),
-                ("zones", t.zones.into()),
-            ]));
-        }
         match &self.outcome {
             Ok(report) => record.report(report.to_value()).to_json(),
             Err(e) => record
@@ -425,8 +289,6 @@ pub struct SweepOptions {
     /// repeated runs — serial or parallel — produce byte-identical
     /// records.
     pub record_timings: bool,
-    /// Planner context shared by every cell.
-    pub ctx: PlannerContext,
 }
 
 impl SweepOptions {
@@ -454,7 +316,7 @@ pub trait CellAttacker {
     fn attack_cell(
         &mut self,
         cell: &SweepCell,
-        placement: &crate::Placement,
+        placement: &Placement,
         s: u16,
         k: u16,
     ) -> AttackOutcome;
@@ -470,7 +332,7 @@ impl CellAttacker for DefaultCellAttacker {
     fn attack_cell(
         &mut self,
         cell: &SweepCell,
-        placement: &crate::Placement,
+        placement: &Placement,
         s: u16,
         k: u16,
     ) -> AttackOutcome {
@@ -482,67 +344,38 @@ impl CellAttacker for DefaultCellAttacker {
     }
 }
 
-/// Runs one cell through plan → build → attack → report with a
-/// per-worker attacker.
+/// Runs one cell through [`Engine`]'s plan → build → attack → report
+/// with a per-worker attacker, zeroing the timings unless
+/// [`SweepOptions::record_timings`] is set.
 fn evaluate_cell<C: CellAttacker>(
     cell: &SweepCell,
     opts: &SweepOptions,
     attacker: &mut C,
 ) -> SweepRecord {
-    let outcome = (|| {
-        // lint:allow(determinism, wall-clock timings are telemetry; zeroed unless requested and never feed a decision)
-        let t = Instant::now();
-        // An axis cell plans against its own tree; the shared context
-        // supplies everything else.
-        let cell_ctx = cell.topology.as_ref().map(|point| PlannerContext {
-            topology: Some(point.topology.clone()),
-            ..opts.ctx.clone()
+    // lint:allow(determinism, wall-clock timings are telemetry; zeroed unless requested and never feed a decision)
+    let t = Instant::now();
+    let outcome = cell
+        .kind
+        .plan(&cell.params, &PlannerContext::default())
+        .and_then(|strategy| {
+            let plan_ns = t.elapsed().as_nanos() as u64;
+            evaluate_planned(
+                &cell.params,
+                strategy.as_ref(),
+                plan_ns,
+                |placement, s, k| attacker.attack_cell(cell, placement, s, k),
+            )
         });
-        let strategy = cell
-            .kind
-            .plan(&cell.params, cell_ctx.as_ref().unwrap_or(&opts.ctx))
-            .map_err(|e| e.to_string())?;
-        let plan_ns = t.elapsed().as_nanos() as u64;
-        // lint:allow(determinism, wall-clock timings are telemetry; zeroed unless requested and never feed a decision)
-        let t = Instant::now();
-        let placement = strategy.build(&cell.params).map_err(|e| e.to_string())?;
-        let build_ns = t.elapsed().as_nanos() as u64;
-        if placement.num_objects() as u64 != cell.params.b() {
-            return Err(format!(
-                "strategy '{}' built {} objects, expected {}",
-                strategy.name(),
-                placement.num_objects(),
-                cell.params.b()
-            ));
-        }
-        // lint:allow(determinism, wall-clock timings are telemetry; zeroed unless requested and never feed a decision)
-        let t = Instant::now();
-        let outcome = attacker.attack_cell(cell, &placement, cell.params.s(), cell.params.k());
-        let attack_ns = t.elapsed().as_nanos() as u64;
-        Ok(EvaluationReport {
-            strategy: strategy.name().to_string(),
-            params: cell.params,
-            lower_bound: strategy.lower_bound(&cell.params),
-            measured_availability: cell.params.b() - outcome.failed,
-            worst_failed: outcome.failed,
-            witness: outcome.nodes,
-            exact: outcome.exact,
-            load_stats: LoadStats::of(&placement),
-            timings: if opts.record_timings {
-                Timings {
-                    plan_ns,
-                    build_ns,
-                    attack_ns,
-                }
-            } else {
-                Timings::default()
-            },
-            certificate: outcome.certificate,
-        })
-    })();
     SweepRecord {
         cell: cell.clone(),
-        outcome,
+        outcome: outcome
+            .map(|mut report| {
+                if !opts.record_timings {
+                    report.timings = Timings::default();
+                }
+                report
+            })
+            .map_err(|e| e.to_string()),
     }
 }
 
@@ -746,68 +579,31 @@ mod tests {
     }
 
     #[test]
-    fn topology_axis_expands_deterministically() {
-        let axis = TopologyAxis::new("ax", vec![3, 4], 5);
-        let points = axis.expand().unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].racks, 3);
-        assert_eq!(points[0].topology.num_nodes(), 15);
-        assert_eq!(points[1].topology.num_nodes(), 20);
-        assert_eq!(axis.expand().unwrap(), points);
-    }
-
-    #[test]
-    fn topology_axis_rejects_bad_shapes() {
-        let mut axis = TopologyAxis::new("ax", vec![3], 0);
-        assert!(axis.expand().is_err());
-        axis.rack_size = 4;
-        axis.zones = 2;
-        assert!(axis.expand().unwrap_err().contains("does not divide"));
-        axis.racks = vec![4];
-        // Two parent maps: node → rack and rack → zone.
-        assert_eq!(axis.expand().unwrap()[0].topology.num_levels(), 2);
-    }
-
-    #[test]
-    fn axis_cells_carry_their_topology_and_derive_n() {
-        let mut spec = SweepSpec::new("topo-sweep");
-        spec.topology = Some(TopologyAxis::new("topo-sweep", vec![3, 4], 4));
-        // grid.n is ignored under an axis — an absurd value proves it.
-        spec.grid.n = vec![9999];
-        spec.grid.b = vec![24];
-        spec.grid.r = vec![3];
-        spec.grid.s = vec![2];
-        spec.grid.k = vec![2];
-        spec.strategies = vec![StrategyKind::Ring, StrategyKind::Combo];
-        spec.adversaries = vec![AdversarySpec::Exhaustive { budget: 100_000 }];
-        let cells = spec.cells();
-        // 2 topology points (outermost) × 2 strategies.
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].params.n(), 12);
-        assert_eq!(cells[2].params.n(), 16);
-        for cell in &cells {
-            let point = cell.topology.as_ref().unwrap();
-            assert_eq!(point.topology.num_nodes(), cell.params.n());
-        }
-        // The sweep plans each cell against its own tree; the records
-        // embed the axis coordinates.
-        let records = Engine::sweep(&spec, &SweepOptions::default());
-        assert!(records.iter().all(|r| r.outcome.is_ok()));
-        assert!(records[0].to_json().contains("\"topology\": {\"racks\": 3"));
-    }
-
-    #[test]
     fn sweep_matches_engine_evaluate() {
+        // A cell runs the engine's pipeline: the whole report (timings
+        // zeroed) and a failing cell's error are the engine's.
         let p = SystemParams::new(13, 26, 3, 2, 3).unwrap();
+        let engine = Engine::new(p);
+        let mut kinds = StrategyKind::all(&p);
+        kinds.push(StrategyKind::Simple { x: 2 });
         let mut spec = SweepSpec::new("x");
         spec.explicit_params = vec![p];
-        spec.strategies = vec![StrategyKind::Combo];
+        spec.strategies = kinds.clone();
         spec.adversaries = vec![AdversarySpec::Exhaustive { budget: 2_000_000 }];
-        let record = &Engine::sweep(&spec, &SweepOptions::default())[0];
-        let report = record.outcome.as_ref().unwrap();
-        let direct = Engine::new(p).evaluate(&StrategyKind::Combo).unwrap();
-        assert_eq!(report.measured_availability, direct.measured_availability);
-        assert_eq!(report.lower_bound, direct.lower_bound);
-        assert_eq!(report.witness, direct.witness);
+        let records = Engine::sweep(&spec, &SweepOptions::default());
+        assert_eq!(records.len(), kinds.len());
+        for (record, kind) in records.iter().zip(&kinds) {
+            let direct = engine.evaluate(kind).map(|report| EvaluationReport {
+                timings: Timings::default(),
+                ..report
+            });
+            assert_eq!(
+                record.outcome,
+                direct.map_err(|e| e.to_string()),
+                "{}",
+                kind.label()
+            );
+        }
+        assert!(records.last().unwrap().outcome.is_err());
     }
 }

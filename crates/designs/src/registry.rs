@@ -32,8 +32,6 @@ pub struct RegistryConfig {
     pub max_chunks: usize,
     /// Whether the greedy fallback may be used at all.
     pub allow_greedy: bool,
-    /// Stall limit handed to the greedy packer.
-    pub greedy_stall_limit: usize,
 }
 
 impl Default for RegistryConfig {
@@ -42,7 +40,6 @@ impl Default for RegistryConfig {
             seed: 0x9e37_79b9,
             max_chunks: 3,
             allow_greedy: true,
-            greedy_stall_limit: 30_000,
         }
     }
 }
@@ -467,7 +464,7 @@ pub fn best_unit_packing(
         let greedy_cfg = GreedyConfig {
             seed: config.seed,
             max_blocks: usize::try_from(needed_blocks).unwrap_or(usize::MAX),
-            stall_limit: config.greedy_stall_limit,
+            stall_limit: 30_000,
             ..GreedyConfig::default()
         };
         if let Ok(design) = greedy_packing(v_max, r, t, 1, &greedy_cfg) {

@@ -189,7 +189,6 @@ fn main() -> ExitCode {
     };
     let config = DynamicConfig {
         threshold: cli.threshold,
-        ..DynamicConfig::default()
     };
 
     // The traces: one stored file, or one generated per requested length.

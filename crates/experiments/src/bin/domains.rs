@@ -1,17 +1,16 @@
 //! `domains` — availability under hierarchical failure domains.
 //!
-//! The domain counterpart of `sweep`: the requested rack fan-outs
-//! become a [`TopologyAxis`] on a [`SweepSpec`] (seeded zone → rack →
-//! node trees via `wcp_sim::topo`), the spec enumerates the cells, and
-//! this binary plans every cell's strategy *against its topology* and
-//! attacks the resulting placement twice — with the paper's per-node adversary and with the
-//! domain adversary that spends its budget on whole racks/zones. A
-//! third column re-attacks after `repair_domain_collisions`, measuring
-//! how much of the gap topology-aware post-processing recovers for
-//! topology-oblivious strategies. Summaries go to CSV; per-evaluation
-//! records — embedding the exact topology, the strategy spec and the
-//! ladder's availability certificate — stream to JSON-lines for
-//! `wcp-verify`.
+//! The domain counterpart of `sweep`: every requested rack count gets
+//! one seeded zone → rack → node tree ([`TopoSpec`], labelled
+//! `domains-<racks>`), and this binary plans each strategy *against
+//! that tree* and runs [`Engine`]'s pipeline on it twice — with the
+//! paper's per-node adversary and with the domain adversary that spends
+//! its budget on whole racks/zones. A third column re-attacks after
+//! `repair_domain_collisions`, measuring how much of the gap
+//! topology-aware post-processing recovers for topology-oblivious
+//! strategies. Summaries go to CSV; per-evaluation records — embedding
+//! the exact topology, the strategy spec and the ladder's availability
+//! certificate — stream to JSON-lines for `wcp-verify`.
 //!
 //! ```text
 //! domains --racks 4,8,12 --rack-size 6 --strategies combo,ring,random,domain-spread
@@ -22,13 +21,13 @@
 use std::process::ExitCode;
 use wcp_adversary::{AdversaryConfig, DomainAttacker, ScratchAdversary};
 use wcp_core::engine::Attacker;
-use wcp_core::sweep::{SweepSpec, TopologyAxis};
 use wcp_core::{
     repair_domain_collisions, Engine, Parallelism, PlannerContext, StrategyKind, SystemParams,
     Topology,
 };
 use wcp_experiments::parse_list;
 use wcp_sim::record::Record;
+use wcp_sim::topo::TopoSpec;
 use wcp_sim::{csv_safe, results_dir, Csv, JsonLines, Table};
 
 fn usage() -> String {
@@ -150,6 +149,36 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// One seeded failure-domain tree per rack count, in listed order:
+/// fan-outs `[racks, rack-size]`, or `[zones, racks / zones, rack-size]`
+/// with a zone level, jittered by `--jitter` and seeded by `--seed`.
+fn trees(cli: &Cli) -> Result<Vec<(u16, Topology)>, String> {
+    cli.racks
+        .iter()
+        .map(|&racks| {
+            let fanouts = if cli.zones > 0 {
+                if !racks.is_multiple_of(cli.zones) {
+                    return Err(format!(
+                        "zone fan-out {} does not divide rack count {racks}",
+                        cli.zones
+                    ));
+                }
+                vec![cli.zones, racks / cli.zones, cli.rack_size]
+            } else {
+                vec![racks, cli.rack_size]
+            };
+            let layout = TopoSpec {
+                seed_index: cli.seed,
+                ..TopoSpec::new(format!("domains-{racks}"), fanouts)
+            }
+            .with_jitter(cli.jitter)
+            .generate();
+            let topology = Topology::new(layout.n, layout.maps).map_err(|e| e.to_string())?;
+            Ok((racks, topology))
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_cli(&args) {
@@ -188,54 +217,29 @@ fn main() -> ExitCode {
     let mut csv = Csv::new(csv_path, &header);
     let mut jsonl = JsonLines::new(json_path);
 
-    // The rack/zone grid is a SweepSpec axis: the spec owns topology
-    // generation and canonical cell order (points outermost, strategies
-    // inner); this binary keeps only its bespoke three-adversary
-    // evaluation per cell.
-    let axis = TopologyAxis {
-        label: "domains".to_string(),
-        racks: cli.racks.clone(),
-        rack_size: cli.rack_size,
-        zones: cli.zones,
-        jitter: cli.jitter,
-        seed_index: cli.seed,
-    };
-    let mut spec = SweepSpec::new("domains");
-    spec.grid.b = vec![cli.b];
-    spec.grid.r = vec![cli.r];
-    spec.grid.s = vec![cli.s];
-    spec.grid.k = vec![cli.k];
-    spec.strategies = cli.strategies.clone();
-    spec.topology = Some(axis.clone());
-    // Validate up front: `cells()` skips what it cannot build, but this
-    // binary owes the user a reason and a non-zero exit.
-    let points = match axis.expand() {
-        Ok(points) => points,
+    let trees = match trees(&cli) {
+        Ok(trees) => trees,
         Err(msg) => {
             eprintln!("cannot build topologies: {msg}");
             return ExitCode::FAILURE;
         }
     };
-    for point in &points {
-        let n = point.topology.num_nodes();
-        if let Err(e) = SystemParams::new(n, cli.b, cli.r, cli.s, cli.k) {
-            eprintln!(
-                "invalid system parameters at {} racks (n={n}): {e}",
-                point.racks
-            );
-            return ExitCode::FAILURE;
+    let mut points = Vec::with_capacity(trees.len());
+    for (racks, topo) in trees {
+        let n = topo.num_nodes();
+        match SystemParams::new(n, cli.b, cli.r, cli.s, cli.k) {
+            Ok(params) => points.push((racks, topo, params)),
+            Err(e) => {
+                eprintln!("invalid system parameters at {racks} racks (n={n}): {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
-    let cells = spec.cells();
-    assert_eq!(cells.len(), points.len() * spec.strategies.len());
 
-    for (pi, point) in points.iter().enumerate() {
-        let racks = point.racks;
-        let topo: &Topology = &point.topology;
-        let n = topo.num_nodes();
+    for (racks, topo, params) in points {
+        let n = params.n();
         let ctx = PlannerContext {
             topology: Some(topo.clone()),
-            ..PlannerContext::default()
         };
         // Both ladders fan out on WCP_THREADS; results are
         // bit-identical at any thread count (the CI determinism matrix
@@ -244,15 +248,13 @@ fn main() -> ExitCode {
             parallelism: Parallelism::from_env(),
             ..AdversaryConfig::default()
         };
-        let params = cells[pi * spec.strategies.len()].params;
         let node_engine = Engine::with_attacker(params, ScratchAdversary::new(adv.clone()))
             .with_context(ctx.clone());
         let domain_attacker = DomainAttacker::with_config(topo.clone(), adv);
         let domain_engine =
             Engine::with_attacker(params, domain_attacker.clone()).with_context(ctx.clone());
 
-        for cell in &cells[pi * spec.strategies.len()..(pi + 1) * spec.strategies.len()] {
-            let kind = &cell.kind;
+        for kind in &cli.strategies {
             // Timings are zeroed before serialization: the JSONL must be
             // byte-identical across thread counts (the CI determinism
             // matrix diffs it), and wall-clock telemetry is not.
@@ -281,7 +283,7 @@ fn main() -> ExitCode {
             let (repaired_avail, repair_moved, repaired_cert) = match kind
                 .plan(&params, &ctx)
                 .and_then(|strategy| strategy.build(&params))
-                .and_then(|placement| repair_domain_collisions(&placement, topo))
+                .and_then(|placement| repair_domain_collisions(&placement, &topo))
             {
                 Ok((repaired, moved)) => {
                     let outcome = domain_attacker.attack(&repaired, cli.s, cli.k);
@@ -304,7 +306,7 @@ fn main() -> ExitCode {
                     .spec(kind.spec())
                     .adversary(adversary)
                     .extra_u64("racks", u64::from(racks))
-                    .extra_u64("zones", u64::from(point.zones))
+                    .extra_u64("zones", u64::from(cli.zones))
                     .topology(topo_value.clone())
                     .report(report.to_value());
                 jsonl.record(record.to_json());
@@ -313,7 +315,7 @@ fn main() -> ExitCode {
                 .strategy(kind.label())
                 .adversary("domain-repaired")
                 .extra_u64("racks", u64::from(racks))
-                .extra_u64("zones", u64::from(point.zones))
+                .extra_u64("zones", u64::from(cli.zones))
                 .topology(topo_value);
             if let Some(cert) = &repaired_cert {
                 repaired_record = repaired_record.bare_certificate(cert.to_value());
@@ -321,7 +323,7 @@ fn main() -> ExitCode {
             jsonl.record(repaired_record.to_json());
             let row = vec![
                 racks.to_string(),
-                point.zones.to_string(),
+                cli.zones.to_string(),
                 n.to_string(),
                 csv_safe(&kind.label()),
                 node.measured_availability.to_string(),
@@ -352,4 +354,35 @@ fn main() -> ExitCode {
         jsonl.len()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &str) -> Cli {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        parse_cli(&args).expect("valid flags")
+    }
+
+    #[test]
+    fn zoned_jittered_trees_are_seeded_and_reproducible() {
+        let cli = cli("--racks 4,6 --rack-size 4 --zones 2 --jitter 1 --seed 0");
+        let generated = trees(&cli).unwrap();
+        let shapes: Vec<(u16, u16)> = generated.iter().map(|(r, t)| (*r, t.num_nodes())).collect();
+        assert_eq!(shapes, [(4, 16), (6, 25)]);
+        // Two parent maps: node → rack, then rack → zone.
+        assert_eq!(
+            generated[0].1.to_value().to_json(),
+            "{\"maps\": [[0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3], [0, 0, 1, 1]]}"
+        );
+        assert_eq!(trees(&cli).unwrap(), generated);
+    }
+
+    #[test]
+    fn zones_must_divide_every_rack_count() {
+        let err = trees(&cli("--racks 4 --rack-size 4 --zones 3")).unwrap_err();
+        assert!(err.contains("does not divide"), "{err}");
+        assert!(parse_cli(&["--rack-size".into(), "0".into()]).is_err());
+    }
 }

@@ -1,98 +1,142 @@
-//! Seeded cluster-churn traces for dynamic-membership experiments.
+//! Cluster-membership events and seeded churn traces.
 //!
-//! A [`ChurnTrace`] is a replayable sequence of membership events over a
-//! fixed universe of node slots: nodes drain ([`ChurnEventKind::Leave`]),
-//! crash ([`ChurnEventKind::Fail`]), come back
-//! ([`ChurnEventKind::Recover`]) or are provisioned fresh
-//! ([`ChurnEventKind::Join`]). Traces are generated deterministically
-//! from a [`ChurnSpec`] seed and round-trip through the workspace's
-//! JSON layer ([`crate::json`]), so an experiment can be re-run
-//! bit-for-bit from its persisted trace file.
+//! A [`ClusterEvent`] is one membership change of a node slot: it
+//! drains ([`ClusterEvent::Leave`]), crashes ([`ClusterEvent::Fail`]),
+//! comes back ([`ClusterEvent::Recover`]) or is provisioned fresh
+//! ([`ClusterEvent::Join`]). [`ClusterEvent::transition`] is the one
+//! slot state machine: the [`Slot`] state an event needs and the state
+//! it leaves. The trace generator draws only legal events from it, and
+//! `wcp_core::dynamic` (which re-exports the event) rejects illegal ones
+//! with it.
 //!
-//! This crate knows nothing about placements; `wcp_core::dynamic`
-//! converts these events into its own `ClusterEvent` model and maintains
-//! a live placement across them.
+//! A [`ChurnTrace`] is a replayable sequence of events over a fixed
+//! universe of node slots. Traces are generated deterministically from
+//! a [`ChurnSpec`] seed and round-trip through the workspace's JSON
+//! layer ([`crate::json`]), so an experiment can be re-run bit-for-bit
+//! from its persisted trace file.
 
 use crate::json::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The kind of one membership event.
+/// A cluster-membership event (the dynamic half of the placement model;
+/// the static half — what the adversary does between events — is
+/// Definition 1 unchanged).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnEventKind {
-    /// A node is provisioned (first activation, or re-activation after a
-    /// planned [`Leave`](Self::Leave)).
-    Join,
-    /// A node drains and leaves in a planned fashion.
-    Leave,
-    /// A node crashes.
-    Fail,
-    /// A crashed node comes back.
-    Recover,
+pub enum ClusterEvent {
+    /// A drained or never-provisioned slot comes up.
+    Join {
+        /// The slot that joins.
+        node: u16,
+    },
+    /// An up node drains and leaves in a planned fashion. Its replicas
+    /// are re-homed just like a crash; the distinction is kept because
+    /// operators schedule leaves but not failures.
+    Leave {
+        /// The node that leaves.
+        node: u16,
+    },
+    /// An up node crashes.
+    Fail {
+        /// The node that fails.
+        node: u16,
+    },
+    /// A crashed node comes back up.
+    Recover {
+        /// The node that recovers.
+        node: u16,
+    },
 }
 
-impl ChurnEventKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [ChurnEventKind; 4] = [
-        ChurnEventKind::Join,
-        ChurnEventKind::Leave,
-        ChurnEventKind::Fail,
-        ChurnEventKind::Recover,
-    ];
+/// The membership state of one node slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// The node is up and hosts replicas.
+    Up,
+    /// The node crashed; only [`ClusterEvent::Recover`] brings it back.
+    Failed,
+    /// The node left, or was never provisioned; only
+    /// [`ClusterEvent::Join`] brings it up.
+    Drained,
+}
 
-    /// Stable lowercase label (the JSON encoding).
+/// The event constructors in the generator's draw order. The order is
+/// part of every generated trace: the RNG draws an index into the legal
+/// ones.
+const KINDS: [fn(u16) -> ClusterEvent; 4] = [
+    |node| ClusterEvent::Leave { node },
+    |node| ClusterEvent::Fail { node },
+    |node| ClusterEvent::Recover { node },
+    |node| ClusterEvent::Join { node },
+];
+
+impl ClusterEvent {
+    /// The slot the event touches.
     #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChurnEventKind::Join => "join",
-            ChurnEventKind::Leave => "leave",
-            ChurnEventKind::Fail => "fail",
-            ChurnEventKind::Recover => "recover",
+    pub fn node(&self) -> u16 {
+        match *self {
+            ClusterEvent::Join { node }
+            | ClusterEvent::Leave { node }
+            | ClusterEvent::Fail { node }
+            | ClusterEvent::Recover { node } => node,
         }
     }
 
-    /// Parses a [`label`](Self::label) back.
+    /// Stable lowercase label (the JSON encoding of the kind).
     #[must_use]
-    pub fn parse(label: &str) -> Option<ChurnEventKind> {
-        ChurnEventKind::ALL.into_iter().find(|k| k.label() == label)
+    pub fn label(&self) -> &'static str {
+        match self {
+            ClusterEvent::Join { .. } => "join",
+            ClusterEvent::Leave { .. } => "leave",
+            ClusterEvent::Fail { .. } => "fail",
+            ClusterEvent::Recover { .. } => "recover",
+        }
     }
-}
 
-/// One membership event: a kind applied to a node slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChurnEvent {
-    /// What happened.
-    pub kind: ChurnEventKind,
-    /// The node slot it happened to.
-    pub node: u16,
-}
+    /// True when the event takes a node down (and repair must re-home
+    /// replicas).
+    #[must_use]
+    pub fn is_departure(&self) -> bool {
+        matches!(self, ClusterEvent::Leave { .. } | ClusterEvent::Fail { .. })
+    }
 
-impl ChurnEvent {
+    /// The slot state machine: the state the event's slot must be in,
+    /// and the state the event leaves it in. Only up nodes leave or
+    /// fail, only failed nodes recover, only drained slots join.
+    #[must_use]
+    pub fn transition(&self) -> (Slot, Slot) {
+        match self {
+            ClusterEvent::Join { .. } => (Slot::Drained, Slot::Up),
+            ClusterEvent::Leave { .. } => (Slot::Up, Slot::Drained),
+            ClusterEvent::Fail { .. } => (Slot::Up, Slot::Failed),
+            ClusterEvent::Recover { .. } => (Slot::Failed, Slot::Up),
+        }
+    }
+
+    /// The event as a JSON object, `{"kind": …, "node": …}`.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        Value::object([("kind", self.label().into()), ("node", self.node().into())])
+    }
+
     /// The event as a JSON object (one JSONL line in trace files).
     #[must_use]
     pub fn to_json(&self) -> String {
         self.to_value().to_json()
     }
 
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("kind".into(), Value::Str(self.kind.label().into())),
-            ("node".into(), Value::Num(f64::from(self.node))),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<ChurnEvent, String> {
-        let kind = v
+    fn from_value(v: &Value) -> Result<ClusterEvent, String> {
+        let make = v
             .get("kind")
             .and_then(Value::as_str)
-            .and_then(ChurnEventKind::parse)
+            .and_then(|label| KINDS.into_iter().find(|make| make(0).label() == label))
             .ok_or_else(|| format!("event needs a \"kind\" of join/leave/fail/recover: {v}"))?;
         let node = v
             .get("node")
             .and_then(Value::as_u64)
             .and_then(|n| u16::try_from(n).ok())
             .ok_or_else(|| format!("event needs a \"node\" slot id: {v}"))?;
-        Ok(ChurnEvent { kind, node })
+        Ok(make(node))
     }
 
     /// Parses one JSON event object.
@@ -100,9 +144,17 @@ impl ChurnEvent {
     /// # Errors
     ///
     /// A human-readable message on syntax errors or missing fields.
-    pub fn parse(text: &str) -> Result<ChurnEvent, String> {
+    pub fn parse(text: &str) -> Result<ClusterEvent, String> {
         let v = Value::parse(text).map_err(|e| e.to_string())?;
-        ChurnEvent::from_value(&v)
+        ClusterEvent::from_value(&v)
+    }
+}
+
+/// Lets a borrowed trace feed APIs that take events by value
+/// (`engine.apply(event.into())`, `run_trace(&trace.events)`).
+impl From<&ClusterEvent> for ClusterEvent {
+    fn from(e: &ClusterEvent) -> Self {
+        *e
     }
 }
 
@@ -110,7 +162,7 @@ impl ChurnEvent {
 ///
 /// Slots `0..initial_active` start up; slots
 /// `initial_active..capacity` start unprovisioned (available to
-/// [`ChurnEventKind::Join`]).
+/// [`ClusterEvent::Join`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnTrace {
     /// Trace label (mixed into derived seeds and file names).
@@ -120,7 +172,7 @@ pub struct ChurnTrace {
     /// Slots up at time zero (`0..initial_active`).
     pub initial_active: u16,
     /// The event sequence.
-    pub events: Vec<ChurnEvent>,
+    pub events: Vec<ClusterEvent>,
 }
 
 impl ChurnTrace {
@@ -136,7 +188,7 @@ impl ChurnTrace {
             ),
             (
                 "events".into(),
-                Value::Array(self.events.iter().map(|e| e.to_value()).collect()),
+                Value::Array(self.events.iter().map(ClusterEvent::to_value).collect()),
             ),
         ])
         .to_json()
@@ -173,12 +225,12 @@ impl ChurnTrace {
             .and_then(Value::as_array)
             .ok_or_else(|| "trace needs an \"events\" array".to_string())?
             .iter()
-            .map(ChurnEvent::from_value)
+            .map(ClusterEvent::from_value)
             .collect::<Result<Vec<_>, String>>()?;
-        if let Some(e) = events.iter().find(|e| e.node >= capacity) {
+        if let Some(e) = events.iter().find(|e| e.node() >= capacity) {
             return Err(format!(
                 "event targets slot {} outside capacity {capacity}",
-                e.node
+                e.node()
             ));
         }
         Ok(ChurnTrace {
@@ -263,12 +315,6 @@ impl ChurnSpec {
     /// [`min_active`](Self::min_active).
     #[must_use]
     pub fn generate(&self) -> ChurnTrace {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Slot {
-            Up,
-            Failed,
-            Drained,
-        }
         let mut slots: Vec<Slot> = (0..self.capacity)
             .map(|v| {
                 if v < self.initial_active {
@@ -289,34 +335,33 @@ impl ChurnSpec {
             (!eligible.is_empty()).then(|| eligible[rng.gen_range(0..eligible.len())])
         };
         while events.len() < self.events {
-            let mut kinds: Vec<ChurnEventKind> = Vec::with_capacity(4);
-            if up > usize::from(self.min_active) {
-                kinds.push(ChurnEventKind::Leave);
-                kinds.push(ChurnEventKind::Fail);
-            }
-            if slots.contains(&Slot::Failed) {
-                kinds.push(ChurnEventKind::Recover);
-            }
-            if slots.contains(&Slot::Drained) {
-                kinds.push(ChurnEventKind::Join);
-            }
-            let Some(&kind) = (!kinds.is_empty()).then(|| &kinds[rng.gen_range(0..kinds.len())])
+            // The legal kinds, in draw order: a departure needs the up
+            // count above the floor, any other kind a slot in its state.
+            let kinds: Vec<fn(u16) -> ClusterEvent> = KINDS
+                .into_iter()
+                .filter(|make| {
+                    let kind = make(0);
+                    if kind.is_departure() {
+                        up > usize::from(self.min_active)
+                    } else {
+                        slots.contains(&kind.transition().0)
+                    }
+                })
+                .collect();
+            let Some(&make) = (!kinds.is_empty()).then(|| &kinds[rng.gen_range(0..kinds.len())])
             else {
                 break; // Fully up at the floor: no legal event exists.
             };
-            let (want, next) = match kind {
-                ChurnEventKind::Leave => (Slot::Up, Slot::Drained),
-                ChurnEventKind::Fail => (Slot::Up, Slot::Failed),
-                ChurnEventKind::Recover => (Slot::Failed, Slot::Up),
-                ChurnEventKind::Join => (Slot::Drained, Slot::Up),
-            };
+            let (want, next) = make(0).transition();
             let node = pick(&slots, want, &mut rng).expect("kind was checked feasible");
             slots[usize::from(node)] = next;
-            match kind {
-                ChurnEventKind::Leave | ChurnEventKind::Fail => up -= 1,
-                ChurnEventKind::Join | ChurnEventKind::Recover => up += 1,
+            let event = make(node);
+            if event.is_departure() {
+                up -= 1;
+            } else {
+                up += 1;
             }
-            events.push(ChurnEvent { kind, node });
+            events.push(event);
         }
         ChurnTrace {
             label: self.label.clone(),
@@ -347,21 +392,21 @@ mod tests {
         let mut failed = [false; 20];
         let mut count = 15usize;
         for e in &trace.events {
-            let v = usize::from(e.node);
-            match e.kind {
-                ChurnEventKind::Leave | ChurnEventKind::Fail => {
+            let v = usize::from(e.node());
+            match e {
+                ClusterEvent::Leave { .. } | ClusterEvent::Fail { .. } => {
                     assert!(up[v], "{e:?} on a down node");
                     up[v] = false;
-                    failed[v] = e.kind == ChurnEventKind::Fail;
+                    failed[v] = matches!(e, ClusterEvent::Fail { .. });
                     count -= 1;
                 }
-                ChurnEventKind::Recover => {
+                ClusterEvent::Recover { .. } => {
                     assert!(!up[v] && failed[v], "{e:?} without a crash");
                     up[v] = true;
                     failed[v] = false;
                     count += 1;
                 }
-                ChurnEventKind::Join => {
+                ClusterEvent::Join { .. } => {
                     assert!(!up[v] && !failed[v], "{e:?} on an up/failed node");
                     up[v] = true;
                     count += 1;
@@ -378,8 +423,42 @@ mod tests {
         assert_eq!(back, trace);
         // Per-event JSONL lines parse back too.
         for e in &trace.events {
-            assert_eq!(ChurnEvent::parse(&e.to_json()).unwrap(), *e);
+            assert_eq!(ClusterEvent::parse(&e.to_json()).unwrap(), *e);
         }
+    }
+
+    #[test]
+    fn event_wire_form_is_pinned() {
+        assert_eq!(
+            ClusterEvent::Fail { node: 7 }.to_json(),
+            r#"{"kind": "fail", "node": 7}"#
+        );
+        // A trace document as earlier releases wrote it (seed 0 of a
+        // `churn-8` spec): it parses to the same events, re-renders
+        // byte-identically, and the generator still draws it.
+        let doc = concat!(
+            r#"{"label": "churn-8", "capacity": 8, "initial_active": 6, "events": ["#,
+            r#"{"kind": "fail", "node": 3}, {"kind": "recover", "node": 3}, "#,
+            r#"{"kind": "leave", "node": 4}, {"kind": "join", "node": 6}, "#,
+            r#"{"kind": "fail", "node": 1}, {"kind": "join", "node": 7}, "#,
+            r#"{"kind": "fail", "node": 3}, {"kind": "leave", "node": 5}]}"#
+        );
+        let trace = ChurnTrace::parse(doc).unwrap();
+        assert_eq!(
+            trace.events,
+            [
+                ClusterEvent::Fail { node: 3 },
+                ClusterEvent::Recover { node: 3 },
+                ClusterEvent::Leave { node: 4 },
+                ClusterEvent::Join { node: 6 },
+                ClusterEvent::Fail { node: 1 },
+                ClusterEvent::Join { node: 7 },
+                ClusterEvent::Fail { node: 3 },
+                ClusterEvent::Leave { node: 5 },
+            ]
+        );
+        assert_eq!(trace.to_json(), doc);
+        assert_eq!(ChurnSpec::new("churn-8", 8, 6, 8).generate(), trace);
     }
 
     #[test]

@@ -174,7 +174,6 @@ fn rebuild_placement(
     let kind = StrategyKind::parse_spec(spec).map_err(|e| e.to_string())?;
     let ctx = PlannerContext {
         topology: topology.cloned(),
-        ..PlannerContext::default()
     };
     let placement = kind
         .plan(&params, &ctx)

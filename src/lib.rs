@@ -105,5 +105,5 @@ pub mod prelude {
     pub use wcp_service::{
         PlacementProvider, ServiceConfig, ServiceEvent, ServiceHandle, Snapshot,
     };
-    pub use wcp_sim::churn::{ChurnEvent, ChurnEventKind, ChurnSpec, ChurnTrace};
+    pub use wcp_sim::churn::{ChurnSpec, ChurnTrace};
 }

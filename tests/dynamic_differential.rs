@@ -35,10 +35,7 @@ fn replay_checked(
     threshold: f64,
     cross_check_oracle: bool,
 ) -> MovementReport {
-    let config = DynamicConfig {
-        threshold,
-        ..DynamicConfig::default()
-    };
+    let config = DynamicConfig { threshold };
     let mut engine =
         DynamicEngine::with_attacker(params, kind.clone(), trace.capacity, config, attacker())
             .expect("initial plan");

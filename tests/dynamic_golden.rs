@@ -119,10 +119,7 @@ fn engine(
     threshold: f64,
 ) -> DynamicEngine<ScratchAdversary> {
     let params = SystemParams::new(n, b, 3, 2, 3).expect("valid shape");
-    let config = DynamicConfig {
-        threshold,
-        ..DynamicConfig::default()
-    };
+    let config = DynamicConfig { threshold };
     let attacker = ScratchAdversary::new(AdversaryConfig::default());
     DynamicEngine::with_attacker(params, kind, capacity, config, attacker).expect("initial plan")
 }

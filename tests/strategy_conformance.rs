@@ -167,10 +167,7 @@ fn baseline_bounds_are_tight_when_nonvacuous() {
 fn every_family_survives_churn_through_the_dynamic_engine() {
     let params = SystemParams::new(13, 26, 3, 2, 3).expect("valid");
     let trace = ChurnSpec::new("conformance-dyn", 16, 13, 8).generate();
-    let config = DynamicConfig {
-        threshold: 0.05,
-        ..DynamicConfig::default()
-    };
+    let config = DynamicConfig { threshold: 0.05 };
     let slack = config.threshold * params.b() as f64;
     for kind in StrategyKind::all(&params) {
         let mut engine = match DynamicEngine::with_attacker(
@@ -230,7 +227,6 @@ fn domain_spread_conforms_across_topologies() {
         let params = SystemParams::new(n, u64::from(n) * 3, 3, 2, 3).expect("valid");
         let ctx = PlannerContext {
             topology: Some(topo.clone()),
-            ..PlannerContext::default()
         };
         let placement = StrategyKind::DomainSpread
             .plan(&params, &ctx)
@@ -264,7 +260,6 @@ fn domain_spread_conforms_across_topologies() {
             &params,
             &PlannerContext {
                 topology: Some(Topology::flat(12)),
-                ..PlannerContext::default()
             },
         )
         .expect("plans")
@@ -282,7 +277,6 @@ fn domain_repair_wrapper_conforms_for_every_family() {
     let params = SystemParams::new(12, 36, 3, 2, 3).expect("valid");
     let ctx = PlannerContext {
         topology: Some(topo.clone()),
-        ..PlannerContext::default()
     };
     for kind in StrategyKind::all(&params) {
         let inner = match kind.plan(&params, &ctx) {
@@ -318,7 +312,6 @@ fn domain_adversary_dominates_node_adversary_for_every_family() {
     let params = SystemParams::new(12, 36, 3, 2, 2).expect("valid");
     let ctx = PlannerContext {
         topology: Some(topo.clone()),
-        ..PlannerContext::default()
     };
     let node_engine =
         Engine::with_attacker(params, AdversaryConfig::default()).with_context(ctx.clone());
